@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .returns import nonperiodic_check, return_substitution
 from .substitution import Substitution, fixed_point_prefix, is_primitive
-from .words import Word
+from .words import Word, factors
 
 
 @dataclass(frozen=True)
@@ -35,58 +35,46 @@ class Interpretation:
         """(position of the image boundary, core letter) for every core letter."""
         out = []
         pos = len(self.left)
-        for letter in self.core.letters:
+        for letter in self.core:
             out.append((pos, letter))
             pos += len(tau.image(letter))
         return tuple(out)
 
 
 class _InterpretationContext:
-    """Shared factor pools for enumerating interpretations over one substitution."""
+    """Shared factor pools for enumerating interpretations over one substitution.
+
+    ``factors`` lists the non-empty factors up to ``max_factor`` letters of a
+    fixed-point prefix in lexicographic order; the pools hold scan texts.
+    """
 
     def __init__(self, tau: Substitution, prefix_len: int, max_factor: int):
         self.tau = tau
-        host = fixed_point_prefix(tau, prefix_len)
-        self.host = host
-        letters = host.letters
-        self.factors: set[tuple[int, ...]] = {()}
-        for length in range(1, max_factor + 1):
-            for i in range(len(letters) - length + 1):
-                self.factors.add(letters[i : i + length])
-        self.suffixes: set[tuple[int, ...]] = set()
-        self.prefixes: set[tuple[int, ...]] = set()
-        for w in tau.images:
-            for i in range(len(w) + 1):
-                self.suffixes.add(w.letters[i:])
-                self.prefixes.add(w.letters[:i])
+        self.factors = factors(fixed_point_prefix(tau, prefix_len), range(1, max_factor + 1))
+        self.pool = {w.scan_text for w in self.factors}
+        self.images = [w.scan_text for w in tau.images]
+        self.suffixes = {t[i:] for t in self.images for i in range(len(t) + 1)}
+        self.prefixes = {t[:i] for t in self.images for i in range(len(t) + 1)}
+        self.singles = [Word(tau.alphabet, (c,)) for c in range(tau.alphabet.size)]
 
     def interpretations(self, x: Word) -> list[Interpretation]:
-        alphabet = self.tau.alphabet
-        images = [w.letters for w in self.tau.images]
-        found: set[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = set()
+        text = x.scan_text
+        found: dict[tuple[str, str, str], Interpretation] = {}
 
-        def extend(left: tuple[int, ...], pos: int, core: list[int]) -> None:
-            rest = x.letters[pos:]
+        def extend(cut: int, pos: int, core: Word) -> None:
+            rest = text[pos:]
             if rest in self.prefixes:
-                found.add((left, tuple(core), rest))
-            for c in range(alphabet.size):
-                im = images[c]
-                if len(im) <= len(rest) and rest[: len(im)] == im:
-                    core.append(c)
-                    if tuple(core) in self.factors:
-                        extend(left, pos + len(im), core)
-                    core.pop()
+                found[text[:cut], core.scan_text, rest] = Interpretation(x[:cut], core, x[pos:])
+            for c, im in enumerate(self.images):
+                if rest.startswith(im):
+                    longer = core + self.singles[c]
+                    if longer.scan_text in self.pool:
+                        extend(cut, pos + len(im), longer)
 
         for left in self.suffixes:
-            if x.letters[: len(left)] == left:
-                extend(left, len(left), [])
-        out = [
-            Interpretation(
-                Word(alphabet, l), Word(alphabet, c), Word(alphabet, r)
-            )
-            for l, c, r in sorted(found)
-        ]
-        return out
+            if text.startswith(left):
+                extend(len(left), len(left), Word(self.tau.alphabet, ()))
+        return [found[key] for key in sorted(found)]
 
 
 def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -> list[Interpretation]:
@@ -95,7 +83,7 @@ def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -
     if len(x) == 0:
         raise ValueError("factor must be non-empty")
     ctx = _InterpretationContext(tau, search_prefix_len, len(x))
-    if x.letters not in ctx.factors:
+    if x.scan_text not in ctx.pool:
         raise ValueError("x does not occur in the generated prefix")
     return ctx.interpretations(x)
 
@@ -124,10 +112,7 @@ def sync_delay_search(
         prefix_len = max(50 * sample_len, 2000)
     ctx = _InterpretationContext(tau, prefix_len, sample_len)
     required = 0
-    for letters in sorted(ctx.factors):
-        if not letters:
-            continue
-        x = Word(tau.alphabet, letters)
+    for x in ctx.factors:
         interps = ctx.interpretations(x)
         cut_sets = [set(i.cuts(tau)) for i in interps]
         for a in range(len(interps)):
@@ -162,16 +147,6 @@ class InjectivityCertificate:
     collision: tuple[Word, Word] | None
 
 
-def _derived_factors(sub: Substitution, max_len: int, sample_len: int) -> set[tuple[int, ...]]:
-    host = fixed_point_prefix(sub, sample_len)
-    letters = host.letters
-    out: set[tuple[int, ...]] = set()
-    for length in range(1, max_len + 1):
-        for i in range(len(letters) - length + 1):
-            out.add(letters[i : i + length])
-    return out
-
-
 def check_injectivity(
     tau: Substitution, u: Word, length_bound: int = 30, derived_sample: int = 2000
 ) -> InjectivityCertificate:
@@ -186,31 +161,35 @@ def check_injectivity(
     system, tau_u = return_substitution(tau, u)
     coding = system.coding()
     shortest = min(len(w) for w in system.return_words)
-    by_image: dict[tuple[int, ...], Word] = {}
+    by_image: dict[str, Word] = {}
     checked = 0
     max_derived = max(0, length_bound // max(1, shortest))
-    for letters in sorted(_derived_factors(tau_u, max_derived, derived_sample)) if max_derived else []:
-        word = coding(Word(system.return_alphabet, letters))
+    derived_factors = []
+    if max_derived:
+        host = fixed_point_prefix(tau_u, derived_sample)
+        derived_factors = factors(host, range(1, max_derived + 1))
+    for derived in derived_factors:
+        word = coding(derived)
         if len(word) > length_bound:
             continue
         checked += 1
-        image = tau(word)
-        other = by_image.get(image.letters)
-        if other is not None and other.letters != word.letters:
+        image = tau(word).scan_text
+        other = by_image.get(image)
+        if other is not None and other != word:
             return InjectivityCertificate(u, length_bound, checked, False, (other, word))
-        by_image[image.letters] = word
+        by_image[image] = word
     return InjectivityCertificate(u, length_bound, checked, True, None)
 
 
 def _injective_on_own_factors(sub: Substitution, max_len: int, sample_len: int) -> bool:
     """Pairwise-distinct images over the factors of the substitution's own fixed point."""
-    by_image: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for letters in sorted(_derived_factors(sub, max_len, sample_len)):
-        image = sub(Word(sub.alphabet, letters))
-        other = by_image.get(image.letters)
-        if other is not None and other != letters:
+    by_image: dict[str, Word] = {}
+    for word in factors(fixed_point_prefix(sub, sample_len), range(1, max_len + 1)):
+        image = sub(word).scan_text
+        other = by_image.get(image)
+        if other is not None and other != word:
             return False
-        by_image[image.letters] = letters
+        by_image[image] = word
     return True
 
 

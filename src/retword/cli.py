@@ -3,8 +3,8 @@
 Every command prints a human-readable report; with ``--json`` it prints a
 machine-readable mirror instead (byte-identical across runs for identical
 inputs: no timestamps, rationals as "p/q" strings, intervals with explicit
-endpoints).  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-parse error, 3 a bounded search exhausted its budget.
+endpoints).  Exit codes: 0 all checks pass, 1 a check failed, 2 usage, parse
+or input error, 3 a bounded search exhausted its budget.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .circularity import find_n0, sync_delay_search
-from .errors import ParseError, ResourceLimitError
+from .errors import GenerationError, ParseError, ResourceLimitError
 from .periodic import build_periodic_presentation, verify_presentation
 from .relations import (
     eigenvalue_transfer_check,
@@ -47,7 +47,7 @@ from .substitution import (
     power,
     prefix_cap,
 )
-from .words import Word
+from .words import Word, spelling
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -282,7 +282,7 @@ def _cmd_return_sub(args, report: Report) -> None:
     same = (
         system.count == sub.alphabet.size
         and sub.start == 0
-        and tuple(w.letters for w in tau_u.images) == tuple(w.letters for w in sub.images)
+        and spelling(tau_u.images) == spelling(sub.images)
     )
     report.data("equals_original_after_renaming", same)
     report.check("eigenvalue-transfer", eigenvalue_transfer_check(sub, u))
@@ -297,7 +297,7 @@ def _cmd_derived(args, report: Report) -> None:
     host = fixed_point_prefix(sub, len(decoded)) if len(decoded) else None
     report.check(
         "decoding-is-prefix-of-fixed-point",
-        host is not None and decoded.letters == host.letters,
+        host is not None and decoded == host,
     )
 
 
@@ -382,8 +382,7 @@ def _cmd_shared(args, report: Report) -> None:
         rt = return_substitution(right, witness.prefix)[1]
         report.check(
             "witness-identity-exact",
-            tuple(w.letters for w in power(lt, witness.i).images)
-            == tuple(w.letters for w in power(rt, witness.j).images),
+            spelling(power(lt, witness.i).images) == spelling(power(rt, witness.j).images),
         )
 
 
@@ -457,12 +456,13 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         for k, v in sorted(vars(args).items())
         if k not in ("subcommand", "json") and v is not None
     }
-    config["prefix_cap"] = prefix_cap()
-    report = Report(args.subcommand, argv, config)
+    report = None
     started = time.perf_counter()
     try:
+        config["prefix_cap"] = prefix_cap()
+        report = Report(args.subcommand, argv, config)
         _HANDLERS[args.subcommand](args, report)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, report
     except ResourceLimitError as exc:

@@ -216,30 +216,34 @@ class IntPolynomial:
         return f"IntPolynomial({self.pretty()!r})"
 
 
+def _fractions(p: IntPolynomial) -> tuple[Fraction, ...]:
+    """Ascending coefficients as Fractions, with no trailing zeros."""
+    v = [Fraction(c) for c in p.coeffs]
+    while v and v[-1] == 0:
+        v.pop()
+    return tuple(v)
+
+
+def _rem(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Remainder of a by a non-zero b over the rationals; both trimmed."""
+    r = list(a)
+    d = len(b) - 1
+    lead = b[-1]
+    while len(r) - 1 >= d and r:
+        k = len(r) - 1 - d
+        f = r[-1] / lead
+        for j in range(len(b)):
+            r[k + j] -= f * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor, returned primitive with positive leading coefficient."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
+    a, b = _fractions(p), _fractions(q)
     while b:
-        # remainder of a by b over the rationals
-        d = len(b) - 1
-        lead = b[-1]
-        while len(a) - 1 >= d and a:
-            k = len(a) - 1 - d
-            f = a[-1] / lead
-            for j in range(len(b)):
-                a[k + j] -= f * b[j]
-            trim(a)
-            if not a:
-                break
-        a, b = b, a
+        a, b = b, _rem(a, b)
     if not a:
         return IntPolynomial.zero()
     from math import lcm
@@ -251,31 +255,12 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 def _fraction_chain(p: IntPolynomial) -> list[tuple[Fraction, ...]]:
     """Sturm chain of p as tuples of Fractions (ascending coefficients)."""
-
-    def trim(v: list[Fraction]) -> tuple[Fraction, ...]:
-        while v and v[-1] == 0:
-            v.pop()
-        return tuple(v)
-
-    def rem(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        r = list(a)
-        d = len(b) - 1
-        lead = b[-1]
-        while len(r) - 1 >= d and r:
-            k = len(r) - 1 - d
-            f = r[-1] / lead
-            for j in range(len(b)):
-                r[k + j] -= f * b[j]
-            while r and r[-1] == 0:
-                r.pop()
-        return tuple(r)
-
-    chain = [trim([Fraction(c) for c in p.coeffs])]
-    dp = trim([Fraction(c) for c in p.derivative().coeffs])
+    chain = [_fractions(p)]
+    dp = _fractions(p.derivative())
     if dp:
         chain.append(dp)
         while True:
-            r = rem(chain[-2], chain[-1])
+            r = _rem(chain[-2], chain[-1])
             if not r:
                 break
             chain.append(tuple(-c for c in r))

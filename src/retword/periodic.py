@@ -115,7 +115,7 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
     coding = Morphism(
         product,
         m.alphabet,
-        tuple(Word(m.alphabet, (m.letters[i],)) for b in range(base_alphabet.size) for i in range(p)),
+        tuple(m[i : i + 1] for b in range(base_alphabet.size) for i in range(p)),
     )
     presentation = PeriodicPresentation(m, k, tau, zeta, psi, coding)
     report = verify_presentation(presentation, check_len=4 * p)
@@ -140,7 +140,7 @@ def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> Pr
     rhs = compose(pres.psi, rho.morphism)
     bad = None
     for b in range(pres.base.alphabet.size):
-        if lhs.image(b).letters != rhs.image(b).letters:
+        if lhs.image(b) != rhs.image(b):
             bad = pres.base.alphabet.symbol(b)
             break
     checks.append(
@@ -159,13 +159,13 @@ def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> Pr
     if check_len > 0:
         coded = morphic_image_prefix(pres.coding, pres.zeta, check_len)
         target = pres.period * (check_len // len(pres.period) + 1)
-        coded_ok = coded.letters == target.letters[:check_len]
+        coded_ok = coded == target[:check_len]
     else:
         detail = "prefix check skipped (length 0)"
     checks.append(PresentationCheck("coded-fixed-point-periodic", coded_ok, detail))
 
     column_ok = all(
-        pres.coding(pres.psi.image(b)).letters == pres.period.letters
+        pres.coding(pres.psi.image(b)) == pres.period
         for b in range(pres.base.alphabet.size)
     )
     checks.append(PresentationCheck("coding∘psi-spells-period", column_ok))

@@ -42,12 +42,11 @@ from .substitution import (
     Substitution,
     compose,
     fixed_point_prefix,
-    identity_morphism,
     incidence_matrix,
     is_primitive,
     power,
 )
-from .words import Word
+from .words import Word, find_all, spelling
 
 KAPPA_BUDGET = 64
 
@@ -56,17 +55,8 @@ def _check_prefix_pair(tau: Substitution, u: Word, v: Word) -> None:
     if not (1 <= len(u) < len(v)):
         raise ValueError("need non-empty prefixes with |u| < |v|")
     host = fixed_point_prefix(tau, len(v))
-    if host[: len(u)].letters != u.letters or host.letters != v.letters:
+    if not host.startswith(u) or host.scan_text != v.scan_text:
         raise ValueError("u and v must both be prefixes of the fixed point")
-
-
-def _morphism_power(m: Morphism, n: int) -> Morphism:
-    if m.source != m.target:
-        raise ValueError("powers need an endomorphism")
-    acc = identity_morphism(m.source)
-    for _ in range(n):
-        acc = compose(m, acc)
-    return acc
 
 
 def lambda_morphism(tau: Substitution, u: Word, v: Word) -> Morphism:
@@ -156,7 +146,7 @@ def _morphisms_equal_check(name: str, f: Morphism, g: Morphism) -> IdentityCheck
     if f.source != g.source or f.target != g.target:
         return IdentityCheck(name, False, "alphabet mismatch")
     for b in range(f.source.size):
-        if f.image(b).letters != g.image(b).letters:
+        if f.image(b) != g.image(b):
             return IdentityCheck(name, False, f.source.symbol(b))
     return IdentityCheck(name, True)
 
@@ -195,8 +185,6 @@ def two_occurrence_exponent(tau: Substitution, u: Word, budget: int = 64) -> int
 
 
 def _count_occurrences(host: Word, pattern: Word) -> int:
-    from .words import find_all
-
     return len(find_all(host.scan_text, pattern.scan_text))
 
 
@@ -320,12 +308,12 @@ class SteponeHypotheses:
 def check_stepone_hypotheses(
     tau: Substitution, u: Word, nonperiodic_len: int = 2048
 ) -> SteponeHypotheses:
-    h1 = tau.start == 0 and all(w.letters[0] == tau.start for w in tau.images)
+    h1 = tau.start == 0 and all(w[0] == tau.start for w in tau.images)
     sys_u, tau_u = return_substitution(tau, u)
     h2 = (
         sys_u.count == tau.alphabet.size
         and tau.start == 0
-        and tuple(w.letters for w in tau_u.images) == tuple(w.letters for w in tau.images)
+        and spelling(tau_u.images) == spelling(tau.images)
     )
     try:
         checked = nonperiodic_check(tau, nonperiodic_len)
@@ -333,10 +321,7 @@ def check_stepone_hypotheses(
     except ValueError:
         checked = 2 * nonperiodic_len
         h3 = False
-    h4 = all(
-        all(b in rw.letters for b in range(tau.alphabet.size))
-        for rw in sys_u.return_words
-    )
+    h4 = all(len(set(rw)) == tau.alphabet.size for rw in sys_u.return_words)
     detail = f"{sys_u.count} return words on {u.text()!r}"
     return SteponeHypotheses(u, h1, h2, h3, checked, h4, detail)
 
@@ -351,7 +336,7 @@ def coding_substitution(system: ReturnSystem) -> Substitution:
     base = system.prefix.alphabet
     if system.count != base.size:
         raise ValueError("coding is a substitution only when the alphabets match")
-    return Substitution(Morphism(base, base, system.return_words), system.return_words[0].letters[0])
+    return Substitution(Morphism(base, base, system.return_words), system.return_words[0][0])
 
 
 @dataclass(frozen=True)
@@ -397,7 +382,7 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     k0 = None
     images = list(tau.images)
     for k in range(1, 65):
-        if all(len(w) >= len(u) and w[: len(u)].letters == u.letters for w in images):
+        if all(w.startswith(u) for w in images):
             k0 = k
             break
         images = [tau(w) for w in images]
@@ -414,14 +399,14 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
         while True:
             theta_next = theta(theta_pow_u)
             w_next = theta_next + nested[-1]
-            if len(w_next) <= len(target) and target[: len(w_next)].letters == w_next.letters:
+            if target.startswith(w_next):
                 nested.append(w_next)
                 theta_pow_u = theta_next
             else:
                 break
         l_p = 0
         for idx, w in enumerate(nested, start=1):
-            if len(w) <= len(target) and target[: len(w)].letters == w.letters:
+            if target.startswith(w):
                 l_p = idx
         if l_p == 0:
             continue
@@ -430,12 +415,11 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
             raise InternalInconsistencyError("nested coding lost letters")
         tau_p = power(tau, p)
         gamma_images = tuple(
-            Word(tau.alphabet, decompose(sys_w, tau_p.image(b)).letters)
+            tau.alphabet.from_indices(decompose(sys_w, tau_p.image(b)))
             for b in range(tau.alphabet.size)
         )
         gamma_p = Morphism(tau.alphabet, tau.alphabet, gamma_images)
-        key = tuple(w.letters for w in gamma_images)
-        candidates.setdefault(key, []).append((p, l_p, gamma_p))
+        candidates.setdefault(spelling(gamma_images), []).append((p, l_p, gamma_p))
 
     best: list[tuple[int, int, Morphism]] = []
     for group in candidates.values():
@@ -447,7 +431,7 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     gamma = best[0][2]
     verified = True
     for p, l_p, _ in best:
-        theta_l = _morphism_power(theta.morphism, l_p)
+        theta_l = power(theta, l_p).morphism
         tau_p = power(tau, p).morphism
         if not (
             _morphisms_equal_check("a", compose(theta_l, gamma), tau_p).passed
@@ -475,8 +459,8 @@ def same_fixed_point_gate(tau: Substitution, sigma: Substitution, check_len: int
     b = fixed_point_prefix(sigma, check_len)
     if a.alphabet != b.alphabet:
         raise ValueError("substitutions are over different alphabets")
-    if a.letters != b.letters:
-        first = next(i for i, (x, y) in enumerate(zip(a.letters, b.letters)) if x != y)
+    if a != b:
+        first = next(i for i, (x, y) in enumerate(zip(a.scan_text, b.scan_text)) if x != y)
         raise ValueError(f"fixed points differ at index {first}")
     return check_len
 
@@ -538,9 +522,7 @@ def shared_fixed_point_analysis(
             raise CancelledSearch(f"shared-fixed-point search cancelled at level {level}")
         sys_t, tau_u = return_substitution(tau, u)
         sys_s, sigma_u = return_substitution(sigma, u)
-        if tuple(w.letters for w in sys_t.return_words) != tuple(
-            w.letters for w in sys_s.return_words
-        ):
+        if spelling(sys_t.return_words) != spelling(sys_s.return_words):
             raise InternalInconsistencyError(
                 "return words disagree although the fixed points were gated equal"
             )
@@ -554,7 +536,7 @@ def shared_fixed_point_analysis(
                 if j not in powers_s:
                     powers_s[j] = power(sigma_u, j)
                 a, b = powers_t[i], powers_s[j]
-                if tuple(w.letters for w in a.images) == tuple(w.letters for w in b.images):
+                if spelling(a.images) == spelling(b.images):
                     return SharedWitness(u, i, j, level)
         u = sys_t.return_words[0] + u
     return None

@@ -28,7 +28,7 @@ from .substitution import (
     fixed_point_prefix,
     is_primitive,
 )
-from .words import Alphabet, Word, find_all, periodic_tail_witness
+from .words import Alphabet, Word, find_all, periodic_tail_witness, spelling
 
 MAX_RETURN_WORDS = 100_000
 NONPERIODIC_CHECK_LEN = 2048
@@ -98,7 +98,7 @@ class ReturnSystem:
 
     def letter_for(self, word: Word) -> int | None:
         for i, w in enumerate(self.return_words):
-            if w.letters == word.letters:
+            if w.scan_text == word.scan_text:
                 return i
         return None
 
@@ -120,7 +120,8 @@ def decompose(system: ReturnSystem, w: Word) -> Word:
         raise DecompositionError("word is over the wrong alphabet", position=0)
     if len(w) == 0:
         return Word(system.return_alphabet, ())
-    index = {rw.letters: i for i, rw in enumerate(system.return_words)}
+    index = {rw.scan_text: i for i, rw in enumerate(system.return_words)}
+    text = w.scan_text
     cuts = _chunk_positions(w, system.prefix)
     if not cuts or cuts[0] != 0:
         raise DecompositionError(
@@ -130,7 +131,7 @@ def decompose(system: ReturnSystem, w: Word) -> Word:
     for a, b in zip(cuts, cuts[1:]):
         if a >= len(w):
             break
-        letter = index.get(w.letters[a:b])
+        letter = index.get(text[a:b])
         if letter is None:
             raise DecompositionError(
                 f"chunk at position {a} is not a known return word", position=a
@@ -153,14 +154,15 @@ def return_words_of_prefix(host: Word, u: Word) -> ReturnSystem:
         raise ValueError("prefix must be non-empty")
     if not host.startswith(u):
         raise ValueError("u must be a prefix of the host")
-    positions = find_all(host.scan_text, u.scan_text)
-    seen: dict[tuple[int, ...], int] = {}
+    text = host.scan_text
+    positions = find_all(text, u.scan_text)
+    seen: set[str] = set()
     words: list[Word] = []
     for a, b in zip(positions, positions[1:]):
-        chunk = host.letters[a:b]
+        chunk = text[a:b]
         if chunk not in seen:
-            seen[chunk] = len(words)
-            words.append(Word(host.alphabet, chunk))
+            seen.add(chunk)
+            words.append(host[a:b])
     return ReturnSystem(
         prefix=u,
         return_words=tuple(words),
@@ -214,11 +216,12 @@ def return_substitution(
 
     first = _first_return_word(tau, u, cap)
     words: list[Word] = [first]
-    index: dict[tuple[int, ...], int] = {first.letters: 0}
-    images: list[tuple[int, ...]] = []
+    index: dict[str, int] = {first.scan_text: 0}
+    images: list[list[int]] = []
     while len(images) < len(words):
         b = len(images)
         w = tau(words[b])
+        text = w.scan_text
         cuts = _chunk_positions(w, u)
         if not cuts or cuts[0] != 0 or cuts[-1] != len(w):
             raise InternalInconsistencyError(
@@ -226,19 +229,19 @@ def return_substitution(
             )
         img = []
         for a, c in zip(cuts, cuts[1:]):
-            chunk = w.letters[a:c]
+            chunk = text[a:c]
             letter = index.get(chunk)
             if letter is None:
                 letter = len(words)
                 index[chunk] = letter
-                words.append(Word(tau.alphabet, chunk))
+                words.append(w[a:c])
                 if len(words) > MAX_RETURN_WORDS:
                     raise ResourceLimitError(
                         f"return-word closure exceeded {MAX_RETURN_WORDS} letters",
                         budget=MAX_RETURN_WORDS,
                     )
             img.append(letter)
-        images.append(tuple(img))
+        images.append(img)
 
     alphabet = _return_alphabet(len(words))
     system = ReturnSystem(
@@ -280,18 +283,18 @@ def derived_prefix_by_scan(tau: Substitution, u: Word, n: int) -> Word:
     """Derived prefix read directly off the fixed point, as an independent route."""
     system, _ = return_substitution(tau, u)
     fp = tau.fixed_point()
-    index = {rw.letters: i for i, rw in enumerate(system.return_words)}
+    index = {rw.scan_text: i for i, rw in enumerate(system.return_words)}
     longest = max(len(rw) for rw in system.return_words)
     need = (n + 1) * longest + len(u)
     while True:
-        hits = find_all(fp.text(need), u.scan_text)
+        text = fp.text(need)
+        hits = find_all(text, u.scan_text)
         if len(hits) >= n + 1:
             break
         need *= 2
     out = []
-    prefix_word = fp.prefix(need)
     for a, b in zip(hits, hits[1:]):
-        letter = index.get(prefix_word.letters[a:b])
+        letter = index.get(text[a:b])
         if letter is None:
             raise InternalInconsistencyError("scan met an unknown return word")
         out.append(letter)
@@ -338,7 +341,7 @@ def nested_derivation(
         )
         return NestedDerivationReport(u, v, None, tuple(checks))
     derived = fixed_point_prefix(tau_u, len(v))
-    if derived.letters != v.letters:
+    if derived != v:
         checks.append(
             NestedCheck("v-nonempty-prefix", False, "v is not a prefix of the derived sequence")
         )
@@ -348,14 +351,14 @@ def nested_derivation(
     w = sys_u.coding()(v) + u
     x_prefix = fixed_point_prefix(tau, len(w))
     checks.append(
-        NestedCheck("w-prefix-of-fixed-point", x_prefix.letters == w.letters, f"w = {w.text()}")
+        NestedCheck("w-prefix-of-fixed-point", x_prefix == w, f"w = {w.text()}")
     )
 
     sys_w, tau_w = return_substitution(tau, w)
     sys_v, tau_uv = return_substitution(tau_u, v)
     same_count = sys_w.count == sys_v.count
     composed_ok = same_count and all(
-        sys_u.coding()(sys_v.word_for(b)).letters == sys_w.word_for(b).letters
+        sys_u.coding()(sys_v.word_for(b)) == sys_w.word_for(b)
         for b in range(sys_w.count)
     )
     checks.append(
@@ -366,8 +369,8 @@ def nested_derivation(
         )
     )
 
-    du = fixed_point_prefix(tau_uv, check_len).letters
-    dw = fixed_point_prefix(tau_w, check_len).letters
+    du = fixed_point_prefix(tau_uv, check_len).scan_text
+    dw = fixed_point_prefix(tau_w, check_len).scan_text
     checks.append(NestedCheck("derived-sequences-agree", du == dw, f"prefix length {check_len}"))
     return NestedDerivationReport(u, v, w, tuple(checks))
 
@@ -404,7 +407,7 @@ def derivation_tower(tau: Substitution, depth: int) -> TowerResult:
     for k in range(1, depth + 1):
         system, sub = return_substitution(tau, u)
         levels.append(TowerLevel(k, u, system, sub))
-        key = (sub.start, tuple(w.letters for w in sub.images))
+        key = (sub.start, spelling(sub.images))
         if key in seen:
             repetition = (seen[key], k)
             break

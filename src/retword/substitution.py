@@ -12,7 +12,7 @@ import os
 from typing import Iterable
 
 from .errors import GenerationError, ParseError, ResourceLimitError
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _word
 
 DEFAULT_PREFIX_CAP = 10**7
 PREFIX_CAP_ENV = "REPO_PREFIX_CAP"
@@ -121,9 +121,13 @@ def identity_matrix(n: int) -> IncidenceMatrix:
 
 
 class Morphism:
-    """A map from source letters to non-empty-or-empty target words, extended by concatenation."""
+    """A map from source letters to non-empty-or-empty target words, extended by concatenation.
 
-    __slots__ = ("source", "target", "images")
+    The scan texts of the images form a ``str.translate`` table indexed by
+    source letter, so applying the morphism is one translation.
+    """
+
+    __slots__ = ("source", "target", "images", "_table")
 
     def __init__(self, source: Alphabet, target: Alphabet, images: Iterable[Word]):
         self.source = source
@@ -134,6 +138,7 @@ class Morphism:
         for w in self.images:
             if w.alphabet != target:
                 raise ValueError("image word over the wrong alphabet")
+        self._table = tuple(w.scan_text for w in self.images)
 
     def image(self, letter: int) -> Word:
         return self.images[letter]
@@ -141,10 +146,7 @@ class Morphism:
     def __call__(self, word: Word) -> Word:
         if word.alphabet != self.source:
             raise ValueError("word is not over the source alphabet")
-        out: list[int] = []
-        for x in word.letters:
-            out.extend(self.images[x].letters)
-        return Word(self.target, tuple(out))
+        return _word(self.target, word.scan_text.translate(self._table))
 
     @property
     def is_letter_to_letter(self) -> bool:
@@ -162,11 +164,11 @@ class Morphism:
             isinstance(other, Morphism)
             and self.source.symbols == other.source.symbols
             and self.target.symbols == other.target.symbols
-            and tuple(w.letters for w in self.images) == tuple(w.letters for w in other.images)
+            and self._table == other._table
         )
 
     def __hash__(self) -> int:
-        return hash((self.source.symbols, self.target.symbols, tuple(w.letters for w in self.images)))
+        return hash((self.source.symbols, self.target.symbols, self._table))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -176,7 +178,7 @@ class Morphism:
 
 
 def identity_morphism(alphabet: Alphabet) -> Morphism:
-    return Morphism(alphabet, alphabet, tuple(Word(alphabet, (i,)) for i in range(alphabet.size)))
+    return Morphism(alphabet, alphabet, tuple(_word(alphabet, chr(i)) for i in range(alphabet.size)))
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -188,11 +190,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 def incidence_matrix(m: Morphism) -> IncidenceMatrix:
     """Entry (i, j) counts target letter i in the image of source letter j."""
-    rows = [[0] * m.source.size for _ in range(m.target.size)]
-    for j in range(m.source.size):
-        for x in m.image(j).letters:
-            rows[x][j] += 1
-    return IncidenceMatrix(rows)
+    return IncidenceMatrix([[t.count(chr(i)) for t in m._table] for i in range(m.target.size)])
 
 
 def is_primitive(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
@@ -236,7 +234,7 @@ class Substitution:
             raise ValueError("substitution images must be non-empty")
         if not 0 <= start < morphism.source.size:
             raise ValueError("start letter out of range")
-        if morphism.image(start).letters[0] != start:
+        if morphism.image(start)[0] != start:
             raise ValueError(
                 f"image of start letter {morphism.source.symbol(start)!r} must begin with it"
             )
@@ -307,14 +305,16 @@ def power(s: Substitution, n: int) -> Substitution:
 class FixedPointPrefix:
     """Lazily extendable prefix of the fixed point of a substitution.
 
-    The buffer always equals a prefix of its own image, so extending never
-    rewrites earlier letters: the next unexpanded letter's image is appended
-    until the requested length is reached.  Generation requires the start
-    image to have length at least two; shorter start images cannot grow.
-    Writes must be externally synchronized; reads of generated letters are safe.
+    The buffer is a scan text equal to the image of its first ``_next``
+    letters, so extending never rewrites earlier letters: the image of the
+    next block of unexpanded letters is appended until the requested length
+    is reached.  Each block is short enough that the buffer never passes the
+    request by a whole maximal image.  Generation requires the start image to
+    have length at least two; shorter start images cannot grow.  Writes must
+    be externally synchronized; reads of generated letters are safe.
     """
 
-    __slots__ = ("substitution", "_letters", "_next", "_cap", "_text", "generations")
+    __slots__ = ("substitution", "_text", "_next", "_cap", "generations")
 
     def __init__(self, substitution: Substitution, cap: int | None = None):
         self.substitution = substitution
@@ -323,14 +323,13 @@ class FixedPointPrefix:
             raise GenerationError(
                 "fixed-point generation needs the start image to have length >= 2"
             )
-        self._letters: list[int] = list(start_image.letters)
+        self._text = start_image.scan_text
         self._next = 1
         self._cap = prefix_cap() if cap is None else cap
-        self._text = ""
         self.generations = 0
 
     def __len__(self) -> int:
-        return len(self._letters)
+        return len(self._text)
 
     @property
     def cap(self) -> int:
@@ -342,27 +341,29 @@ class FixedPointPrefix:
                 f"requested prefix length {n} exceeds the buffer cap {self._cap}",
                 budget=self._cap,
             )
-        letters = self._letters
-        images = [w.letters for w in self.substitution.images]
-        while len(letters) < n:
-            letters.extend(images[letters[self._next]])
-            self._next += 1
-            self.generations += 1
+        table = self.substitution.morphism._table
+        longest = self.substitution.max_image_length()
+        text = self._text
+        while len(text) < n:
+            # k letters expand to at most k * longest < n - len(text) + longest
+            k = -(-(n - len(text)) // longest)
+            block = text[self._next : self._next + k]
+            text += block.translate(table)
+            self._next += len(block)
+            self.generations += len(block)
+        self._text = text
 
     def prefix(self, n: int) -> Word:
-        self.ensure(n)
-        return Word(self.substitution.alphabet, tuple(self._letters[:n]))
+        return _word(self.substitution.alphabet, self.text(n))
 
     def text(self, n: int) -> str:
-        """Scan rendering of the first n letters (one code point per letter)."""
+        """Scan text of the first n letters."""
         self.ensure(n)
-        if len(self._text) < n:
-            self._text = "".join(map(chr, self._letters))
         return self._text[:n]
 
     def letter(self, i: int) -> int:
         self.ensure(i + 1)
-        return self._letters[i]
+        return ord(self._text[i])
 
 
 def fixed_point_prefix(s: Substitution, n: int) -> Word:
@@ -378,9 +379,7 @@ def morphic_image_prefix(m: Morphism, s: Substitution, n: int) -> Word:
         raise ValueError("coding must be letter-to-letter")
     if m.source != s.alphabet:
         raise ValueError("coding source must be the substitution's alphabet")
-    table = tuple(m.image(b).letters[0] for b in range(m.source.size))
-    prefix = fixed_point_prefix(s, n)
-    return Word(m.target, tuple(table[x] for x in prefix.letters))
+    return _word(m.target, fixed_point_prefix(s, n).scan_text.translate(m._table))
 
 
 def format_substitution(sub: Substitution, codings: dict[str, Morphism] | None = None) -> str:
@@ -393,7 +392,7 @@ def format_substitution(sub: Substitution, codings: dict[str, Morphism] | None =
         lines.append(f"{symbol} -> {' '.join(sub.image(b).symbols())}")
     for name, coding in (codings or {}).items():
         pairs = ", ".join(
-            f"{sub.alphabet.symbol(b)} -> {coding.target.symbol(coding.image(b).letters[0])}"
+            f"{sub.alphabet.symbol(b)} -> {coding.target.symbol(coding.image(b)[0])}"
             for b in range(sub.alphabet.size)
         )
         lines.append(f"coding {name}: {pairs}")

@@ -1,9 +1,13 @@
 """Letters, words, occurrence combinatorics and bounded periodicity detection.
 
-Letters are dense integer indices into an alphabet's symbol table; every
-algorithm works on indices.  Words cache a ``str`` rendering (one code point
-per letter index) so that occurrence scanning can ride on ``str.find``; the
-naive window scan stays available in the test suite as the oracle.
+Letters are dense integer indices into an alphabet's symbol table.  A word is
+stored as one ``str``, its *scan text*, holding one code point per letter
+(letter index i is ``chr(i)``).  Slicing, concatenation, equality, hashing and
+ordering of scan texts are those of the letter sequences they encode, so the
+other modules use scan texts directly as dict keys, set members and
+occurrence-scan inputs (``str.find``); only this module and
+:mod:`retword.substitution` know how letters map to code points.  The naive
+window scan stays available in the test suite as the oracle.
 """
 
 from __future__ import annotations
@@ -44,14 +48,9 @@ class Alphabet:
         A plain string is split on whitespace when it contains any, otherwise
         read character by character (which requires single-character symbols).
         """
-        if isinstance(source, str):
-            if any(c.isspace() for c in source):
-                parts = source.split()
-            else:
-                parts = list(source)
-        else:
-            parts = list(source)
-        return Word(self, tuple(self.index(p) for p in parts))
+        if isinstance(source, str) and any(c.isspace() for c in source):
+            source = source.split()
+        return _word(self, "".join(chr(self.index(p)) for p in source))
 
     def from_indices(self, letters: Iterable[int]) -> Word:
         return Word(self, tuple(letters))
@@ -67,73 +66,91 @@ class Alphabet:
 
 
 class Word:
-    """An immutable finite sequence of letter indices over a fixed alphabet."""
+    """An immutable finite sequence of letter indices over a fixed alphabet.
 
-    __slots__ = ("alphabet", "letters", "_text")
+    The only storage is ``scan_text``, one code point per letter.  The
+    public constructor checks every index; words derived from words already
+    held (slices, concatenations, morphism images, fixed-point prefixes) skip
+    the check.  ``letters`` is a derived tuple view that costs O(n) on every
+    read, so loops should work on ``scan_text`` or on slices instead.
+    """
 
-    def __init__(self, alphabet: Alphabet, letters: tuple[int, ...]):
+    __slots__ = ("alphabet", "scan_text")
+
+    def __init__(self, alphabet: Alphabet, letters: Iterable[int]):
+        letters = tuple(letters)
+        if letters and not (0 <= min(letters) and max(letters) < alphabet.size):
+            bad = next(x for x in letters if not 0 <= x < alphabet.size)
+            raise ValueError(f"letter index {bad} out of range for {alphabet!r}")
         self.alphabet = alphabet
-        self.letters = letters
-        for x in letters:
-            if not 0 <= x < alphabet.size:
-                raise ValueError(f"letter index {x} out of range for {alphabet!r}")
-        self._text: str | None = None
+        self.scan_text = "".join(map(chr, letters))
 
     @property
-    def scan_text(self) -> str:
-        """One code point per letter; internal rendering used for fast scanning."""
-        if self._text is None:
-            self._text = "".join(map(chr, self.letters))
-        return self._text
+    def letters(self) -> tuple[int, ...]:
+        """The letter indices as a tuple, rebuilt on every read (O(n))."""
+        return tuple(map(ord, self.scan_text))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.scan_text)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
+        return map(ord, self.scan_text)
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.alphabet, self.letters[item])
-        return self.letters[item]
+            return _word(self.alphabet, self.scan_text[item])
+        return ord(self.scan_text[item])
 
     def __add__(self, other: Word) -> Word:
         if self.alphabet != other.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return _word(self.alphabet, self.scan_text + other.scan_text)
 
     def __mul__(self, n: int) -> Word:
-        return Word(self.alphabet, self.letters * n)
+        return _word(self.alphabet, self.scan_text * n)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Word)
-            and self.letters == other.letters
+            and self.scan_text == other.scan_text
             and self.alphabet.symbols == other.alphabet.symbols
         )
 
     def __hash__(self) -> int:
-        return hash((self.alphabet.symbols, self.letters))
+        return hash((self.alphabet.symbols, self.scan_text))
 
     def startswith(self, other: Word) -> bool:
-        return self.letters[: len(other)] == other.letters
+        return self.scan_text.startswith(other.scan_text)
 
     def symbols(self) -> tuple[str, ...]:
-        return tuple(self.alphabet.symbols[x] for x in self.letters)
+        return tuple(map(self.alphabet.symbols.__getitem__, self))
 
     def text(self) -> str:
         """Display string: concatenated when all symbols are single characters."""
-        syms = self.symbols()
         if all(len(s) == 1 for s in self.alphabet.symbols):
-            return "".join(syms)
-        return " ".join(syms)
+            return self.scan_text.translate(self.alphabet.symbols)
+        return " ".join(self.symbols())
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r})"
 
 
-def empty_word(alphabet: Alphabet) -> Word:
-    return Word(alphabet, ())
+def _word(alphabet: Alphabet, scan_text: str) -> Word:
+    """A word from a scan text whose code points are known to be letters of ``alphabet``."""
+    word = Word.__new__(Word)
+    word.alphabet = alphabet
+    word.scan_text = scan_text
+    return word
+
+
+def spelling(words: Iterable[Word]) -> tuple[str, ...]:
+    """The scan texts of a sequence of words, alphabets aside.
+
+    Two sequences have equal spellings exactly when they hold the same letter
+    indices word by word, which compares morphism images and return-word
+    lists across alphabets and serves as their dict key.
+    """
+    return tuple(w.scan_text for w in words)
 
 
 @dataclass(frozen=True)
@@ -172,12 +189,19 @@ def occurrences(pattern: Word, host: Word) -> OccurrenceList:
     return OccurrenceList(pattern, host, positions)
 
 
+def factors(host: Word, lengths: Iterable[int]) -> list[Word]:
+    """The distinct factors of ``host`` with the given lengths, in lexicographic
+    order of their letter indices (a shorter word before its extensions)."""
+    text = host.scan_text
+    found = {text[i : i + n] for n in lengths for i in range(len(text) - n + 1)}
+    return [_word(host.alphabet, t) for t in sorted(found)]
+
+
 def factor_set(host: Word, n: int) -> set[Word]:
     """The distinct length-``n`` factors of ``host``."""
     if not 1 <= n <= len(host):
         raise ValueError(f"factor length {n} out of range 1..{len(host)}")
-    seen = {host.letters[i : i + n] for i in range(len(host) - n + 1)}
-    return {Word(host.alphabet, t) for t in seen}
+    return set(factors(host, (n,)))
 
 
 def periodic_tail_witness(host: Word, min_repetitions: int = 3) -> tuple[int, int] | None:

@@ -46,11 +46,11 @@ def test_interpretations_requires_observed_factor(fib):
 def test_interpretations_exhaustive_against_bruteforce(morse):
     """Oracle: enumerate all (left, core, right) directly from definitions."""
     x = morse.alphabet.word("011010")
-    prefix = fixed_point_prefix(morse, 3000)
+    prefix = fixed_point_prefix(morse, 3000).letters
     factors = {()}
     for length in range(1, len(x) + 1):
         for i in range(len(prefix) - length + 1):
-            factors.add(prefix.letters[i : i + length])
+            factors.add(prefix[i : i + length])
     suffixes = {w.letters[i:] for w in morse.images for i in range(len(w) + 1)}
     prefixes = {w.letters[:i] for w in morse.images for i in range(len(w) + 1)}
     expected = set()
@@ -96,11 +96,11 @@ def test_sync_delay_zero_budget_absent(morse):
 def test_sync_delay_certifies_sample(fib):
     """Re-verify the returned delay directly against the definition."""
     delay = sync_delay_search(fib, d_max=64, sample_len=8)
-    prefix = fixed_point_prefix(fib, 2000)
+    prefix = fixed_point_prefix(fib, 2000).letters
     factors = set()
     for length in range(1, 9):
         for i in range(len(prefix) - length + 1):
-            factors.add(prefix.letters[i : i + length])
+            factors.add(prefix[i : i + length])
     for letters in factors:
         x = Word(fib.alphabet, letters)
         interps = interpretations(fib, x)

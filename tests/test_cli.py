@@ -260,3 +260,22 @@ def test_prefix_cap_env(files, monkeypatch):
     assert report.payload["config"]["prefix_cap"] == 64
     status, _ = run_command(["fixed-point", files["fib"], "--length", "100000"])
     assert status == EXIT_BUDGET
+
+
+def test_generation_error_exit_code(tmp_path, capsys):
+    path = tmp_path / "stuck.sub"
+    path.write_text("alphabet = a b\nstart = a\na -> a\nb -> b a\n")
+    status, _ = run_command(["fixed-point", str(path)])
+    assert status == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_malformed_prefix_cap_exit_code(files, monkeypatch, capsys):
+    monkeypatch.setenv("REPO_PREFIX_CAP", "abc")
+    status, report = run_command(["fixed-point", files["fib"], "--json"])
+    assert status == EXIT_USAGE and report is None
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: REPO_PREFIX_CAP must be an integer, got 'abc'\n"

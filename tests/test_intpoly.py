@@ -179,3 +179,21 @@ def test_zero_polynomial_guards():
         SturmCounter(P(()))
     with pytest.raises(ValueError):
         rational_roots(P(()))
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    for _ in range(150):
+        common = rand_poly(rng, 2)
+        a = common * rand_poly(rng, 3)
+        b = common * rand_poly(rng, 3)
+        if a.is_zero or b.is_zero:
+            continue
+        want = sympy.Poly(sympy.gcd(a(x), b(x)), x)
+        got = poly_gcd(a, b)
+        coeffs = [int(c) for c in reversed(want.all_coeffs())]
+        if coeffs[-1] < 0:
+            coeffs = [-c for c in coeffs]
+        assert got == P(tuple(coeffs)).primitive()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from retword.errors import GenerationError, ParseError, ResourceLimitError
 from retword.substitution import (
@@ -8,6 +9,7 @@ from retword.substitution import (
     FixedPointPrefix,
     IncidenceMatrix,
     Morphism,
+    Substitution,
     Word,
     compose,
     fixed_point_prefix,
@@ -271,3 +273,87 @@ def test_random_morphism_application_matches_manual():
         for x in word.letters:
             expected.extend(images[x].letters)
         assert m(word).letters == tuple(expected)
+
+
+# -- property tests of the str kernels against letter-by-letter oracles ------
+
+ALPHABETS = [Alphabet(tuple("abcdef"[:k])) for k in range(1, 7)]
+
+
+def letterwise_apply(m: Morphism, letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Oracle: concatenate the images letter by letter."""
+    out: list[int] = []
+    for x in letters:
+        out.extend(m.image(x).letters)
+    return tuple(out)
+
+
+def letterwise_incidence(m: Morphism) -> tuple[tuple[int, ...], ...]:
+    """Oracle: count every letter of every image one at a time."""
+    rows = [[0] * m.source.size for _ in range(m.target.size)]
+    for j in range(m.source.size):
+        for x in m.image(j).letters:
+            rows[x][j] += 1
+    return tuple(tuple(r) for r in rows)
+
+
+def letterwise_fixed_point(sub, n: int) -> tuple[int, ...]:
+    """Oracle: append the image of the next unexpanded letter until n letters exist."""
+    letters = list(sub.image(sub.start).letters)
+    images = [w.letters for w in sub.images]
+    i = 1
+    while len(letters) < n:
+        letters.extend(images[letters[i]])
+        i += 1
+    return tuple(letters[:n])
+
+
+@st.composite
+def morphisms(draw):
+    source = draw(st.sampled_from(ALPHABETS))
+    target = draw(st.sampled_from(ALPHABETS))
+    images = [
+        draw(st.lists(st.integers(0, target.size - 1), max_size=5)) for _ in range(source.size)
+    ]
+    return Morphism(source, target, tuple(Word(target, tuple(im)) for im in images))
+
+
+@st.composite
+def primitive_substitutions(draw):
+    """Substitutions on 1-4 letters with start letter 0 and images of 1-6 letters."""
+    alphabet = draw(st.sampled_from(ALPHABETS[:4]))
+    k = alphabet.size
+    images = []
+    for b in range(k):
+        low = 2 if b == 0 else 1
+        im = draw(st.lists(st.integers(0, k - 1), min_size=low, max_size=6))
+        images.append([0] + im[1:] if b == 0 else im)
+    sub = Substitution(
+        Morphism(alphabet, alphabet, tuple(Word(alphabet, tuple(im)) for im in images)), 0
+    )
+    assume(is_primitive(sub.matrix())[0])
+    return sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(morphisms(), st.data())
+def test_morphism_call_and_incidence_match_letterwise(m, data):
+    letters = tuple(data.draw(st.lists(st.integers(0, m.source.size - 1), max_size=12)))
+    assert m(Word(m.source, letters)).letters == letterwise_apply(m, letters)
+    assert incidence_matrix(m).rows == letterwise_incidence(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 400), st.data())
+def test_fixed_point_prefix_matches_letterwise(sub, cap, data):
+    longest = sub.max_image_length()
+    fp = FixedPointPrefix(sub, cap=cap)
+    lengths = sorted(data.draw(st.lists(st.integers(1, cap), min_size=1, max_size=4)))
+    for n in lengths + [cap]:
+        before = len(fp)
+        assert fp.prefix(n).letters == letterwise_fixed_point(sub, n)
+        assert len(fp) <= max(before, n + longest)
+        assert fp.letter(n - 1) == letterwise_fixed_point(sub, n)[-1]
+    with pytest.raises(ResourceLimitError):
+        fp.ensure(cap + 1)
+    assert len(fp) <= max(len(sub.image(sub.start)), cap + longest)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retword.substitution import fixed_point_prefix
 from retword.words import (
@@ -185,3 +186,37 @@ def test_alphabet_validation():
         Alphabet(("a", "a"))
     with pytest.raises(ValueError):
         AB.word("xyz")
+
+
+def test_word_constructor_rejects_out_of_range_indices():
+    for bad in ((3,), (0, -1), (1, 2, 7), (10**9,)):
+        with pytest.raises(ValueError):
+            Word(AB, bad)
+    with pytest.raises(ValueError):
+        AB.from_indices([0, 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(-3, 8), max_size=10))
+def test_word_constructor_checks_every_index(size, letters):
+    alphabet = Alphabet(tuple("vwxyz"[:size]))
+    if all(0 <= x < size for x in letters):
+        word = Word(alphabet, tuple(letters))
+        assert word.letters == tuple(letters) and list(word) == letters
+        assert word == alphabet.word([alphabet.symbol(x) for x in letters])
+    else:
+        with pytest.raises(ValueError):
+            Word(alphabet, tuple(letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=12), st.lists(st.integers(0, 2), max_size=12), st.data())
+def test_derived_words_match_tuple_operations(xs, ys, data):
+    a, b = Word(AB, tuple(xs)), Word(AB, tuple(ys))
+    i = data.draw(st.integers(-15, 15))
+    j = data.draw(st.integers(-15, 15))
+    assert a[i:j].letters == tuple(xs)[i:j]
+    assert (a + b).letters == tuple(xs) + tuple(ys)
+    assert (a * 3).letters == tuple(xs) * 3
+    assert a.startswith(b) == (tuple(xs)[: len(ys)] == tuple(ys))
+    assert (a.scan_text < b.scan_text) == (tuple(xs) < tuple(ys))
