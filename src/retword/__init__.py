@@ -93,10 +93,8 @@ from .words import (
     Alphabet,
     OccurrenceList,
     Word,
-    detect_period,
     factor_set,
     occurrences,
-    periodic_tail_witness,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,9 @@ Every command prints a human-readable report; with ``--json`` it prints a
 machine-readable mirror instead (byte-identical across runs for identical
 inputs: no timestamps, rationals as "p/q" strings, intervals with explicit
 endpoints).  Exit codes: 0 all checks pass, 1 a check failed, 2 usage, parse
-or input error, 3 a bounded search exhausted its budget.
+or input error, 3 a bounded search exhausted its budget, 4 internal
+inconsistency or cancelled search.  Codes 2-4 print one ``error:`` (or
+``budget exhausted:``) line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from fractions import Fraction
 from typing import Any
 
 from .circularity import find_n0, sync_delay_search
-from .errors import GenerationError, ParseError, ResourceLimitError
+from .errors import (
+    CancelledSearch,
+    GenerationError,
+    InternalInconsistencyError,
+    ParseError,
+    ResourceLimitError,
+)
 from .periodic import build_periodic_presentation, verify_presentation
 from .relations import (
     eigenvalue_transfer_check,
@@ -53,6 +61,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _frac(x: Fraction) -> str:
@@ -468,6 +477,9 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
     except ResourceLimitError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET, report
+    except (InternalInconsistencyError, CancelledSearch) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL, report
     elapsed = time.perf_counter() - started
     if args.json:
         print(report.render_json())

@@ -282,7 +282,9 @@ class SteponeHypotheses:
 
     1. every image starts with the start letter (which must be letter 1);
     2. the return substitution on u is identical to the substitution itself;
-    3. the fixed point is non-periodic (bounded check, length reported);
+    3. the fixed point is non-periodic, decided exactly from the derivation
+       tower (``nonperiodic_depth`` is the deciding tower depth, None when
+       the fixed point is periodic);
     4. every letter occurs in every return word on u, making the coding
        primitive as a substitution.
     """
@@ -290,10 +292,13 @@ class SteponeHypotheses:
     prefix: Word
     images_start_with_one: bool
     self_derived: bool
-    nonperiodic: bool
-    nonperiodic_checked_to: int
+    nonperiodic_depth: int | None
     coding_mixing: bool
     detail: str = ""
+
+    @property
+    def nonperiodic(self) -> bool:
+        return self.nonperiodic_depth is not None
 
     @property
     def all_hold(self) -> bool:
@@ -305,9 +310,7 @@ class SteponeHypotheses:
         )
 
 
-def check_stepone_hypotheses(
-    tau: Substitution, u: Word, nonperiodic_len: int = 2048
-) -> SteponeHypotheses:
+def check_stepone_hypotheses(tau: Substitution, u: Word) -> SteponeHypotheses:
     h1 = tau.start == 0 and all(w[0] == tau.start for w in tau.images)
     sys_u, tau_u = return_substitution(tau, u)
     h2 = (
@@ -316,14 +319,12 @@ def check_stepone_hypotheses(
         and spelling(tau_u.images) == spelling(tau.images)
     )
     try:
-        checked = nonperiodic_check(tau, nonperiodic_len)
-        h3 = True
+        depth = nonperiodic_check(tau)
     except ValueError:
-        checked = 2 * nonperiodic_len
-        h3 = False
+        depth = None
     h4 = all(len(set(rw)) == tau.alphabet.size for rw in sys_u.return_words)
     detail = f"{sys_u.count} return words on {u.text()!r}"
-    return SteponeHypotheses(u, h1, h2, h3, checked, h4, detail)
+    return SteponeHypotheses(u, h1, h2, depth, h4, detail)
 
 
 def coding_substitution(system: ReturnSystem) -> Substitution:

@@ -13,6 +13,10 @@ between successive occurrences of u inside such an image is itself a genuine
 return word, so the closure terminates exactly on the full return alphabet.
 Only the initial search for a second occurrence of u consumes fixed-point
 buffer, under the configured cap.
+
+The derivation tower decides exactly whether the fixed point is periodic
+(:func:`nonperiodic_check`).  Return systems and the tower are cached on
+the substitution.
 """
 
 from __future__ import annotations
@@ -22,49 +26,16 @@ from fractions import Fraction
 
 from .errors import DecompositionError, InternalInconsistencyError, ResourceLimitError
 from .substitution import (
-    FixedPointPrefix,
     Morphism,
     Substitution,
     fixed_point_prefix,
     is_primitive,
 )
-from .words import Alphabet, Word, find_all, periodic_tail_witness, spelling
+from .words import Alphabet, Word, find_all, spelling
 
 MAX_RETURN_WORDS = 100_000
-NONPERIODIC_CHECK_LEN = 2048
-
-_nonperiodic_memo: dict[tuple[Substitution, int], int] = {}
-
-
-def nonperiodic_check(tau: Substitution, check_len: int = NONPERIODIC_CHECK_LEN) -> int:
-    """Bounded evidence that the fixed point is non-periodic.
-
-    Looks for a dominating periodic tail in the prefix of the given length
-    and, if one shows up, re-tests it at twice the length: a genuine
-    ultimately periodic fixed point keeps its (preperiod, period) forever,
-    while accidental long repetitions in a non-periodic word cannot survive
-    the extension.  Returns the prefix length actually checked; raises
-    ValueError with the witness when the fixed point looks periodic.  Absence
-    of a witness is evidence up to the returned length, not a proof.
-    """
-    key = (tau, check_len)
-    cached = _nonperiodic_memo.get(key)
-    if cached is not None:
-        return cached
-    host = fixed_point_prefix(tau, check_len)
-    witness = periodic_tail_witness(host)
-    checked = check_len
-    if witness is not None:
-        p, q = witness
-        checked = 2 * check_len
-        text = fixed_point_prefix(tau, checked).scan_text
-        if text[p : checked - q] == text[p + q : checked]:
-            raise ValueError(
-                f"fixed point looks ultimately periodic: preperiod {p}, period {q}, "
-                f"verified to length {checked}"
-            )
-    _nonperiodic_memo[key] = checked
-    return checked
+# Return systems cached per substitution; the least recently used goes first.
+RETURN_CACHE_SIZE = 64
 
 
 def _return_alphabet(count: int) -> Alphabet:
@@ -171,9 +142,9 @@ def return_words_of_prefix(host: Word, u: Word) -> ReturnSystem:
     )
 
 
-def _first_return_word(tau: Substitution, u: Word, cap: int | None) -> Word:
+def _first_return_word(tau: Substitution, u: Word) -> Word:
     """The return word at position 0 of the fixed point, growing the buffer as needed."""
-    fp = FixedPointPrefix(tau, cap=cap) if cap is not None else tau.fixed_point()
+    fp = tau.fixed_point()
     if fp.cap <= len(u):
         raise ResourceLimitError(
             f"prefix of length {len(u)} cannot recur within the buffer cap {fp.cap}",
@@ -195,9 +166,7 @@ def _first_return_word(tau: Substitution, u: Word, cap: int | None) -> Word:
         length = min(length * 2, fp.cap)
 
 
-def return_substitution(
-    tau: Substitution, u: Word, cap: int | None = None
-) -> tuple[ReturnSystem, Substitution]:
+def return_substitution(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitution]:
     """The complete return system on u and the return substitution.
 
     Closure: seed with the return word at position 0, then decompose the
@@ -205,16 +174,32 @@ def return_substitution(
     numbered in discovery order.  Processing pending letters in index order
     makes discovery order coincide with first appearance in the derived
     sequence, so the numbering is canonical.
+
+    Results are cached on ``tau`` for the ``RETURN_CACHE_SIZE`` most recently
+    used prefixes, so a repeated call returns the same objects.
     """
-    primitive, _ = is_primitive(tau.matrix())
-    if not primitive:
-        raise ValueError("return substitutions are defined for primitive substitutions")
     if len(u) == 0:
         raise ValueError("prefix must be non-empty")
     if u.alphabet != tau.alphabet:
         raise ValueError("prefix is over the wrong alphabet")
+    # the cache dict is kept in least-recently-used order: a hit is popped
+    # and stored again at the end
+    cache = tau._return_systems
+    result = cache.pop(u.scan_text, None)
+    if result is None:
+        result = _return_closure(tau, u)
+    cache[u.scan_text] = result
+    if len(cache) > RETURN_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    return result
 
-    first = _first_return_word(tau, u, cap)
+
+def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitution]:
+    primitive, _ = is_primitive(tau.matrix())
+    if not primitive:
+        raise ValueError("return substitutions are defined for primitive substitutions")
+
+    first = _first_return_word(tau, u)
     words: list[Word] = [first]
     index: dict[str, int] = {first.scan_text: 0}
     images: list[list[int]] = []
@@ -390,30 +375,77 @@ class TowerResult:
     depth_requested: int
 
 
-def derivation_tower(tau: Substitution, depth: int) -> TowerResult:
-    """Iterate prefix extension u -> (first return word on u)·u, tracking repeats.
+def _walk_tower(tau: Substitution) -> tuple[tuple[TowerLevel, ...], tuple[int, int] | None]:
+    """Tower levels, cached on tau, up to the first level with one return word
+    or the first repeated return substitution, and that repetition's depths."""
+    if tau._tower is None:
+        u = fixed_point_prefix(tau, 1)
+        levels: list[TowerLevel] = []
+        seen: dict[tuple, int] = {}
+        while True:
+            system, sub = return_substitution(tau, u)
+            levels.append(TowerLevel(len(levels) + 1, u, system, sub))
+            key = (sub.start, spelling(sub.images))
+            if system.count == 1 or key in seen:
+                break
+            seen[key] = len(levels)
+            u = system.return_words[0] + u
+        repetition = (seen[key], len(levels)) if key in seen else None
+        tau._tower = tuple(levels), repetition
+    return tau._tower
 
-    Levels stop early at the first pair (p, q), p < q, whose return
-    substitutions are identical under the canonical numbering; the set of
-    return substitutions is finite, so a repeat must exist at some depth.
+
+def nonperiodic_check(tau: Substitution) -> int:
+    """Decide that the fixed point of the primitive substitution tau is not periodic.
+
+    Returns the tower depth d at which non-periodicity was decided: the
+    level whose return substitution repeats an earlier one.  Raises
+    ValueError, naming the period and the depth, at the first level with
+    exactly one return word.  The tower is walked once and cached on tau.
+
+    Why this decides: the fixed point x is uniformly recurrent, and such an
+    x is periodic iff some prefix has exactly one return word.  (If r is the
+    only return word on a prefix, x = r^ω; if x = w^ω with w primitive, a
+    prefix of length at least |w| occurs only at multiples of |w|, so w is
+    its only return word.)  The tower prefixes u_k grow strictly, so a
+    periodic x has a level with a single return word.  The return words on
+    u_{k+1} = r_1·u_k decode the return words on the first letter of the
+    derived sequence D_k of x on u_k, so D_{k+1} is D_k derived on its first
+    letter; D_k is the fixed point of the return substitution at level k, so
+    each return substitution determines the next.  When level q repeats
+    level p, the levels p..q-1 recur forever; if none of the levels 1..q has
+    a single return word, no level ever has one, and x is not periodic.
+
+    Why the walk ends: a non-periodic primitive substitutive sequence has
+    finitely many derived sequences (Durand, Discrete Math. 179, 1998), so
+    some return substitution repeats; a periodic x reaches a single return
+    word once |u_k| is at least its period.  Independently of that theorem,
+    each level's prefix is strictly longer than the last and the search for
+    a first return word raises ResourceLimitError at the fixed-point buffer
+    cap, so the walk cannot run forever.
     """
+    levels, _ = _walk_tower(tau)
+    last = levels[-1]
+    if last.system.count == 1:
+        raise ValueError(
+            f"fixed point is periodic: one return word {last.system.return_words[0].text()!r} "
+            f"on the prefix of length {len(last.prefix)}, tower depth {last.depth}"
+        )
+    return last.depth
+
+
+def derivation_tower(tau: Substitution, depth: int) -> TowerResult:
+    """The first ``depth`` levels of the tower, u_1 the first letter and
+    u_{k+1} = (first return word on u_k)·u_k, with the first pair (p, q),
+    p < q, of levels whose return substitutions are identical, if q <= depth.
+    Raises ValueError when the fixed point is periodic."""
     if depth < 1:
         raise ValueError("tower depth must be >= 1")
     nonperiodic_check(tau)
-    u = fixed_point_prefix(tau, 1)
-    levels: list[TowerLevel] = []
-    seen: dict[object, int] = {}
-    repetition = None
-    for k in range(1, depth + 1):
-        system, sub = return_substitution(tau, u)
-        levels.append(TowerLevel(k, u, system, sub))
-        key = (sub.start, spelling(sub.images))
-        if key in seen:
-            repetition = (seen[key], k)
-            break
-        seen[key] = k
-        u = system.return_words[0] + u
-    return TowerResult(tuple(levels), repetition, depth)
+    levels, repetition = _walk_tower(tau)
+    if repetition is not None and repetition[1] > depth:
+        repetition = None
+    return TowerResult(levels[:depth], repetition, depth)
 
 
 @dataclass(frozen=True)
@@ -423,13 +455,15 @@ class ReturnConstants:
     Over every sampled prefix u and every return word v on u:
     h1 * |u| <= |v| <= h2 * |u|, and the number of return words is at most
     h3.  These are observations on the sample, not certified global bounds.
+    Their precondition, a non-periodic fixed point, is decided exactly at
+    tower depth ``nonperiodic_depth`` (see :func:`nonperiodic_check`).
     """
 
     h1: Fraction
     h2: Fraction
     h3: int
     prefix_lengths: tuple[int, ...]
-    nonperiodic_checked_to: int
+    nonperiodic_depth: int
 
 
 def estimate_constants(tau: Substitution, prefix_lengths: list[int]) -> ReturnConstants:
@@ -438,7 +472,7 @@ def estimate_constants(tau: Substitution, prefix_lengths: list[int]) -> ReturnCo
     primitive, _ = is_primitive(tau.matrix())
     if not primitive:
         raise ValueError("constants are estimated for primitive substitutions")
-    check_len = nonperiodic_check(tau, max(NONPERIODIC_CHECK_LEN, 4 * max(prefix_lengths)))
+    depth = nonperiodic_check(tau)
     h1: Fraction | None = None
     h2: Fraction | None = None
     h3 = 0
@@ -456,7 +490,7 @@ def estimate_constants(tau: Substitution, prefix_lengths: list[int]) -> ReturnCo
         h2=h2,
         h3=h3,
         prefix_lengths=tuple(sorted(set(prefix_lengths))),
-        nonperiodic_checked_to=check_len,
+        nonperiodic_depth=depth,
     )
 
 

@@ -223,9 +223,12 @@ def is_primitive(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
 
 
 class Substitution:
-    """A self-morphism with non-empty images and a start letter fixing its first letter."""
+    """A self-morphism with non-empty images and a start letter fixing its first letter.
 
-    __slots__ = ("morphism", "start", "_fixed_point")
+    It caches its fixed-point generator, return systems and derivation tower.
+    """
+
+    __slots__ = ("morphism", "start", "_fixed_point", "_return_systems", "_tower")
 
     def __init__(self, morphism: Morphism, start: int):
         if morphism.source != morphism.target:
@@ -241,6 +244,8 @@ class Substitution:
         self.morphism = morphism
         self.start = start
         self._fixed_point: FixedPointPrefix | None = None
+        self._return_systems: dict = {}
+        self._tower = None
 
     @property
     def alphabet(self) -> Alphabet:

@@ -1,4 +1,4 @@
-"""Letters, words, occurrence combinatorics and bounded periodicity detection.
+"""Letters, words, factors and occurrence scans.
 
 Letters are dense integer indices into an alphabet's symbol table.  A word is
 stored as one ``str``, its *scan text*, holding one code point per letter
@@ -7,7 +7,8 @@ ordering of scan texts are those of the letter sequences they encode, so the
 other modules use scan texts directly as dict keys, set members and
 occurrence-scan inputs (``str.find``); only this module and
 :mod:`retword.substitution` know how letters map to code points.  The naive
-window scan stays available in the test suite as the oracle.
+window scan stays available in the test suite as the oracle.  Periodicity is
+decided exactly from return words by :func:`retword.returns.nonperiodic_check`.
 """
 
 from __future__ import annotations
@@ -202,57 +203,3 @@ def factor_set(host: Word, n: int) -> set[Word]:
     if not 1 <= n <= len(host):
         raise ValueError(f"factor length {n} out of range 1..{len(host)}")
     return set(factors(host, (n,)))
-
-
-def periodic_tail_witness(host: Word, min_repetitions: int = 3) -> tuple[int, int] | None:
-    """Witness that the host looks like the prefix of an ultimately periodic word.
-
-    Returns ``(preperiod, period)`` such that the tail from ``preperiod`` on is
-    ``period``-periodic, the preperiod occupies at most a quarter of the host
-    and the tail covers at least ``min_repetitions`` full periods; ``None`` if
-    no period achieves that.  Unlike :func:`detect_period`, short accidental
-    squares near the end of a repetitive word do not qualify, which makes this
-    the right bounded check for "the fixed point is non-periodic" hypotheses.
-    """
-    n = len(host)
-    text = host.scan_text
-    best: tuple[int, int] | None = None
-    for q in range(1, n // min_repetitions + 1):
-        # minimal preperiod for period q, by binary search on the monotone
-        # predicate "the tail from p is q-periodic"
-        lo, hi = 0, n - q
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if text[mid : n - q] == text[mid + q : n]:
-                hi = mid
-            else:
-                lo = mid + 1
-        p = lo
-        if p <= n // 4 and n - p >= min_repetitions * q:
-            if best is None or (p, q) < best:
-                best = (p, q)
-    return best
-
-
-def detect_period(host: Word, max_period: int) -> tuple[int, int] | None:
-    """Search for an eventually periodic structure in a finite word.
-
-    Returns the lexicographically least pair ``(preperiod, period)`` with
-    ``period <= max_period`` such that ``host[i] == host[i + period]`` for all
-    ``preperiod <= i < len(host) - period``, or ``None``.  A candidate must
-    leave room for at least one full repetition (``preperiod + 2*period <=
-    len(host)``); without that floor every pair is vacuously periodic near the
-    end of the word.  Absence is evidence up to this prefix only, never a
-    proof of non-periodicity.
-    """
-    n = len(host)
-    if max_period > n // 2:
-        raise ValueError(f"max_period {max_period} exceeds half the host length {n}")
-    text = host.scan_text
-    for pre in range(0, n):
-        for per in range(1, max_period + 1):
-            if pre + 2 * per > n:
-                break
-            if text[pre : n - per] == text[pre + per : n]:
-                return (pre, per)
-    return None

@@ -2,13 +2,16 @@ import json
 
 import pytest
 
+import retword.cli
 from retword.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     run_command,
 )
+from retword.errors import CancelledSearch, InternalInconsistencyError
 
 FIB = """
 alphabet = 0 1
@@ -279,3 +282,37 @@ def test_malformed_prefix_cap_exit_code(files, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: REPO_PREFIX_CAP must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tower", "{per}"],
+        ["circularity", "{per}"],
+        ["shared", "--left", "{per}", "--right", "{per}"],
+    ],
+)
+def test_periodic_input_exits_usage(tmp_path, capsys, argv):
+    path = tmp_path / "per.sub"
+    path.write_text("alphabet = a b\nstart = a\na -> a b\nb -> a b\n")
+    status, _ = run_command([a.format(per=path) for a in argv] + ["--json"])
+    assert status == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: fixed point is periodic: one return word 'ab' on the prefix of "
+        "length 1, tower depth 1\n"
+    )
+
+
+@pytest.mark.parametrize("exc", [InternalInconsistencyError, CancelledSearch])
+def test_internal_error_exit_code(files, monkeypatch, capsys, exc):
+    def handler(args, report):
+        raise exc("stopped")
+
+    monkeypatch.setitem(retword.cli._HANDLERS, "spectrum", handler)
+    status, _ = run_command(["spectrum", files["fib"], "--json"])
+    assert status == EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stopped\n"

@@ -155,6 +155,7 @@ def test_stepone_hypothesis_self_derived(fib):
     hyp = check_stepone_hypotheses(fib, fib.alphabet.word("01"))
     assert hyp.self_derived
     assert hyp.all_hold
+    assert hyp.nonperiodic_depth == 2
 
 
 def test_stepone_hypothesis_mixing_singleton():
@@ -162,7 +163,7 @@ def test_stepone_hypothesis_mixing_singleton():
     # singleton alphabet: mixing is vacuous; non-periodicity fails instead
     hyp = check_stepone_hypotheses(sub, sub.alphabet.word("a"))
     assert hyp.coding_mixing
-    assert not hyp.nonperiodic
+    assert not hyp.nonperiodic and hyp.nonperiodic_depth is None
 
 
 def test_coding_substitution_requires_match(fib):

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from periodic_oracle import looks_periodic, periodic_tail_witness
+from retword.corpus import fibonacci, thue_morse
 from retword.errors import DecompositionError, ResourceLimitError
 from retword.returns import (
+    RETURN_CACHE_SIZE,
     decompose,
     derivation_tower,
     derived_prefix,
@@ -17,7 +20,10 @@ from retword.returns import (
 )
 from retword.spectrum import char_poly
 from retword.substitution import (
+    Morphism,
+    Substitution,
     fixed_point_prefix,
+    is_primitive,
     power,
     substitution_from_strings,
 )
@@ -78,10 +84,32 @@ def test_return_substitution_rejects_non_primitive():
         return_substitution(sub, sub.alphabet.word("a"))
 
 
-def test_return_substitution_budget(fib):
+def test_return_substitution_budget(monkeypatch):
+    monkeypatch.setenv("REPO_PREFIX_CAP", "40")
+    fib = fibonacci()
     with pytest.raises(ResourceLimitError) as err:
-        return_substitution(fib, fixed_point_prefix(fib, 30), cap=40)
+        return_substitution(fib, fixed_point_prefix(fib, 30))
     assert err.value.budget == 40
+
+
+def test_return_substitution_cached_on_substitution():
+    fib = fibonacci()
+    u = fib.alphabet.word("010")
+    first = return_substitution(fib, u)
+    again = return_substitution(fib, fib.alphabet.word("010"))
+    assert again[0] is first[0] and again[1] is first[1]
+
+
+def test_return_substitution_cache_is_bounded():
+    fib = fibonacci()
+    lengths = range(1, RETURN_CACHE_SIZE + 11)
+    evicted = {n: return_substitution(fib, fixed_point_prefix(fib, n)) for n in lengths}
+    assert len(fib._return_systems) == RETURN_CACHE_SIZE
+    for n in lengths[:10]:
+        system, sub = return_substitution(fib, fixed_point_prefix(fib, n))
+        assert system is not evicted[n][0]
+        assert system == evicted[n][0] and sub == evicted[n][1]
+    assert len(fib._return_systems) == RETURN_CACHE_SIZE
 
 
 def test_defining_identity_all_corpus(corpus):
@@ -189,9 +217,6 @@ def test_completeness_against_long_scan(corpus):
 
 def test_random_primitive_substitutions_stress():
     """Closure numbering equals scan order on randomly generated substitutions."""
-    from retword.substitution import Morphism, Substitution, is_primitive
-    from retword.words import periodic_tail_witness
-
     rng = random.Random(2024)
     tested = 0
     attempts = 0
@@ -309,10 +334,12 @@ def test_derivation_tower_morse_with_recomputation(morse):
     assert tower.repetition is not None
     p, q = tower.repetition
     assert 1 <= p < q <= 8
-    # oracle: recompute each level's return substitution from scratch
+    # oracle: recompute each level's return substitution from scratch, on a
+    # fresh substitution so that no cached system is reused
+    fresh = thue_morse()
     u = fixed_point_prefix(morse, 1)
     for level in tower.levels:
-        system, sub = return_substitution(morse, u)
+        system, sub = return_substitution(fresh, u)
         assert [w.letters for w in system.return_words] == [
             w.letters for w in level.system.return_words
         ]
@@ -336,6 +363,7 @@ def test_estimate_constants_fibonacci(fib):
     assert constants.h3 == 2
     assert constants.h1 > 0
     assert constants.h2 >= 1
+    assert constants.nonperiodic_depth == 2
     for n in constants.prefix_lengths:
         system, _ = return_substitution(fib, fixed_point_prefix(fib, n))
         for v in system.return_words:
@@ -389,10 +417,65 @@ def test_min_return_length_first_hundred(fib):
 
 def test_nonperiodic_check_flags_periodic():
     sub = substitution_from_strings("a b", {"a": "ab", "b": "ab"}, "a")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="periodic.*tower depth 1"):
         nonperiodic_check(sub)
 
 
 def test_nonperiodic_check_passes_corpus(corpus):
-    for sub in corpus.values():
-        assert nonperiodic_check(sub) >= 2048
+    depths = {"fibonacci": 2, "thue_morse": 3, "tribonacci": 2, "quad": 3}
+    for name, sub in corpus.items():
+        depth = nonperiodic_check(sub)
+        assert depth == depths[name], name
+        # the deciding depth is the level that repeats an earlier one
+        assert derivation_tower(sub, depth).repetition[1] == depth
+
+
+def _tower_counts(sub) -> list[int]:
+    """Return-word counts per level of the tower, up to a repetition or a
+    level with one return word, recomputed outside ``nonperiodic_check``."""
+    counts, seen = [], set()
+    u = fixed_point_prefix(sub, 1)
+    while True:
+        system, tau_u = return_substitution(sub, u)
+        counts.append(system.count)
+        key = tuple(w.scan_text for w in tau_u.images)
+        if system.count == 1 or key in seen:
+            return counts
+        seen.add(key)
+        u = system.return_words[0] + u
+
+
+def test_tower_return_word_counts_pinned(morse):
+    aab = substitution_from_strings("a b", {"a": "aab", "b": "aab"}, "a")
+    assert _tower_counts(aab) == [2, 1]
+    with pytest.raises(ValueError, match="one return word 'aab'.*tower depth 2"):
+        nonperiodic_check(aab)
+    assert _tower_counts(morse) == [3, 4, 4]
+    assert nonperiodic_check(morse) == 3
+
+
+def test_nonperiodic_check_matches_bounded_oracle():
+    """The tower decision agrees with the bounded periodic-tail scan on random
+    primitive substitutions of 1-4 letters, periodic ones included."""
+    rng = random.Random(1998)
+    periodic = nonperiodic = 0
+    while periodic + nonperiodic < 120:
+        size = rng.randrange(1, 5)
+        alphabet = Alphabet(tuple("abcd"[:size]))
+        images = [
+            Word(alphabet, [rng.randrange(size) for _ in range(rng.randrange(1, 4))])
+            for _ in range(size)
+        ]
+        images[0] = Word(alphabet, (0,) + images[0].letters[:2] + (rng.randrange(size),))
+        sub = Substitution(Morphism(alphabet, alphabet, images), 0)
+        if not is_primitive(sub.matrix())[0]:
+            continue
+        if looks_periodic(sub):
+            periodic += 1
+            with pytest.raises(ValueError, match="periodic"):
+                nonperiodic_check(sub)
+        else:
+            nonperiodic += 1
+            depth = nonperiodic_check(sub)
+            assert depth == len(derivation_tower(sub, depth).levels)
+    assert periodic >= 20 and nonperiodic >= 20

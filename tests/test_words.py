@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from periodic_oracle import periodic_tail_witness
 from retword.substitution import fixed_point_prefix
 from retword.words import (
     Alphabet,
     Word,
-    detect_period,
     factor_set,
     occurrences,
-    periodic_tail_witness,
 )
 
 AB = Alphabet(("a", "b", "c"))
@@ -25,18 +24,6 @@ def naive_occurrences(pattern: Word, host: Word) -> list[int]:
         if all(host[i + j] == pattern[j] for j in range(m)):
             out.append(i)
     return out
-
-
-def naive_detect_period(host: Word, max_period: int):
-    """Oracle: exhaustive scan with the documented one-full-repetition floor."""
-    n = len(host)
-    for pre in range(n):
-        for per in range(1, max_period + 1):
-            if pre + 2 * per > n:
-                continue
-            if all(host[i] == host[i + per] for i in range(pre, n - per)):
-                return (pre, per)
-    return None
 
 
 def test_occurrences_example_string():
@@ -96,43 +83,6 @@ def test_factor_set_bad_length():
         factor_set(AB.word("ab"), 3)
     with pytest.raises(ValueError):
         factor_set(AB.word("ab"), 0)
-
-
-def test_detect_period_pure_periodic():
-    assert detect_period(AB.word("abababab"), 4) == (0, 2)
-
-
-def test_detect_period_with_preperiod():
-    assert detect_period(AB.word("cabababa"), 4) == (1, 2)
-
-
-def test_detect_period_thue_morse_prefix_absent(morse):
-    host = fixed_point_prefix(morse, 64)
-    assert detect_period(host, 16) is None
-    assert naive_detect_period(host, 16) is None
-
-
-def test_detect_period_matches_oracle_random():
-    rng = random.Random(21)
-    for _ in range(150):
-        host = Word(BIN, tuple(rng.randrange(2) for _ in range(rng.randrange(4, 30))))
-        max_period = len(host) // 2
-        assert detect_period(host, max_period) == naive_detect_period(host, max_period)
-
-
-def test_detect_period_precondition():
-    with pytest.raises(ValueError):
-        detect_period(AB.word("abab"), 3)
-
-
-def test_detect_period_doubled_word_always_periodic():
-    rng = random.Random(3)
-    for _ in range(50):
-        host = Word(BIN, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 15))))
-        doubled = host + host
-        found = detect_period(doubled, len(host))
-        assert found is not None
-        assert found[1] <= len(host)
 
 
 def test_seam_occurrence_inequality():
