@@ -4,7 +4,8 @@ Coefficients are arbitrary-precision integers stored in ascending degree
 order.  Everything that certifies a claim (root counting, isolation,
 divisibility) runs over exact integers or ``Fraction``s; floating point
 appears only in the advisory complex root approximations at the bottom of the
-module.
+module.  Sturm chains are stored as integer polynomials and evaluated at a
+rational p/q through the integer q**d c(p/q), which has the sign of c(p/q).
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil, floor, gcd, lcm
 from typing import Iterable
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, ResourceLimitError
 
 
 class IntPolynomial:
@@ -163,8 +165,6 @@ class IntPolynomial:
         return IntPolynomial(tuple(int(q) for q in quot))
 
     def content(self) -> int:
-        from math import gcd
-
         g = 0
         for c in self.coeffs:
             g = gcd(g, abs(c))
@@ -216,12 +216,9 @@ class IntPolynomial:
         return f"IntPolynomial({self.pretty()!r})"
 
 
-def _fractions(p: IntPolynomial) -> tuple[Fraction, ...]:
-    """Ascending coefficients as Fractions, with no trailing zeros."""
-    v = [Fraction(c) for c in p.coeffs]
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
+def _fractions(coeffs: Iterable[int]) -> tuple[Fraction, ...]:
+    """Integer coefficients (ascending, trimmed) as Fractions."""
+    return tuple(map(Fraction, coeffs))
 
 
 def _rem(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -241,42 +238,54 @@ def _rem(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ..
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor, returned primitive with positive leading coefficient."""
-    a, b = _fractions(p), _fractions(q)
+    a, b = _fractions(p.coeffs), _fractions(q.coeffs)
     while b:
         a, b = b, _rem(a, b)
     if not a:
         return IntPolynomial.zero()
-    from math import lcm
-
-    denom = lcm(*[c.denominator for c in a]) if a else 1
-    ints = [int(c * denom) for c in a]
-    return IntPolynomial(ints).primitive()
+    return IntPolynomial(_integral(a)).primitive()
 
 
-def _fraction_chain(p: IntPolynomial) -> list[tuple[Fraction, ...]]:
-    """Sturm chain of p as tuples of Fractions (ascending coefficients)."""
-    chain = [_fractions(p)]
-    dp = _fractions(p.derivative())
-    if dp:
-        chain.append(dp)
-        while True:
-            r = _rem(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(tuple(-c for c in r))
+def _integral(v: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """v times the positive rational that makes its coefficients coprime integers."""
+    den = lcm(*(c.denominator for c in v))
+    ints = [c.numerator * (den // c.denominator) for c in v]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
+    """Sturm chain of p, each member scaled by a positive rational to integers.
+
+    Positive scaling keeps every sign the chain takes, and so every count.
+    """
+    chain = [_integral(_fractions(p.coeffs))]
+    r = _fractions(p.derivative().coeffs)
+    while r:
+        chain.append(_integral(r))
+        r = tuple(-c for c in _rem(_fractions(chain[-2]), _fractions(chain[-1])))
     return chain
 
 
-def _eval_tuple(coeffs: tuple[Fraction, ...], value: Fraction) -> Fraction:
-    result = Fraction(0)
-    for c in reversed(coeffs):
-        result = result * value + c
-    return result
+def _powers(base: int, count: int) -> list[int]:
+    """[1, base, base**2, ..., base**(count - 1)]."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * base)
+    return out
 
 
-def _sign_changes(values: list[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _homogeneous(coeffs: tuple[int, ...], num: int, den_powers: list[int]) -> int:
+    """den**d * c(num/den) for c of degree d, by Horner's rule over the integers.
+
+    The value is sum(c_i num**i den**(d - i)); for den > 0 its sign is the
+    sign of c(num/den).  ``den_powers`` lists den**k from k = 0 and is at
+    least as long as ``coeffs``.
+    """
+    acc = 0
+    for c, w in zip(reversed(coeffs), den_powers):
+        acc = acc * num + c * w
+    return acc
 
 
 class SturmCounter:
@@ -284,7 +293,9 @@ class SturmCounter:
 
     Sign sequences are evaluated with zeros skipped, which makes the count at
     a point equal to the count just to its right; the difference of counts at
-    a and b therefore gives the number of distinct roots in (a, b].
+    a and b therefore gives the number of distinct roots in (a, b].  The chain
+    holds integer polynomials, and a point p/q is evaluated as the integers
+    q**d c(p/q), so no rational arithmetic runs per point.
     """
 
     def __init__(self, p: IntPolynomial):
@@ -293,16 +304,30 @@ class SturmCounter:
         self.poly = p
         # multiplicities never matter here, and squarefree input keeps the
         # zero-skipping variation count honest at chain-internal roots
-        self.chain = _fraction_chain(p.squarefree_part())
+        self.chain = _sturm_chain(p.squarefree_part())
 
-    def variations(self, at: Fraction) -> int:
-        return _sign_changes([_eval_tuple(c, at) for c in self.chain])
+    def variations(self, at: Fraction | int) -> int:
+        """Sign changes along the chain at ``at``, zeros skipped."""
+        num, powers = at.numerator, _powers(at.denominator, len(self.chain[0]))
+        changes, last = 0, None
+        for member in self.chain:
+            value = _homogeneous(member, num, powers)
+            if value:
+                positive = value > 0
+                if last is not None and positive != last:
+                    changes += 1
+                last = positive
+        return changes
 
-    def count(self, lo: Fraction, hi: Fraction) -> int:
+    def count(self, lo: Fraction | int, hi: Fraction | int) -> int:
         """Distinct real roots in the half-open interval (lo, hi]."""
         if hi < lo:
             raise ValueError("empty interval")
         return self.variations(lo) - self.variations(hi)
+
+    def _is_root(self, at: Fraction | int) -> bool:
+        head = self.chain[0]
+        return _homogeneous(head, at.numerator, _powers(at.denominator, len(head))) == 0
 
 
 def root_magnitude_bound(p: IntPolynomial) -> Fraction:
@@ -314,10 +339,17 @@ def root_magnitude_bound(p: IntPolynomial) -> Fraction:
     return Fraction(biggest, lead) + 2
 
 
-def _divisors(n: int, cap: int = 10**12) -> list[int]:
+# Largest constant or leading coefficient whose divisors the rational root
+# test enumerates (by trial division, so about 10^6 steps at the cap).
+DIVISOR_CAP = 10**12
+
+
+def _divisors(n: int) -> list[int]:
     n = abs(n)
-    if n == 0 or n > cap:
-        return []
+    if n > DIVISOR_CAP:
+        raise ResourceLimitError(
+            f"rational root test needs the divisors of {n}, above {DIVISOR_CAP}", budget=DIVISOR_CAP
+        )
     out = []
     d = 1
     while d * d <= n:
@@ -329,12 +361,37 @@ def _divisors(n: int, cap: int = 10**12) -> list[int]:
     return sorted(out)
 
 
+def _integer_roots(counter: SturmCounter, bound: int) -> list[int]:
+    """The integer roots in (-bound, bound] of the counter's polynomial.
+
+    Bisection at integer points splits the interval until every piece that
+    holds a root is a unit interval (n - 1, n]; its one integer n is tested.
+    """
+    found = []
+    pending = [(-bound, bound, counter.variations(-bound), counter.variations(bound))]
+    while pending:
+        lo, hi, v_lo, v_hi = pending.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if counter._is_root(hi):
+                found.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = counter.variations(mid)
+        pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return found
+
+
 def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
     """All rational roots with multiplicities, zero included, ascending order.
 
-    Candidate enumeration follows the rational root test; constant terms with
-    more than ~1e12 in magnitude are skipped (nothing at desk scale gets
-    there), in which case only the zero root is reported.
+    The rational roots of a monic polynomial (every characteristic
+    polynomial) are integers: its Sturm chain isolates the distinct real
+    roots to unit intervals (n - 1, n] and each such n is tested, whatever
+    the size of the coefficients.  Other polynomials go through the rational
+    root test over the divisors of the constant and leading coefficients,
+    which raises ``ResourceLimitError`` when either exceeds ``DIVISOR_CAP``.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every root")
@@ -343,22 +400,30 @@ def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
     work = p.shift_divide(k)
     if k:
         roots.append((Fraction(0), k))
-    if work.degree >= 1:
-        for num in _divisors(work.coeffs[0]):
-            for den in _divisors(work.leading):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if work(cand) != 0:
-                        continue
-                    mult = 0
-                    factor = IntPolynomial((-cand.numerator, cand.denominator))
-                    while True:
-                        q = work.try_exact_div(factor)
-                        if q is None:
-                            break
-                        work = q
-                        mult += 1
-                    if mult:
-                        roots.append((cand, mult))
+    if work.degree < 1:
+        return roots
+    if abs(work.leading) == 1:
+        bound = ceil(root_magnitude_bound(work))
+        candidates = [Fraction(n) for n in _integer_roots(SturmCounter(work), bound)]
+    else:
+        candidates = [
+            Fraction(sign * num, den)
+            for num in _divisors(work.coeffs[0])
+            for den in _divisors(work.leading)
+            for sign in (1, -1)
+        ]
+    for cand in candidates:
+        if work(cand) != 0:
+            continue
+        mult = 0
+        factor = IntPolynomial((-cand.numerator, cand.denominator))
+        while True:
+            q = work.try_exact_div(factor)
+            if q is None:
+                break
+            work = q
+            mult += 1
+        roots.append((cand, mult))
     return sorted(roots)
 
 
@@ -369,7 +434,8 @@ def isolate_largest_real_root(
 
     Returns ``(lo, hi, exact)``; when ``exact`` the two endpoints coincide
     with the root.  The interval always contains exactly one distinct root of
-    p and no root of p lies above it.
+    p and no root of p lies above it.  Bisection keeps the variation counts
+    at both ends, so each step evaluates the Sturm chain at its midpoint only.
     """
     sf = p.squarefree_part()
     if sf.degree < 1:
@@ -377,22 +443,30 @@ def isolate_largest_real_root(
     counter = SturmCounter(sf)
     bound = root_magnitude_bound(sf)
     lo, hi = -bound, bound
-    total = counter.count(lo, hi)
-    if total < 1:
+    v_lo, v_hi = counter.variations(lo), counter.variations(hi)
+    if v_lo - v_hi < 1:
         raise ValueError("polynomial has no real root")
-    while counter.count(lo, hi) > 1 or hi - lo > width:
+    while v_lo - v_hi > 1 or hi - lo > width:
         mid = (lo + hi) / 2
-        if sf(mid) == 0 and counter.count(mid, hi) == 0:
+        v_mid = counter.variations(mid)
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
+        elif counter._is_root(mid):
             return mid, mid, True
-        if counter.count(mid, hi) >= 1:
-            lo = mid
         else:
-            hi = mid
-    if sf(hi) == 0:
+            hi, v_hi = mid, v_mid
+    if counter._is_root(hi):
         return hi, hi, True
-    for cand, _ in rational_roots(sf):
-        if lo < cand <= hi:
-            return cand, cand, True
+    if sf.leading == 1 and hi - lo < 1:
+        # a rational root of a monic polynomial is an integer, and the
+        # interval holds at most one integer
+        n = floor(hi)
+        if lo < n and counter._is_root(n):
+            return Fraction(n), Fraction(n), True
+    else:
+        for cand, _ in rational_roots(sf):
+            if lo < cand <= hi:
+                return cand, cand, True
     return lo, hi, False
 
 

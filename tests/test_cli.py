@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import retword
 import retword.cli
 from retword.cli import (
     EXIT_BUDGET,
@@ -316,3 +321,18 @@ def test_internal_error_exit_code(files, monkeypatch, capsys, exc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: stopped\n"
+
+
+def test_periodic_24_letter_product_finishes(files):
+    """Scale guard: a 24-letter product alphabet, which an exponential
+    characteristic polynomial could not handle in minutes."""
+    package_root = Path(retword.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    argv = ["periodic", files["fib"], "--period", "011010110100", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "retword.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["data"]["product_alphabet_size"] == 24
+    assert [c["outcome"] for c in data["checks"]] == ["pass"] * 5

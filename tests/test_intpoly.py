@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from retword.errors import ResourceLimitError
 from retword.intpoly import (
+    DIVISOR_CAP,
     IntPolynomial,
     SturmCounter,
     cyclotomic,
@@ -14,6 +17,10 @@ from retword.intpoly import (
     rational_roots,
     root_magnitude_bound,
 )
+from retword.returns import return_substitution
+from retword.spectrum import char_poly, spectrum_of_poly, strip_trivial_poly
+from retword.substitution import IncidenceMatrix
+from spectral_oracle import divisor_rational_roots, fraction_isolate
 
 P = IntPolynomial
 
@@ -197,3 +204,98 @@ def test_poly_gcd_matches_sympy():
         if coeffs[-1] < 0:
             coeffs = [-c for c in coeffs]
         assert got == P(tuple(coeffs)).primitive()
+
+
+def _from_roots(roots, cofactor):
+    """prod (den x - num) over the Fraction roots, times the cofactor."""
+    p = P(cofactor)
+    for r in roots:
+        p = p * P((-r.numerator, r.denominator))
+    return p
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(small_fractions, max_size=5),
+    cofactor=st.lists(st.integers(-5, 5), min_size=1, max_size=5).filter(lambda c: c[-1] != 0),
+    ends=st.lists(st.one_of(small_fractions, st.integers(-8, 8).map(Fraction)), min_size=2, max_size=2),
+    root_ends=st.lists(st.integers(0, 4), max_size=2),
+)
+def test_sturm_count_matches_sympy(roots, cofactor, ends, root_ends):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = _from_roots(roots, cofactor)
+    # endpoints that are roots themselves exercise the half-open convention
+    ends = sorted(ends + [roots[i] for i in root_ends if i < len(roots)])
+    lo, hi = ends[0], ends[-1]
+    sp = sympy.Poly(list(reversed(p.coeffs)), x)
+    rat = lambda f: sympy.Rational(f.numerator, f.denominator)
+    want = sp.count_roots(rat(lo), rat(hi)) - (1 if p(lo) == 0 else 0)
+    assert SturmCounter(p).count(lo, hi) == want
+
+
+def test_isolate_matches_fraction_chain_reference_on_corpus(corpus, morse):
+    polys = []
+    for sub in corpus.values():
+        m = sub.matrix()
+        polys += [char_poly(m), char_poly(m @ m), strip_trivial_poly(char_poly(m @ m @ m))]
+    polys.append(char_poly(return_substitution(morse, morse.alphabet.word("011"))[1].matrix()))
+    for p in polys:
+        for width in (Fraction(1, 10**9), Fraction(1, 7), Fraction(3)):
+            assert isolate_largest_real_root(p, width) == fraction_isolate(p, width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    width=st.sampled_from((Fraction(1, 10**9), Fraction(1, 10), Fraction(2))),
+)
+def test_isolate_matches_fraction_chain_reference_on_char_polys(rows, width):
+    # a non-negative matrix has a real dominant eigenvalue (Perron-Frobenius)
+    p = char_poly(IncidenceMatrix(rows))
+    assert isolate_largest_real_root(p, width) == fraction_isolate(p, width)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.lists(small_fractions, min_size=1, max_size=4),
+    cofactor=st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+)
+def test_isolate_matches_fraction_chain_reference_non_monic(roots, cofactor):
+    p = _from_roots(roots, cofactor)
+    assert isolate_largest_real_root(p) == fraction_isolate(p, Fraction(1, 10**9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(st.integers(-40, 40), max_size=6),
+    cofactor=st.lists(st.integers(-9, 9), max_size=4),
+)
+def test_rational_roots_of_monic_match_divisor_oracle(roots, cofactor):
+    p = _from_roots([Fraction(r) for r in roots], cofactor + [1])
+    assert rational_roots(p) == divisor_rational_roots(p)
+
+
+def test_rational_roots_beyond_divisor_cap():
+    # constant term about -2e13, above the divisor cap of the rational root test
+    p = P((-10**7, 1)) * P((2 * 10**6 + 3, 1)) * P((1, 1, 1))
+    assert abs(p.coeffs[0]) > DIVISOR_CAP
+    assert rational_roots(p) == [(Fraction(-2 * 10**6 - 3), 1), (Fraction(10**7), 1)]
+    assert isolate_largest_real_root(p) == (10**7, 10**7, True)
+    s = spectrum_of_poly(p)
+    assert s.exact_roots == ((Fraction(-2 * 10**6 - 3), 1), (Fraction(10**7), 1))
+    assert s.residual_factor == P((1, 1, 1))
+    big = P((-(10**30 + 57), 1)) ** 2 * P((0, 1))
+    assert rational_roots(big) == [(Fraction(0), 1), (Fraction(10**30 + 57), 2)]
+
+
+def test_rational_roots_non_monic_beyond_cap_raises():
+    p = P((-1, 2)) * P((-(10**13), 1))
+    with pytest.raises(ResourceLimitError) as info:
+        rational_roots(p)
+    assert info.value.budget == DIVISOR_CAP

@@ -1,7 +1,9 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from retword.errors import CancelledSearch
 from retword.intpoly import IntPolynomial, SturmCounter, poly_gcd
@@ -18,8 +20,13 @@ from retword.spectrum import (
     strip_trivial_poly,
 )
 from retword.substitution import IncidenceMatrix, identity_matrix
+from spectral_oracle import minor_expansion_char_poly
 
 P = IntPolynomial
+
+square_matrices = st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 6), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(IncidenceMatrix)
 
 
 def test_char_poly_quad_tau(quad_pair):
@@ -67,6 +74,21 @@ def test_char_poly_against_random_trace_and_det():
             + e[0][0] * e[1][1] - e[0][1] * e[1][0]
         )
         assert char_poly(m) == P((-det, minors, -trace, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_char_poly_matches_minor_expansion(m):
+    assert char_poly(m) == minor_expansion_char_poly(m)
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 40])
+def test_char_poly_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(n)
+    rows = [[rng.choice((0, 0, 0, 1, 1, 2, 5)) for _ in range(n)] for _ in range(n)]
+    want = [int(c) for c in reversed(sympy.Matrix(rows).charpoly().all_coeffs())]
+    assert char_poly(IncidenceMatrix(rows)) == P(want)
 
 
 def test_dominant_quad_exact(quad_pair):
@@ -240,6 +262,27 @@ def test_certify_equal_dominant_irrational(fib):
     cert = certify_equal_dominant(m @ m, m @ m)
     assert cert is not None
     assert certify_equal_dominant(m, m @ m) is None
+
+
+def test_certify_equal_dominant_one_char_poly_per_matrix(monkeypatch):
+    spectrum_module = sys.modules["retword.spectrum"]
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return char_poly(matrix)
+
+    monkeypatch.setattr(spectrum_module, "char_poly", counted)
+    fib = IncidenceMatrix(((1, 1), (1, 0)))
+    trib = IncidenceMatrix(((1, 1, 1), (1, 0, 0), (0, 1, 0)))
+    fib_and_one = IncidenceMatrix(((1, 1, 0), (1, 0, 0), (0, 0, 1)))
+    # width-1 enclosures of the two dominants overlap, so refinement runs
+    assert certify_equal_dominant(fib, trib, Fraction(1)) is None
+    assert calls == [fib, trib]
+    calls.clear()
+    g, meet = certify_equal_dominant(fib_and_one, fib, Fraction(1))
+    assert g == P((-1, -1, 1)) and meet.lo < Fraction(1618034, 10**6) < meet.hi
+    assert calls == [fib_and_one, fib]
 
 
 def test_same_nonzero_root_sets():
