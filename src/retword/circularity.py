@@ -103,8 +103,10 @@ def sync_delay_search(
     returned D is exactly the largest such forcing, or None when it exceeds
     ``d_max``; boundary cuts (first and last) participate like any other.
     Absence is a lower-bound report on the sample, not a refutation of
-    circularity.
+    circularity.  A sample length below 1 samples nothing and is refused.
     """
+    if sample_len < 1:
+        raise ValueError(f"sample length must be >= 1, got {sample_len}")
     primitive, _ = is_primitive(tau.matrix())
     if not primitive:
         raise ValueError("delay search expects a primitive substitution")
@@ -147,6 +149,11 @@ class InjectivityCertificate:
     collision: tuple[Word, Word] | None
 
 
+def _require_length_bound(length_bound: int) -> None:
+    if length_bound < 1:
+        raise ValueError(f"injectivity length bound must be >= 1, got {length_bound}")
+
+
 def check_injectivity(
     tau: Substitution, u: Word, length_bound: int = 30, derived_sample: int = 2000
 ) -> InjectivityCertificate:
@@ -155,8 +162,10 @@ def check_injectivity(
     The words that both occur in the fixed point and split over the return
     words on u are exactly the decodings of factors of the derived sequence,
     so those are enumerated directly and their images compared pairwise
-    (hashed, with exact confirmation on collision).
+    (hashed, with exact confirmation on collision).  A length bound below 1
+    checks no word and is refused.
     """
+    _require_length_bound(length_bound)
     nonperiodic_check(tau)
     system, tau_u = return_substitution(tau, u)
     coding = system.coding()
@@ -203,8 +212,10 @@ def find_n0(
     injectivity of the return substitution on its own factors.
 
     None when no prefix length up to ``max_prefix`` passes; existence beyond
-    the scan is not decided here.
+    the scan is not decided here.  A length bound below 1 is refused, as in
+    ``check_injectivity``.
     """
+    _require_length_bound(length_bound)
     nonperiodic_check(tau)
     for n in range(1, max_prefix + 1):
         u = fixed_point_prefix(tau, n)

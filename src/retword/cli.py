@@ -12,6 +12,7 @@ inconsistency or cancelled search.  Codes 2-4 print one ``error:`` (or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -172,7 +173,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="print the machine-readable report")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``retword`` parser, built once per process: parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="retword",
         description="Return-word calculus for primitive substitutions, in exact arithmetic.",

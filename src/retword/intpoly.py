@@ -2,9 +2,12 @@
 
 Coefficients are arbitrary-precision integers stored in ascending degree
 order.  Everything that certifies a claim (root counting, isolation,
-divisibility) runs over exact integers or ``Fraction``s; floating point
-appears only in the advisory complex root approximations at the bottom of the
-module.  Sturm chains are stored as integer polynomials and evaluated at a
+divisibility) runs over exact integers, with ``Fraction`` only for rational
+points: enclosure endpoints and rational roots.  Floating point appears only
+in the advisory complex root approximations at the bottom of the module.
+One remainder routine, the primitive pseudo-remainder ``_prem``, serves
+gcds, squarefree parts and Sturm chains, so no Euclidean step leaves the
+integers.  Sturm chains are stored as integer polynomials and evaluated at a
 rational p/q through the integer q**d c(p/q), which has the sign of c(p/q).
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd
 from typing import Iterable
 
 from .errors import InternalInconsistencyError, ResourceLimitError
@@ -148,21 +151,22 @@ class IntPolynomial:
             return IntPolynomial.zero()
         if self.degree < divisor.degree:
             return None
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(divisor.leading)
+        rem = list(self.coeffs)
+        lead = divisor.leading
         d = divisor.degree
-        quot = [Fraction(0)] * (len(rem) - d)
+        quot = [0] * (len(rem) - d)
         for i in range(len(rem) - d - 1, -1, -1):
-            q = rem[i + d] / lead
+            # the first non-integral quotient coefficient shows here
+            q, r = divmod(rem[i + d], lead)
+            if r:
+                return None
             quot[i] = q
             if q:
                 for j, c in enumerate(divisor.coeffs):
                     rem[i + j] -= q * c
         if any(rem[:d]):
             return None
-        if any(q.denominator != 1 for q in quot):
-            return None
-        return IntPolynomial(tuple(int(q) for q in quot))
+        return IntPolynomial(quot)
 
     def content(self) -> int:
         g = 0
@@ -187,10 +191,9 @@ class IntPolynomial:
         g = poly_gcd(self, self.derivative())
         if g.degree == 0:
             return self.primitive()
+        # g is primitive and divides self over the rationals, so by Gauss's
+        # lemma the quotient has integer coefficients
         q = self.try_exact_div(g)
-        if q is None:
-            # the primitive gcd can differ from the monic one by a content unit
-            q = (self * g.leading).try_exact_div(g)
         if q is None:
             raise InternalInconsistencyError("squarefree division failed")
         return q.primitive()
@@ -216,54 +219,53 @@ class IntPolynomial:
         return f"IntPolynomial({self.pretty()!r})"
 
 
-def _fractions(coeffs: Iterable[int]) -> tuple[Fraction, ...]:
-    """Integer coefficients (ascending, trimmed) as Fractions."""
-    return tuple(map(Fraction, coeffs))
+def _divide_content(coeffs: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """Integer coefficients divided by their positive content; signs kept."""
+    g = gcd(*coeffs)
+    return tuple(coeffs) if g <= 1 else tuple(c // g for c in coeffs)
 
 
-def _rem(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Remainder of a by a non-zero b over the rationals; both trimmed."""
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive pseudo-remainder of a by a non-zero b; both trimmed.
+
+    The remainder of |lc(b)|**(deg a - deg b + 1) * a by b, taken over the
+    integers and divided by its positive content: the remainder over the
+    rationals times a positive rational, scaled to coprime integers.  A
+    Euclidean or Sturm sequence built from it is the rational one with each
+    member scaled positively to coprime integers (W. S. Brown, *J. ACM* 18
+    (1971) 478-504), so it keeps every sign, gcd and root count.
+    """
     r = list(a)
     d = len(b) - 1
-    lead = b[-1]
-    while len(r) - 1 >= d and r:
-        k = len(r) - 1 - d
-        f = r[-1] / lead
-        for j in range(len(b)):
-            r[k + j] -= f * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(r)
+    mag = abs(b[-1])
+    for k in range(len(r) - 1 - d, -1, -1):
+        # r <- |lc(b)| r - f x^k b cancels the leading coefficient
+        f = r.pop() if b[-1] > 0 else -r.pop()
+        lower = r[:k] if mag == 1 else [c * mag for c in r[:k]]
+        r = lower + [mag * c - f * e for c, e in zip(r[k:], b)]
+    while r and r[-1] == 0:
+        r.pop()
+    return _divide_content(r)
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Greatest common divisor, returned primitive with positive leading coefficient."""
-    a, b = _fractions(p.coeffs), _fractions(q.coeffs)
+    a, b = p.coeffs, q.coeffs
     while b:
-        a, b = b, _rem(a, b)
-    if not a:
-        return IntPolynomial.zero()
-    return IntPolynomial(_integral(a)).primitive()
-
-
-def _integral(v: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """v times the positive rational that makes its coefficients coprime integers."""
-    den = lcm(*(c.denominator for c in v))
-    ints = [c.numerator * (den // c.denominator) for c in v]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
+        a, b = b, _prem(a, b)
+    return IntPolynomial(a).primitive()
 
 
 def _sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
-    """Sturm chain of p, each member scaled by a positive rational to integers.
+    """Sturm chain of p, each member scaled by a positive rational to coprime integers.
 
     Positive scaling keeps every sign the chain takes, and so every count.
     """
-    chain = [_integral(_fractions(p.coeffs))]
-    r = _fractions(p.derivative().coeffs)
+    chain = [_divide_content(p.coeffs)]
+    r = _divide_content(p.derivative().coeffs)
     while r:
-        chain.append(_integral(r))
-        r = tuple(-c for c in _rem(_fractions(chain[-2]), _fractions(chain[-1])))
+        chain.append(r)
+        r = tuple(-c for c in _prem(chain[-2], chain[-1]))
     return chain
 
 
@@ -304,7 +306,8 @@ class SturmCounter:
         self.poly = p
         # multiplicities never matter here, and squarefree input keeps the
         # zero-skipping variation count honest at chain-internal roots
-        self.chain = _sturm_chain(p.squarefree_part())
+        self.squarefree = p.squarefree_part()
+        self.chain = _sturm_chain(self.squarefree)
 
     def variations(self, at: Fraction | int) -> int:
         """Sign changes along the chain at ``at``, zeros skipped."""
@@ -361,14 +364,14 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _integer_roots(counter: SturmCounter, bound: int) -> list[int]:
-    """The integer roots in (-bound, bound] of the counter's polynomial.
+def _integer_roots(counter: SturmCounter, lo: int, hi: int) -> list[int]:
+    """The integer roots in (lo, hi] of the counter's polynomial.
 
     Bisection at integer points splits the interval until every piece that
     holds a root is a unit interval (n - 1, n]; its one integer n is tested.
     """
     found = []
-    pending = [(-bound, bound, counter.variations(-bound), counter.variations(bound))]
+    pending = [(lo, hi, counter.variations(lo), counter.variations(hi))]
     while pending:
         lo, hi, v_lo, v_hi = pending.pop()
         if v_lo == v_hi:
@@ -404,7 +407,7 @@ def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
         return roots
     if abs(work.leading) == 1:
         bound = ceil(root_magnitude_bound(work))
-        candidates = [Fraction(n) for n in _integer_roots(SturmCounter(work), bound)]
+        candidates = [Fraction(n) for n in _integer_roots(SturmCounter(work), -bound, bound)]
     else:
         candidates = [
             Fraction(sign * num, den)
@@ -427,6 +430,74 @@ def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
     return sorted(roots)
 
 
+class LargestRootBisection:
+    """Bisection enclosing the largest real root of a polynomial, narrowed on demand.
+
+    It keeps the polynomial's ``SturmCounter`` and the current interval
+    (lo, hi] with the variation counts at both ends, so each step evaluates
+    the chain at its midpoint only.  The midpoints depend on the interval
+    alone: narrowing to a width w and then to w' < w ends exactly where a
+    fresh bisection to w' ends.
+    """
+
+    def __init__(self, counter: SturmCounter):
+        sf = counter.squarefree
+        if sf.degree < 1:
+            raise ValueError("polynomial has no roots")
+        bound = root_magnitude_bound(sf)
+        self.counter = counter
+        self.lo, self.hi = -bound, bound
+        self._v_lo, self._v_hi = counter.variations(self.lo), counter.variations(self.hi)
+        if self._v_lo - self._v_hi < 1:
+            raise ValueError("polynomial has no real root")
+        # None until a narrowing decides whether the root is rational
+        self.exact: bool | None = None
+
+    def narrow(self, width: Fraction) -> tuple[Fraction, Fraction, bool]:
+        """``(lo, hi, exact)`` with hi - lo <= width, or the root itself when exact."""
+        if self.exact:
+            return self.hi, self.hi, True
+        counter = self.counter
+        lo, hi, v_lo, v_hi = self.lo, self.hi, self._v_lo, self._v_hi
+        while v_lo - v_hi > 1 or hi - lo > width:
+            mid = (lo + hi) / 2
+            v_mid = counter.variations(mid)
+            if v_mid > v_hi:
+                lo, v_lo = mid, v_mid
+            elif counter._is_root(mid):
+                return self._settle(mid)
+            else:
+                hi, v_hi = mid, v_mid
+        self.lo, self.hi, self._v_lo, self._v_hi = lo, hi, v_lo, v_hi
+        if self.exact is None:
+            # an irrational root stays irrational however far it is narrowed
+            root = self._rational_root()
+            if root is not None:
+                return self._settle(root)
+            self.exact = False
+        return lo, hi, False
+
+    def _rational_root(self) -> Fraction | None:
+        """The one root in (lo, hi] if it is rational, else None."""
+        counter, lo, hi = self.counter, self.lo, self.hi
+        if counter._is_root(hi):
+            return hi
+        sf = counter.squarefree
+        if sf.leading == 1:
+            # a rational root of a monic polynomial is an integer
+            found = _integer_roots(counter, floor(lo), floor(hi))
+            return Fraction(found[0]) if found else None
+        for cand, _ in rational_roots(sf):
+            if lo < cand <= hi:
+                return cand
+        return None
+
+    def _settle(self, root: Fraction) -> tuple[Fraction, Fraction, bool]:
+        self.lo = self.hi = root
+        self.exact = True
+        return root, root, True
+
+
 def isolate_largest_real_root(
     p: IntPolynomial, width: Fraction = Fraction(1, 10**9)
 ) -> tuple[Fraction, Fraction, bool]:
@@ -434,40 +505,11 @@ def isolate_largest_real_root(
 
     Returns ``(lo, hi, exact)``; when ``exact`` the two endpoints coincide
     with the root.  The interval always contains exactly one distinct root of
-    p and no root of p lies above it.  Bisection keeps the variation counts
-    at both ends, so each step evaluates the Sturm chain at its midpoint only.
+    p and no root of p lies above it.
     """
-    sf = p.squarefree_part()
-    if sf.degree < 1:
+    if p.degree < 1:
         raise ValueError("polynomial has no roots")
-    counter = SturmCounter(sf)
-    bound = root_magnitude_bound(sf)
-    lo, hi = -bound, bound
-    v_lo, v_hi = counter.variations(lo), counter.variations(hi)
-    if v_lo - v_hi < 1:
-        raise ValueError("polynomial has no real root")
-    while v_lo - v_hi > 1 or hi - lo > width:
-        mid = (lo + hi) / 2
-        v_mid = counter.variations(mid)
-        if v_mid > v_hi:
-            lo, v_lo = mid, v_mid
-        elif counter._is_root(mid):
-            return mid, mid, True
-        else:
-            hi, v_hi = mid, v_mid
-    if counter._is_root(hi):
-        return hi, hi, True
-    if sf.leading == 1 and hi - lo < 1:
-        # a rational root of a monic polynomial is an integer, and the
-        # interval holds at most one integer
-        n = floor(hi)
-        if lo < n and counter._is_root(n):
-            return Fraction(n), Fraction(n), True
-    else:
-        for cand, _ in rational_roots(sf):
-            if lo < cand <= hi:
-                return cand, cand, True
-    return lo, hi, False
+    return LargestRootBisection(SturmCounter(p)).narrow(width)
 
 
 @lru_cache(maxsize=None)

@@ -10,10 +10,11 @@ primitive substitution realizing the desired dominant eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InternalInconsistencyError
-from .spectrum import certify_equal_dominant
+from .intpoly import IntPolynomial
+from .spectrum import RootEnclosure, certify_equal_dominant
 from .substitution import (
     Alphabet,
     Morphism,
@@ -42,10 +43,21 @@ class PeriodicPresentation:
     zeta: Substitution
     psi: Morphism
     coding: Morphism
+    # the dominant-eigenvalue certificate in a 1-tuple, filled on first use
+    _dominant_cert: tuple[tuple[IntPolynomial, RootEnclosure] | None] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def product_alphabet(self) -> Alphabet:
         return self.zeta.alphabet
+
+    def dominant_certificate(self) -> tuple[IntPolynomial, RootEnclosure] | None:
+        """``certify_equal_dominant`` of zeta's matrix and tau^k's, computed once."""
+        if self._dominant_cert is None:
+            cert = certify_equal_dominant(self.zeta.matrix(), self.base.matrix() ** self.exponent)
+            object.__setattr__(self, "_dominant_cert", (cert,))
+        return self._dominant_cert[0]
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,8 @@ def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> Pr
     (naming the first offender), primitivity of zeta, the coded fixed point
     against the periodic target up to ``check_len``, the column of the period
     under coding∘psi, and exact equality of zeta's dominant eigenvalue with
-    the k-th power of the base's.
+    the k-th power of the base's (certified once per presentation, see
+    ``PeriodicPresentation.dominant_certificate``).
     """
     checks: list[PresentationCheck] = []
     rho = power(pres.base, pres.exponent)
@@ -170,7 +183,7 @@ def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> Pr
     )
     checks.append(PresentationCheck("coding∘psi-spells-period", column_ok))
 
-    cert = certify_equal_dominant(pres.zeta.matrix(), pres.base.matrix() ** pres.exponent)
+    cert = pres.dominant_certificate()
     checks.append(
         PresentationCheck(
             "dominant-eigenvalue-power",

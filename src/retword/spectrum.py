@@ -6,7 +6,11 @@ Lett.* 18 (1984) 147-150); dominant roots come with certified rational
 enclosures; comparisons (same spectrum up to zero and roots of unity,
 multiplicative dependence of dominant roots) are decided by exact polynomial
 identities plus Sturm root counts, never by floating point.  Functions that
-need one matrix's polynomial several times compute it once and pass it on.
+need one matrix's polynomial several times compute it once and pass it on,
+and ``certify_equal_dominant`` builds one squarefree part and Sturm chain per
+distinct polynomial and narrows each dominant enclosure by continuing its
+bisection; the gcds and chains themselves come from the fraction-free
+remainder routine of :mod:`retword.intpoly`.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from typing import Callable
 from .errors import CancelledSearch, InternalInconsistencyError
 from .intpoly import (
     IntPolynomial,
+    LargestRootBisection,
     NumericRoot,
     SturmCounter,
     cyclotomic,
@@ -248,11 +253,22 @@ def certify_equal_dominant(
     Equality is certified by a non-constant gcd of the characteristic
     polynomials together with a Sturm count of one inside the intersection of
     the two dominant enclosures; inequality by eventually disjoint enclosures.
+    Each refinement round continues both bisections; the enclosures are the
+    ones a fresh isolation to the smaller width gives.
     """
     p1, p2 = char_poly(m1), char_poly(m2)
     if not (m1.is_nonnegative and m2.is_nonnegative):
         raise ValueError(_NONNEGATIVE_ONLY)
-    e1, e2 = _dominant(p1, precision), _dominant(p2, precision)
+    # one squarefree part and Sturm chain per distinct polynomial
+    counters: dict[IntPolynomial, SturmCounter] = {}
+
+    def counter(p: IntPolynomial) -> SturmCounter:
+        if p not in counters:
+            counters[p] = SturmCounter(p)
+        return counters[p]
+
+    r1, r2 = LargestRootBisection(counter(p1)), LargestRootBisection(counter(p2))
+    e1, e2 = RootEnclosure(*r1.narrow(precision)), RootEnclosure(*r2.narrow(precision))
     if e1.exact and e2.exact:
         if e1.hi != e2.hi:
             return None
@@ -272,16 +288,17 @@ def certify_equal_dominant(
     g = poly_gcd(p1, p2)
     # with no common factor the dominants are distinct algebraics, so
     # refinement must eventually separate the enclosures
-    counters = (SturmCounter(g), SturmCounter(p1), SturmCounter(p2)) if g.degree >= 1 else ()
+    chains = (counter(g), counter(p1), counter(p2)) if g.degree >= 1 else ()
     width = precision
     for _ in range(max_refinements):
         meet = e1.intersect(e2)
         if meet is None:
             return None
-        if counters and all(c.count(meet.lo, meet.hi) == 1 for c in counters):
+        if chains and all(c.count(meet.lo, meet.hi) == 1 for c in chains):
             return g, meet
+        # both roots are irrational here, so narrowing never turns exact
         width = width / 2**8
-        e1, e2 = _dominant(p1, width), _dominant(p2, width)
+        e1, e2 = RootEnclosure(*r1.narrow(width)), RootEnclosure(*r2.narrow(width))
     raise InternalInconsistencyError("dominant comparison did not converge")
 
 

@@ -319,10 +319,14 @@ class FixedPointPrefix:
     be externally synchronized; reads of generated letters are safe.
     """
 
-    __slots__ = ("substitution", "_text", "_next", "_cap", "generations")
+    __slots__ = ("alphabet", "_table", "_longest", "_text", "_next", "_cap", "generations")
 
     def __init__(self, substitution: Substitution, cap: int | None = None):
-        self.substitution = substitution
+        # no reference back to the substitution, which holds this generator:
+        # without a cycle the buffer is freed with the substitution
+        self.alphabet = substitution.alphabet
+        self._table = substitution.morphism._table
+        self._longest = substitution.max_image_length()
         start_image = substitution.image(substitution.start)
         if len(start_image) < 2:
             raise GenerationError(
@@ -346,8 +350,7 @@ class FixedPointPrefix:
                 f"requested prefix length {n} exceeds the buffer cap {self._cap}",
                 budget=self._cap,
             )
-        table = self.substitution.morphism._table
-        longest = self.substitution.max_image_length()
+        table, longest = self._table, self._longest
         text = self._text
         while len(text) < n:
             # k letters expand to at most k * longest < n - len(text) + longest
@@ -359,7 +362,7 @@ class FixedPointPrefix:
         self._text = text
 
     def prefix(self, n: int) -> Word:
-        return _word(self.substitution.alphabet, self.text(n))
+        return _word(self.alphabet, self.text(n))
 
     def text(self, n: int) -> str:
         """Scan text of the first n letters."""

@@ -1,12 +1,13 @@
 """Reference spectral kernels, kept as oracles for :mod:`retword.spectrum` and
 :mod:`retword.intpoly`: the memoized minor expansion of the characteristic
-polynomial, and root isolation on a Sturm chain of ``Fraction`` coefficients
-evaluated by rational Horner's rule."""
+polynomial, the Euclidean algorithm over ``Fraction`` coefficients (gcd,
+squarefree part, Sturm chain), and root isolation on a ``Fraction`` Sturm
+chain evaluated by rational Horner's rule."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from retword.intpoly import IntPolynomial, root_magnitude_bound
 from retword.substitution import IncidenceMatrix
@@ -39,7 +40,13 @@ def minor_expansion_char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
     return minor(tuple(range(n)))
 
 
-def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _fractions(coeffs) -> tuple[Fraction, ...]:
+    """Integer coefficients (ascending, trimmed) as Fractions."""
+    return tuple(map(Fraction, coeffs))
+
+
+def _rem(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Remainder of a by a non-zero b over the rationals; both trimmed."""
     r = list(a)
     while r and len(r) >= len(b):
         f = r[-1] / b[-1]
@@ -48,28 +55,77 @@ def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             r[k + j] -= f * c
         while r and r[-1] == 0:
             r.pop()
-    return r
+    return tuple(r)
 
 
-def fraction_chain(p: IntPolynomial) -> list[list[Fraction]]:
-    """Sturm chain of the squarefree part of p, unscaled, over Fractions."""
-    sf = p.squarefree_part()
-    chain = [[Fraction(c) for c in sf.coeffs]]
-    d = [Fraction(c) for c in sf.derivative().coeffs]
+def _integral(v: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """v times the positive rational that makes its coefficients coprime integers."""
+    den = lcm(*(c.denominator for c in v))
+    ints = [c.numerator * (den // c.denominator) for c in v]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def _normalized(v: tuple[Fraction, ...]) -> IntPolynomial:
+    """The rational polynomial v as coprime integers with positive leading coefficient."""
+    if not v:
+        return IntPolynomial.zero()
+    ints = _integral(v)
+    return IntPolynomial(ints if ints[-1] > 0 else tuple(-c for c in ints))
+
+
+def fraction_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """Euclid's algorithm over the rationals, normalized like ``poly_gcd``."""
+    a, b = _fractions(p.coeffs), _fractions(q.coeffs)
+    while b:
+        a, b = b, _rem(a, b)
+    return _normalized(a)
+
+
+def fraction_squarefree_part(p: IntPolynomial) -> IntPolynomial:
+    """p divided by gcd(p, p') by long division over the rationals, normalized."""
+    if p.degree <= 0:
+        return p if p.is_zero else IntPolynomial.one()
+    g = _fractions(fraction_gcd(p, p.derivative()).coeffs)
+    r = list(_fractions(p.coeffs))
+    quot = [Fraction(0)] * (len(r) - len(g) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = r[k + len(g) - 1] / g[-1]
+        for j, c in enumerate(g):
+            r[k + j] -= quot[k] * c
+    assert not any(r), "gcd does not divide"
+    return _normalized(tuple(quot))
+
+
+def fraction_sturm_chain(p: IntPolynomial) -> list[tuple[int, ...]]:
+    """Sturm chain of p over the rationals, each member scaled to coprime integers."""
+    chain = [_fractions(p.coeffs)]
+    d = _fractions(p.derivative().coeffs)
     while d:
         chain.append(d)
-        d = [-c for c in _rem(chain[-2], chain[-1])]
+        d = tuple(-c for c in _rem(chain[-2], chain[-1]))
+    return [_integral(member) for member in chain]
+
+
+def fraction_chain(p: IntPolynomial) -> list[tuple[Fraction, ...]]:
+    """Sturm chain of the squarefree part of p, unscaled, over Fractions."""
+    sf = fraction_squarefree_part(p)
+    chain = [_fractions(sf.coeffs)]
+    d = _fractions(sf.derivative().coeffs)
+    while d:
+        chain.append(d)
+        d = tuple(-c for c in _rem(chain[-2], chain[-1]))
     return chain
 
 
-def _value(coeffs: list[Fraction], at: Fraction) -> Fraction:
+def _value(coeffs: tuple[Fraction, ...], at: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * at + c
     return acc
 
 
-def fraction_count(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
+def fraction_count(chain: list[tuple[Fraction, ...]], lo: Fraction, hi: Fraction) -> int:
     """Distinct roots in (lo, hi] from sign variations with zeros skipped."""
 
     def variations(at: Fraction) -> int:
@@ -111,7 +167,7 @@ def fraction_isolate(p: IntPolynomial, width: Fraction) -> tuple[Fraction, Fract
     Small coefficients only: the closing rational root test enumerates
     divisors by trial division.
     """
-    sf = p.squarefree_part()
+    sf = fraction_squarefree_part(p)
     chain = fraction_chain(sf)
     bound = root_magnitude_bound(sf)
     lo, hi = -bound, bound
@@ -129,3 +185,31 @@ def fraction_isolate(p: IntPolynomial, width: Fraction) -> tuple[Fraction, Fract
         if lo < cand <= hi:
             return cand, cand, True
     return lo, hi, False
+
+
+def fraction_certify_equal_dominant(
+    p1: IntPolynomial, p2: IntPolynomial, precision: Fraction, max_refinements: int = 60
+) -> tuple[IntPolynomial, tuple[Fraction, Fraction, bool]] | None:
+    """The dominant-equality certificate with both roots re-isolated from the
+    root bound in every refinement round, all on Fraction chains."""
+    e1, e2 = fraction_isolate(p1, precision), fraction_isolate(p2, precision)
+    if e1[2] and e2[2]:
+        return (fraction_gcd(p1, p2), e1) if e1[1] == e2[1] else None
+    if e1[2] or e2[2]:
+        value = e1[1] if e1[2] else e2[1]
+        other_poly, (lo, hi, _) = (p2, e2) if e1[2] else (p1, e1)
+        if other_poly(value) == 0 and lo < value <= hi:
+            return fraction_gcd(p1, p2), (value, value, True)
+        return None
+    g = fraction_gcd(p1, p2)
+    chains = [fraction_chain(q) for q in (g, p1, p2)] if g.degree >= 1 else []
+    width = precision
+    for _ in range(max_refinements):
+        lo, hi = max(e1[0], e2[0]), min(e1[1], e2[1])
+        if hi < lo:
+            return None
+        if chains and all(fraction_count(c, lo, hi) == 1 for c in chains):
+            return g, (lo, hi, False)
+        width = width / 2**8
+        e1, e2 = fraction_isolate(p1, width), fraction_isolate(p2, width)
+    raise AssertionError("dominant comparison did not converge")

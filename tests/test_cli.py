@@ -336,3 +336,46 @@ def test_periodic_24_letter_product_finishes(files):
     data = json.loads(proc.stdout)
     assert data["data"]["product_alphabet_size"] == 24
     assert [c["outcome"] for c in data["checks"]] == ["pass"] * 5
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--sample-len", "0"], "error: sample length must be >= 1, got 0\n"),
+        (["--sample-len", "-4"], "error: sample length must be >= 1, got -4\n"),
+        (["--inj-length", "0"], "error: injectivity length bound must be >= 1, got 0\n"),
+    ],
+)
+def test_circularity_refuses_empty_samples(files, capsys, flag, message):
+    status, _ = run_command(["circularity", files["fib"], *flag])
+    assert status == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def _without_elapsed(stdout: str) -> str:
+    return "".join(line for line in stdout.splitlines(keepends=True) if not line.startswith("elapsed: "))
+
+
+def test_parser_reuse_matches_fresh_processes(files, capsys):
+    """Commands run one after another on the process's one parser give the
+    exit codes and output of each command run in a fresh interpreter."""
+    package_root = Path(retword.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    commands = [
+        ["tower", "--depth"],
+        ["tower", files["fib"], "--depth", "3"],
+        ["tower", files["fib"]],
+        ["fixed-point", files["fib"], "--json"],
+    ]
+    for argv in commands:
+        status, _ = run_command(argv)
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "retword.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert status == proc.returncode
+        assert _without_elapsed(captured.out) == _without_elapsed(proc.stdout)
+        assert captured.err == proc.stderr
+    assert retword.cli.build_parser() is retword.cli.build_parser()

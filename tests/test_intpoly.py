@@ -9,6 +9,7 @@ from retword.intpoly import (
     DIVISOR_CAP,
     IntPolynomial,
     SturmCounter,
+    _sturm_chain,
     cyclotomic,
     euler_phi,
     isolate_largest_real_root,
@@ -20,7 +21,13 @@ from retword.intpoly import (
 from retword.returns import return_substitution
 from retword.spectrum import char_poly, spectrum_of_poly, strip_trivial_poly
 from retword.substitution import IncidenceMatrix
-from spectral_oracle import divisor_rational_roots, fraction_isolate
+from spectral_oracle import (
+    divisor_rational_roots,
+    fraction_gcd,
+    fraction_isolate,
+    fraction_squarefree_part,
+    fraction_sturm_chain,
+)
 
 P = IntPolynomial
 
@@ -299,3 +306,47 @@ def test_rational_roots_non_monic_beyond_cap_raises():
     with pytest.raises(ResourceLimitError) as info:
         rational_roots(p)
     assert info.value.budget == DIVISOR_CAP
+
+
+@st.composite
+def repeated_factor_polys(draw):
+    """Products of small factors to powers up to 3, degree at most 12."""
+    p = P(draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3).filter(lambda c: c[-1] != 0)))
+    for _ in range(draw(st.integers(0, 4))):
+        factor = P(draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)))
+        exponent = draw(st.integers(1, 3))
+        if p.degree + exponent * factor.degree > 12:
+            break
+        p = p * factor**exponent
+    return p
+
+
+matrix_char_polys = st.integers(2, 16).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(lambda rows: char_poly(IncidenceMatrix(rows)))
+
+kernel_polys = st.one_of(repeated_factor_polys(), matrix_char_polys)
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=kernel_polys, b=kernel_polys, common=repeated_factor_polys())
+def test_poly_gcd_matches_fraction_euclid(a, b, common):
+    assert poly_gcd(a, b) == fraction_gcd(a, b)
+    assert poly_gcd(a * common, b * common) == fraction_gcd(a * common, b * common)
+    assert poly_gcd(P(()), -a) == fraction_gcd(P(()), -a) == (-a).primitive()
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=kernel_polys)
+def test_squarefree_part_matches_fraction_euclid(p):
+    assert p.squarefree_part() == fraction_squarefree_part(p)
+    assert (-p).squarefree_part() == fraction_squarefree_part(-p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=kernel_polys)
+def test_sturm_chain_matches_fraction_euclid(p):
+    assert _sturm_chain(p) == fraction_sturm_chain(p)
+    assert _sturm_chain(-p) == fraction_sturm_chain(-p)
+    sf = p.squarefree_part()
+    assert _sturm_chain(sf) == fraction_sturm_chain(sf)

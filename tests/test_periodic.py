@@ -1,4 +1,8 @@
+import sys
+from pathlib import Path
+
 import pytest
+from retword.cli import run_command
 from retword.periodic import (
     PeriodicPresentation,
     build_periodic_presentation,
@@ -129,3 +133,40 @@ def test_works_for_other_bases(morse, trib):
     for base in (morse, trib):
         pres = build_periodic_presentation(TARGET.word("ab"), base)
         assert verify_presentation(pres, 200).passed
+
+
+def _count_certificates(monkeypatch) -> list:
+    calls = []
+    periodic_module = sys.modules["retword.periodic"]
+
+    def counted(m1, m2, *args):
+        calls.append((m1, m2))
+        return certify_equal_dominant(m1, m2, *args)
+
+    monkeypatch.setattr(periodic_module, "certify_equal_dominant", counted)
+    return calls
+
+
+def test_periodic_command_certifies_once(monkeypatch, capsys):
+    calls = _count_certificates(monkeypatch)
+    sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
+    status, report = run_command(["periodic", str(sample), "--period", "0110", "--json"])
+    assert status == 0
+    assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
+    assert len(calls) == 1
+
+
+def test_hand_built_presentation_certifies_afresh(monkeypatch, fib):
+    calls = _count_certificates(monkeypatch)
+    pres = build_periodic_presentation(TARGET.word("ab"), fib)
+    assert len(calls) == 1
+    assert verify_presentation(pres, check_len=10).passed
+    assert len(calls) == 1
+    copy = PeriodicPresentation(
+        pres.period, pres.exponent, pres.base, pres.zeta, pres.psi, pres.coding
+    )
+    assert copy == pres
+    assert verify_presentation(copy, check_len=10).passed
+    assert len(calls) == 2
+    assert copy.dominant_certificate() == pres.dominant_certificate()
+    assert len(calls) == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from retword.errors import CancelledSearch
 from retword.intpoly import IntPolynomial, SturmCounter, poly_gcd
+from retword.periodic import build_periodic_presentation
 from retword.returns import return_substitution
 from retword.spectrum import (
     char_poly,
@@ -20,7 +21,8 @@ from retword.spectrum import (
     strip_trivial_poly,
 )
 from retword.substitution import IncidenceMatrix, identity_matrix
-from spectral_oracle import minor_expansion_char_poly
+from retword.words import Word
+from spectral_oracle import fraction_certify_equal_dominant, minor_expansion_char_poly
 
 P = IntPolynomial
 
@@ -283,6 +285,71 @@ def test_certify_equal_dominant_one_char_poly_per_matrix(monkeypatch):
     g, meet = certify_equal_dominant(fib_and_one, fib, Fraction(1))
     assert g == P((-1, -1, 1)) and meet.lo < Fraction(1618034, 10**6) < meet.hi
     assert calls == [fib_and_one, fib]
+
+
+def _certificate(m1, m2, precision):
+    cert = certify_equal_dominant(m1, m2, precision)
+    if cert is None:
+        return None
+    g, enc = cert
+    return g, (enc.lo, enc.hi, enc.exact)
+
+
+nonnegative_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+).map(IncidenceMatrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=nonnegative_matrices,
+    b=nonnegative_matrices,
+    precision=st.sampled_from((Fraction(1, 10**9), Fraction(1, 10), Fraction(1))),
+)
+def test_certify_equal_dominant_matches_reisolating_oracle(a, b, precision):
+    # pairs with distinct dominants, and pairs sharing one through a block
+    for m1, m2 in ((a, b), (_block(a, b), a), (b, _block(a, b)), (a @ a, a @ a)):
+        want = fraction_certify_equal_dominant(char_poly(m1), char_poly(m2), precision)
+        assert _certificate(m1, m2, precision) == want
+
+
+def test_certify_equal_dominant_matches_oracle_on_presentations(fib, morse, trib):
+    for base, period in ((fib, (0, 1)), (fib, (0, 0, 1)), (morse, (0, 1, 1, 0)), (trib, (0, 2))):
+        pres = build_periodic_presentation(Word(base.alphabet, period), base)
+        m1, m2 = pres.zeta.matrix(), base.matrix() ** pres.exponent
+        want = fraction_certify_equal_dominant(char_poly(m1), char_poly(m2), Fraction(1, 10**9))
+        assert want is not None
+        assert _certificate(m1, m2, Fraction(1, 10**9)) == want
+
+
+def test_certify_equal_dominant_one_squarefree_part_per_polynomial(monkeypatch, fib):
+    pres = build_periodic_presentation(Word(fib.alphabet, (0, 0, 1)), fib)
+    fib_m = IncidenceMatrix(((1, 1), (1, 0)))
+    fib_and_one = IncidenceMatrix(((1, 1, 0), (1, 0, 0), (0, 0, 1)))
+    fib_and_zero = IncidenceMatrix(((1, 1, 0), (1, 0, 0), (0, 0, 0)))
+    trib_and_one = IncidenceMatrix(((1, 1, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)))
+    pairs = [
+        (fib_and_one, fib_and_zero, 3),  # the gcd is a third polynomial
+        (fib_and_one, fib_m, 2),  # the gcd is the second polynomial
+        (pres.zeta.matrix(), fib.matrix() ** pres.exponent, 2),
+        # distinct dominants with a common factor x - 1: width-1 enclosures
+        # overlap, so the refinement loop narrows both bisections
+        (fib_and_one, trib_and_one, 3),
+    ]
+    calls = []
+    squarefree_part = P.squarefree_part
+
+    def counted(self):
+        calls.append(self)
+        return squarefree_part(self)
+
+    monkeypatch.setattr(P, "squarefree_part", counted)
+    for m1, m2, distinct in pairs:
+        calls.clear()
+        cert = certify_equal_dominant(m1, m2, Fraction(1))
+        assert len(calls) == len(set(calls)) == distinct
+        assert set(calls) == {char_poly(m1), char_poly(m2), poly_gcd(char_poly(m1), char_poly(m2))}
+        assert (cert is None) == (m2 is trib_and_one)
 
 
 def test_same_nonzero_root_sets():

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -142,6 +144,25 @@ def test_fixed_point_requires_growing_start():
     sub = substitution_from_strings("a b", {"a": "a", "b": "ab"}, "a")
     with pytest.raises(GenerationError):
         FixedPointPrefix(sub)
+
+
+def test_generated_prefix_freed_without_cycle_collection():
+    """The substitution and its fixed-point buffer form no reference cycle,
+    so dropping the substitution frees the buffer at once."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        sub = substitution_from_strings("a b", {"a": "ab", "b": "a"}, "a")
+        fixed_point_prefix(sub, 200_000)
+        held, _ = tracemalloc.get_traced_memory()
+        del sub
+        left, _ = tracemalloc.get_traced_memory()
+        assert held > 200_000 > 10 * left
+        assert gc.collect() == 0
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 def test_fixed_point_cap_enforced(fib):
