@@ -7,6 +7,7 @@ substitutions, analyses eigenvalue transfer in exact integer arithmetic, and
 decides bounded multiplicative dependence of dominant eigenvalues.
 """
 
+from .checks import Check
 from .circularity import (
     Interpretation,
     InjectivityCertificate,

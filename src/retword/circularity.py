@@ -13,6 +13,7 @@ lower-bound reports, not proofs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .returns import nonperiodic_check, return_substitution
@@ -58,10 +59,17 @@ class _InterpretationContext:
         self.singles = [Word(tau.alphabet, (c,)) for c in range(tau.alphabet.size)]
 
     def interpretations(self, x: Word) -> list[Interpretation]:
+        """Every interpretation of x, sorted by (left, core, right) scan texts.
+
+        A worklist of partial cuts (cut, position, core) grows each core one
+        letter image at a time while the longer core stays in the pool.
+        """
         text = x.scan_text
         found: dict[tuple[str, str, str], Interpretation] = {}
-
-        def extend(cut: int, pos: int, core: Word) -> None:
+        empty = Word(self.tau.alphabet, ())
+        work = [(len(left), len(left), empty) for left in self.suffixes if text.startswith(left)]
+        while work:
+            cut, pos, core = work.pop()
             rest = text[pos:]
             if rest in self.prefixes:
                 found[text[:cut], core.scan_text, rest] = Interpretation(x[:cut], core, x[pos:])
@@ -69,11 +77,7 @@ class _InterpretationContext:
                 if rest.startswith(im):
                     longer = core + self.singles[c]
                     if longer.scan_text in self.pool:
-                        extend(cut, pos + len(im), longer)
-
-        for left in self.suffixes:
-            if text.startswith(left):
-                extend(len(left), len(left), Word(self.tau.alphabet, ()))
+                        work.append((cut, pos + len(im), longer))
         return [found[key] for key in sorted(found)]
 
 
@@ -154,6 +158,25 @@ def _require_length_bound(length_bound: int) -> None:
         raise ValueError(f"injectivity length bound must be >= 1, got {length_bound}")
 
 
+def _first_collision(
+    sub: Substitution, words: Iterable[Word]
+) -> tuple[int, tuple[Word, Word] | None]:
+    """How many words were read, and the first two distinct ones sharing an image.
+
+    Images are keyed by their scan texts, so a dict hit is an exact equality.
+    """
+    by_image: dict[str, Word] = {}
+    checked = 0
+    for word in words:
+        checked += 1
+        image = sub(word).scan_text
+        other = by_image.get(image)
+        if other is not None and other != word:
+            return checked, (other, word)
+        by_image[image] = word
+    return checked, None
+
+
 def check_injectivity(
     tau: Substitution, u: Word, length_bound: int = 30, derived_sample: int = 2000
 ) -> InjectivityCertificate:
@@ -170,36 +193,14 @@ def check_injectivity(
     system, tau_u = return_substitution(tau, u)
     coding = system.coding()
     shortest = min(len(w) for w in system.return_words)
-    by_image: dict[str, Word] = {}
-    checked = 0
     max_derived = max(0, length_bound // max(1, shortest))
     derived_factors = []
     if max_derived:
         host = fixed_point_prefix(tau_u, derived_sample)
         derived_factors = factors(host, range(1, max_derived + 1))
-    for derived in derived_factors:
-        word = coding(derived)
-        if len(word) > length_bound:
-            continue
-        checked += 1
-        image = tau(word).scan_text
-        other = by_image.get(image)
-        if other is not None and other != word:
-            return InjectivityCertificate(u, length_bound, checked, False, (other, word))
-        by_image[image] = word
-    return InjectivityCertificate(u, length_bound, checked, True, None)
-
-
-def _injective_on_own_factors(sub: Substitution, max_len: int, sample_len: int) -> bool:
-    """Pairwise-distinct images over the factors of the substitution's own fixed point."""
-    by_image: dict[str, Word] = {}
-    for word in factors(fixed_point_prefix(sub, sample_len), range(1, max_len + 1)):
-        image = sub(word).scan_text
-        other = by_image.get(image)
-        if other is not None and other != word:
-            return False
-        by_image[image] = word
-    return True
+    words = (w for w in map(coding, derived_factors) if len(w) <= length_bound)
+    checked, collision = _first_collision(tau, words)
+    return InjectivityCertificate(u, length_bound, checked, collision is None, collision)
 
 
 def find_n0(
@@ -223,6 +224,7 @@ def find_n0(
         if not cert.passed:
             continue
         _, tau_u = return_substitution(tau, u)
-        if _injective_on_own_factors(tau_u, length_bound, derived_sample):
+        own = factors(fixed_point_prefix(tau_u, derived_sample), range(1, length_bound + 1))
+        if _first_collision(tau_u, own)[1] is None:
             return n
     return None

@@ -3,10 +3,12 @@
 Every command prints a human-readable report; with ``--json`` it prints a
 machine-readable mirror instead (byte-identical across runs for identical
 inputs: no timestamps, rationals as "p/q" strings, intervals with explicit
-endpoints).  Exit codes: 0 all checks pass, 1 a check failed, 2 usage, parse
-or input error, 3 a bounded search exhausted its budget, 4 internal
-inconsistency or cancelled search.  Codes 2-4 print one ``error:`` (or
-``budget exhausted:``) line on stderr and nothing on stdout.
+endpoints).  Every check in a report is a :class:`~retword.checks.Check`,
+the record the library returns.  Exit codes: 0 all checks pass, 1 a check
+failed, 2 usage, parse or input error, 3 a bounded search exhausted its
+budget, 4 internal inconsistency, cancelled search or any other exception
+(``error: internal error (<Type>): <message>``).  Codes 2-4 print one
+``error:`` (or ``budget exhausted:``) line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 from fractions import Fraction
 from typing import Any
 
+from .checks import Check
 from .circularity import find_n0, sync_delay_search
 from .errors import (
     CancelledSearch,
@@ -91,7 +94,12 @@ def _spectrum_data(s: Spectrum) -> dict:
 
 
 class Report:
-    """Accumulates configuration, data and check outcomes for one command."""
+    """Accumulates configuration, data and checks for one command.
+
+    Each added :class:`Check` is stored as its JSON dict; the exit code is
+    read from the outcomes: 1 if any check failed, else 3 if any search came
+    back absent, else 0.
+    """
 
     def __init__(self, command: str, argv: list[str], config: dict):
         self.payload: dict = {
@@ -101,34 +109,19 @@ class Report:
             "checks": [],
             "data": {},
         }
-        self.budget_exhausted = False
 
-    def check(self, name: str, passed: bool, detail: Any = None) -> bool:
-        entry = {"name": name, "outcome": "pass" if passed else "fail"}
-        if detail is not None:
-            entry["detail"] = detail
-        self.payload["checks"].append(entry)
-        return passed
-
-    def absent(self, name: str, bound_note: str) -> None:
-        self.payload["checks"].append(
-            {"name": name, "outcome": "absent", "detail": bound_note}
-        )
-        self.budget_exhausted = True
-
-    def found(self, name: str, witness: Any) -> None:
-        self.payload["checks"].append(
-            {"name": name, "outcome": "found", "witness": witness}
-        )
+    def add(self, check: Check) -> None:
+        self.payload["checks"].append(check.as_json())
 
     def data(self, key: str, value: Any) -> None:
         self.payload["data"][key] = value
 
     @property
     def exit_code(self) -> int:
-        if any(c["outcome"] == "fail" for c in self.payload["checks"]):
+        outcomes = {c["outcome"] for c in self.payload["checks"]}
+        if "fail" in outcomes:
             return EXIT_CHECK_FAILED
-        if self.budget_exhausted:
+        if "absent" in outcomes:
             return EXIT_BUDGET
         return EXIT_OK
 
@@ -297,7 +290,7 @@ def _cmd_return_sub(args, report: Report) -> None:
         and spelling(tau_u.images) == spelling(sub.images)
     )
     report.data("equals_original_after_renaming", same)
-    report.check("eigenvalue-transfer", eigenvalue_transfer_check(sub, u))
+    report.add(Check.of("eigenvalue-transfer", eigenvalue_transfer_check(sub, u)))
 
 
 def _cmd_derived(args, report: Report) -> None:
@@ -307,9 +300,8 @@ def _cmd_derived(args, report: Report) -> None:
     report.data("derived_prefix", dp.letters.text())
     decoded = dp.decoded()
     host = fixed_point_prefix(sub, len(decoded)) if len(decoded) else None
-    report.check(
-        "decoding-is-prefix-of-fixed-point",
-        host is not None and decoded == host,
+    report.add(
+        Check.of("decoding-is-prefix-of-fixed-point", host is not None and decoded == host)
     )
 
 
@@ -328,9 +320,9 @@ def _cmd_tower(args, report: Report) -> None:
         ],
     )
     if tower.repetition is not None:
-        report.found("tower-repetition", list(tower.repetition))
+        report.add(Check("tower-repetition", "found", witness=list(tower.repetition)))
     else:
-        report.absent("tower-repetition", f"no repetition <= depth {args.depth}")
+        report.add(Check("tower-repetition", "absent", f"no repetition <= depth {args.depth}"))
 
 
 def _cmd_relations(args, report: Report) -> None:
@@ -338,17 +330,19 @@ def _cmd_relations(args, report: Report) -> None:
     u, v = _word_arg(sub, args.u), _word_arg(sub, args.v)
     rel = verify_propprec(sub, u, v)
     report.data("k", rel.k)
-    for chk in rel.identities:
-        report.check(chk.name, chk.passed, chk.first_failure)
+    for chk in rel.checks:
+        report.add(chk)
     n0 = two_occurrence_exponent(sub, u)
     report.data("two_occurrence_exponent", n0)
     for l in range(n0, n0 + args.span):
         md = matrix_decomposition(sub, u, l)
-        report.check(f"matrix-split-nonnegative-Q(l={l})", md.q_nonnegative)
-        report.check(
-            f"matrix-split-bounds(l={l})",
-            md.q_within_bound and md.p_within_bound,
-            {"q_bound": _frac(md.q_bound), "p_bound": _frac(md.p_bound)},
+        report.add(Check.of(f"matrix-split-nonnegative-Q(l={l})", md.q_nonnegative))
+        report.add(
+            Check.of(
+                f"matrix-split-bounds(l={l})",
+                md.q_within_bound and md.p_within_bound,
+                {"q_bound": _frac(md.q_bound), "p_bound": _frac(md.p_bound)},
+            )
         )
 
 
@@ -356,14 +350,15 @@ def _cmd_circularity(args, report: Report) -> None:
     sub, _ = _load(args.file)
     n0 = find_n0(sub, args.inj_length, args.max_prefix)
     if n0 is None:
-        report.absent("injectivity-prefix", f"no passing prefix <= {args.max_prefix}")
+        report.add(Check("injectivity-prefix", "absent", f"no passing prefix <= {args.max_prefix}"))
     else:
-        report.found("injectivity-prefix", n0)
+        report.add(Check("injectivity-prefix", "found", witness=n0))
     delay = sync_delay_search(sub, args.delay_max, args.sample_len)
     if delay is None:
-        report.absent("synchronization-delay", f"no delay <= {args.delay_max} on the sample")
+        note = f"no delay <= {args.delay_max} on the sample"
+        report.add(Check("synchronization-delay", "absent", note))
     else:
-        report.found("synchronization-delay", delay)
+        report.add(Check("synchronization-delay", "found", witness=delay))
     report.data("sample_len", args.sample_len)
     report.data(
         "delay_note",
@@ -376,26 +371,20 @@ def _cmd_shared(args, report: Report) -> None:
     right, _ = _load(args.right)
     pair = power_coincidence(left, right, args.power_bound)
     if pair is None:
-        report.absent("power-coincidence", f"no pair <= {args.power_bound}")
+        report.add(Check("power-coincidence", "absent", f"no pair <= {args.power_bound}"))
     else:
-        report.found("power-coincidence", list(pair))
+        report.add(Check("power-coincidence", "found", witness=list(pair)))
     witness = shared_fixed_point_analysis(left, right, depth=args.depth, budget=args.budget)
     if witness is None:
-        report.absent(
-            "shared-prefix-power-equality",
-            f"no witness with depth {args.depth}, exponent budget {args.budget}",
-        )
+        note = f"no witness with depth {args.depth}, exponent budget {args.budget}"
+        report.add(Check("shared-prefix-power-equality", "absent", note))
     else:
-        report.found(
-            "shared-prefix-power-equality",
-            {"prefix": witness.prefix.text(), "i": witness.i, "j": witness.j},
-        )
+        found = {"prefix": witness.prefix.text(), "i": witness.i, "j": witness.j}
+        report.add(Check("shared-prefix-power-equality", "found", witness=found))
         lt = return_substitution(left, witness.prefix)[1]
         rt = return_substitution(right, witness.prefix)[1]
-        report.check(
-            "witness-identity-exact",
-            spelling(power(lt, witness.i).images) == spelling(power(rt, witness.j).images),
-        )
+        exact = spelling(power(lt, witness.i).images) == spelling(power(rt, witness.j).images)
+        report.add(Check.of("witness-identity-exact", exact))
 
 
 def _cmd_cobham(args, report: Report) -> None:
@@ -406,7 +395,7 @@ def _cmd_cobham(args, report: Report) -> None:
     a = morphic_image_prefix(coding_left, left, args.prefix_check)
     b = morphic_image_prefix(coding_right, right, args.prefix_check)
     gate = a.symbols() == b.symbols()
-    report.check("coded-fixed-points-agree", gate, f"compared {args.prefix_check} letters")
+    report.add(Check.of("coded-fixed-points-agree", gate, f"compared {args.prefix_check} letters"))
     report.data(
         "dominant_left", _enclosure(spectrum(left.matrix()).dominant)
     )
@@ -417,17 +406,15 @@ def _cmd_cobham(args, report: Report) -> None:
         return
     witness = mult_dependent(left.matrix(), right.matrix(), args.bound)
     if witness is None:
-        report.absent("multiplicative-dependence", f"no witness <= {args.bound}")
+        report.add(Check("multiplicative-dependence", "absent", f"no witness <= {args.bound}"))
     else:
-        report.found(
-            "multiplicative-dependence",
-            {
-                "m": witness.m,
-                "n": witness.n,
-                "certified": witness.certified,
-                "value": _frac(witness.exact_value) if witness.exact_value is not None else None,
-            },
-        )
+        found = {
+            "m": witness.m,
+            "n": witness.n,
+            "certified": witness.certified,
+            "value": _frac(witness.exact_value) if witness.exact_value is not None else None,
+        }
+        report.add(Check("multiplicative-dependence", "found", witness=found))
 
 
 def _cmd_periodic(args, report: Report) -> None:
@@ -436,9 +423,8 @@ def _cmd_periodic(args, report: Report) -> None:
     pres = build_periodic_presentation(period, sub)
     report.data("exponent", pres.exponent)
     report.data("product_alphabet_size", pres.product_alphabet.size)
-    rep = verify_presentation(pres, args.check_len)
-    for chk in rep.checks:
-        report.check(chk.name, chk.passed, chk.detail or None)
+    for chk in verify_presentation(pres, args.check_len):
+        report.add(chk)
 
 
 _HANDLERS = {
@@ -482,6 +468,9 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         return EXIT_BUDGET, report
     except (InternalInconsistencyError, CancelledSearch) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL, report
+    except Exception as exc:
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INTERNAL, report
     elapsed = time.perf_counter() - started
     if args.json:

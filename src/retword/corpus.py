@@ -43,13 +43,3 @@ def dominant_four_pair() -> tuple[Substitution, Substitution, Morphism]:
     )
     return tau, sigma, phi
 
-
-def standard_corpus() -> dict[str, Substitution]:
-    """The four substitutions exercised by the cross-cutting property suites."""
-    tau, _, _ = dominant_four_pair()
-    return {
-        "fibonacci": fibonacci(),
-        "thue_morse": thue_morse(),
-        "tribonacci": tribonacci(),
-        "quad": tau,
-    }

@@ -6,15 +6,22 @@ product alphabet of (letter, position-in-m) pairs then carries a substitution
 whose fixed point, read through the position coordinate, spells m forever;
 its dominant eigenvalue is the k-th power of tau's.  The caller supplies the
 primitive substitution realizing the desired dominant eigenvalue.
+
+Every invariant of a presentation is a :class:`~retword.checks.Check`.  The
+four that do not depend on a prefix length (the intertwining identity,
+primitivity of zeta, the period column under coding∘psi and the dominant
+eigenvalue certificate) are computed once per presentation and kept on it;
+only the coded prefix is checked again for each requested length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
+from .checks import Check
 from .errors import InternalInconsistencyError
-from .intpoly import IntPolynomial
-from .spectrum import RootEnclosure, certify_equal_dominant
+from .spectrum import certify_equal_dominant
 from .substitution import (
     Alphabet,
     Morphism,
@@ -43,37 +50,42 @@ class PeriodicPresentation:
     zeta: Substitution
     psi: Morphism
     coding: Morphism
-    # the dominant-eigenvalue certificate in a 1-tuple, filled on first use
-    _dominant_cert: tuple[tuple[IntPolynomial, RootEnclosure] | None] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def product_alphabet(self) -> Alphabet:
         return self.zeta.alphabet
 
-    def dominant_certificate(self) -> tuple[IntPolynomial, RootEnclosure] | None:
-        """``certify_equal_dominant`` of zeta's matrix and tau^k's, computed once."""
-        if self._dominant_cert is None:
-            cert = certify_equal_dominant(self.zeta.matrix(), self.base.matrix() ** self.exponent)
-            object.__setattr__(self, "_dominant_cert", (cert,))
-        return self._dominant_cert[0]
+    @cached_property
+    def structural_checks(self) -> tuple[Check, ...]:
+        """The four checks independent of a prefix length, computed on first use.
 
-
-@dataclass(frozen=True)
-class PresentationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class PresentationReport:
-    checks: tuple[PresentationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        In order: zeta∘psi = psi∘tau^k letter by letter (naming the first
+        offender), primitivity of zeta, the period spelled by coding∘psi on
+        every base letter, and exact equality of zeta's dominant eigenvalue
+        with the k-th power of the base's.  The cache is not a field, so a
+        hand-built presentation computes its own.
+        """
+        rho = power(self.base, self.exponent)
+        lhs = compose(self.zeta.morphism, self.psi)
+        rhs = compose(self.psi, rho.morphism)
+        base = self.base.alphabet
+        bad = next(
+            (base.symbol(b) for b in range(base.size) if lhs.image(b) != rhs.image(b)), None
+        )
+        primitive, witness = is_primitive(self.zeta.matrix())
+        column_ok = all(self.coding(self.psi.image(b)) == self.period for b in range(base.size))
+        cert = certify_equal_dominant(self.zeta.matrix(), self.base.matrix() ** self.exponent)
+        offender = None if bad is None else f"fails at letter {bad!r}"
+        return (
+            Check.of("zeta∘psi=psi∘tau^k", bad is None, offender),
+            Check.of("zeta-primitive", primitive, f"witness exponent {witness}"),
+            Check.of("coding∘psi-spells-period", column_ok),
+            Check.of(
+                "dominant-eigenvalue-power",
+                cert is not None,
+                "gcd certificate with isolated common root" if cert is not None else None,
+            ),
+        )
 
 
 def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentation:
@@ -130,43 +142,21 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
         tuple(m[i : i + 1] for b in range(base_alphabet.size) for i in range(p)),
     )
     presentation = PeriodicPresentation(m, k, tau, zeta, psi, coding)
-    report = verify_presentation(presentation, check_len=4 * p)
-    if not report.passed:
-        failed = [c.name for c in report.checks if not c.passed]
+    failed = [c.name for c in verify_presentation(presentation, check_len=4 * p) if not c.passed]
+    if failed:
         raise InternalInconsistencyError(f"periodic construction failed checks: {failed}")
     return presentation
 
 
-def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> PresentationReport:
-    """Re-check every invariant of a presentation; failures are report entries.
+def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> tuple[Check, ...]:
+    """Every invariant of a presentation as a check; failures are entries, not errors.
 
-    Checks: the intertwining identity zeta∘psi = psi∘tau^k letter by letter
-    (naming the first offender), primitivity of zeta, the coded fixed point
-    against the periodic target up to ``check_len``, the column of the period
-    under coding∘psi, and exact equality of zeta's dominant eigenvalue with
-    the k-th power of the base's (certified once per presentation, see
-    ``PeriodicPresentation.dominant_certificate``).
+    The coded fixed point is compared with the periodic target on its first
+    ``check_len`` letters (skipped at length 0); the other four checks are
+    the presentation's ``structural_checks``, computed once per presentation.
+    The order is: intertwining identity, primitivity, coded prefix, period
+    column, dominant eigenvalue.
     """
-    checks: list[PresentationCheck] = []
-    rho = power(pres.base, pres.exponent)
-    lhs = compose(pres.zeta.morphism, pres.psi)
-    rhs = compose(pres.psi, rho.morphism)
-    bad = None
-    for b in range(pres.base.alphabet.size):
-        if lhs.image(b) != rhs.image(b):
-            bad = pres.base.alphabet.symbol(b)
-            break
-    checks.append(
-        PresentationCheck(
-            "zeta∘psi=psi∘tau^k", bad is None, "" if bad is None else f"fails at letter {bad!r}"
-        )
-    )
-
-    primitive, witness = is_primitive(pres.zeta.matrix())
-    checks.append(
-        PresentationCheck("zeta-primitive", primitive, f"witness exponent {witness}")
-    )
-
     coded_ok = True
     detail = f"checked {check_len} letters"
     if check_len > 0:
@@ -175,20 +165,6 @@ def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> Pr
         coded_ok = coded == target[:check_len]
     else:
         detail = "prefix check skipped (length 0)"
-    checks.append(PresentationCheck("coded-fixed-point-periodic", coded_ok, detail))
-
-    column_ok = all(
-        pres.coding(pres.psi.image(b)) == pres.period
-        for b in range(pres.base.alphabet.size)
-    )
-    checks.append(PresentationCheck("coding∘psi-spells-period", column_ok))
-
-    cert = pres.dominant_certificate()
-    checks.append(
-        PresentationCheck(
-            "dominant-eigenvalue-power",
-            cert is not None,
-            "gcd certificate with isolated common root" if cert is not None else "",
-        )
-    )
-    return PresentationReport(tuple(checks))
+    identity, primitive, column, dominant = pres.structural_checks
+    coded_check = Check.of("coded-fixed-point-periodic", coded_ok, detail)
+    return identity, primitive, coded_check, column, dominant

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .checks import Check
 from .errors import (
     CancelledSearch,
     DecompositionError,
@@ -113,19 +114,13 @@ def kappa_morphism(
 
 
 @dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    first_failure: str | None = None
-
-
-@dataclass(frozen=True)
 class RelationReport:
     """The bridge morphisms between two return substitutions, with their identities.
 
     A passing report certifies, letter by letter as exact word equalities:
     tau_v ∘ kappa = kappa ∘ tau_u, tau_u ∘ lambda = lambda ∘ tau_v,
-    kappa ∘ lambda = tau_v^k and lambda ∘ kappa = tau_u^k.
+    kappa ∘ lambda = tau_v^k and lambda ∘ kappa = tau_u^k.  A failed
+    identity's ``detail`` names the first offending letter.
     """
 
     u: Word
@@ -135,20 +130,20 @@ class RelationReport:
     kappa: Morphism
     tau_u: Substitution
     tau_v: Substitution
-    identities: tuple[IdentityCheck, ...]
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.identities)
+        return all(c.passed for c in self.checks)
 
 
-def _morphisms_equal_check(name: str, f: Morphism, g: Morphism) -> IdentityCheck:
+def _morphisms_equal_check(name: str, f: Morphism, g: Morphism) -> Check:
     if f.source != g.source or f.target != g.target:
-        return IdentityCheck(name, False, "alphabet mismatch")
+        return Check.of(name, False, "alphabet mismatch")
     for b in range(f.source.size):
         if f.image(b) != g.image(b):
-            return IdentityCheck(name, False, f.source.symbol(b))
-    return IdentityCheck(name, True)
+            return Check.of(name, False, f.source.symbol(b))
+    return Check.of(name, True)
 
 
 def verify_propprec(tau: Substitution, u: Word, v: Word) -> RelationReport:

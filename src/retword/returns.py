@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .checks import Check
 from .errors import DecompositionError, InternalInconsistencyError, ResourceLimitError
 from .substitution import (
     Morphism,
@@ -264,43 +265,12 @@ def derived_prefix(tau: Substitution, u: Word, n: int) -> DerivedPrefix:
     return DerivedPrefix(system, sub, fixed_point_prefix(sub, n))
 
 
-def derived_prefix_by_scan(tau: Substitution, u: Word, n: int) -> Word:
-    """Derived prefix read directly off the fixed point, as an independent route."""
-    system, _ = return_substitution(tau, u)
-    fp = tau.fixed_point()
-    index = {rw.scan_text: i for i, rw in enumerate(system.return_words)}
-    longest = max(len(rw) for rw in system.return_words)
-    need = (n + 1) * longest + len(u)
-    while True:
-        text = fp.text(need)
-        hits = find_all(text, u.scan_text)
-        if len(hits) >= n + 1:
-            break
-        need *= 2
-    out = []
-    for a, b in zip(hits, hits[1:]):
-        letter = index.get(text[a:b])
-        if letter is None:
-            raise InternalInconsistencyError("scan met an unknown return word")
-        out.append(letter)
-        if len(out) == n:
-            break
-    return Word(system.return_alphabet, tuple(out))
-
-
-@dataclass(frozen=True)
-class NestedCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
 @dataclass(frozen=True)
 class NestedDerivationReport:
     prefix_u: Word
     derived_prefix_v: Word
     composed_prefix_w: Word | None
-    checks: tuple[NestedCheck, ...]
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
@@ -318,25 +288,25 @@ def nested_derivation(
     the sequence derived on w over a prefix of the given length.
     Precondition failures come back as failed checks, not exceptions.
     """
-    checks: list[NestedCheck] = []
+    checks: list[Check] = []
     sys_u, tau_u = return_substitution(tau, u)
     if len(v) == 0 or v.alphabet != sys_u.return_alphabet:
         checks.append(
-            NestedCheck("v-nonempty-prefix", False, "v must be a non-empty word over the return letters")
+            Check.of("v-nonempty-prefix", False, "v must be a non-empty word over the return letters")
         )
         return NestedDerivationReport(u, v, None, tuple(checks))
     derived = fixed_point_prefix(tau_u, len(v))
     if derived != v:
         checks.append(
-            NestedCheck("v-nonempty-prefix", False, "v is not a prefix of the derived sequence")
+            Check.of("v-nonempty-prefix", False, "v is not a prefix of the derived sequence")
         )
         return NestedDerivationReport(u, v, None, tuple(checks))
-    checks.append(NestedCheck("v-nonempty-prefix", True))
+    checks.append(Check.of("v-nonempty-prefix", True))
 
     w = sys_u.coding()(v) + u
     x_prefix = fixed_point_prefix(tau, len(w))
     checks.append(
-        NestedCheck("w-prefix-of-fixed-point", x_prefix == w, f"w = {w.text()}")
+        Check.of("w-prefix-of-fixed-point", x_prefix == w, f"w = {w.text()}")
     )
 
     sys_w, tau_w = return_substitution(tau, w)
@@ -347,7 +317,7 @@ def nested_derivation(
         for b in range(sys_w.count)
     )
     checks.append(
-        NestedCheck(
+        Check.of(
             "coding-composition",
             composed_ok,
             f"{sys_v.count} nested return words vs {sys_w.count} direct",
@@ -356,7 +326,7 @@ def nested_derivation(
 
     du = fixed_point_prefix(tau_uv, check_len).scan_text
     dw = fixed_point_prefix(tau_w, check_len).scan_text
-    checks.append(NestedCheck("derived-sequences-agree", du == dw, f"prefix length {check_len}"))
+    checks.append(Check.of("derived-sequences-agree", du == dw, f"prefix length {check_len}"))
     return NestedDerivationReport(u, v, w, tuple(checks))
 
 

@@ -218,13 +218,6 @@ def spectra_equal_mod_trivial(m1: IncidenceMatrix, m2: IncidenceMatrix) -> bool:
     return p1 == p2
 
 
-def same_nonzero_root_sets(p1: IntPolynomial, p2: IntPolynomial) -> bool:
-    """Equal root sets once zero roots are removed (roots of unity retained)."""
-    a = p1.shift_divide(p1.zero_root_multiplicity()).squarefree_part()
-    b = p2.shift_divide(p2.zero_root_multiplicity()).squarefree_part()
-    return a == b
-
-
 @dataclass(frozen=True)
 class DependenceWitness:
     """Certified pair of exponents with equal dominant-eigenvalue powers."""

@@ -2,7 +2,8 @@
 :mod:`retword.intpoly`: the memoized minor expansion of the characteristic
 polynomial, the Euclidean algorithm over ``Fraction`` coefficients (gcd,
 squarefree part, Sturm chain), and root isolation on a ``Fraction`` Sturm
-chain evaluated by rational Horner's rule."""
+chain evaluated by rational Horner's rule, and a comparison of root sets
+with zero roots removed."""
 
 from __future__ import annotations
 
@@ -213,3 +214,10 @@ def fraction_certify_equal_dominant(
         width = width / 2**8
         e1, e2 = fraction_isolate(p1, width), fraction_isolate(p2, width)
     raise AssertionError("dominant comparison did not converge")
+
+
+def same_nonzero_root_sets(p1: IntPolynomial, p2: IntPolynomial) -> bool:
+    """Equal root sets once zero roots are removed (roots of unity retained)."""
+    a = p1.shift_divide(p1.zero_root_multiplicity()).squarefree_part()
+    b = p2.shift_divide(p2.zero_root_multiplicity()).squarefree_part()
+    return a == b

@@ -1,14 +1,26 @@
+import contextlib
+import gc
+import io
+from pathlib import Path
+
 import pytest
 
 from retword.circularity import (
+    Interpretation,
     check_injectivity,
     find_n0,
     interpretations,
     sync_delay_search,
 )
+from retword.cli import build_parser, run_command
 from retword.relations import coding_substitution, find_gamma
 from retword.returns import return_substitution
-from retword.substitution import compose, fixed_point_prefix, power
+from retword.substitution import (
+    compose,
+    fixed_point_prefix,
+    power,
+    substitution_from_strings,
+)
 from retword.words import Word
 
 
@@ -127,6 +139,17 @@ def test_check_injectivity_morse(morse):
     assert cert.passed
 
 
+def test_check_injectivity_reports_collision():
+    """a -> ab, b -> ca, c -> ca sends the decodable factors ab and ac to abca."""
+    tau = substitution_from_strings("a b c", {"a": "ab", "b": "ca", "c": "ca"}, "a")
+    cert = check_injectivity(tau, tau.alphabet.word("a"), 8)
+    assert not cert.passed
+    first, second = cert.collision
+    assert {first.text(), second.text()} == {"ab", "ac"}
+    assert tau(first) == tau(second)
+    assert cert.words_checked >= 2
+
+
 def test_check_injectivity_vacuous_short_bound(fib):
     # all return words on this prefix are longer than the bound
     cert = check_injectivity(fib, fib.alphabet.word("01001"), 2)
@@ -165,3 +188,28 @@ def test_composed_power_identity(fib):
         for _ in range(lq - lp - 1):
             theta_pow = compose(theta.morphism, theta_pow)
         assert theta_pow == target
+
+
+def test_circularity_run_leaves_no_reference_cycles():
+    """Interpretations are enumerated without a self-referencing closure, so a
+    run frees its words and interpretations without the cycle collector."""
+    sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
+    argv = ["circularity", str(sample), "--json"]
+    build_parser()
+    gc.collect()
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.garbage.clear()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, _ = run_command(argv)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, (Word, Interpretation))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert status == 0
+    assert leaked == []

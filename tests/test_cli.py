@@ -310,8 +310,17 @@ def test_periodic_input_exits_usage(tmp_path, capsys, argv):
     )
 
 
-@pytest.mark.parametrize("exc", [InternalInconsistencyError, CancelledSearch])
-def test_internal_error_exit_code(files, monkeypatch, capsys, exc):
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        pytest.param(InternalInconsistencyError, "error: stopped\n", id="InternalInconsistencyError"),
+        pytest.param(CancelledSearch, "error: stopped\n", id="CancelledSearch"),
+        pytest.param(
+            RuntimeError, "error: internal error (RuntimeError): stopped\n", id="RuntimeError"
+        ),
+    ],
+)
+def test_internal_error_exit_code(files, monkeypatch, capsys, exc, message):
     def handler(args, report):
         raise exc("stopped")
 
@@ -320,7 +329,7 @@ def test_internal_error_exit_code(files, monkeypatch, capsys, exc):
     assert status == EXIT_INTERNAL == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: stopped\n"
+    assert captured.err == message
 
 
 def test_periodic_24_letter_product_finishes(files):

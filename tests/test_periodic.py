@@ -1,3 +1,5 @@
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -28,8 +30,8 @@ TARGET = Alphabet(("a", "b"))
 def test_build_and_verify(fib, period_text):
     period = TARGET.word(period_text)
     pres = build_periodic_presentation(period, fib)
-    report = verify_presentation(pres, check_len=1000)
-    assert report.passed, [c for c in report.checks if not c.passed]
+    checks = verify_presentation(pres, check_len=1000)
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
     coded = morphic_image_prefix(pres.coding, pres.zeta, 1000)
     expected = (period * (1000 // len(period) + 1))[:1000]
     assert coded.letters == expected.letters
@@ -103,18 +105,17 @@ def test_tampered_presentation_detected(fib):
     bad = PeriodicPresentation(
         pres.period, pres.exponent, pres.base, bad_zeta, pres.psi, pres.coding
     )
-    report = verify_presentation(bad, check_len=100)
-    assert not report.passed
-    failing = {c.name: c for c in report.checks if not c.passed}
+    checks = verify_presentation(bad, check_len=100)
+    failing = {c.name: c for c in checks if not c.passed}
     assert "zeta∘psi=psi∘tau^k" in failing
     assert "letter" in failing["zeta∘psi=psi∘tau^k"].detail
 
 
 def test_zero_check_len_still_structural(fib):
     pres = build_periodic_presentation(TARGET.word("ab"), fib)
-    report = verify_presentation(pres, check_len=0)
-    assert report.passed
-    names = [c.name for c in report.checks]
+    checks = verify_presentation(pres, check_len=0)
+    assert all(c.passed for c in checks)
+    names = [c.name for c in checks]
     assert "zeta∘psi=psi∘tau^k" in names and "zeta-primitive" in names
 
 
@@ -132,7 +133,7 @@ def test_rejects_non_primitive_base():
 def test_works_for_other_bases(morse, trib):
     for base in (morse, trib):
         pres = build_periodic_presentation(TARGET.word("ab"), base)
-        assert verify_presentation(pres, 200).passed
+        assert all(c.passed for c in verify_presentation(pres, 200))
 
 
 def _count_certificates(monkeypatch) -> list:
@@ -160,13 +161,39 @@ def test_hand_built_presentation_certifies_afresh(monkeypatch, fib):
     calls = _count_certificates(monkeypatch)
     pres = build_periodic_presentation(TARGET.word("ab"), fib)
     assert len(calls) == 1
-    assert verify_presentation(pres, check_len=10).passed
+    assert all(c.passed for c in verify_presentation(pres, check_len=10))
     assert len(calls) == 1
     copy = PeriodicPresentation(
         pres.period, pres.exponent, pres.base, pres.zeta, pres.psi, pres.coding
     )
     assert copy == pres
-    assert verify_presentation(copy, check_len=10).passed
+    assert all(c.passed for c in verify_presentation(copy, check_len=10))
     assert len(calls) == 2
-    assert copy.dominant_certificate() == pres.dominant_certificate()
+    assert verify_presentation(copy, check_len=10) == verify_presentation(pres, check_len=10)
     assert len(calls) == 2
+
+
+def test_periodic_command_checks_structure_once(monkeypatch):
+    """One job checks zeta∘psi and zeta's primitivity once: the build verifies
+    them and the command's verification reuses the presentation's checks."""
+    periodic_module = sys.modules["retword.periodic"]
+    primitive_dims, compositions = [], []
+
+    def counted_primitive(matrix):
+        primitive_dims.append(matrix.nrows)
+        return is_primitive(matrix)
+
+    def counted_compose(*args):
+        compositions.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(periodic_module, "is_primitive", counted_primitive)
+    monkeypatch.setattr(periodic_module, "compose", counted_compose)
+    sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(["periodic", str(sample), "--period", "0110", "--json"])
+    assert status == 0
+    assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
+    # one call on the base (2 letters), one on the 8-letter product alphabet
+    assert primitive_dims == [2, 8]
+    assert len(compositions) == 2

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from periodic_oracle import looks_periodic, periodic_tail_witness
+from returns_oracle import derived_prefix_by_scan
 from retword.corpus import fibonacci, thue_morse
 from retword.errors import DecompositionError, ResourceLimitError
 from retword.returns import (
@@ -10,7 +11,6 @@ from retword.returns import (
     decompose,
     derivation_tower,
     derived_prefix,
-    derived_prefix_by_scan,
     estimate_constants,
     min_return_length,
     nested_derivation,

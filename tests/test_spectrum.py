@@ -14,7 +14,6 @@ from retword.spectrum import (
     certify_equal_dominant,
     dominant_eigenvalue,
     mult_dependent,
-    same_nonzero_root_sets,
     spectra_equal_mod_trivial,
     spectrum,
     strip_trivial,
@@ -22,7 +21,11 @@ from retword.spectrum import (
 )
 from retword.substitution import IncidenceMatrix, identity_matrix
 from retword.words import Word
-from spectral_oracle import fraction_certify_equal_dominant, minor_expansion_char_poly
+from spectral_oracle import (
+    fraction_certify_equal_dominant,
+    minor_expansion_char_poly,
+    same_nonzero_root_sets,
+)
 
 P = IntPolynomial
 
