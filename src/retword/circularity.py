@@ -46,7 +46,9 @@ class _InterpretationContext:
     """Shared factor pools for enumerating interpretations over one substitution.
 
     ``factors`` lists the non-empty factors up to ``max_factor`` letters of a
-    fixed-point prefix in lexicographic order; the pools hold scan texts.
+    fixed-point prefix in lexicographic order, enumerated by
+    :func:`retword.words.factors` from the prefix's distinct windows of
+    ``max_factor`` letters; the pools hold scan texts.
     """
 
     def __init__(self, tau: Substitution, prefix_len: int, max_factor: int):
@@ -184,7 +186,9 @@ def check_injectivity(
 
     The words that both occur in the fixed point and split over the return
     words on u are exactly the decodings of factors of the derived sequence,
-    so those are enumerated directly and their images compared pairwise
+    so those are enumerated directly (every factor of a ``derived_sample``
+    prefix of the derived sequence, cut from its distinct windows by
+    :func:`retword.words.factors`) and their images compared pairwise
     (hashed, with exact confirmation on collision).  A length bound below 1
     checks no word and is refused.
     """
@@ -210,7 +214,9 @@ def find_n0(
     derived_sample: int = 1000,
 ) -> int | None:
     """Least prefix length whose injectivity certificate passes, together with
-    injectivity of the return substitution on its own factors.
+    injectivity of the return substitution on its own factors (those of a
+    ``derived_sample`` prefix of its fixed point, up to ``length_bound``
+    letters, enumerated by :func:`retword.words.factors`).
 
     None when no prefix length up to ``max_prefix`` passes; existence beyond
     the scan is not decided here.  A length bound below 1 is refused, as in

@@ -5,10 +5,12 @@ machine-readable mirror instead (byte-identical across runs for identical
 inputs: no timestamps, rationals as "p/q" strings, intervals with explicit
 endpoints).  Every check in a report is a :class:`~retword.checks.Check`,
 the record the library returns.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 usage, parse or input error, 3 a bounded search exhausted its
-budget, 4 internal inconsistency, cancelled search or any other exception
-(``error: internal error (<Type>): <message>``).  Codes 2-4 print one
-``error:`` (or ``budget exhausted:``) line on stderr and nothing on stdout.
+failed, 2 usage, parse, input or output error (a closed stdout included),
+3 a bounded search exhausted its budget, 4 internal inconsistency, cancelled
+search or any other exception (``error: internal error (<Type>):
+<message>``).  Codes 2-4 print one ``error:`` (or ``budget exhausted:``) line
+on stderr and nothing on stdout, except the part of a report that an output
+error cut short.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -460,6 +463,9 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
         config["prefix_cap"] = prefix_cap()
         report = Report(args.subcommand, argv, config)
         _HANDLERS[args.subcommand](args, report)
+        elapsed = time.perf_counter() - started
+        rendered = report.render_json() if args.json else report.render_human(elapsed)
+        print(rendered, flush=True)
     except (ParseError, ValueError, OSError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, report
@@ -472,16 +478,24 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
     except Exception as exc:
         print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INTERNAL, report
-    elapsed = time.perf_counter() - started
-    if args.json:
-        print(report.render_json())
-    else:
-        print(report.render_human(elapsed))
     return report.exit_code, report
 
 
 def main(argv: list[str] | None = None) -> int:
+    """The console script: run one command and return its exit status.
+
+    When stdout is closed (``retword ... | head``), the failed write is an
+    output error, exit 2 with one ``error:`` line, and stdout is pointed at
+    the null device so the interpreter's final flush prints nothing more.
+    """
     status, _ = run_command(sys.argv[1:] if argv is None else argv)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if status != EXIT_USAGE:  # else run_command has reported the failed write
+            print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return status
 
 

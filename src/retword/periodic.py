@@ -56,16 +56,21 @@ class PeriodicPresentation:
         return self.zeta.alphabet
 
     @cached_property
+    def base_power(self) -> Substitution:
+        """tau^k, computed on first use; :func:`build_periodic_presentation` seeds its own."""
+        return power(self.base, self.exponent)
+
+    @cached_property
     def structural_checks(self) -> tuple[Check, ...]:
         """The four checks independent of a prefix length, computed on first use.
 
         In order: zeta∘psi = psi∘tau^k letter by letter (naming the first
         offender), primitivity of zeta, the period spelled by coding∘psi on
         every base letter, and exact equality of zeta's dominant eigenvalue
-        with the k-th power of the base's.  The cache is not a field, so a
-        hand-built presentation computes its own.
+        with the k-th power of the base's (tau^k's matrix is M^k).  The caches
+        are not fields, so a hand-built presentation computes its own.
         """
-        rho = power(self.base, self.exponent)
+        rho = self.base_power
         lhs = compose(self.zeta.morphism, self.psi)
         rhs = compose(self.psi, rho.morphism)
         base = self.base.alphabet
@@ -74,7 +79,7 @@ class PeriodicPresentation:
         )
         primitive, witness = is_primitive(self.zeta.matrix())
         column_ok = all(self.coding(self.psi.image(b)) == self.period for b in range(base.size))
-        cert = certify_equal_dominant(self.zeta.matrix(), self.base.matrix() ** self.exponent)
+        cert = certify_equal_dominant(self.zeta.matrix(), rho.matrix())
         offender = None if bad is None else f"fails at letter {bad!r}"
         return (
             Check.of("zeta∘psi=psi∘tau^k", bad is None, offender),
@@ -103,12 +108,10 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
     if not primitive:
         raise ValueError("periodic presentation needs a primitive substitution")
     p = len(m)
-    k = 1
-    while True:
-        mk = tau.matrix() ** k
-        if mk.all_positive() and all(s > p for s in mk.column_sums()):
-            break
-        k += 1
+    base_matrix = tau.matrix()
+    k, mk = 1, base_matrix
+    while not (mk.all_positive() and all(s > p for s in mk.column_sums())):
+        k, mk = k + 1, mk @ base_matrix
     rho = power(tau, k)
     base_alphabet = tau.alphabet
     symbols = tuple(
@@ -142,6 +145,8 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
         tuple(m[i : i + 1] for b in range(base_alphabet.size) for i in range(p)),
     )
     presentation = PeriodicPresentation(m, k, tau, zeta, psi, coding)
+    # seed the cache: the structural checks reuse this tau^k instead of raising tau again
+    presentation.__dict__["base_power"] = rho
     failed = [c.name for c in verify_presentation(presentation, check_len=4 * p) if not c.passed]
     if failed:
         raise InternalInconsistencyError(f"periodic construction failed checks: {failed}")

@@ -192,14 +192,32 @@ def occurrences(pattern: Word, host: Word) -> OccurrenceList:
 
 def factors(host: Word, lengths: Iterable[int]) -> list[Word]:
     """The distinct factors of ``host`` with the given lengths, in lexicographic
-    order of their letter indices (a shorter word before its extensions)."""
+    order of their letter indices (a shorter word before its extensions).
+
+    Every factor of length n <= L, L the longest requested length, is a prefix
+    of the *window* ``text[i:i+L]`` at its start i (near the end of the text a
+    window is a shorter tail).  So the distinct windows are collected once and
+    each is cut to every requested length it reaches: |host| window slices plus
+    |lengths| prefix slices per distinct window.  With p(n) the number of
+    length-n factors, that is O(|host| + Σ p(n)) slices for lengths 1..L when
+    p grows linearly, as it does on a fixed point of a primitive substitution,
+    against |host|·|lengths| slices for every window of every length.  A
+    length below 1 is refused.
+    """
+    wanted = sorted(set(lengths))
+    if not wanted:
+        return []
+    if wanted[0] < 1:
+        raise ValueError(f"factor lengths must be >= 1, got {wanted[0]}")
     text = host.scan_text
-    found = {text[i : i + n] for n in lengths for i in range(len(text) - n + 1)}
+    longest = wanted[-1]
+    windows = {text[i : i + longest] for i in range(len(text))}
+    found = {w[:n] for w in windows for n in wanted if n <= len(w)}
     return [_word(host.alphabet, t) for t in sorted(found)]
 
 
 def factor_set(host: Word, n: int) -> set[Word]:
-    """The distinct length-``n`` factors of ``host``."""
+    """The distinct length-``n`` factors of ``host``: :func:`factors` at one length."""
     if not 1 <= n <= len(host):
         raise ValueError(f"factor length {n} out of range 1..{len(host)}")
     return set(factors(host, (n,)))

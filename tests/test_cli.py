@@ -388,3 +388,26 @@ def test_parser_reuse_matches_fresh_processes(files, capsys):
         assert _without_elapsed(captured.out) == _without_elapsed(proc.stdout)
         assert captured.err == proc.stderr
     assert retword.cli.build_parser() is retword.cli.build_parser()
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []])
+def test_closed_stdout_is_an_output_error(files, fmt):
+    """A reader that stops early (``retword ... | head -c 100``) closes stdout
+    mid-report: exit 2 with one ``error:`` line and no traceback, also from
+    the interpreter's final flush."""
+    package_root = Path(retword.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    argv = ["fixed-point", files["fib"], "--length", "200000", *fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "retword.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -197,3 +197,40 @@ def test_periodic_command_checks_structure_once(monkeypatch):
     # one call on the base (2 letters), one on the 8-letter product alphabet
     assert primitive_dims == [2, 8]
     assert len(compositions) == 2
+
+
+def _count_powers(monkeypatch) -> list:
+    calls = []
+    periodic_module = sys.modules["retword.periodic"]
+
+    def counted(s, n):
+        calls.append(n)
+        return power(s, n)
+
+    monkeypatch.setattr(periodic_module, "power", counted)
+    return calls
+
+
+@pytest.mark.parametrize("period", ["0", "0110", "0110101101"])
+def test_periodic_command_raises_tau_to_the_k_once(monkeypatch, period):
+    """One job computes tau^k once: the build uses it for zeta's images and
+    the structural checks reuse it, with its matrix as M^k."""
+    calls = _count_powers(monkeypatch)
+    sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(["periodic", str(sample), "--period", period, "--json"])
+    assert status == 0
+    assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
+    assert calls == [report.payload["data"]["exponent"]]
+
+
+def test_hand_built_presentation_raises_its_own_power(monkeypatch, fib):
+    calls = _count_powers(monkeypatch)
+    pres = build_periodic_presentation(TARGET.word("aba"), fib)
+    assert calls == [pres.exponent]
+    copy = PeriodicPresentation(
+        pres.period, pres.exponent, pres.base, pres.zeta, pres.psi, pres.coding
+    )
+    assert verify_presentation(copy, check_len=10) == verify_presentation(pres, check_len=10)
+    assert calls == [pres.exponent] * 2
+    assert copy.base_power.morphism == pres.base_power.morphism == power(fib, pres.exponent).morphism

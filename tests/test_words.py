@@ -9,6 +9,7 @@ from retword.words import (
     Alphabet,
     Word,
     factor_set,
+    factors,
     occurrences,
 )
 
@@ -83,6 +84,85 @@ def test_factor_set_bad_length():
         factor_set(AB.word("ab"), 3)
     with pytest.raises(ValueError):
         factor_set(AB.word("ab"), 0)
+
+
+def slice_factors(host: Word, lengths) -> list[str]:
+    """Oracle: every window of every requested length, deduplicated and sorted."""
+    text = host.scan_text
+    return sorted({text[i : i + n] for n in lengths for i in range(len(text) - n + 1)})
+
+
+def scan_texts(words: list[Word]) -> list[str]:
+    return [w.scan_text for w in words]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    letters=st.lists(st.integers(0, 2), max_size=60),
+    lengths=st.sets(st.integers(1, 70), max_size=8),
+)
+def test_factors_match_slice_oracle(letters, lengths):
+    """Random hosts, non-contiguous length sets and lengths past the host."""
+    host = Word(AB, letters)
+    found = factors(host, lengths)
+    assert scan_texts(found) == slice_factors(host, lengths)
+    assert all(w.alphabet == AB for w in found)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    lengths=st.lists(st.integers(1, 25), min_size=1, max_size=6),
+)
+def test_factors_of_fixed_points_match_slice_oracle(fib, morse, trib, n, lengths):
+    for sub in (fib, morse, trib):
+        host = fixed_point_prefix(sub, n)
+        assert scan_texts(factors(host, lengths)) == slice_factors(host, lengths)
+
+
+def test_factors_without_lengths_and_past_the_host():
+    host = AB.word("abca")
+    assert factors(host, ()) == []
+    assert factors(host, (5, 9)) == []
+    assert factors(Word(AB, ()), range(1, 4)) == []
+    assert factors(host, (4, 5)) == [host]
+
+
+def test_factors_refuse_lengths_below_one():
+    with pytest.raises(ValueError):
+        factors(AB.word("abca"), (0, 2))
+    with pytest.raises(ValueError):
+        factors(AB.word("abca"), (-1,))
+
+
+def test_fibonacci_factor_complexity_is_n_plus_one(fib):
+    """The Fibonacci word is Sturmian: n + 1 factors of each length n."""
+    host = fixed_point_prefix(fib, 5000)
+    found = factors(host, range(1, 41))
+    counts = [sum(1 for w in found if len(w) == n) for n in range(1, 41)]
+    assert counts == [n + 1 for n in range(1, 41)]
+
+
+def test_thue_morse_factor_complexity(morse):
+    host = fixed_point_prefix(morse, 4096)
+    found = factors(host, range(1, 9))
+    counts = [sum(1 for w in found if len(w) == n) for n in range(1, 9)]
+    assert counts == [2, 4, 6, 10, 12, 16, 20, 22]
+
+
+def test_factors_order_puts_a_word_before_its_extensions(trib):
+    host = fixed_point_prefix(trib, 3000)
+    found = scan_texts(factors(host, (2, 5, 6, 11)))
+    assert found == sorted(found)
+    assert len(set(found)) == len(found)
+    position = {t: i for i, t in enumerate(found)}
+    extended = 0
+    for t, i in position.items():
+        for n in (2, 5, 6):
+            if len(t) > n:
+                assert position[t[:n]] < i
+                extended += 1
+    assert extended > 0
 
 
 def test_seam_occurrence_inequality():
