@@ -47,6 +47,7 @@ from .spectrum import (
     RootEnclosure,
     Spectrum,
     char_poly,
+    dominant_eigenvalue,
     mult_dependent,
     spectrum,
     strip_trivial,
@@ -62,7 +63,7 @@ from .substitution import (
     power,
     prefix_cap,
 )
-from .words import Word, spelling
+from .words import Word, same_symbols, spelling
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -397,14 +398,10 @@ def _cmd_cobham(args, report: Report) -> None:
     coding_right = _coding_by_name(args.coding_right, right, codings_right)
     a = morphic_image_prefix(coding_left, left, args.prefix_check)
     b = morphic_image_prefix(coding_right, right, args.prefix_check)
-    gate = a.symbols() == b.symbols()
+    gate = same_symbols(a, b)
     report.add(Check.of("coded-fixed-points-agree", gate, f"compared {args.prefix_check} letters"))
-    report.data(
-        "dominant_left", _enclosure(spectrum(left.matrix()).dominant)
-    )
-    report.data(
-        "dominant_right", _enclosure(spectrum(right.matrix()).dominant)
-    )
+    report.data("dominant_left", _enclosure(dominant_eigenvalue(left.matrix())))
+    report.data("dominant_right", _enclosure(dominant_eigenvalue(right.matrix())))
     if not gate:
         return
     witness = mult_dependent(left.matrix(), right.matrix(), args.bound)

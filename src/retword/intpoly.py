@@ -9,6 +9,10 @@ One remainder routine, the primitive pseudo-remainder ``_prem``, serves
 gcds, squarefree parts and Sturm chains, so no Euclidean step leaves the
 integers.  Sturm chains are stored as integer polynomials and evaluated at a
 rational p/q through the integer q**d c(p/q), which has the sign of c(p/q).
+Root isolation bisects over the dyadic points B c / 2**k of the root bound
+B, with the chain scaled once so that a point costs one integer Horner
+evaluation with shifts (F. Rouillier and P. Zimmermann, *J. Comput. Appl.
+Math.* 162 (2004) 33-50).
 """
 
 from __future__ import annotations
@@ -290,6 +294,18 @@ def _homogeneous(coeffs: tuple[int, ...], num: int, den_powers: list[int]) -> in
     return acc
 
 
+def _sign_changes(values: Iterable[int]) -> int:
+    """Sign changes along a sequence of integers, zeros skipped."""
+    changes, last = 0, None
+    for value in values:
+        if value:
+            positive = value > 0
+            if last is not None and positive != last:
+                changes += 1
+            last = positive
+    return changes
+
+
 class SturmCounter:
     """Counts distinct real roots of a fixed polynomial over half-open intervals.
 
@@ -312,15 +328,7 @@ class SturmCounter:
     def variations(self, at: Fraction | int) -> int:
         """Sign changes along the chain at ``at``, zeros skipped."""
         num, powers = at.numerator, _powers(at.denominator, len(self.chain[0]))
-        changes, last = 0, None
-        for member in self.chain:
-            value = _homogeneous(member, num, powers)
-            if value:
-                positive = value > 0
-                if last is not None and positive != last:
-                    changes += 1
-                last = positive
-        return changes
+        return _sign_changes(_homogeneous(member, num, powers) for member in self.chain)
 
     def count(self, lo: Fraction | int, hi: Fraction | int) -> int:
         """Distinct real roots in the half-open interval (lo, hi]."""
@@ -430,14 +438,37 @@ def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
     return sorted(roots)
 
 
+def _dyadic(coeffs: tuple[int, ...], num: int, k: int) -> int:
+    """2**(k d) * c(num / 2**k) for c of degree d, by Horner's rule with shifts.
+
+    The value is sum(c_i num**i 2**(k (d - i))), which has the sign of
+    c(num / 2**k).
+    """
+    acc, shift = 0, 0
+    for c in reversed(coeffs):
+        acc = acc * num + (c << shift)
+        shift += k
+    return acc
+
+
 class LargestRootBisection:
     """Bisection enclosing the largest real root of a polynomial, narrowed on demand.
 
-    It keeps the polynomial's ``SturmCounter`` and the current interval
-    (lo, hi] with the variation counts at both ends, so each step evaluates
-    the chain at its midpoint only.  The midpoints depend on the interval
-    alone: narrowing to a width w and then to w' < w ends exactly where a
-    fresh bisection to w' ends.
+    The interval is kept as integers over the root bound B = Bn/Bd of the
+    counter's squarefree part: (B (c - 1) / 2**k, B (c + 1) / 2**k], with
+    midpoint B c / 2**k.  Each chain member of degree d is scaled once to
+    C_i = c_i Bn**i Bd**(d - i); its value at the midpoint times the
+    positive (Bd 2**k)**d is then one integer Horner evaluation with shifts
+    (``_dyadic``).  While the interval holds several roots, a step counts the
+    chain's sign variations at the midpoint against those kept for hi.  Once
+    it holds one, a step reads the sign of the squarefree part alone: the
+    root is simple and nothing lies at or above hi, so the part is positive
+    at hi, and the root lies below the midpoint exactly when the part is
+    positive there.  Both are the decisions of a Fraction bisection, so the
+    enclosures are the same; Fractions are built only for the endpoints
+    returned.  The midpoints depend on the interval alone: narrowing to a
+    width w and then to w' < w ends exactly where a fresh bisection to w'
+    ends.
     """
 
     def __init__(self, counter: SturmCounter):
@@ -446,42 +477,70 @@ class LargestRootBisection:
             raise ValueError("polynomial has no roots")
         bound = root_magnitude_bound(sf)
         self.counter = counter
-        self.lo, self.hi = -bound, bound
-        self._v_lo, self._v_hi = counter.variations(self.lo), counter.variations(self.hi)
+        self._bn, self._bd = bound.numerator, bound.denominator
+        bn_powers, bd_powers = _powers(self._bn, len(sf.coeffs)), _powers(self._bd, len(sf.coeffs))
+        self._chain = [
+            tuple(c * bn_powers[i] * bd_powers[len(m) - 1 - i] for i, c in enumerate(m))
+            for m in counter.chain
+        ]
+        # the interval (-B, B] is centre 0 at depth 0
+        self._c, self._k = 0, 0
+        self._v_lo, self._v_hi = self._variations(-1, 0)[0], self._variations(1, 0)[0]
         if self._v_lo - self._v_hi < 1:
             raise ValueError("polynomial has no real root")
         # None until a narrowing decides whether the root is rational
         self.exact: bool | None = None
+        self._root: Fraction | None = None
+
+    def _variations(self, c: int, k: int) -> tuple[int, int]:
+        """Sign changes along the chain at B c / 2**k, zeros skipped, and the
+        scaled value of the squarefree part there."""
+        values = [_dyadic(member, c, k) for member in self._chain]
+        return _sign_changes(values), values[0]
+
+    def _point(self, c: int, k: int) -> Fraction:
+        return Fraction(self._bn * c, self._bd << k)
 
     def narrow(self, width: Fraction) -> tuple[Fraction, Fraction, bool]:
         """``(lo, hi, exact)`` with hi - lo <= width, or the root itself when exact."""
         if self.exact:
-            return self.hi, self.hi, True
-        counter = self.counter
-        lo, hi, v_lo, v_hi = self.lo, self.hi, self._v_lo, self._v_hi
-        while v_lo - v_hi > 1 or hi - lo > width:
-            mid = (lo + hi) / 2
-            v_mid = counter.variations(mid)
+            return self._root, self._root, True
+        width = Fraction(width)
+        # hi - lo = 2 B / 2**k > width  <=>  x > y << k
+        x, y = 2 * self._bn * width.denominator, width.numerator * self._bd
+        c, k, v_lo, v_hi = self._c, self._k, self._v_lo, self._v_hi
+        while v_lo - v_hi > 1:
+            v_mid, head = self._variations(c, k)
             if v_mid > v_hi:
-                lo, v_lo = mid, v_mid
-            elif counter._is_root(mid):
-                return self._settle(mid)
+                c, v_lo = 2 * c + 1, v_mid
+            elif head == 0:
+                return self._settle(self._point(c, k))
             else:
-                hi, v_hi = mid, v_mid
-        self.lo, self.hi, self._v_lo, self._v_hi = lo, hi, v_lo, v_hi
+                c, v_hi = 2 * c - 1, v_mid
+            k += 1
+        head_member = self._chain[0]
+        while x > y << k:
+            head = _dyadic(head_member, c, k)
+            if head > 0:
+                c = 2 * c - 1
+            elif head < 0:
+                c = 2 * c + 1
+            else:
+                return self._settle(self._point(c, k))
+            k += 1
+        self._c, self._k, self._v_lo, self._v_hi = c, k, v_lo, v_hi
+        lo, hi = self._point(c - 1, k), self._point(c + 1, k)
         if self.exact is None:
             # an irrational root stays irrational however far it is narrowed
-            root = self._rational_root()
+            root = self._rational_root(lo, hi)
             if root is not None:
                 return self._settle(root)
             self.exact = False
         return lo, hi, False
 
-    def _rational_root(self) -> Fraction | None:
-        """The one root in (lo, hi] if it is rational, else None."""
-        counter, lo, hi = self.counter, self.lo, self.hi
-        if counter._is_root(hi):
-            return hi
+    def _rational_root(self, lo: Fraction, hi: Fraction) -> Fraction | None:
+        """The one root in (lo, hi] if it is rational, else None; hi is never a root."""
+        counter = self.counter
         sf = counter.squarefree
         if sf.leading == 1:
             # a rational root of a monic polynomial is an integer
@@ -493,7 +552,7 @@ class LargestRootBisection:
         return None
 
     def _settle(self, root: Fraction) -> tuple[Fraction, Fraction, bool]:
-        self.lo = self.hi = root
+        self._root = root
         self.exact = True
         return root, root, True
 

@@ -127,7 +127,7 @@ class Morphism:
     source letter, so applying the morphism is one translation.
     """
 
-    __slots__ = ("source", "target", "images", "_table")
+    __slots__ = ("source", "target", "images", "_table", "_matrix")
 
     def __init__(self, source: Alphabet, target: Alphabet, images: Iterable[Word]):
         self.source = source
@@ -139,6 +139,7 @@ class Morphism:
             if w.alphabet != target:
                 raise ValueError("image word over the wrong alphabet")
         self._table = tuple(w.scan_text for w in self.images)
+        self._matrix: IncidenceMatrix | None = None
 
     def image(self, letter: int) -> Word:
         return self.images[letter]
@@ -157,7 +158,10 @@ class Morphism:
         return all(len(w) >= 1 for w in self.images)
 
     def matrix(self) -> IncidenceMatrix:
-        return incidence_matrix(self)
+        """The incidence matrix, counted once and kept."""
+        if self._matrix is None:
+            self._matrix = incidence_matrix(self)
+        return self._matrix
 
     def __eq__(self, other) -> bool:
         return (
@@ -200,7 +204,8 @@ def is_primitive(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
     is entrywise positive, or ``(False, None)``.  The search is capped at the
     sharp bound n^2 - 2n + 2, beyond which no new positivity can appear, so
     the decision is exact.  Powers are taken over the boolean (reachability)
-    semiring to avoid big-integer growth.
+    semiring, each row an int bitmask of its positive entries: row i of the
+    next power is the union of the base rows l over the bits l of row i.
     """
     if not matrix.is_square:
         raise ValueError("primitivity is defined for square matrices only")
@@ -210,15 +215,22 @@ def is_primitive(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
     if n == 0:
         raise ValueError("empty matrix")
     bound = n * n - 2 * n + 2
-    base = tuple(tuple(e > 0 for e in row) for row in matrix.rows)
+    full = (1 << n) - 1
+    base = [sum(1 << j for j, e in enumerate(row) if e > 0) for row in matrix.rows]
     current = base
     for k in range(1, bound + 1):
-        if all(all(row) for row in current):
+        if all(row == full for row in current):
             return True, k
-        cols = tuple(zip(*base))
-        current = tuple(
-            tuple(any(a and b for a, b in zip(row, col)) for col in cols) for row in current
-        )
+        nxt = []
+        for row in current:
+            acc, l = 0, 0
+            while row:
+                if row & 1:
+                    acc |= base[l]
+                row >>= 1
+                l += 1
+            nxt.append(acc)
+        current = nxt
     return False, None
 
 
@@ -262,7 +274,7 @@ class Substitution:
         return self.morphism(word)
 
     def matrix(self) -> IncidenceMatrix:
-        return incidence_matrix(self.morphism)
+        return self.morphism.matrix()
 
     def is_primitive(self) -> bool:
         return is_primitive(self.matrix())[0]
@@ -319,7 +331,7 @@ class FixedPointPrefix:
     be externally synchronized; reads of generated letters are safe.
     """
 
-    __slots__ = ("alphabet", "_table", "_longest", "_text", "_next", "_cap", "generations")
+    __slots__ = ("alphabet", "_table", "_longest", "_text", "_next", "_cap")
 
     def __init__(self, substitution: Substitution, cap: int | None = None):
         # no reference back to the substitution, which holds this generator:
@@ -335,7 +347,6 @@ class FixedPointPrefix:
         self._text = start_image.scan_text
         self._next = 1
         self._cap = prefix_cap() if cap is None else cap
-        self.generations = 0
 
     def __len__(self) -> int:
         return len(self._text)
@@ -358,7 +369,6 @@ class FixedPointPrefix:
             block = text[self._next : self._next + k]
             text += block.translate(table)
             self._next += len(block)
-            self.generations += len(block)
         self._text = text
 
     def prefix(self, n: int) -> Word:

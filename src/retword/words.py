@@ -154,6 +154,22 @@ def spelling(words: Iterable[Word]) -> tuple[str, ...]:
     return tuple(w.scan_text for w in words)
 
 
+def same_symbols(a: Word, b: Word) -> bool:
+    """Whether two words spell the same sequence of display symbols, over any alphabets.
+
+    Both scan texts are translated through one table that numbers the union
+    of the two symbol tables, so equal translations mean equal symbol
+    sequences, multi-character symbols included: ``a.symbols() ==
+    b.symbols()`` without building either tuple.
+    """
+    if len(a) != len(b):
+        return False
+    canon = {s: chr(i) for i, s in enumerate(dict.fromkeys(a.alphabet.symbols + b.alphabet.symbols))}
+    table_a = tuple(map(canon.__getitem__, a.alphabet.symbols))
+    table_b = tuple(map(canon.__getitem__, b.alphabet.symbols))
+    return a.scan_text.translate(table_a) == b.scan_text.translate(table_b)
+
+
 @dataclass(frozen=True)
 class OccurrenceList:
     """Every start index of ``pattern`` inside ``host``, in increasing order."""

@@ -1,9 +1,9 @@
 """Reference spectral kernels, kept as oracles for :mod:`retword.spectrum` and
 :mod:`retword.intpoly`: the memoized minor expansion of the characteristic
 polynomial, the Euclidean algorithm over ``Fraction`` coefficients (gcd,
-squarefree part, Sturm chain), and root isolation on a ``Fraction`` Sturm
-chain evaluated by rational Horner's rule, and a comparison of root sets
-with zero roots removed."""
+squarefree part, Sturm chain), root isolation on a ``Fraction`` Sturm
+chain evaluated by rational Horner's rule, a comparison of root sets with
+zero roots removed, and primitivity over tuples of booleans."""
 
 from __future__ import annotations
 
@@ -221,3 +221,19 @@ def same_nonzero_root_sets(p1: IntPolynomial, p2: IntPolynomial) -> bool:
     a = p1.shift_divide(p1.zero_root_multiplicity()).squarefree_part()
     b = p2.shift_divide(p2.zero_root_multiplicity()).squarefree_part()
     return a == b
+
+
+def boolean_is_primitive(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
+    """Primitivity with powers taken over tuples of booleans, up to n^2 - 2n + 2."""
+    n = matrix.nrows
+    bound = n * n - 2 * n + 2
+    base = tuple(tuple(e > 0 for e in row) for row in matrix.rows)
+    current = base
+    for k in range(1, bound + 1):
+        if all(all(row) for row in current):
+            return True, k
+        cols = tuple(zip(*base))
+        current = tuple(
+            tuple(any(a and b for a, b in zip(row, col)) for col in cols) for row in current
+        )
+    return False, None

@@ -17,6 +17,7 @@ from retword.cli import (
     run_command,
 )
 from retword.errors import CancelledSearch, InternalInconsistencyError
+from retword.substitution import identity_morphism, morphic_image_prefix, parse_substitution
 
 FIB = """
 alphabet = 0 1
@@ -185,6 +186,53 @@ def test_cobham_absent_on_periodic_pair(tmp_path):
     assert absent["outcome"] == "absent"
     assert "12" in absent["detail"]
     assert "independent" not in absent["detail"]
+
+
+# Codings onto mixed single- and multi-character symbols.  The reordered
+# copy of SIGMA4 lists its letters backwards, so its coding's target
+# alphabet is (b, a1) where TAU4's is (a1, b): the coded fixed points agree
+# as symbol sequences but not as letter indices.
+TAU4_CODED = TAU4 + "coding big: a -> a1, b -> b\ncoding flip: a -> b, b -> a1\n"
+SIGMA4_REVERSED = """
+alphabet = c b a
+start = a
+a -> a b a b
+b -> a c c c
+c -> a b b c
+coding big: a -> a1, b -> b, c -> b
+coding phi: a -> a, b -> b, c -> b
+"""
+
+
+@pytest.mark.parametrize(
+    "coding_left, coding_right, agree",
+    [("big", "big", True), ("id", "phi", True), ("big", "phi", False), ("flip", "big", False)],
+)
+def test_cobham_gate_matches_symbol_tuples(tmp_path, coding_left, coding_right, agree):
+    left_path, right_path = tmp_path / "left.sub", tmp_path / "right.sub"
+    left_path.write_text(TAU4_CODED)
+    right_path.write_text(SIGMA4_REVERSED)
+    status, report = run_command(
+        [
+            "cobham",
+            "--left", str(left_path),
+            "--right", str(right_path),
+            "--coding-left", coding_left,
+            "--coding-right", coding_right,
+            "--prefix-check", "600",
+        ]
+    )
+    # the gate's old definition: equal tuples of display symbols
+    left, left_codings = parse_substitution(TAU4_CODED)
+    right, right_codings = parse_substitution(SIGMA4_REVERSED)
+    code = lambda sub, codings, name: codings.get(name) or identity_morphism(sub.alphabet)
+    a = morphic_image_prefix(code(left, left_codings, coding_left), left, 600)
+    b = morphic_image_prefix(code(right, right_codings, coding_right), right, 600)
+    assert (a.symbols() == b.symbols()) is agree
+    gate = report.payload["checks"][0]
+    assert gate["name"] == "coded-fixed-points-agree"
+    assert gate["outcome"] == ("pass" if agree else "fail")
+    assert status == (EXIT_OK if agree else EXIT_CHECK_FAILED)
 
 
 def test_periodic_command(files):

@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from retword.errors import ResourceLimitError
 from retword.intpoly import (
     DIVISOR_CAP,
     IntPolynomial,
+    LargestRootBisection,
     SturmCounter,
     _sturm_chain,
     cyclotomic,
@@ -350,3 +351,61 @@ def test_sturm_chain_matches_fraction_euclid(p):
     assert _sturm_chain(-p) == fraction_sturm_chain(-p)
     sf = p.squarefree_part()
     assert _sturm_chain(sf) == fraction_sturm_chain(sf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    roots=st.lists(small_fractions, min_size=1, max_size=4),
+    cofactor=st.lists(st.integers(-6, 6), max_size=3),
+    lead=st.integers(2, 7),
+    width=st.sampled_from((Fraction(1, 10**9), Fraction(1, 10), Fraction(2))),
+)
+def test_isolate_matches_fraction_chain_reference_non_dyadic_bound(roots, cofactor, lead, width):
+    # the bisection works over multiples of B / 2**k; a B whose denominator
+    # is not a power of two keeps every point off the dyadic rationals
+    p = _from_roots(roots, cofactor + [lead])
+    bound = root_magnitude_bound(p.squarefree_part())
+    assume(bound.denominator & (bound.denominator - 1))
+    assert isolate_largest_real_root(p, width) == fraction_isolate(p, width)
+
+
+real_rooted_polys = st.one_of(
+    matrix_char_polys,
+    st.builds(
+        _from_roots,
+        st.lists(small_fractions, min_size=1, max_size=5),
+        st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    p=real_rooted_polys,
+    widths=st.lists(
+        st.sampled_from((Fraction(3), Fraction(1, 7), Fraction(1, 10**6), Fraction(1, 10**20))),
+        min_size=2,
+        max_size=2,
+        unique=True,
+    ),
+)
+def test_narrowing_again_ends_where_a_fresh_isolation_ends(p, widths):
+    wide, narrow = sorted(widths, reverse=True)
+    bisection = LargestRootBisection(SturmCounter(p))
+    assert bisection.narrow(wide) == isolate_largest_real_root(p, wide)
+    assert bisection.narrow(narrow) == isolate_largest_real_root(p, narrow)
+
+
+def test_narrowing_an_isolated_bisection_counts_no_variations(corpus, monkeypatch):
+    polys = [char_poly(sub.matrix() @ sub.matrix()) for sub in corpus.values()]
+    polys.append(char_poly(IncidenceMatrix([[(i * j + i + 2 * j) % 3 for j in range(8)] for i in range(8)])))
+    counted = SturmCounter.variations
+    for p in polys:
+        bisection = LargestRootBisection(SturmCounter(p))
+        bisection.narrow(Fraction(1, 10))
+        calls = []
+        monkeypatch.setattr(SturmCounter, "variations", lambda self, at: calls.append(at) or counted(self, at))
+        enclosure = bisection.narrow(Fraction(1, 10**30))
+        monkeypatch.setattr(SturmCounter, "variations", counted)
+        assert calls == []
+        assert enclosure == fraction_isolate(p, Fraction(1, 10**30))

@@ -24,6 +24,7 @@ from retword.substitution import (
     power,
     substitution_from_strings,
 )
+from spectral_oracle import boolean_is_primitive
 
 
 def test_compose_fibonacci_square(fib):
@@ -103,6 +104,38 @@ def test_is_primitive_quad_sigma(quad_pair):
 def test_is_primitive_rejects_non_square():
     with pytest.raises(ValueError):
         is_primitive(IncidenceMatrix(((1, 0, 1), (0, 1, 0))))
+
+
+@st.composite
+def small_nonnegative_matrices(draw):
+    """1x1 to 9x9 matrices with entries 0..2, reducible and imprimitive shapes included."""
+    n = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("any", "reducible", "cyclic")))
+    if shape == "reducible":
+        # block triangular: no path leads from a later block back to an earlier one
+        block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        rows = [[e if block[i] <= block[j] else 0 for j, e in enumerate(r)] for i, r in enumerate(rows)]
+    elif shape == "cyclic":
+        # every edge goes from one class to the next, so every cycle length is a multiple of the period
+        period = draw(st.integers(2, 3))
+        cls = draw(st.lists(st.integers(0, period - 1), min_size=n, max_size=n))
+        rows = [[e if cls[j] == (cls[i] + 1) % period else 0 for j, e in enumerate(r)] for i, r in enumerate(rows)]
+    return IncidenceMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=small_nonnegative_matrices())
+def test_is_primitive_matches_boolean_tuple_oracle(m):
+    assert is_primitive(m) == boolean_is_primitive(m)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_wielandt_matrix_reaches_the_exponent_bound(n):
+    # the n-cycle plus one chord: cycles of lengths n and n - 1 only
+    rows = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    rows[n - 1][0] = rows[n - 1][1] = 1
+    assert is_primitive(IncidenceMatrix(rows)) == (True, n * n - 2 * n + 2)
 
 
 def test_power_examples(fib, morse):

@@ -11,6 +11,7 @@ from retword.words import (
     factor_set,
     factors,
     occurrences,
+    same_symbols,
 )
 
 AB = Alphabet(("a", "b", "c"))
@@ -250,3 +251,43 @@ def test_derived_words_match_tuple_operations(xs, ys, data):
     assert (a * 3).letters == tuple(xs) * 3
     assert a.startswith(b) == (tuple(xs)[: len(ys)] == tuple(ys))
     assert (a.scan_text < b.scan_text) == (tuple(xs) < tuple(ys))
+
+
+# single- and multi-character symbols, some of them concatenations of others
+SYMBOL_POOL = ("a", "b", "c", "ab", "bc", "a1", "1", "11")
+
+
+@st.composite
+def symbol_word_pairs(draw):
+    """Two words over independently drawn alphabets; often the same symbol sequence."""
+    left = Alphabet(draw(st.lists(st.sampled_from(SYMBOL_POOL), min_size=1, max_size=5, unique=True)))
+    spelled = draw(st.lists(st.sampled_from(left.symbols), max_size=12))
+    a = left.word(spelled)
+    if draw(st.booleans()):
+        # the same sequence over an alphabet holding its symbols in another order
+        extra = draw(st.lists(st.sampled_from(SYMBOL_POOL), max_size=3))
+        right = Alphabet(draw(st.permutations(tuple(dict.fromkeys(left.symbols + tuple(extra))))))
+        if spelled and draw(st.booleans()):
+            i = draw(st.integers(0, len(spelled) - 1))
+            spelled[i] = draw(st.sampled_from(right.symbols))
+        b = right.word(spelled)
+    else:
+        right = Alphabet(draw(st.lists(st.sampled_from(SYMBOL_POOL), min_size=1, max_size=5, unique=True)))
+        b = right.word(draw(st.lists(st.sampled_from(right.symbols), max_size=12)))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(symbol_word_pairs())
+def test_same_symbols_matches_symbol_tuples(pair):
+    a, b = pair
+    assert same_symbols(a, b) == (a.symbols() == b.symbols())
+    assert same_symbols(b, a) == same_symbols(a, b)
+
+
+def test_same_symbols_keeps_multi_character_symbols_apart():
+    joined, split = Alphabet(("ab", "c")), Alphabet(("a", "b", "c"))
+    assert not same_symbols(joined.word(["ab", "c"]), split.word(["a", "b", "c"]))
+    mixed, reordered = Alphabet(("a1", "b")), Alphabet(("b", "a1", "1"))
+    assert same_symbols(mixed.word(["a1", "b", "a1"]), reordered.word(["a1", "b", "a1"]))
+    assert not same_symbols(mixed.word(["a1", "b"]), reordered.word(["a1", "1"]))
