@@ -9,16 +9,24 @@ delay of a substitution is the margin beyond which every pair of
 interpretations of every factor synchronizes; here it is searched over a
 factor sample, never derived, so results are certificates on the sample and
 lower-bound reports, not proofs.
+
+Injectivity is checked over decodable factors, which are the decodings of
+the factors of the derived sequence, on the distinct factors of a derived
+prefix.  That prefix is translated once through the coding and once through
+the substitution, and every factor's decoded length and image are read off
+the two translations at one of its start positions, with no morphism applied
+word by word.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .returns import nonperiodic_check, return_substitution
-from .substitution import Substitution, fixed_point_prefix, is_primitive
-from .words import Word, factors
+from .substitution import Morphism, Substitution, fixed_point_prefix, is_primitive
+from .words import Word, factor_spans, factors
 
 
 @dataclass(frozen=True)
@@ -161,22 +169,42 @@ def _require_length_bound(length_bound: int) -> None:
 
 
 def _first_collision(
-    sub: Substitution, words: Iterable[Word]
+    host: Word, coding: Morphism, sub: Substitution, max_factor: int, length_bound: int
 ) -> tuple[int, tuple[Word, Word] | None]:
-    """How many words were read, and the first two distinct ones sharing an image.
+    """How many decoded factors were read, and the first two distinct ones sharing an image.
 
-    Images are keyed by their scan texts, so a dict hit is an exact equality.
+    The words read are coding(f) for the distinct factors f of ``host`` with at
+    most ``max_factor`` letters whose decoding has at most ``length_bound``
+    letters, taken in the lexicographic order of the factors, the order
+    :func:`retword.words.factor_spans` yields them in.  The host is
+    translated once through the coding and once more through ``sub``; prefix
+    sums of the per-letter decoded and image lengths then give each factor's
+    decoded length and image as slices at the start the walk gives for it,
+    with no per-word morphism call.  Return words form a code, so distinct factors
+    decode to distinct words and the first image met twice is the first
+    collision; a second walk finds the earlier word with that image.
     """
-    by_image: dict[str, Word] = {}
-    checked = 0
-    for word in words:
-        checked += 1
-        image = sub(word).scan_text
-        other = by_image.get(image)
-        if other is not None and other != word:
-            return checked, (other, word)
-        by_image[image] = word
-    return checked, None
+    text = host.scan_text
+    image = sub(coding(host)).scan_text
+    letter_lengths = [len(w) for w in sub.images]
+    decoded_lengths = [len(w) for w in coding.images]
+    image_lengths = [sum(map(letter_lengths.__getitem__, w)) for w in coding.images]
+    letters = list(map(ord, text))
+    decoded_at = list(accumulate(map(decoded_lengths.__getitem__, letters), initial=0))
+    image_at = list(accumulate(map(image_lengths.__getitem__, letters), initial=0))
+
+    def words() -> Iterator[tuple[int, int, str]]:
+        for i, j in factor_spans(text, range(1, max_factor + 1)):
+            if decoded_at[j] - decoded_at[i] <= length_bound:
+                yield i, j, image[image_at[i] : image_at[j]]
+
+    seen: set[str] = set()
+    for i, j, key in words():
+        if key in seen:
+            a, b = next((a, b) for a, b, other in words() if other == key)
+            return len(seen) + 1, (coding(host[a:b]), coding(host[i:j]))
+        seen.add(key)
+    return len(seen), None
 
 
 def check_injectivity(
@@ -185,25 +213,26 @@ def check_injectivity(
     """Check the substitution is one-to-one on decodable factors up to a length.
 
     The words that both occur in the fixed point and split over the return
-    words on u are exactly the decodings of factors of the derived sequence,
-    so those are enumerated directly (every factor of a ``derived_sample``
-    prefix of the derived sequence, cut from its distinct windows by
-    :func:`retword.words.factors`) and their images compared pairwise
-    (hashed, with exact confirmation on collision).  A length bound below 1
+    words on u are exactly the decodings of factors of the derived sequence
+    (Durand, *Discrete Math.* 179, 1998), so those are enumerated directly:
+    the decodings of at most ``length_bound`` letters of the distinct factors
+    of a ``derived_sample`` prefix of the derived sequence.  That prefix is
+    translated once through the coding and once through tau, and each
+    factor's decoding and image are read off the two translations by
+    :func:`_first_collision`.  ``words_checked`` counts every word when no
+    two images agree, and otherwise the words up to the first collision in
+    the lexicographic order of their derived factors.  A length bound below 1
     checks no word and is refused.
     """
     _require_length_bound(length_bound)
     nonperiodic_check(tau)
     system, tau_u = return_substitution(tau, u)
-    coding = system.coding()
     shortest = min(len(w) for w in system.return_words)
-    max_derived = max(0, length_bound // max(1, shortest))
-    derived_factors = []
+    max_derived = length_bound // max(1, shortest)
+    checked, collision = 0, None
     if max_derived:
         host = fixed_point_prefix(tau_u, derived_sample)
-        derived_factors = factors(host, range(1, max_derived + 1))
-    words = (w for w in map(coding, derived_factors) if len(w) <= length_bound)
-    checked, collision = _first_collision(tau, words)
+        checked, collision = _first_collision(host, system.coding(), tau, max_derived, length_bound)
     return InjectivityCertificate(u, length_bound, checked, collision is None, collision)
 
 
@@ -214,9 +243,10 @@ def find_n0(
     derived_sample: int = 1000,
 ) -> int | None:
     """Least prefix length whose injectivity certificate passes, together with
-    injectivity of the return substitution on its own factors (those of a
-    ``derived_sample`` prefix of its fixed point, up to ``length_bound``
-    letters, enumerated by :func:`retword.words.factors`).
+    injectivity of the return substitution on its own factors: those of a
+    ``derived_sample`` prefix of its fixed point up to ``length_bound``
+    letters, enumerated by :func:`retword.words.factors` and mapped one by
+    one, with pairwise distinct images.
 
     None when no prefix length up to ``max_prefix`` passes; existence beyond
     the scan is not decided here.  A length bound below 1 is refused, as in
@@ -226,11 +256,10 @@ def find_n0(
     nonperiodic_check(tau)
     for n in range(1, max_prefix + 1):
         u = fixed_point_prefix(tau, n)
-        cert = check_injectivity(tau, u, length_bound, derived_sample)
-        if not cert.passed:
+        if not check_injectivity(tau, u, length_bound, derived_sample).passed:
             continue
         _, tau_u = return_substitution(tau, u)
         own = factors(fixed_point_prefix(tau_u, derived_sample), range(1, length_bound + 1))
-        if _first_collision(tau_u, own)[1] is None:
+        if len({tau_u(w).scan_text for w in own}) == len(own):
             return n
     return None

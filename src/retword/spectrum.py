@@ -5,9 +5,10 @@ algorithm in O(n^4) integer operations (S. J. Berkowitz, *Inf. Process.
 Lett.* 18 (1984) 147-150); dominant roots come with certified rational
 enclosures; comparisons (same spectrum up to zero and roots of unity,
 multiplicative dependence of dominant roots) are decided by exact polynomial
-identities plus Sturm root counts, never by floating point.  Functions that
-need one matrix's polynomial several times compute it once and pass it on,
-and ``certify_equal_dominant`` builds one squarefree part and Sturm chain per
+identities plus Sturm root counts, never by floating point.  A matrix's
+characteristic polynomial is computed once and kept on the matrix, so the
+dominant eigenvalue, the dependence search and its certificate share it;
+``certify_equal_dominant`` builds one squarefree part and Sturm chain per
 distinct polynomial and narrows each dominant enclosure by continuing its
 bisection; the gcds and chains themselves come from the fraction-free
 remainder routine of :mod:`retword.intpoly`.
@@ -98,6 +99,13 @@ def char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
     return IntPolynomial(reversed(desc))
 
 
+def _matrix_char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
+    """``char_poly(matrix)``, computed once per matrix and kept on it."""
+    if matrix._char_poly is None:
+        matrix._char_poly = char_poly(matrix)
+    return matrix._char_poly
+
+
 def _dominant(p: IntPolynomial, precision: Fraction) -> RootEnclosure:
     """Certified enclosure of the largest real root of p."""
     return RootEnclosure(*isolate_largest_real_root(p, precision))
@@ -115,7 +123,7 @@ def dominant_eigenvalue(
         raise ValueError("dominant eigenvalue requires a square matrix")
     if not matrix.is_nonnegative:
         raise ValueError(_NONNEGATIVE_ONLY)
-    return _dominant(char_poly(matrix), precision)
+    return _dominant(_matrix_char_poly(matrix), precision)
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,7 @@ def spectrum_of_poly(p: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) 
 
 
 def spectrum(matrix: IncidenceMatrix, precision: Fraction = DEFAULT_PRECISION) -> Spectrum:
-    return spectrum_of_poly(char_poly(matrix), precision)
+    return spectrum_of_poly(_matrix_char_poly(matrix), precision)
 
 
 def strip_trivial_poly(p: IntPolynomial) -> IntPolynomial:
@@ -213,8 +221,8 @@ def spectra_equal_mod_trivial(m1: IncidenceMatrix, m2: IncidenceMatrix) -> bool:
     compared through their squarefree parts (normalized primitive, positive
     leading coefficient).
     """
-    p1 = strip_trivial_poly(char_poly(m1)).squarefree_part()
-    p2 = strip_trivial_poly(char_poly(m2)).squarefree_part()
+    p1 = strip_trivial_poly(_matrix_char_poly(m1)).squarefree_part()
+    p2 = strip_trivial_poly(_matrix_char_poly(m2)).squarefree_part()
     return p1 == p2
 
 
@@ -249,7 +257,7 @@ def certify_equal_dominant(
     Each refinement round continues both bisections; the enclosures are the
     ones a fresh isolation to the smaller width gives.
     """
-    p1, p2 = char_poly(m1), char_poly(m2)
+    p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
     if not (m1.is_nonnegative and m2.is_nonnegative):
         raise ValueError(_NONNEGATIVE_ONLY)
     # one squarefree part and Sturm chain per distinct polynomial
@@ -314,8 +322,8 @@ def mult_dependent(
     prim2, _ = is_primitive(m2)
     if not (prim1 and prim2):
         raise ValueError("multiplicative dependence check needs primitive matrices")
-    alpha = _dominant(char_poly(m1), precision)
-    beta = _dominant(char_poly(m2), precision)
+    alpha = _dominant(_matrix_char_poly(m1), precision)
+    beta = _dominant(_matrix_char_poly(m2), precision)
     pairs = sorted(
         ((m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)),
         key=lambda mn: (mn[0] + mn[1], mn[0]),
@@ -327,7 +335,7 @@ def mult_dependent(
             if alpha.hi**m != beta.hi**n:
                 continue
             value = alpha.hi**m
-            g = poly_gcd(char_poly(m1**m), char_poly(m2**n))
+            g = poly_gcd(_matrix_char_poly(m1**m), _matrix_char_poly(m2**n))
             return DependenceWitness(
                 m, n, True, g, RootEnclosure(value, value, True), value
             )

@@ -37,13 +37,15 @@ class IncidenceMatrix:
 
     Entry ``(i, j)`` is the number of occurrences of target letter ``i`` in
     the image of source letter ``j``; composition of morphisms corresponds to
-    the matrix product.
+    the matrix product.  ``_char_poly`` keeps the characteristic polynomial
+    once :mod:`retword.spectrum` has computed it; the matrix never changes.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_char_poly")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
+        self._char_poly = None
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -97,6 +99,8 @@ class IncidenceMatrix:
             raise ValueError("matrix power requires a square matrix")
         if n < 0:
             raise ValueError("matrix power exponent must be >= 0")
+        if n == 1:
+            return self
         result = identity_matrix(self.nrows)
         base = self
         while n:

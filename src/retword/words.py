@@ -13,6 +13,7 @@ decided exactly from return words by :func:`retword.returns.nonperiodic_check`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -206,30 +207,49 @@ def occurrences(pattern: Word, host: Word) -> OccurrenceList:
     return OccurrenceList(pattern, host, positions)
 
 
-def factors(host: Word, lengths: Iterable[int]) -> list[Word]:
-    """The distinct factors of ``host`` with the given lengths, in lexicographic
-    order of their letter indices (a shorter word before its extensions).
+def factor_spans(text: str, lengths: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(start, end) of one occurrence of each distinct factor of the scan text
+    ``text`` with one of the given lengths, in lexicographic order of the
+    factors (a shorter word before its extensions).
 
     Every factor of length n <= L, L the longest requested length, is a prefix
     of the *window* ``text[i:i+L]`` at its start i (near the end of the text a
-    window is a shorter tail).  So the distinct windows are collected once and
-    each is cut to every requested length it reaches: |host| window slices plus
-    |lengths| prefix slices per distinct window.  With p(n) the number of
-    length-n factors, that is O(|host| + Σ p(n)) slices for lengths 1..L when
-    p grows linearly, as it does on a fixed point of a primitive substitution,
-    against |host|·|lengths| slices for every window of every length.  A
-    length below 1 is refused.
+    window is a shorter tail).  So the distinct windows are collected once,
+    each with one start, and walked in sorted order, a preorder walk of the
+    trie of their prefixes: in sorted order, a prefix a window shares with
+    any earlier window it shares with the window just before it, so the new
+    factors of a window are its prefixes longer than the common prefix with
+    that window.  That is |text| window slices and one sort of the distinct
+    windows, and no factor is built as a string.  A length below 1 is
+    refused.
     """
     wanted = sorted(set(lengths))
-    if not wanted:
-        return []
-    if wanted[0] < 1:
+    if wanted and wanted[0] < 1:
         raise ValueError(f"factor lengths must be >= 1, got {wanted[0]}")
-    text = host.scan_text
+    return _trie_spans(text, wanted)
+
+
+def _trie_spans(text: str, wanted: list[int]) -> Iterator[tuple[int, int]]:
+    if not wanted:
+        return
     longest = wanted[-1]
-    windows = {text[i : i + longest] for i in range(len(text))}
-    found = {w[:n] for w in windows for n in wanted if n <= len(w)}
-    return [_word(host.alphabet, t) for t in sorted(found)]
+    previous = ""
+    for window, i in sorted({text[i : i + longest]: i for i in range(len(text))}.items()):
+        shared, limit = 0, min(len(previous), len(window))
+        while shared < limit and previous[shared] == window[shared]:
+            shared += 1
+        for n in wanted[bisect_right(wanted, shared) : bisect_right(wanted, len(window))]:
+            yield i, i + n
+        previous = window
+
+
+def factors(host: Word, lengths: Iterable[int]) -> list[Word]:
+    """The distinct factors of ``host`` with the given lengths, in lexicographic
+    order of their letter indices (a shorter word before its extensions),
+    enumerated by :func:`factor_spans`.  A length below 1 is refused.
+    """
+    text = host.scan_text
+    return [_word(host.alphabet, text[i:j]) for i, j in factor_spans(text, lengths)]
 
 
 def factor_set(host: Word, n: int) -> set[Word]:

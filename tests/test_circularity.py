@@ -4,7 +4,9 @@ import io
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import circularity_oracle as oracle
 from retword.circularity import (
     Interpretation,
     check_injectivity,
@@ -18,6 +20,7 @@ from retword.returns import return_substitution
 from retword.substitution import (
     compose,
     fixed_point_prefix,
+    is_primitive,
     power,
     substitution_from_strings,
 )
@@ -148,6 +151,76 @@ def test_check_injectivity_reports_collision():
     assert {first.text(), second.text()} == {"ab", "ac"}
     assert tau(first) == tau(second)
     assert cert.words_checked >= 2
+
+
+# substitutions with decodable factors sharing an image: the first is the case
+# above, the others were drawn at random, some colliding only after hundreds
+# of words in lexicographic order
+COLLIDING = [
+    {"a": "ab", "b": "ca", "c": "ca"},
+    {"a": "abca", "b": "cab", "c": "cab"},
+    {"a": "abca", "b": "abca", "c": "bcb"},
+    {"a": "aaac", "b": "ab", "c": "ab"},
+    {"a": "aac", "b": "aac", "c": "aabc"},
+    {"a": "aabc", "b": "d", "c": "aabc", "d": "aabc"},
+    {"a": "aad", "b": "aac", "c": "aac", "d": "aaab"},
+    {"a": "ab", "b": "da", "c": "da", "d": "caa"},
+    {"a": "ab", "b": "da", "c": "da", "d": "cda"},
+]
+
+
+@pytest.mark.parametrize("images", COLLIDING, ids=lambda im: ",".join(im.values()))
+def test_check_injectivity_collisions_match_word_oracle(images):
+    tau = substitution_from_strings(" ".join(images), images, "a")
+    outcomes = set()
+    for prefix_len in range(1, 7):
+        u = fixed_point_prefix(tau, prefix_len)
+        for bound in (1, 2, 3, 5, 8, 13, 21, 30):
+            cert = check_injectivity(tau, u, bound)
+            assert cert == oracle.check_injectivity(tau, u, bound)
+            outcomes.add(cert.passed)
+    assert False in outcomes
+    assert find_n0(tau, max_prefix=6) == oracle.find_n0(tau, max_prefix=6)
+
+
+@st.composite
+def primitive_substitutions(draw):
+    """Primitive substitutions on 2-4 letters with start letter a and images of
+    1-4 letters; a letter often repeats an earlier letter's image, so that
+    collisions can occur."""
+    symbols = "abcd"[: draw(st.integers(2, 4))]
+    images = {"a": "a" + draw(st.text(symbols, min_size=1, max_size=3))}
+    for s in symbols[1:]:
+        fresh = st.text(symbols, min_size=1, max_size=4)
+        images[s] = draw(st.one_of(fresh, st.sampled_from(sorted(images.values()))))
+    tau = substitution_from_strings(" ".join(symbols), images, "a")
+    assume(is_primitive(tau.matrix())[0])
+    return tau
+
+
+@settings(max_examples=80, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 6), st.integers(1, 30))
+def test_check_injectivity_matches_word_oracle(tau, prefix_len, bound):
+    u = fixed_point_prefix(tau, prefix_len)
+    try:
+        expected = oracle.check_injectivity(tau, u, bound)
+    except ValueError:  # a periodic fixed point is refused by both
+        with pytest.raises(ValueError):
+            check_injectivity(tau, u, bound)
+        return
+    assert check_injectivity(tau, u, bound) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 30))
+def test_find_n0_matches_word_oracle(tau, bound):
+    try:
+        expected = oracle.find_n0(tau, bound, max_prefix=6)
+    except ValueError:
+        with pytest.raises(ValueError):
+            find_n0(tau, bound, max_prefix=6)
+        return
+    assert find_n0(tau, bound, max_prefix=6) == expected
 
 
 def test_check_injectivity_vacuous_short_bound(fib):

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from retword.cli import run_command
 from retword.errors import CancelledSearch
 from retword.intpoly import IntPolynomial, SturmCounter, poly_gcd
 from retword.periodic import build_periodic_presentation
@@ -262,6 +266,34 @@ def test_mult_dependent_cancellation(fib, morse):
         mult_dependent(fib.matrix(), morse.matrix(), 12, cancel=lambda: True)
 
 
+def test_cobham_computes_each_characteristic_polynomial_once(monkeypatch):
+    """The dominant eigenvalue, the dependence search and the certified pair
+    (1, 1) share one characteristic polynomial per side, kept on the matrix."""
+    spectrum_module = sys.modules["retword.spectrum"]
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.rows)
+        return char_poly(matrix)
+
+    monkeypatch.setattr(spectrum_module, "char_poly", counted)
+    samples = Path(__file__).resolve().parents[1] / "samples"
+    argv = ["cobham", "--left", str(samples / "tau4.sub"), "--right", str(samples / "sigma4.sub")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(argv + ["--coding-right", "phi", "--json"])
+    assert status == 0
+    found = [c for c in report.payload["checks"] if c["name"] == "multiplicative-dependence"]
+    assert found[0]["witness"]["m"] == found[0]["witness"]["n"] == 1
+    assert len(calls) == 2
+    assert len(set(calls)) == 2
+
+
+def test_matrix_first_power_is_the_matrix(fib):
+    m = fib.matrix()
+    assert m**1 is m
+    assert m**2 == m @ m and m**0 == identity_matrix(2)
+
+
 def test_certify_equal_dominant_irrational(fib):
     m = fib.matrix()
     cert = certify_equal_dominant(m @ m, m @ m)
@@ -287,7 +319,8 @@ def test_certify_equal_dominant_one_char_poly_per_matrix(monkeypatch):
     calls.clear()
     g, meet = certify_equal_dominant(fib_and_one, fib, Fraction(1))
     assert g == P((-1, -1, 1)) and meet.lo < Fraction(1618034, 10**6) < meet.hi
-    assert calls == [fib_and_one, fib]
+    # fib's polynomial is kept on the matrix since the first comparison
+    assert calls == [fib_and_one]
 
 
 def _certificate(m1, m2, precision):

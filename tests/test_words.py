@@ -9,6 +9,7 @@ from retword.words import (
     Alphabet,
     Word,
     factor_set,
+    factor_spans,
     factors,
     occurrences,
     same_symbols,
@@ -108,6 +109,9 @@ def test_factors_match_slice_oracle(letters, lengths):
     found = factors(host, lengths)
     assert scan_texts(found) == slice_factors(host, lengths)
     assert all(w.alphabet == AB for w in found)
+    spans = list(factor_spans(host.scan_text, lengths))
+    assert [host.scan_text[i:j] for i, j in spans] == scan_texts(found)
+    assert all(j - i in lengths for i, j in spans)
 
 
 @settings(max_examples=100, deadline=None)
