@@ -56,21 +56,16 @@ class PeriodicPresentation:
         return self.zeta.alphabet
 
     @cached_property
-    def base_power(self) -> Substitution:
-        """tau^k, computed on first use; :func:`build_periodic_presentation` seeds its own."""
-        return power(self.base, self.exponent)
-
-    @cached_property
     def structural_checks(self) -> tuple[Check, ...]:
         """The four checks independent of a prefix length, computed on first use.
 
         In order: zeta∘psi = psi∘tau^k letter by letter (naming the first
         offender), primitivity of zeta, the period spelled by coding∘psi on
         every base letter, and exact equality of zeta's dominant eigenvalue
-        with the k-th power of the base's (tau^k's matrix is M^k).  The caches
-        are not fields, so a hand-built presentation computes its own.
+        with the k-th power of the base's (tau^k's matrix is M^k).  The cache
+        is not a field, so a hand-built presentation computes its own checks.
         """
-        rho = self.base_power
+        rho = power(self.base, self.exponent)
         lhs = compose(self.zeta.morphism, self.psi)
         rhs = compose(self.psi, rho.morphism)
         base = self.base.alphabet
@@ -108,10 +103,10 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
     if not primitive:
         raise ValueError("periodic presentation needs a primitive substitution")
     p = len(m)
-    base_matrix = tau.matrix()
-    k, mk = 1, base_matrix
+    k, mk = 1, tau.matrix()
     while not (mk.all_positive() and all(s > p for s in mk.column_sums())):
-        k, mk = k + 1, mk @ base_matrix
+        k += 1
+        mk = power(tau, k).matrix()
     rho = power(tau, k)
     base_alphabet = tau.alphabet
     symbols = tuple(
@@ -145,8 +140,6 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
         tuple(m[i : i + 1] for b in range(base_alphabet.size) for i in range(p)),
     )
     presentation = PeriodicPresentation(m, k, tau, zeta, psi, coding)
-    # seed the cache: the structural checks reuse this tau^k instead of raising tau again
-    presentation.__dict__["base_power"] = rho
     failed = [c.name for c in verify_presentation(presentation, check_len=4 * p) if not c.passed]
     if failed:
         raise InternalInconsistencyError(f"periodic construction failed checks: {failed}")

@@ -31,6 +31,7 @@ from .errors import (
 from .returns import (
     ReturnConstants,
     ReturnSystem,
+    _tower_level,
     decompose,
     estimate_constants,
     nonperiodic_check,
@@ -92,9 +93,7 @@ def kappa_morphism(
     sys_u, _ = return_substitution(tau, u)
     sys_v, _ = return_substitution(tau, v)
     k = 1
-    image_u = tau(u)
-    while len(image_u) <= len(v):
-        image_u = tau(image_u)
+    while len(power(tau, k)(u)) <= len(v):
         k += 1
         if k > budget:
             raise ResourceLimitError(f"no exponent <= {budget} outgrows v", budget=budget)
@@ -171,11 +170,9 @@ def verify_propprec(tau: Substitution, u: Word, v: Word) -> RelationReport:
 
 def two_occurrence_exponent(tau: Substitution, u: Word, budget: int = 64) -> int:
     """Least n such that every n-th image of a letter contains u at least twice."""
-    images = list(tau.images)
     for n in range(1, budget + 1):
-        if all(_count_occurrences(w, u) >= 2 for w in images):
+        if all(_count_occurrences(w, u) >= 2 for w in power(tau, n).images):
             return n
-        images = [tau(w) for w in images]
     raise ResourceLimitError(f"no exponent <= {budget} gives two occurrences", budget=budget)
 
 
@@ -245,7 +242,7 @@ def matrix_decomposition(
         )
     k_matrix = IncidenceMatrix(k_rows)
     coding_matrix = incidence_matrix(sys_u.coding())
-    m_l = tau.matrix() ** l
+    m_l = tau_l.matrix()
     mu_l = tau_u.matrix() ** l
     q_matrix = m_l - coding_matrix @ k_matrix
     p_matrix = mu_l - k_matrix @ coding_matrix
@@ -375,31 +372,20 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     theta = coding_substitution(sys_u)
 
     # least exponent whose images all start with u
-    k0 = None
-    images = list(tau.images)
-    for k in range(1, 65):
-        if all(w.startswith(u) for w in images):
-            k0 = k
-            break
-        images = [tau(w) for w in images]
+    k0 = next(
+        (k for k in range(1, 65) if all(w.startswith(u) for w in power(tau, k).images)), None
+    )
     if k0 is None:
         raise ResourceLimitError("no exponent <= 64 makes u a prefix of every image", budget=64)
 
     # nested prefixes w_1 = u, w_{n+1} = theta^n(u) · w_n
     nested: list[Word] = [u]
-    theta_pow_u = u
 
     candidates: dict[tuple, list[tuple[int, int, Morphism]]] = {}
     for p in range(k0 + 1, p_max + 1):
         target = power(tau, p - 1).image(tau.start)
-        while True:
-            theta_next = theta(theta_pow_u)
-            w_next = theta_next + nested[-1]
-            if target.startswith(w_next):
-                nested.append(w_next)
-                theta_pow_u = theta_next
-            else:
-                break
+        while target.startswith(w_next := power(theta, len(nested))(u) + nested[-1]):
+            nested.append(w_next)
         l_p = 0
         for idx, w in enumerate(nested, start=1):
             if target.startswith(w):
@@ -499,11 +485,11 @@ def shared_fixed_point_analysis(
 ) -> SharedWitness | None:
     """Find a prefix u and exponents with tau_u^i = sigma_u^j exactly.
 
-    Walks the derivation-tower prefixes of the common fixed point; at each
-    level both return substitutions live on the same return alphabet (the
-    return words depend only on the fixed point), so exact equality of powers
-    is a direct comparison.  Returns the first witness in (level, i+j, i)
-    order or None once depth and budget are exhausted.
+    Walks levels 1..depth of tau's cached tower, past its repetition if need
+    be; at each level both return substitutions live on the same return
+    alphabet (the return words depend only on the fixed point), so exact
+    equality of powers is a direct comparison.  Returns the first witness in
+    (level, i+j, i) order or None once depth and budget are exhausted.
     """
     same_fixed_point_gate(tau, sigma, check_len)
     for sub in (tau, sigma):
@@ -512,27 +498,19 @@ def shared_fixed_point_analysis(
             raise ValueError("shared-fixed-point analysis needs primitive substitutions")
     nonperiodic_check(tau)
 
-    u = fixed_point_prefix(tau, 1)
     for level in range(1, depth + 1):
         if cancel is not None and cancel():
             raise CancelledSearch(f"shared-fixed-point search cancelled at level {level}")
-        sys_t, tau_u = return_substitution(tau, u)
+        tower_level = _tower_level(tau, level)
+        u, sys_t, tau_u = tower_level.prefix, tower_level.system, tower_level.substitution
         sys_s, sigma_u = return_substitution(sigma, u)
         if spelling(sys_t.return_words) != spelling(sys_s.return_words):
             raise InternalInconsistencyError(
                 "return words disagree although the fixed points were gated equal"
             )
-        powers_t = {1: tau_u}
-        powers_s = {1: sigma_u}
         for total in range(2, 2 * budget + 1):
             for i in range(max(1, total - budget), min(budget, total - 1) + 1):
                 j = total - i
-                if i not in powers_t:
-                    powers_t[i] = power(tau_u, i)
-                if j not in powers_s:
-                    powers_s[j] = power(sigma_u, j)
-                a, b = powers_t[i], powers_s[j]
-                if spelling(a.images) == spelling(b.images):
+                if spelling(power(tau_u, i).images) == spelling(power(sigma_u, j).images):
                     return SharedWitness(u, i, j, level)
-        u = sys_t.return_words[0] + u
     return None

@@ -15,14 +15,15 @@ Only the initial search for a second occurrence of u consumes fixed-point
 buffer, under the configured cap.
 
 The derivation tower decides exactly whether the fixed point is periodic
-(:func:`nonperiodic_check`).  Return systems and the tower are cached on
-the substitution.
+(:func:`nonperiodic_check`).  The caches are the substitution's, none this
+module's: its fixed point, return systems, tower levels and powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .checks import Check
 from .errors import DecompositionError, InternalInconsistencyError, ResourceLimitError
@@ -32,7 +33,7 @@ from .substitution import (
     fixed_point_prefix,
     is_primitive,
 )
-from .words import Alphabet, Word, find_all, spelling
+from .words import Alphabet, Word, find_all
 
 MAX_RETURN_WORDS = 100_000
 # Return systems cached per substitution; the least recently used goes first.
@@ -67,12 +68,6 @@ class ReturnSystem:
 
     def word_for(self, letter: int) -> Word:
         return self.return_words[letter]
-
-    def letter_for(self, word: Word) -> int | None:
-        for i, w in enumerate(self.return_words):
-            if w.scan_text == word.scan_text:
-                return i
-        return None
 
 
 def _chunk_positions(w: Word, u: Word) -> list[int]:
@@ -332,10 +327,14 @@ def nested_derivation(
 
 @dataclass(frozen=True)
 class TowerLevel:
+    """``repeats`` is the depth of the first earlier level with the same
+    return substitution, or None."""
+
     depth: int
     prefix: Word
     system: ReturnSystem
     substitution: Substitution
+    repeats: int | None
 
 
 @dataclass(frozen=True)
@@ -345,24 +344,20 @@ class TowerResult:
     depth_requested: int
 
 
-def _walk_tower(tau: Substitution) -> tuple[tuple[TowerLevel, ...], tuple[int, int] | None]:
-    """Tower levels, cached on tau, up to the first level with one return word
-    or the first repeated return substitution, and that repetition's depths."""
-    if tau._tower is None:
-        u = fixed_point_prefix(tau, 1)
-        levels: list[TowerLevel] = []
-        seen: dict[tuple, int] = {}
-        while True:
-            system, sub = return_substitution(tau, u)
-            levels.append(TowerLevel(len(levels) + 1, u, system, sub))
-            key = (sub.start, spelling(sub.images))
-            if system.count == 1 or key in seen:
-                break
-            seen[key] = len(levels)
-            u = system.return_words[0] + u
-        repetition = (seen[key], len(levels)) if key in seen else None
-        tau._tower = tuple(levels), repetition
-    return tau._tower
+def _tower_level(tau: Substitution, depth: int) -> TowerLevel:
+    """Level ``depth`` of the tower of tau, from the one walk kept on tau and
+    grown on demand: u_1 the first letter, u_{k+1} = (first return word on u_k)·u_k."""
+    levels = tau._tower
+    while len(levels) < depth:
+        if levels:
+            last = levels[-1]
+            u = last.system.return_words[0] + last.prefix
+        else:
+            u = fixed_point_prefix(tau, 1)
+        system, sub = return_substitution(tau, u)
+        repeats = next((level.depth for level in levels if level.substitution == sub), None)
+        levels.append(TowerLevel(len(levels) + 1, u, system, sub, repeats))
+    return levels[depth - 1]
 
 
 def nonperiodic_check(tau: Substitution) -> int:
@@ -394,28 +389,30 @@ def nonperiodic_check(tau: Substitution) -> int:
     a first return word raises ResourceLimitError at the fixed-point buffer
     cap, so the walk cannot run forever.
     """
-    levels, _ = _walk_tower(tau)
-    last = levels[-1]
-    if last.system.count == 1:
-        raise ValueError(
-            f"fixed point is periodic: one return word {last.system.return_words[0].text()!r} "
-            f"on the prefix of length {len(last.prefix)}, tower depth {last.depth}"
-        )
-    return last.depth
+    for depth in count(1):
+        level = _tower_level(tau, depth)
+        if level.system.count == 1:
+            only = level.system.return_words[0]
+            raise ValueError(
+                f"fixed point is periodic: one return word {only.text()!r} "
+                f"on the prefix of length {len(level.prefix)}, tower depth {depth}"
+            )
+        if level.repeats is not None:
+            return depth
 
 
 def derivation_tower(tau: Substitution, depth: int) -> TowerResult:
     """The first ``depth`` levels of the tower, u_1 the first letter and
     u_{k+1} = (first return word on u_k)·u_k, with the first pair (p, q),
     p < q, of levels whose return substitutions are identical, if q <= depth.
+    The levels stop at q, however deep the walk cached on tau has gone.
     Raises ValueError when the fixed point is periodic."""
     if depth < 1:
         raise ValueError("tower depth must be >= 1")
-    nonperiodic_check(tau)
-    levels, repetition = _walk_tower(tau)
-    if repetition is not None and repetition[1] > depth:
-        repetition = None
-    return TowerResult(levels[:depth], repetition, depth)
+    q = nonperiodic_check(tau)
+    levels = tuple(tau._tower[: min(depth, q)])
+    repetition = (levels[-1].repeats, q) if q <= depth else None
+    return TowerResult(levels, repetition, depth)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ Lett.* 18 (1984) 147-150); dominant roots come with certified rational
 enclosures; comparisons (same spectrum up to zero and roots of unity,
 multiplicative dependence of dominant roots) are decided by exact polynomial
 identities plus Sturm root counts, never by floating point.  A matrix's
-characteristic polynomial is computed once and kept on the matrix, so the
-dominant eigenvalue, the dependence search and its certificate share it;
+characteristic polynomial and dominant enclosure are kept on the matrix, so
+the dominant eigenvalue, the dependence search and its certificate share them;
 ``certify_equal_dominant`` builds one squarefree part and Sturm chain per
 distinct polynomial and narrows each dominant enclosure by continuing its
 bisection; the gcds and chains themselves come from the fraction-free
@@ -106,9 +106,15 @@ def _matrix_char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
     return matrix._char_poly
 
 
-def _dominant(p: IntPolynomial, precision: Fraction) -> RootEnclosure:
-    """Certified enclosure of the largest real root of p."""
-    return RootEnclosure(*isolate_largest_real_root(p, precision))
+def _matrix_dominant(matrix: IncidenceMatrix, precision: Fraction) -> RootEnclosure:
+    """Certified enclosure of the dominant root; kept on the matrix at default precision."""
+    kept = precision == DEFAULT_PRECISION
+    if kept and matrix._dominant is not None:
+        return matrix._dominant
+    enclosure = RootEnclosure(*isolate_largest_real_root(_matrix_char_poly(matrix), precision))
+    if kept:
+        matrix._dominant = enclosure
+    return enclosure
 
 
 def dominant_eigenvalue(
@@ -123,7 +129,7 @@ def dominant_eigenvalue(
         raise ValueError("dominant eigenvalue requires a square matrix")
     if not matrix.is_nonnegative:
         raise ValueError(_NONNEGATIVE_ONLY)
-    return _dominant(_matrix_char_poly(matrix), precision)
+    return _matrix_dominant(matrix, precision)
 
 
 @dataclass(frozen=True)
@@ -322,8 +328,8 @@ def mult_dependent(
     prim2, _ = is_primitive(m2)
     if not (prim1 and prim2):
         raise ValueError("multiplicative dependence check needs primitive matrices")
-    alpha = _dominant(_matrix_char_poly(m1), precision)
-    beta = _dominant(_matrix_char_poly(m2), precision)
+    alpha = _matrix_dominant(m1, precision)
+    beta = _matrix_dominant(m2, precision)
     pairs = sorted(
         ((m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)),
         key=lambda mn: (mn[0] + mn[1], mn[0]),

@@ -37,15 +37,16 @@ class IncidenceMatrix:
 
     Entry ``(i, j)`` is the number of occurrences of target letter ``i`` in
     the image of source letter ``j``; composition of morphisms corresponds to
-    the matrix product.  ``_char_poly`` keeps the characteristic polynomial
-    once :mod:`retword.spectrum` has computed it; the matrix never changes.
+    the matrix product.  ``_char_poly`` and ``_dominant`` (the dominant root
+    at default precision) are kept once :mod:`retword.spectrum` computes them.
     """
 
-    __slots__ = ("rows", "_char_poly")
+    __slots__ = ("rows", "_char_poly", "_dominant")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
         self._char_poly = None
+        self._dominant = None
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -241,10 +242,12 @@ def is_primitive(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
 class Substitution:
     """A self-morphism with non-empty images and a start letter fixing its first letter.
 
-    It caches its fixed-point generator, return systems and derivation tower.
+    It owns four caches, filled on first use and never referring back to it:
+    its fixed point, the return systems on recent prefixes and the tower
+    levels (both filled by :mod:`retword.returns`), and its powers.
     """
 
-    __slots__ = ("morphism", "start", "_fixed_point", "_return_systems", "_tower")
+    __slots__ = ("morphism", "start", "_fixed_point", "_return_systems", "_tower", "_powers")
 
     def __init__(self, morphism: Morphism, start: int):
         if morphism.source != morphism.target:
@@ -261,7 +264,8 @@ class Substitution:
         self.start = start
         self._fixed_point: FixedPointPrefix | None = None
         self._return_systems: dict = {}
-        self._tower = None
+        self._tower: list = []
+        self._powers: dict[int, Substitution] = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -314,13 +318,24 @@ def substitution_from_strings(symbols: str | Iterable[str], images: dict[str, st
 
 
 def power(s: Substitution, n: int) -> Substitution:
-    """The substitution whose images are the n-fold iterates; same start letter."""
+    """The substitution whose images are the n-fold iterates; same start letter.
+
+    ``power(s, 1)`` is s; higher powers are kept on s, each new exponent
+    costing one composition, so a repeated call returns the same object.
+    """
     if n < 1:
         raise ValueError("power exponent must be >= 1")
-    m = s.morphism
-    for _ in range(n - 1):
-        m = compose(s.morphism, m)
-    return Substitution(m, s.start)
+    if n == 1:
+        return s
+    table = s._powers
+    if n not in table:
+        # the table holds exactly the exponents 2 .. top
+        top = len(table) + 1
+        m = table[top].morphism if table else s.morphism
+        for e in range(top + 1, n + 1):
+            m = compose(s.morphism, m)
+            table[e] = Substitution(m, s.start)
+    return table[n]
 
 
 class FixedPointPrefix:

@@ -36,3 +36,19 @@ def derived_prefix_by_scan(tau: Substitution, u: Word, n: int) -> Word:
         if len(out) == n:
             break
     return Word(system.return_alphabet, tuple(out))
+
+
+def tower_prefixes_by_scan(tau: Substitution, depth: int) -> list[str]:
+    """Scan texts of the tower prefixes u_1..u_depth, read off the fixed point:
+    u_1 is its first letter and u_{k+1} is its prefix up to the second
+    occurrence of u_k, followed by u_k."""
+    fp = tau.fixed_point()
+    u = fp.text(1)
+    prefixes = []
+    for _ in range(depth):
+        prefixes.append(u)
+        text = fp.text(4 * len(u))
+        while (second := text.find(u, 1)) < 0:
+            text = fp.text(2 * len(text))
+        u = text[:second] + u
+    return prefixes

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from retword.cli import run_command
+from retword.corpus import fibonacci
 from retword.periodic import (
     PeriodicPresentation,
     build_periodic_presentation,
@@ -19,6 +20,7 @@ from retword.substitution import (
     compose,
     is_primitive,
     morphic_image_prefix,
+    parse_substitution,
     power,
     substitution_from_strings,
 )
@@ -199,38 +201,42 @@ def test_periodic_command_checks_structure_once(monkeypatch):
     assert len(compositions) == 2
 
 
-def _count_powers(monkeypatch) -> list:
+def _count_compositions(monkeypatch) -> list:
+    """Record the left factor of every composition ``power`` makes."""
     calls = []
-    periodic_module = sys.modules["retword.periodic"]
+    substitution_module = sys.modules["retword.substitution"]
 
-    def counted(s, n):
-        calls.append(n)
-        return power(s, n)
+    def counted(f, g):
+        calls.append(f)
+        return compose(f, g)
 
-    monkeypatch.setattr(periodic_module, "power", counted)
+    monkeypatch.setattr(substitution_module, "compose", counted)
     return calls
 
 
 @pytest.mark.parametrize("period", ["0", "0110", "0110101101"])
 def test_periodic_command_raises_tau_to_the_k_once(monkeypatch, period):
-    """One job computes tau^k once: the build uses it for zeta's images and
-    the structural checks reuse it, with its matrix as M^k."""
-    calls = _count_powers(monkeypatch)
+    """One job composes tau k-1 times: the exponent search, zeta's images and
+    the structural checks all read tau^k from the base's power table."""
+    calls = _count_compositions(monkeypatch)
     sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
+    tau, _ = parse_substitution(sample.read_text())
     with contextlib.redirect_stdout(io.StringIO()):
         status, report = run_command(["periodic", str(sample), "--period", period, "--json"])
     assert status == 0
     assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
-    assert calls == [report.payload["data"]["exponent"]]
+    assert len(calls) == report.payload["data"]["exponent"] - 1
+    assert all(f == tau.morphism for f in calls)
 
 
-def test_hand_built_presentation_raises_its_own_power(monkeypatch, fib):
-    calls = _count_powers(monkeypatch)
-    pres = build_periodic_presentation(TARGET.word("aba"), fib)
-    assert calls == [pres.exponent]
+def test_hand_built_presentation_reuses_the_base_power(monkeypatch):
+    tau = fibonacci()
+    calls = _count_compositions(monkeypatch)
+    pres = build_periodic_presentation(TARGET.word("aba"), tau)
+    assert len(calls) == pres.exponent - 1
+    assert all(f is tau.morphism for f in calls)
     copy = PeriodicPresentation(
         pres.period, pres.exponent, pres.base, pres.zeta, pres.psi, pres.coding
     )
     assert verify_presentation(copy, check_len=10) == verify_presentation(pres, check_len=10)
-    assert calls == [pres.exponent] * 2
-    assert copy.base_power.morphism == pres.base_power.morphism == power(fib, pres.exponent).morphism
+    assert len(calls) == pres.exponent - 1

@@ -1,6 +1,14 @@
+import contextlib
+import io
+import sys
+from pathlib import Path
+
 import pytest
 
+from returns_oracle import tower_prefixes_by_scan
 from spectral_oracle import same_nonzero_root_sets
+from retword.cli import run_command
+from retword.corpus import fibonacci
 from retword.errors import CancelledSearch
 from retword.relations import (
     check_stepone_hypotheses,
@@ -15,15 +23,18 @@ from retword.relations import (
     two_occurrence_exponent,
     verify_propprec,
 )
-from retword.returns import estimate_constants, return_substitution
+from retword.returns import derivation_tower, estimate_constants, return_substitution
 from retword.spectrum import char_poly
 from retword.substitution import (
     compose,
     fixed_point_prefix,
+    format_substitution,
     incidence_matrix,
     power,
     substitution_from_strings,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PROPPREC_TRIPLES = [
     ("fibonacci", "0", "01"),
@@ -300,3 +311,81 @@ def test_shared_fixed_point_gate(fib, morse):
 def test_shared_fixed_point_cancellation(fib):
     with pytest.raises(CancelledSearch):
         shared_fixed_point_analysis(fib, power(fib, 2), cancel=lambda: True)
+
+
+# `shared --left samples/fib.sub --right <fib squared> --budget 1 --json`,
+# "{right}" standing for the second file's path
+SHARED_PAST_REPETITION = """{
+  "command": "shared",
+  "argv": [
+    "shared",
+    "--left",
+    "samples/fib.sub",
+    "--right",
+    "{right}",
+    "--budget",
+    "1",
+    "--json"
+  ],
+  "config": {
+    "budget": 1,
+    "depth": 8,
+    "left": "samples/fib.sub",
+    "power_bound": 6,
+    "right": "{right}",
+    "prefix_cap": 10000000
+  },
+  "checks": [
+    {
+      "name": "power-coincidence",
+      "outcome": "found",
+      "witness": [
+        2,
+        1
+      ]
+    },
+    {
+      "name": "shared-prefix-power-equality",
+      "outcome": "absent",
+      "detail": "no witness with depth 8, exponent budget 1"
+    }
+  ],
+  "data": {}
+}
+"""
+
+
+def test_shared_walks_the_tower_past_its_repetition(tmp_path, monkeypatch):
+    """Fibonacci's tower repeats at depth 2; a shared search of depth 8 goes on
+    along the same walk, the oracle's prefixes, and a later tower on the same
+    substitution still stops at the repetition without a new closure."""
+    right = tmp_path / "fib2.sub"
+    right.write_text(format_substitution(power(fibonacci(), 2)))
+    visited = []
+
+    def recorded(tau, u):
+        visited.append(u.scan_text)
+        return return_substitution(tau, u)
+
+    monkeypatch.setattr(sys.modules["retword.relations"], "return_substitution", recorded)
+    monkeypatch.chdir(ROOT)
+    argv = ["shared", "--left", "samples/fib.sub", "--right", str(right), "--budget", "1"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status, _ = run_command(argv + ["--json"])
+    assert status == 3
+    assert out.getvalue() == SHARED_PAST_REPETITION.replace("{right}", str(right))
+    assert visited == tower_prefixes_by_scan(fibonacci(), 8)
+
+    tau = fibonacci()
+    assert shared_fixed_point_analysis(tau, power(tau, 2), depth=8, budget=1) is None
+    closures = []
+    returns_module = sys.modules["retword.returns"]
+    closure = returns_module._return_closure
+    monkeypatch.setattr(
+        returns_module, "_return_closure", lambda *args: closures.append(args) or closure(*args)
+    )
+    tower = derivation_tower(tau, 30)
+    assert tower.repetition == (1, 2)
+    assert [level.prefix.scan_text for level in tower.levels] == visited[:2]
+    assert closures == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from retword.cli import run_command
 from retword.errors import CancelledSearch
-from retword.intpoly import IntPolynomial, SturmCounter, poly_gcd
+from retword.intpoly import IntPolynomial, LargestRootBisection, SturmCounter, poly_gcd
 from retword.periodic import build_periodic_presentation
 from retword.returns import return_substitution
 from retword.spectrum import (
@@ -268,15 +268,22 @@ def test_mult_dependent_cancellation(fib, morse):
 
 def test_cobham_computes_each_characteristic_polynomial_once(monkeypatch):
     """The dominant eigenvalue, the dependence search and the certified pair
-    (1, 1) share one characteristic polynomial per side, kept on the matrix."""
+    (1, 1) share one characteristic polynomial per side, kept on the matrix,
+    and the report and the search read one dominant enclosure per side."""
     spectrum_module = sys.modules["retword.spectrum"]
-    calls = []
+    calls, isolated = [], []
+    bisection_init = LargestRootBisection.__init__
 
     def counted(matrix):
         calls.append(matrix.rows)
         return char_poly(matrix)
 
+    def counted_bisection(self, counter):
+        isolated.append(counter.poly)
+        bisection_init(self, counter)
+
     monkeypatch.setattr(spectrum_module, "char_poly", counted)
+    monkeypatch.setattr(LargestRootBisection, "__init__", counted_bisection)
     samples = Path(__file__).resolve().parents[1] / "samples"
     argv = ["cobham", "--left", str(samples / "tau4.sub"), "--right", str(samples / "sigma4.sub")]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -286,6 +293,8 @@ def test_cobham_computes_each_characteristic_polynomial_once(monkeypatch):
     assert found[0]["witness"]["m"] == found[0]["witness"]["n"] == 1
     assert len(calls) == 2
     assert len(set(calls)) == 2
+    assert len(isolated) == 2
+    assert len(set(isolated)) == 2
 
 
 def test_matrix_first_power_is_the_matrix(fib):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from retword.errors import GenerationError, ParseError, ResourceLimitError
+from retword.returns import derivation_tower
 from retword.substitution import (
     Alphabet,
     FixedPointPrefix,
@@ -373,9 +374,9 @@ def morphisms(draw):
 
 
 @st.composite
-def primitive_substitutions(draw):
-    """Substitutions on 1-4 letters with start letter 0 and images of 1-6 letters."""
-    alphabet = draw(st.sampled_from(ALPHABETS[:4]))
+def primitive_substitutions(draw, min_letters=1):
+    """Substitutions on min_letters-4 letters with start letter 0 and images of 1-6 letters."""
+    alphabet = draw(st.sampled_from(ALPHABETS[min_letters - 1 : 4]))
     k = alphabet.size
     images = []
     for b in range(k):
@@ -411,3 +412,42 @@ def test_fixed_point_prefix_matches_letterwise(sub, cap, data):
     with pytest.raises(ResourceLimitError):
         fp.ensure(cap + 1)
     assert len(fp) <= max(len(sub.image(sub.start)), cap + longest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_substitutions(min_letters=2), st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_power_is_nested_composition_and_kept(sub, exponents):
+    """power(s, n) equals n-1 nested compositions with s, in whatever order the
+    exponents are asked for; a repeated call returns the same object and
+    power(s, 1) is s itself."""
+    for n in exponents:
+        nested = sub.morphism
+        for _ in range(n - 1):
+            nested = compose(sub.morphism, nested)
+        assert power(sub, n).morphism == nested
+        assert power(sub, n).start == sub.start
+        assert power(sub, n) is power(sub, n)
+    assert power(sub, 1) is sub
+
+
+def test_powered_substitution_leaves_no_cycle():
+    """The power table refers to the powers only, never back to their base, so
+    a powered substitution with its fixed point, return systems and tower
+    leaves nothing to the cycle collector."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sub = substitution_from_strings("a b", {"a": "ab", "b": "a"}, "a")
+        square = power(sub, 2)
+        power(power(sub, 5), 2)
+        fixed_point_prefix(square, 1000)
+        derivation_tower(square, 8)
+        power(derivation_tower(sub, 8).levels[0].substitution, 3)
+        del sub, square
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
