@@ -1,23 +1,20 @@
 """Exact integer polynomial arithmetic: gcds, Sturm counts, cyclotomics, root isolation.
 
 Coefficients are arbitrary-precision integers stored in ascending degree
-order.  Everything that certifies a claim (root counting, isolation,
-divisibility) runs over exact integers, with ``Fraction`` only for rational
-points: enclosure endpoints and rational roots.  Floating point appears only
-in the advisory complex root approximations at the bottom of the module.
-One remainder routine, the primitive pseudo-remainder ``_prem``, serves
-gcds, squarefree parts and Sturm chains, so no Euclidean step leaves the
-integers.  Sturm chains are stored as integer polynomials and evaluated at a
-rational p/q through the integer q**d c(p/q), which has the sign of c(p/q).
-Root isolation bisects over the dyadic points B c / 2**k of the root bound
-B, with the chain scaled once so that a point costs one integer Horner
-evaluation with shifts (F. Rouillier and P. Zimmermann, *J. Comput. Appl.
-Math.* 162 (2004) 33-50).
+order.  Everything runs over exact integers, with ``Fraction`` only for
+rational points: enclosure endpoints and rational roots; floating point
+appears nowhere.  One remainder routine, the primitive pseudo-remainder
+``_prem``, serves gcds, squarefree parts and Sturm chains, so no Euclidean
+step leaves the integers.  Sturm chains are stored as integer polynomials
+and evaluated at a rational p/q through the integer q**d c(p/q), which has
+the sign of c(p/q).  Root isolation bisects over the dyadic points
+B c / 2**k of the root bound B, with the chain scaled once so that a point
+costs one integer Horner evaluation with shifts (F. Rouillier and
+P. Zimmermann, *J. Comput. Appl. Math.* 162 (2004) 33-50).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
@@ -599,55 +596,3 @@ def cyclotomic(d: int) -> IntPolynomial:
             if not rem.is_zero:
                 raise InternalInconsistencyError("cyclotomic division left a remainder")
     return num
-
-
-@dataclass(frozen=True)
-class NumericRoot:
-    """Advisory complex approximation with an a-posteriori distance bound."""
-
-    value: complex
-    error_bound: float
-
-
-def numeric_roots(p: IntPolynomial, iterations: int = 400) -> tuple[NumericRoot, ...]:
-    """Simultaneous-iteration approximations of all complex roots.
-
-    Advisory only: the returned bound (|p(z)| / |lead|) ** (1/deg) dominates
-    the distance from z to the nearest true root; nothing downstream certifies
-    with these numbers.
-    """
-    d = p.degree
-    if d < 1:
-        return ()
-    lead = p.coeffs[-1]
-    monic = [c / lead for c in p.coeffs]
-
-    def peval(z: complex) -> complex:
-        acc = 0j
-        for c in reversed(monic):
-            acc = acc * z + c
-        return acc
-
-    radius = float(root_magnitude_bound(p))
-    zs = [complex(0.4, 0.9) ** k * radius / 2 + 0.1 for k in range(1, d + 1)]
-    for _ in range(iterations):
-        shift = 0.0
-        new = list(zs)
-        for i in range(d):
-            denom = 1.0 + 0j
-            for j in range(d):
-                if j != i:
-                    denom *= zs[i] - zs[j]
-            if denom == 0:
-                denom = 1e-30
-            delta = peval(zs[i]) / denom
-            new[i] = zs[i] - delta
-            shift = max(shift, abs(delta))
-        zs = new
-        if shift < 1e-14 * max(1.0, radius):
-            break
-    out = []
-    for z in sorted(zs, key=lambda w: (round(w.real, 9), round(w.imag, 9))):
-        residue = abs(p(complex(z)) / lead)
-        out.append(NumericRoot(z, residue ** (1.0 / d) if residue else 0.0))
-    return tuple(out)

@@ -453,14 +453,16 @@ def power_coincidence(
     bound: int = 6,
     check_len: int | None = None,
 ) -> tuple[int, int] | None:
-    """Least exponents (i, j) whose matrix powers carry the same spectrum up to
-    zeros and roots of unity; None means no pair up to the bound."""
+    """Least exponents (i, j) in (i+j, i) order whose matrix powers carry the
+    same spectrum up to zeros and roots of unity; None means no pair up to the
+    bound.  The powers' characteristic polynomials come from the matrices'
+    own, with no matrix power formed."""
     same_fixed_point_gate(tau, sigma, check_len)
     m1, m2 = tau.matrix(), sigma.matrix()
     for total in range(2, 2 * bound + 1):
         for i in range(max(1, total - bound), min(bound, total - 1) + 1):
             j = total - i
-            if spectra_equal_mod_trivial(m1**i, m2**j):
+            if spectra_equal_mod_trivial(m1, m2, i, j):
                 return (i, j)
     return None
 

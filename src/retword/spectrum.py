@@ -1,17 +1,21 @@
 """Eigenvalue analysis of incidence matrices over exact arithmetic.
 
-Characteristic polynomials are computed by Berkowitz's division-free
-algorithm in O(n^4) integer operations (S. J. Berkowitz, *Inf. Process.
-Lett.* 18 (1984) 147-150); dominant roots come with certified rational
-enclosures; comparisons (same spectrum up to zero and roots of unity,
-multiplicative dependence of dominant roots) are decided by exact polynomial
-identities plus Sturm root counts, never by floating point.  A matrix's
-characteristic polynomial and dominant enclosure are kept on the matrix, so
-the dominant eigenvalue, the dependence search and its certificate share them;
-``certify_equal_dominant`` builds one squarefree part and Sturm chain per
-distinct polynomial and narrows each dominant enclosure by continuing its
-bisection; the gcds and chains themselves come from the fraction-free
-remainder routine of :mod:`retword.intpoly`.
+Characteristic polynomials come from the smallest exact object: identical
+columns are lumped first (Sylvester's identity det(xI - P N) =
+x^(n - d) det(xI - N P) for the n x d matrix P of distinct columns),
+Berkowitz's division-free algorithm (S. J. Berkowitz, *Inf. Process. Lett.*
+18 (1984) 147-150) runs on the d x d rest, and the polynomial of a power
+M^m follows from M's by Newton's identities, so no matrix power is formed.
+Dominant roots come with certified rational enclosures; comparisons (same
+spectrum up to zero and roots of unity, multiplicative dependence of
+dominant roots) are decided by exact polynomial identities plus Sturm root
+counts, never by floating point.  A matrix's characteristic polynomial and
+dominant enclosure are kept on the matrix, so the dominant eigenvalue, the
+dependence search and its certificate share them; the dominant-root
+comparison builds one squarefree part and Sturm chain per distinct
+polynomial and narrows each dominant enclosure by continuing its bisection;
+the gcds and chains themselves come from the fraction-free remainder
+routine of :mod:`retword.intpoly`.
 """
 
 from __future__ import annotations
@@ -19,18 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import CancelledSearch, InternalInconsistencyError
 from .intpoly import (
     IntPolynomial,
     LargestRootBisection,
-    NumericRoot,
     SturmCounter,
     cyclotomic,
     euler_phi,
     isolate_largest_real_root,
-    numeric_roots,
     poly_gcd,
     rational_roots,
 )
@@ -70,23 +72,35 @@ class RootEnclosure:
             return None
         return RootEnclosure(lo, hi, self.exact and other.exact and lo == hi)
 
-    def as_float(self) -> float:
-        return float((self.lo + self.hi) / 2)
 
+def _lumped(rows: Sequence[Sequence[int]]) -> tuple[Sequence[Sequence[int]], int]:
+    """N P for M = P N, repeated until no two columns agree, and the zero roots removed.
 
-def char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
-    """det(xI - M) with exact integer coefficients, by Berkowitz's algorithm.
-
-    Division-free, with O(n^4) integer operations (S. J. Berkowitz, *Inf.
-    Process. Lett.* 18 (1984) 147-150).  The characteristic polynomial of the
-    leading (r+1)x(r+1) block is the Toeplitz product of that of the r x r
-    block A with the column (1, -a, -RC, -RAC, ..., -RA^(r-1)C), where a is
-    the new diagonal entry, R the new row and C the new column.
+    Row a of N P sums the rows of P (the distinct columns of M) whose index
+    lies in the class a of equal columns.
     """
-    if not matrix.is_square:
-        raise ValueError("characteristic polynomial requires a square matrix")
-    rows = matrix.rows
-    desc = [1]  # coefficients of the leading block's polynomial, highest first
+    dropped = 0
+    while True:
+        classes: dict[tuple[int, ...], int] = {}
+        labels = [classes.setdefault(col, len(classes)) for col in zip(*rows)]
+        if len(classes) == len(rows):
+            return rows, dropped
+        dropped += len(rows) - len(classes)
+        lumped = [[0] * len(classes) for _ in classes]
+        for label, p_row in zip(labels, zip(*classes)):
+            lumped[label] = [a + b for a, b in zip(lumped[label], p_row)]
+        rows = lumped
+
+
+def _berkowitz(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Coefficients of det(xI - A), highest degree first, by Berkowitz's algorithm.
+
+    The characteristic polynomial of the leading (r+1)x(r+1) block is the
+    Toeplitz product of that of the r x r block B with the column (1, -a,
+    -RC, -RBC, ..., -RB^(r-1)C), where a is the new diagonal entry, R the new
+    row and C the new column.
+    """
+    desc = [1]
     for r, new_row in enumerate(rows):
         block = [row[:r] for row in rows[:r]]
         left = new_row[:r]
@@ -96,7 +110,53 @@ def char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
             toeplitz.append(-sum(map(mul, left, vec)))
             vec = [sum(map(mul, row, vec)) for row in block]
         desc = [sum(toeplitz[i - j] * desc[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return IntPolynomial(reversed(desc))
+    return desc
+
+
+def char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
+    """det(xI - M) with exact integer coefficients.
+
+    Identical columns are lumped first (see ``_lumped``): with d distinct
+    columns, M = P N and det(xI - M) = x^(n - d) det(xI - N P) by
+    Sylvester's identity, so Berkowitz's division-free algorithm, O(d^4)
+    integer operations, runs on the d x d matrix N P only.  A periodic
+    product matrix of n p letters has at most 2 n distinct columns.
+    """
+    if not matrix.is_square:
+        raise ValueError("characteristic polynomial requires a square matrix")
+    rows, zeros = _lumped(matrix.rows)
+    return IntPolynomial([0] * zeros + _berkowitz(rows)[::-1])
+
+
+def power_char_poly(p: IntPolynomial, m: int) -> IntPolynomial:
+    """The monic polynomial whose roots are the m-th powers of the roots of monic p.
+
+    For p = char_poly(M) this is char_poly(M^m).  The power sums s_1..s_(d m)
+    of p's roots follow from its coefficients by Newton's identities; those
+    of the m-th powers are s_m, s_(2m), ..., s_(d m), and Newton's identities
+    read backwards turn them into coefficients, each an exact integer
+    division since the roots are algebraic integers.
+    """
+    if m < 1:
+        raise ValueError("power must be >= 1")
+    if p.is_zero or p.leading != 1:
+        raise ValueError("power_char_poly needs a monic polynomial")
+    if m == 1:
+        return p
+    d = p.degree
+    # a[i] is the coefficient of x^(d - i); s[k] the k-th power sum, s[0] unused
+    a = p.coeffs[::-1]
+    s = [0]
+    for k in range(1, d * m + 1):
+        acc = sum(a[i] * s[k - i] for i in range(1, min(k, d + 1)))
+        if k <= d:
+            acc += k * a[k]
+        s.append(-acc)
+    t = s[m::m]
+    b = [1]
+    for k in range(1, d + 1):
+        b.append(-(t[k - 1] + sum(b[i] * t[k - i - 1] for i in range(1, k))) // k)
+    return IntPolynomial(b[::-1])
 
 
 def _matrix_char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
@@ -139,20 +199,15 @@ class Spectrum:
     ``exact_roots`` lists the rational eigenvalues with multiplicities (zero
     included); ``residual_factor`` is what remains of the characteristic
     polynomial after dividing those out, so the product of the linear factors
-    and the residual reconstructs ``char_poly`` exactly.  ``numeric_roots``
-    approximates the residual's roots and is advisory only.
+    and the residual reconstructs ``char_poly`` exactly.  Every field is
+    exact: the residual's roots are described by the polynomial itself and
+    the dominant root by a certified rational enclosure.
     """
 
     char_poly: IntPolynomial
     dominant: RootEnclosure | None
     exact_roots: tuple[tuple[Fraction, int], ...]
     residual_factor: IntPolynomial
-    numeric_roots: tuple[NumericRoot, ...]
-
-    def eigenvalue_summary(self) -> list[str]:
-        out = [f"{r}" if r.denominator != 1 else f"{r.numerator}" for r, m in self.exact_roots for _ in range(m)]
-        out.extend(f"~{z.value.real:+.6f}{z.value.imag:+.6f}j" for z in self.numeric_roots)
-        return out
 
 
 def spectrum_of_poly(p: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) -> Spectrum:
@@ -182,7 +237,6 @@ def spectrum_of_poly(p: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) 
         dominant=dominant,
         exact_roots=tuple(roots),
         residual_factor=residual,
-        numeric_roots=numeric_roots(residual),
     )
 
 
@@ -220,15 +274,18 @@ def strip_trivial(s: Spectrum, precision: Fraction = DEFAULT_PRECISION) -> Spect
     return spectrum_of_poly(strip_trivial_poly(s.char_poly), precision)
 
 
-def spectra_equal_mod_trivial(m1: IncidenceMatrix, m2: IncidenceMatrix) -> bool:
-    """Same eigenvalue sets after discarding zeros and roots of unity.
+def spectra_equal_mod_trivial(
+    m1: IncidenceMatrix, m2: IncidenceMatrix, i: int = 1, j: int = 1
+) -> bool:
+    """Same eigenvalue sets of m1^i and m2^j after discarding zeros and roots of unity.
 
     Set comparison, not multiset: the stripped characteristic polynomials are
     compared through their squarefree parts (normalized primitive, positive
-    leading coefficient).
+    leading coefficient).  The powers' polynomials come from the matrices'
+    kept ones through ``power_char_poly``; no matrix power is formed.
     """
-    p1 = strip_trivial_poly(_matrix_char_poly(m1)).squarefree_part()
-    p2 = strip_trivial_poly(_matrix_char_poly(m2)).squarefree_part()
+    p1 = strip_trivial_poly(power_char_poly(_matrix_char_poly(m1), i)).squarefree_part()
+    p2 = strip_trivial_poly(power_char_poly(_matrix_char_poly(m2), j)).squarefree_part()
     return p1 == p2
 
 
@@ -242,10 +299,6 @@ class DependenceWitness:
     common_factor: IntPolynomial
     enclosure: RootEnclosure
     exact_value: Fraction | None
-
-    def describe(self) -> str:
-        val = f" = {self.exact_value}" if self.exact_value is not None else ""
-        return f"alpha^{self.m} = beta^{self.n}{val}"
 
 
 def certify_equal_dominant(
@@ -266,6 +319,18 @@ def certify_equal_dominant(
     p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
     if not (m1.is_nonnegative and m2.is_nonnegative):
         raise ValueError(_NONNEGATIVE_ONLY)
+    return _certify_equal_largest_roots(p1, p2, precision, max_refinements)
+
+
+def _certify_equal_largest_roots(
+    p1: IntPolynomial, p2: IntPolynomial, precision: Fraction, max_refinements: int = 60
+) -> tuple[IntPolynomial, RootEnclosure] | None:
+    """``certify_equal_dominant`` on the two characteristic polynomials.
+
+    The largest real roots of the polynomials are compared; for polynomials
+    of non-negative matrices (or of their powers) these are the dominant
+    eigenvalues.
+    """
     # one squarefree part and Sturm chain per distinct polynomial
     counters: dict[IntPolynomial, SturmCounter] = {}
 
@@ -320,8 +385,9 @@ def mult_dependent(
 
     Candidate pairs are screened with exact rational interval arithmetic on
     the dominant enclosures, then certified through the gcd of the
-    characteristic polynomials of the powered matrices.  Returns the least
-    pair in (m+n, m) order, or None; absence means only "no witness up to the
+    characteristic polynomials of the matrix powers, which ``power_char_poly``
+    derives from the matrices' own.  Pairs are walked in (m+n, m) order and
+    the least is returned, or None; absence means only "no witness up to the
     bound", never multiplicative independence.
     """
     prim1, _ = is_primitive(m1)
@@ -330,27 +396,26 @@ def mult_dependent(
         raise ValueError("multiplicative dependence check needs primitive matrices")
     alpha = _matrix_dominant(m1, precision)
     beta = _matrix_dominant(m2, precision)
-    pairs = sorted(
-        ((m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)),
-        key=lambda mn: (mn[0] + mn[1], mn[0]),
-    )
-    for m, n in pairs:
-        if cancel is not None and cancel():
-            raise CancelledSearch(f"dependence search cancelled at pair ({m}, {n})")
-        if alpha.exact and beta.exact:
-            if alpha.hi**m != beta.hi**n:
+    p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
+    for total in range(2, 2 * bound + 1):
+        for m in range(max(1, total - bound), min(bound, total - 1) + 1):
+            n = total - m
+            if cancel is not None and cancel():
+                raise CancelledSearch(f"dependence search cancelled at pair ({m}, {n})")
+            if alpha.exact and beta.exact:
+                if alpha.hi**m != beta.hi**n:
+                    continue
+                value = alpha.hi**m
+                g = poly_gcd(power_char_poly(p1, m), power_char_poly(p2, n))
+                return DependenceWitness(m, n, True, g, RootEnclosure(value, value, True), value)
+            # quick exclusion before any polynomial work
+            if alpha.powered(m).intersect(beta.powered(n)) is None:
                 continue
-            value = alpha.hi**m
-            g = poly_gcd(_matrix_char_poly(m1**m), _matrix_char_poly(m2**n))
-            return DependenceWitness(
-                m, n, True, g, RootEnclosure(value, value, True), value
+            cert = _certify_equal_largest_roots(
+                power_char_poly(p1, m), power_char_poly(p2, n), precision
             )
-        # quick exclusion before touching matrix powers
-        if alpha.powered(m).intersect(beta.powered(n)) is None:
-            continue
-        cert = certify_equal_dominant(m1**m, m2**n, precision)
-        if cert is not None:
-            g, meet = cert
-            exact = meet.lo if meet.exact else None
-            return DependenceWitness(m, n, True, g, meet, exact)
+            if cert is not None:
+                g, meet = cert
+                exact = meet.lo if meet.exact else None
+                return DependenceWitness(m, n, True, g, meet, exact)
     return None

@@ -436,6 +436,35 @@ def format_substitution(sub: Substitution, codings: dict[str, Morphism] | None =
     return "\n".join(lines) + "\n"
 
 
+def _coding_entries(body: str, symbols: tuple[str, ...], lineno: int) -> dict[str, str]:
+    """The ``src -> dst`` entries of a coding line.
+
+    Between two arrows stands one destination, a comma and the next source.
+    A letter may itself hold commas, as the product letters ``(a,0)`` of a
+    periodic presentation do, so the separating comma is one that leaves a
+    single whitespace-free token on each side, preferring the one after
+    which a letter of the alphabet follows.
+    """
+    pieces = [piece.strip() for piece in body.split("->")]
+    if pieces == [""]:
+        return {}
+    if len(pieces) == 1:
+        raise ParseError(f"bad coding entry {pieces[0]!r}", lineno)
+    pieces[-1] = pieces[-1].rstrip(",").strip()
+    letters = [pieces[0]]
+    for piece in pieces[1:-1]:
+        halves = ((piece[:i].strip(), piece[i + 1 :].strip()) for i, c in enumerate(piece) if c == ",")
+        cuts = [(d, s) for d, s in halves if len(d.split()) == len(s.split()) == 1]
+        if not cuts:
+            raise ParseError(f"coding images must be single letters: {piece!r}", lineno)
+        dst, src = next((cut for cut in cuts if cut[1] in symbols), cuts[0])
+        letters += [dst, src]
+    letters.append(pieces[-1])
+    if not all(letter and len(letter.split()) == 1 for letter in letters):
+        raise ParseError(f"bad coding entry {body.strip()!r}", lineno)
+    return dict(zip(letters[::2], letters[1::2]))
+
+
 def parse_substitution(text: str) -> tuple[Substitution, dict[str, Morphism]]:
     """Parse the substitution text format.
 
@@ -518,17 +547,7 @@ def parse_substitution(text: str) -> tuple[Substitution, dict[str, Morphism]]:
 
     codings: dict[str, Morphism] = {}
     for name, body, lineno in coding_lines:
-        mapping: dict[str, str] = {}
-        for piece in body.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            src, sep, dst = piece.partition("->")
-            if not sep or not src.strip() or not dst.strip():
-                raise ParseError(f"bad coding entry {piece!r}", lineno)
-            if len(dst.split()) != 1:
-                raise ParseError(f"coding images must be single letters: {piece!r}", lineno)
-            mapping[src.strip()] = dst.strip()
+        mapping = _coding_entries(body, alphabet.symbols, lineno)
         missing = [s for s in alphabet.symbols if s not in mapping]
         if missing:
             raise ParseError(f"coding {name!r} misses letters {missing}", lineno)

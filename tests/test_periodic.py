@@ -4,7 +4,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from retword.cli import run_command
+from retword.errors import ParseError
 from retword.corpus import fibonacci
 from retword.periodic import (
     PeriodicPresentation,
@@ -18,6 +20,7 @@ from retword.substitution import (
     Substitution,
     Word,
     compose,
+    format_substitution,
     is_primitive,
     morphic_image_prefix,
     parse_substitution,
@@ -240,3 +243,49 @@ def test_hand_built_presentation_reuses_the_base_power(monkeypatch):
     )
     assert verify_presentation(copy, check_len=10) == verify_presentation(pres, check_len=10)
     assert len(calls) == pres.exponent - 1
+
+
+_SAMPLE_BASES = {
+    path.name: parse_substitution(path.read_text(encoding="utf-8"))[0]
+    for path in sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.sub"))
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_SAMPLE_BASES)), data=st.data())
+def test_product_alphabet_round_trips_through_the_text_format(name, data):
+    """Product letters such as (0,1) hold commas; the coding line still parses."""
+    base = _SAMPLE_BASES[name]
+    letters = st.integers(0, base.alphabet.size - 1)
+    period = Word(base.alphabet, tuple(data.draw(st.lists(letters, min_size=1, max_size=6))))
+    pres = build_periodic_presentation(period, base)
+    text = format_substitution(pres.zeta, {"c": pres.coding})
+    zeta, codings = parse_substitution(text)
+    assert zeta == pres.zeta
+    coding = codings["c"]
+    assert [coding.target.symbol(coding.image(b)[0]) for b in range(zeta.alphabet.size)] == [
+        pres.coding.target.symbol(pres.coding.image(b)[0]) for b in range(zeta.alphabet.size)
+    ]
+    assert format_substitution(zeta, codings) == text
+
+
+@pytest.mark.parametrize(
+    "body, images",
+    [
+        ("a -> x, b -> y", ("x", "y")),
+        ("a->x,b->y", ("x", "y")),
+        ("a -> x ,b -> y,", ("x", "y")),
+    ],
+)
+def test_coding_line_separators(body, images):
+    text = f"alphabet = a b\nstart = a\na -> a b\nb -> a\ncoding c: {body}\n"
+    coding = parse_substitution(text)[1]["c"]
+    assert tuple(coding.target.symbol(coding.image(b)[0]) for b in range(2)) == images
+
+
+@pytest.mark.parametrize("body", ["a -> x y, b -> y", "a -> , b -> y", "a x -> x, b -> y", "a b"])
+def test_coding_line_errors_name_the_line(body):
+    text = f"alphabet = a b\nstart = a\na -> a b\nb -> a\ncoding c: {body}\n"
+    with pytest.raises(ParseError) as err:
+        parse_substitution(text)
+    assert err.value.line == 5

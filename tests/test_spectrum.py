@@ -10,20 +10,24 @@ from hypothesis import given, settings, strategies as st
 
 from retword.cli import run_command
 from retword.errors import CancelledSearch
-from retword.intpoly import IntPolynomial, LargestRootBisection, SturmCounter, poly_gcd
+from retword.intpoly import IntPolynomial, LargestRootBisection, SturmCounter, cyclotomic, poly_gcd
 from retword.periodic import build_periodic_presentation
 from retword.returns import return_substitution
+from retword.relations import power_coincidence
 from retword.spectrum import (
+    _berkowitz,
+    _lumped,
     char_poly,
     certify_equal_dominant,
     dominant_eigenvalue,
     mult_dependent,
+    power_char_poly,
     spectra_equal_mod_trivial,
     spectrum,
     strip_trivial,
     strip_trivial_poly,
 )
-from retword.substitution import IncidenceMatrix, identity_matrix
+from retword.substitution import IncidenceMatrix, identity_matrix, parse_substitution, power
 from retword.words import Word
 from spectral_oracle import (
     fraction_certify_equal_dominant,
@@ -89,6 +93,86 @@ def test_char_poly_against_random_trace_and_det():
 @given(square_matrices)
 def test_char_poly_matches_minor_expansion(m):
     assert char_poly(m) == minor_expansion_char_poly(m)
+
+
+def _with_repeated_columns(columns_and_labels) -> IncidenceMatrix:
+    """Column j of the matrix is ``columns[labels[j] % len(columns)]``."""
+    columns, labels = columns_and_labels
+    return IncidenceMatrix(zip(*(columns[label % len(columns)] for label in labels)))
+
+
+lumpable_matrices = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 6), min_size=n, max_size=n), min_size=1, max_size=n),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    )
+).map(_with_repeated_columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lumpable_matrices)
+def test_lumped_char_poly_matches_minor_expansion(m):
+    assert char_poly(m) == minor_expansion_char_poly(m)
+    lumped, dropped = _lumped(m.rows)
+    assert len(lumped) + dropped == m.nrows
+    assert len(set(zip(*lumped))) == len(lumped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lumpable_matrices)
+def test_lumped_char_poly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    want = [int(c) for c in reversed(sympy.Matrix(m.rows).charpoly().all_coeffs())]
+    assert char_poly(m) == P(want)
+
+
+@pytest.mark.parametrize(
+    "rows, want, dropped",
+    [
+        (((2, 2, 2),) * 3, P((0, 0, -6, 1)), 2),  # all columns equal
+        (((-1, -1), (3, 3)), P((0, -2, 1)), 1),
+        (((0, 0), (0, 0)), P((0, 0, 1)), 1),
+        # N P has two equal columns again, so lumping takes two rounds
+        (((0, 0, 1), (2, 2, 1), (0, 0, 0)), P((0, 0, -2, 1)), 2),
+    ],
+)
+def test_lumped_char_poly_on_degenerate_columns(rows, want, dropped):
+    m = IncidenceMatrix(rows)
+    assert char_poly(m) == want == minor_expansion_char_poly(m)
+    assert _lumped(m.rows)[1] == dropped
+
+
+def _sample_presentations():
+    samples = Path(__file__).resolve().parents[1] / "samples"
+    for path in sorted(samples.glob("*.sub")):
+        base, _ = parse_substitution(path.read_text(encoding="utf-8"))
+        rng = random.Random(path.name)
+        for p in range(1, 9):
+            period = Word(base.alphabet, tuple(rng.randrange(base.alphabet.size) for _ in range(p)))
+            yield path.name, build_periodic_presentation(period, base)
+
+
+def test_lumped_char_poly_on_every_sample_periodic_product():
+    """char_poly(M_zeta) = x^(n(p-1)) char_poly(M_rho) for every sample and
+    periods of 1-8 letters, checked against Berkowitz on the whole product
+    matrix, the kernel that lumping replaces; sympy, when installed, on
+    periods up to 3."""
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    for name, pres in _sample_presentations():
+        zeta = pres.zeta.matrix()
+        n, p = pres.base.alphabet.size, len(pres.period)
+        got = char_poly(zeta)
+        assert got == P(_berkowitz(zeta.rows)[::-1]), name
+        rho = power(pres.base, pres.exponent).matrix()
+        assert got == P((0,) * (n * (p - 1)) + char_poly(rho).coeffs), name
+        # the product has at most 2n distinct columns
+        assert len(_lumped(zeta.rows)[0]) <= 2 * n
+        if sympy is not None and p <= 3:
+            want = [int(c) for c in reversed(sympy.Matrix(zeta.rows).charpoly().all_coeffs())]
+            assert got == P(want), name
 
 
 @pytest.mark.parametrize("n", [12, 16, 24, 40])
@@ -194,12 +278,47 @@ def test_char_poly_power_root_transfer(corpus):
             p_k = powered.char_poly
             for r, _ in base.exact_roots:
                 assert p_k(r**k) == 0
-            base_numeric = [nr.value for nr in base.numeric_roots]
-            pow_numeric = [nr.value for nr in powered.numeric_roots]
-            for z in base_numeric:
-                assert any(abs(z**k - w) < 1e-6 for w in pow_numeric + [
-                    complex(r) for r, _ in powered.exact_roots
-                ])
+            assert power_char_poly(base.char_poly, k) == p_k
+
+
+spectral_matrices = st.one_of(
+    square_matrices,
+    # repeated eigenvalues
+    square_matrices.map(lambda a: _block(a, a)),
+    # a zero eigenvalue at least
+    square_matrices.filter(lambda a: a.nrows > 0).map(
+        lambda a: IncidenceMatrix(row[:-1] + (0,) for row in a.rows)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectral_matrices, st.integers(1, 6))
+def test_power_char_poly_matches_char_poly_of_power(m, k):
+    assert power_char_poly(char_poly(m), k) == char_poly(m**k)
+
+
+def test_power_char_poly_matches_sympy_resultant():
+    """Oracle: res_y(p(y), x - y^m) is, up to sign, the monic polynomial of
+    the m-th powers."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(71)
+    cases = [P((0, 0, 1)), P((1, 2, 1)), P((-1, 0, 0, 0, 1)), cyclotomic(12), P((5, -3, 0, 1))]
+    cases += [P(tuple(rng.randint(-5, 5) for _ in range(rng.randint(0, 6))) + (1,)) for _ in range(20)]
+    for p in cases:
+        p_y = sum(c * y**i for i, c in enumerate(p.coeffs))
+        for k in range(1, 7):
+            res = sympy.Poly(sympy.resultant(p_y, x - y**k, y), x).monic()
+            assert power_char_poly(p, k) == P(int(c) for c in reversed(res.all_coeffs()))
+
+
+def test_power_char_poly_rejects_bad_input():
+    with pytest.raises(ValueError):
+        power_char_poly(P((1, 2)), 2)  # not monic
+    with pytest.raises(ValueError):
+        power_char_poly(P((1, 1)), 0)
+    assert power_char_poly(P((1,)), 3) == P((1,))
 
 
 def test_dominant_power_consistency(corpus):
@@ -264,6 +383,33 @@ def test_mult_dependent_rejects_non_primitive(fib):
 def test_mult_dependent_cancellation(fib, morse):
     with pytest.raises(CancelledSearch):
         mult_dependent(fib.matrix(), morse.matrix(), 12, cancel=lambda: True)
+
+
+def test_mult_dependent_walks_pairs_in_sum_then_m_order(fib, trib):
+    """The k-th cancel check falls on the k-th pair of the sorted (m+n, m) order."""
+    bound = 4
+    order = sorted(
+        ((m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)),
+        key=lambda mn: (mn[0] + mn[1], mn[0]),
+    )
+    for k, (m, n) in enumerate(order, start=1):
+        checks = iter(range(k - 1, -1, -1))
+        with pytest.raises(CancelledSearch, match=rf"pair \({m}, {n}\)"):
+            mult_dependent(fib.matrix(), trib.matrix(), bound, cancel=lambda: next(checks) == 0)
+
+
+def test_dependence_and_coincidence_form_no_matrix_power(monkeypatch, fib, quad_pair):
+    def refused(self, n):
+        raise AssertionError("a matrix power was formed")
+
+    m = fib.matrix()
+    monkeypatch.setattr(IncidenceMatrix, "__pow__", refused)
+    tau, sigma, _ = quad_pair
+    w = mult_dependent(tau.matrix(), sigma.matrix(), 12)
+    assert (w.m, w.n, w.exact_value) == (1, 1, 4)
+    w = mult_dependent(m, m @ m, 12)
+    assert (w.m, w.n) == (2, 1) and w.exact_value is None
+    assert power_coincidence(fib, power(fib, 2), 6) == (2, 1)
 
 
 def test_cobham_computes_each_characteristic_polynomial_once(monkeypatch):
