@@ -17,14 +17,13 @@ from .circularity import (
     sync_delay_search,
 )
 from .errors import (
-    CancelledSearch,
     DecompositionError,
     GenerationError,
     InternalInconsistencyError,
     ParseError,
     ResourceLimitError,
 )
-from .intpoly import IntPolynomial, cyclotomic, euler_phi
+from .intpoly import IntPolynomial, RootEnclosure, cyclotomic, euler_phi
 from .periodic import (
     PeriodicPresentation,
     build_periodic_presentation,
@@ -65,7 +64,6 @@ from .returns import (
 )
 from .spectrum import (
     DependenceWitness,
-    RootEnclosure,
     Spectrum,
     char_poly,
     dominant_eigenvalue,

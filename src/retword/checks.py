@@ -30,6 +30,14 @@ class Check:
         """A ``pass`` or ``fail`` check from a verified boolean."""
         return cls(name, "pass" if passed else "fail", detail)
 
+    @classmethod
+    def search(cls, name: str, witness: Any, bound: Any) -> Check:
+        """A bounded search's check: ``found`` with its witness, or ``absent``
+        with the bound it ran out of when the witness is None."""
+        if witness is None:
+            return cls(name, "absent", bound)
+        return cls(name, "found", witness=witness)
+
     @property
     def passed(self) -> bool:
         return self.outcome == "pass"

@@ -4,13 +4,13 @@ Every command prints a human-readable report; with ``--json`` it prints a
 machine-readable mirror instead (byte-identical across runs for identical
 inputs: no timestamps, rationals as "p/q" strings, intervals with explicit
 endpoints).  Every check in a report is a :class:`~retword.checks.Check`,
-the record the library returns.  Exit codes: 0 all checks pass, 1 a check
-failed, 2 usage, parse, input or output error (a closed stdout included),
-3 a bounded search exhausted its budget, 4 internal inconsistency, cancelled
-search or any other exception (``error: internal error (<Type>):
-<message>``).  Codes 2-4 print one ``error:`` (or ``budget exhausted:``) line
-on stderr and nothing on stdout, except the part of a report that an output
-error cut short.
+the record the library returns; a bounded search's check is built by
+``Check.search``.  Exit codes: 0 all checks pass, 1 a check failed, 2
+usage, parse, input or output error (a closed stdout included), 3 a bounded
+search exhausted its budget, 4 internal inconsistency or any other
+exception (``error: internal error (<Type>): <message>``).  Codes 2-4 print
+one ``error:`` (or ``budget exhausted:``) line on stderr and nothing on
+stdout, except the part of a report that an output error cut short.
 """
 
 from __future__ import annotations
@@ -26,13 +26,8 @@ from typing import Any
 
 from .checks import Check
 from .circularity import find_n0, sync_delay_search
-from .errors import (
-    CancelledSearch,
-    GenerationError,
-    InternalInconsistencyError,
-    ParseError,
-    ResourceLimitError,
-)
+from .errors import GenerationError, InternalInconsistencyError, ParseError, ResourceLimitError
+from .intpoly import RootEnclosure
 from .periodic import build_periodic_presentation, verify_presentation
 from .relations import (
     eigenvalue_transfer_check,
@@ -43,15 +38,7 @@ from .relations import (
     verify_propprec,
 )
 from .returns import derivation_tower, derived_prefix, return_substitution
-from .spectrum import (
-    RootEnclosure,
-    Spectrum,
-    char_poly,
-    dominant_eigenvalue,
-    mult_dependent,
-    spectrum,
-    strip_trivial,
-)
+from .spectrum import Spectrum, dominant_eigenvalue, mult_dependent, spectrum, strip_trivial
 from .substitution import (
     Morphism,
     Substitution,
@@ -323,10 +310,8 @@ def _cmd_tower(args, report: Report) -> None:
             for lvl in tower.levels
         ],
     )
-    if tower.repetition is not None:
-        report.add(Check("tower-repetition", "found", witness=list(tower.repetition)))
-    else:
-        report.add(Check("tower-repetition", "absent", f"no repetition <= depth {args.depth}"))
+    repetition = None if tower.repetition is None else list(tower.repetition)
+    report.add(Check.search("tower-repetition", repetition, f"no repetition <= depth {args.depth}"))
 
 
 def _cmd_relations(args, report: Report) -> None:
@@ -353,16 +338,10 @@ def _cmd_relations(args, report: Report) -> None:
 def _cmd_circularity(args, report: Report) -> None:
     sub, _ = _load(args.file)
     n0 = find_n0(sub, args.inj_length, args.max_prefix)
-    if n0 is None:
-        report.add(Check("injectivity-prefix", "absent", f"no passing prefix <= {args.max_prefix}"))
-    else:
-        report.add(Check("injectivity-prefix", "found", witness=n0))
+    report.add(Check.search("injectivity-prefix", n0, f"no passing prefix <= {args.max_prefix}"))
     delay = sync_delay_search(sub, args.delay_max, args.sample_len)
-    if delay is None:
-        note = f"no delay <= {args.delay_max} on the sample"
-        report.add(Check("synchronization-delay", "absent", note))
-    else:
-        report.add(Check("synchronization-delay", "found", witness=delay))
+    note = f"no delay <= {args.delay_max} on the sample"
+    report.add(Check.search("synchronization-delay", delay, note))
     report.data("sample_len", args.sample_len)
     report.data(
         "delay_note",
@@ -374,17 +353,15 @@ def _cmd_shared(args, report: Report) -> None:
     left, _ = _load(args.left)
     right, _ = _load(args.right)
     pair = power_coincidence(left, right, args.power_bound)
-    if pair is None:
-        report.add(Check("power-coincidence", "absent", f"no pair <= {args.power_bound}"))
-    else:
-        report.add(Check("power-coincidence", "found", witness=list(pair)))
+    pair = None if pair is None else list(pair)
+    report.add(Check.search("power-coincidence", pair, f"no pair <= {args.power_bound}"))
     witness = shared_fixed_point_analysis(left, right, depth=args.depth, budget=args.budget)
-    if witness is None:
-        note = f"no witness with depth {args.depth}, exponent budget {args.budget}"
-        report.add(Check("shared-prefix-power-equality", "absent", note))
-    else:
+    found = None
+    if witness is not None:
         found = {"prefix": witness.prefix.text(), "i": witness.i, "j": witness.j}
-        report.add(Check("shared-prefix-power-equality", "found", witness=found))
+    note = f"no witness with depth {args.depth}, exponent budget {args.budget}"
+    report.add(Check.search("shared-prefix-power-equality", found, note))
+    if witness is not None:
         lt = return_substitution(left, witness.prefix)[1]
         rt = return_substitution(right, witness.prefix)[1]
         exact = spelling(power(lt, witness.i).images) == spelling(power(rt, witness.j).images)
@@ -405,16 +382,15 @@ def _cmd_cobham(args, report: Report) -> None:
     if not gate:
         return
     witness = mult_dependent(left.matrix(), right.matrix(), args.bound)
-    if witness is None:
-        report.add(Check("multiplicative-dependence", "absent", f"no witness <= {args.bound}"))
-    else:
+    found = None
+    if witness is not None:
         found = {
             "m": witness.m,
             "n": witness.n,
             "certified": witness.certified,
             "value": _frac(witness.exact_value) if witness.exact_value is not None else None,
         }
-        report.add(Check("multiplicative-dependence", "found", witness=found))
+    report.add(Check.search("multiplicative-dependence", found, f"no witness <= {args.bound}"))
 
 
 def _cmd_periodic(args, report: Report) -> None:
@@ -469,7 +445,7 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
     except ResourceLimitError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET, report
-    except (InternalInconsistencyError, CancelledSearch) as exc:
+    except InternalInconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL, report
     except Exception as exc:

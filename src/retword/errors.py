@@ -33,7 +33,3 @@ class DecompositionError(ValueError):
 
 class InternalInconsistencyError(RuntimeError):
     """A structural guarantee failed; indicates a bug upstream, not bad input."""
-
-
-class CancelledSearch(RuntimeError):
-    """A cooperative cancellation token stopped a long-running search."""

@@ -10,7 +10,11 @@ and evaluated at a rational p/q through the integer q**d c(p/q), which has
 the sign of c(p/q).  Root isolation bisects over the dyadic points
 B c / 2**k of the root bound B, with the chain scaled once so that a point
 costs one integer Horner evaluation with shifts (F. Rouillier and
-P. Zimmermann, *J. Comput. Appl. Math.* 162 (2004) 33-50).
+P. Zimmermann, *J. Comput. Appl. Math.* 162 (2004) 33-50); every enclosure
+is one ``RootEnclosure``.  Rational roots of every integer polynomial take
+one path: with leading coefficient a, the monic a**(d - 1) p(y / a) has
+only integer rational roots, which Sturm bisection at integer points finds
+whatever the size of the coefficients.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import InternalInconsistencyError, ResourceLimitError
+from .errors import InternalInconsistencyError
 
 
 class IntPolynomial:
@@ -343,30 +347,8 @@ def root_magnitude_bound(p: IntPolynomial) -> Fraction:
     if p.degree < 1:
         return Fraction(1)
     lead = abs(p.leading)
-    biggest = max(abs(c) for c in p.coeffs[:-1]) if p.degree >= 1 else 0
+    biggest = max(abs(c) for c in p.coeffs[:-1])
     return Fraction(biggest, lead) + 2
-
-
-# Largest constant or leading coefficient whose divisors the rational root
-# test enumerates (by trial division, so about 10^6 steps at the cap).
-DIVISOR_CAP = 10**12
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n > DIVISOR_CAP:
-        raise ResourceLimitError(
-            f"rational root test needs the divisors of {n}, above {DIVISOR_CAP}", budget=DIVISOR_CAP
-        )
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _integer_roots(counter: SturmCounter, lo: int, hi: int) -> list[int]:
@@ -391,15 +373,28 @@ def _integer_roots(counter: SturmCounter, lo: int, hi: int) -> list[int]:
     return found
 
 
-def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, zero included, ascending order.
+def _monic_scaling(p: IntPolynomial) -> IntPolynomial:
+    """a**(d - 1) p(y / a) for p of degree d >= 1 with leading coefficient a.
 
-    The rational roots of a monic polynomial (every characteristic
-    polynomial) are integers: its Sturm chain isolates the distinct real
-    roots to unit intervals (n - 1, n] and each such n is tested, whatever
-    the size of the coefficients.  Other polynomials go through the rational
-    root test over the divisors of the constant and leading coefficients,
-    which raises ``ResourceLimitError`` when either exceeds ``DIVISOR_CAP``.
+    The result is monic with integer coefficients, and its roots are the a r
+    for the roots r of p; it is p itself when a = 1.
+    """
+    d = p.degree
+    scale = _powers(p.leading, d)
+    return IntPolynomial([c * scale[d - 1 - i] for i, c in enumerate(p.coeffs[:-1])] + [1])
+
+
+def rational_roots(p: IntPolynomial) -> tuple[list[tuple[Fraction, int]], IntPolynomial]:
+    """All rational roots with multiplicities, zero included, ascending order,
+    and the residual: p with the linear factor of each root divided out to
+    its multiplicity, so that the residual has no rational root.
+
+    One path serves every integer polynomial.  With the zero roots removed
+    and a the leading coefficient, put y = a x: the monic a**(d - 1) p(y / a)
+    has integer coefficients, so its rational roots are integers.  Its Sturm
+    chain isolates the distinct real roots to unit intervals (n - 1, n] and
+    each such n is tested, whatever the size of the coefficients; each root
+    n gives the root n / a of p.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every root")
@@ -409,30 +404,48 @@ def rational_roots(p: IntPolynomial) -> list[tuple[Fraction, int]]:
     if k:
         roots.append((Fraction(0), k))
     if work.degree < 1:
-        return roots
-    if abs(work.leading) == 1:
-        bound = ceil(root_magnitude_bound(work))
-        candidates = [Fraction(n) for n in _integer_roots(SturmCounter(work), -bound, bound)]
-    else:
-        candidates = [
-            Fraction(sign * num, den)
-            for num in _divisors(work.coeffs[0])
-            for den in _divisors(work.leading)
-            for sign in (1, -1)
-        ]
-    for cand in candidates:
-        if work(cand) != 0:
-            continue
+        return roots, work
+    scaled = _monic_scaling(work)
+    bound = ceil(root_magnitude_bound(scaled))
+    lead = work.leading
+    for n in _integer_roots(SturmCounter(scaled), -bound, bound):
+        root = Fraction(n, lead)
+        factor = IntPolynomial((-root.numerator, root.denominator))
         mult = 0
-        factor = IntPolynomial((-cand.numerator, cand.denominator))
-        while True:
-            q = work.try_exact_div(factor)
-            if q is None:
-                break
+        while (q := work.try_exact_div(factor)) is not None:
             work = q
             mult += 1
-        roots.append((cand, mult))
-    return sorted(roots)
+        roots.append((root, mult))
+    return sorted(roots), work
+
+
+class RootEnclosure(NamedTuple):
+    """Rational interval (lo, hi] certified to contain exactly one target root.
+
+    When ``exact`` both endpoints are the root itself.  As a tuple it
+    compares and unpacks as ``(lo, hi, exact)``.
+    """
+
+    lo: Fraction
+    hi: Fraction
+    exact: bool
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def powered(self, m: int) -> RootEnclosure:
+        """Interval enclosing the m-th power; requires a non-negative interval."""
+        if self.lo < 0:
+            raise ValueError("powering is implemented for non-negative enclosures only")
+        return RootEnclosure(self.lo**m, self.hi**m, self.exact)
+
+    def intersect(self, other: RootEnclosure) -> RootEnclosure | None:
+        lo = max(self.lo, other.lo)
+        hi = min(self.hi, other.hi)
+        if hi < lo:
+            return None
+        return RootEnclosure(lo, hi, self.exact and other.exact and lo == hi)
 
 
 def _dyadic(coeffs: tuple[int, ...], num: int, k: int) -> int:
@@ -487,7 +500,7 @@ class LargestRootBisection:
             raise ValueError("polynomial has no real root")
         # None until a narrowing decides whether the root is rational
         self.exact: bool | None = None
-        self._root: Fraction | None = None
+        self._settled: RootEnclosure | None = None
 
     def _variations(self, c: int, k: int) -> tuple[int, int]:
         """Sign changes along the chain at B c / 2**k, zeros skipped, and the
@@ -498,10 +511,10 @@ class LargestRootBisection:
     def _point(self, c: int, k: int) -> Fraction:
         return Fraction(self._bn * c, self._bd << k)
 
-    def narrow(self, width: Fraction) -> tuple[Fraction, Fraction, bool]:
-        """``(lo, hi, exact)`` with hi - lo <= width, or the root itself when exact."""
+    def narrow(self, width: Fraction) -> RootEnclosure:
+        """The enclosure with hi - lo <= width, or the root itself when exact."""
         if self.exact:
-            return self._root, self._root, True
+            return self._settled
         width = Fraction(width)
         # hi - lo = 2 B / 2**k > width  <=>  x > y << k
         x, y = 2 * self._bn * width.denominator, width.numerator * self._bd
@@ -533,35 +546,35 @@ class LargestRootBisection:
             if root is not None:
                 return self._settle(root)
             self.exact = False
-        return lo, hi, False
+        return RootEnclosure(lo, hi, False)
 
     def _rational_root(self, lo: Fraction, hi: Fraction) -> Fraction | None:
-        """The one root in (lo, hi] if it is rational, else None; hi is never a root."""
-        counter = self.counter
-        sf = counter.squarefree
-        if sf.leading == 1:
-            # a rational root of a monic polynomial is an integer
-            found = _integer_roots(counter, floor(lo), floor(hi))
-            return Fraction(found[0]) if found else None
-        for cand, _ in rational_roots(sf):
-            if lo < cand <= hi:
-                return cand
-        return None
+        """The one root in (lo, hi] if it is rational, else None; hi is never a root.
 
-    def _settle(self, root: Fraction) -> tuple[Fraction, Fraction, bool]:
-        self._root = root
+        As in ``rational_roots``, a rational root of the squarefree part, with
+        leading coefficient a > 0, is n / a for an integer root n of its monic
+        scaling, here one in (a lo, a hi].
+        """
+        sf = self.counter.squarefree
+        a = sf.leading
+        counter = self.counter if a == 1 else SturmCounter(_monic_scaling(sf))
+        found = _integer_roots(counter, floor(a * lo), floor(a * hi))
+        return Fraction(found[0], a) if found else None
+
+    def _settle(self, root: Fraction) -> RootEnclosure:
+        self._settled = RootEnclosure(root, root, True)
         self.exact = True
-        return root, root, True
+        return self._settled
 
 
 def isolate_largest_real_root(
     p: IntPolynomial, width: Fraction = Fraction(1, 10**9)
-) -> tuple[Fraction, Fraction, bool]:
+) -> RootEnclosure:
     """Certified enclosure (lo, hi] of the largest real root of p.
 
-    Returns ``(lo, hi, exact)``; when ``exact`` the two endpoints coincide
-    with the root.  The interval always contains exactly one distinct root of
-    p and no root of p lies above it.
+    When ``exact`` the two endpoints coincide with the root.  The interval
+    always contains exactly one distinct root of p and no root of p lies
+    above it.
     """
     if p.degree < 1:
         raise ValueError("polynomial has no roots")

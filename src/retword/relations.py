@@ -19,15 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .checks import Check
-from .errors import (
-    CancelledSearch,
-    DecompositionError,
-    InternalInconsistencyError,
-    ResourceLimitError,
-)
+from .errors import DecompositionError, InternalInconsistencyError, ResourceLimitError
 from .returns import (
     ReturnConstants,
     ReturnSystem,
@@ -37,7 +31,7 @@ from .returns import (
     nonperiodic_check,
     return_substitution,
 )
-from .spectrum import spectra_equal_mod_trivial
+from .spectrum import exponent_pairs, spectra_equal_mod_trivial
 from .substitution import (
     IncidenceMatrix,
     Morphism,
@@ -453,17 +447,15 @@ def power_coincidence(
     bound: int = 6,
     check_len: int | None = None,
 ) -> tuple[int, int] | None:
-    """Least exponents (i, j) in (i+j, i) order whose matrix powers carry the
-    same spectrum up to zeros and roots of unity; None means no pair up to the
-    bound.  The powers' characteristic polynomials come from the matrices'
-    own, with no matrix power formed."""
+    """Least exponents (i, j) in ``exponent_pairs`` order whose matrix powers
+    carry the same spectrum up to zeros and roots of unity; None means no pair
+    up to the bound.  The powers' characteristic polynomials come from the
+    matrices' own, with no matrix power formed."""
     same_fixed_point_gate(tau, sigma, check_len)
     m1, m2 = tau.matrix(), sigma.matrix()
-    for total in range(2, 2 * bound + 1):
-        for i in range(max(1, total - bound), min(bound, total - 1) + 1):
-            j = total - i
-            if spectra_equal_mod_trivial(m1, m2, i, j):
-                return (i, j)
+    for i, j in exponent_pairs(bound):
+        if spectra_equal_mod_trivial(m1, m2, i, j):
+            return (i, j)
     return None
 
 
@@ -483,7 +475,6 @@ def shared_fixed_point_analysis(
     depth: int = 8,
     budget: int = 6,
     check_len: int | None = None,
-    cancel: Callable[[], bool] | None = None,
 ) -> SharedWitness | None:
     """Find a prefix u and exponents with tau_u^i = sigma_u^j exactly.
 
@@ -501,8 +492,6 @@ def shared_fixed_point_analysis(
     nonperiodic_check(tau)
 
     for level in range(1, depth + 1):
-        if cancel is not None and cancel():
-            raise CancelledSearch(f"shared-fixed-point search cancelled at level {level}")
         tower_level = _tower_level(tau, level)
         u, sys_t, tau_u = tower_level.prefix, tower_level.system, tower_level.substitution
         sys_s, sigma_u = return_substitution(sigma, u)
@@ -510,9 +499,7 @@ def shared_fixed_point_analysis(
             raise InternalInconsistencyError(
                 "return words disagree although the fixed points were gated equal"
             )
-        for total in range(2, 2 * budget + 1):
-            for i in range(max(1, total - budget), min(budget, total - 1) + 1):
-                j = total - i
-                if spelling(power(tau_u, i).images) == spelling(power(sigma_u, j).images):
-                    return SharedWitness(u, i, j, level)
+        for i, j in exponent_pairs(budget):
+            if spelling(power(tau_u, i).images) == spelling(power(sigma_u, j).images):
+                return SharedWitness(u, i, j, level)
     return None

@@ -14,8 +14,9 @@ dominant enclosure are kept on the matrix, so the dominant eigenvalue, the
 dependence search and its certificate share them; the dominant-root
 comparison builds one squarefree part and Sturm chain per distinct
 polynomial and narrows each dominant enclosure by continuing its bisection;
-the gcds and chains themselves come from the fraction-free remainder
-routine of :mod:`retword.intpoly`.
+the gcds, chains and the one enclosure type, ``RootEnclosure``, come from
+:mod:`retword.intpoly`.  Every bounded exponent search, here and in
+:mod:`retword.relations`, walks the pairs of ``exponent_pairs``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
-from .errors import CancelledSearch, InternalInconsistencyError
+from .errors import InternalInconsistencyError
 from .intpoly import (
     IntPolynomial,
     LargestRootBisection,
+    RootEnclosure,
     SturmCounter,
     cyclotomic,
     euler_phi,
@@ -40,37 +42,6 @@ from .substitution import IncidenceMatrix, is_primitive
 
 DEFAULT_PRECISION = Fraction(1, 10**9)
 _NONNEGATIVE_ONLY = "dominant eigenvalue is defined for non-negative matrices"
-
-
-@dataclass(frozen=True)
-class RootEnclosure:
-    """Rational interval (lo, hi] certified to contain exactly one target root."""
-
-    lo: Fraction
-    hi: Fraction
-    exact: bool
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, value: Fraction) -> bool:
-        if self.exact:
-            return value == self.hi
-        return self.lo < value <= self.hi
-
-    def powered(self, m: int) -> RootEnclosure:
-        """Interval enclosing the m-th power; requires a non-negative interval."""
-        if self.lo < 0:
-            raise ValueError("powering is implemented for non-negative enclosures only")
-        return RootEnclosure(self.lo**m, self.hi**m, self.exact)
-
-    def intersect(self, other: RootEnclosure) -> RootEnclosure | None:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if hi < lo:
-            return None
-        return RootEnclosure(lo, hi, self.exact and other.exact and lo == hi)
 
 
 def _lumped(rows: Sequence[Sequence[int]]) -> tuple[Sequence[Sequence[int]], int]:
@@ -171,7 +142,7 @@ def _matrix_dominant(matrix: IncidenceMatrix, precision: Fraction) -> RootEnclos
     kept = precision == DEFAULT_PRECISION
     if kept and matrix._dominant is not None:
         return matrix._dominant
-    enclosure = RootEnclosure(*isolate_largest_real_root(_matrix_char_poly(matrix), precision))
+    enclosure = isolate_largest_real_root(_matrix_char_poly(matrix), precision)
     if kept:
         matrix._dominant = enclosure
     return enclosure
@@ -213,25 +184,14 @@ class Spectrum:
 def spectrum_of_poly(p: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) -> Spectrum:
     if p.is_zero:
         raise ValueError("zero polynomial has no spectrum")
-    roots = rational_roots(p) if p.degree >= 1 else []
-    residual = p
-    for r, mult in roots:
-        factor = IntPolynomial((-r.numerator, r.denominator))
-        for _ in range(mult):
-            q = residual.try_exact_div(factor)
-            if q is None:
-                raise InternalInconsistencyError("rational root does not divide")
-            residual = q
+    roots, residual = rational_roots(p)
     check = IntPolynomial.one()
     for r, mult in roots:
         for _ in range(mult):
             check = check * IntPolynomial((-r.numerator, r.denominator))
     if check * residual != p:
         raise InternalInconsistencyError("spectrum factorization does not reconstruct")
-    dominant = None
-    if p.degree >= 1:
-        lo, hi, exact = isolate_largest_real_root(p, precision)
-        dominant = RootEnclosure(lo, hi, exact)
+    dominant = isolate_largest_real_root(p, precision) if p.degree >= 1 else None
     return Spectrum(
         char_poly=p,
         dominant=dominant,
@@ -340,23 +300,18 @@ def _certify_equal_largest_roots(
         return counters[p]
 
     r1, r2 = LargestRootBisection(counter(p1)), LargestRootBisection(counter(p2))
-    e1, e2 = RootEnclosure(*r1.narrow(precision)), RootEnclosure(*r2.narrow(precision))
-    if e1.exact and e2.exact:
+    e1, e2 = r1.narrow(precision), r2.narrow(precision)
+    if e1.exact != e2.exact:
+        # a bisection reports an inexact enclosure only once it found no
+        # rational root inside, so a rational root never equals the other
+        return None
+    if e1.exact:
         if e1.hi != e2.hi:
             return None
         g = poly_gcd(p1, p2)
         if g.degree < 1 or g(e1.hi) != 0:
             raise InternalInconsistencyError("equal exact dominants must share a factor")
-        return g, RootEnclosure(e1.hi, e1.hi, True)
-    if e1.exact or e2.exact:
-        # one dominant is a known rational: equality holds iff it is also the
-        # (unique) root of the other polynomial inside that enclosure
-        value = e1.hi if e1.exact else e2.hi
-        other_poly, other_enc = (p2, e2) if e1.exact else (p1, e1)
-        if other_poly(value) == 0 and other_enc.contains(value):
-            g = poly_gcd(p1, p2)
-            return g, RootEnclosure(value, value, True)
-        return None
+        return g, e1
     g = poly_gcd(p1, p2)
     # with no common factor the dominants are distinct algebraics, so
     # refinement must eventually separate the enclosures
@@ -370,8 +325,15 @@ def _certify_equal_largest_roots(
             return g, meet
         # both roots are irrational here, so narrowing never turns exact
         width = width / 2**8
-        e1, e2 = RootEnclosure(*r1.narrow(width)), RootEnclosure(*r2.narrow(width))
+        e1, e2 = r1.narrow(width), r2.narrow(width)
     raise InternalInconsistencyError("dominant comparison did not converge")
+
+
+def exponent_pairs(bound: int) -> Iterator[tuple[int, int]]:
+    """The pairs 1 <= m, n <= bound in (m + n, m) order: by sum, then by m."""
+    for total in range(2, 2 * bound + 1):
+        for m in range(max(1, total - bound), min(bound, total - 1) + 1):
+            yield m, total - m
 
 
 def mult_dependent(
@@ -379,16 +341,17 @@ def mult_dependent(
     m2: IncidenceMatrix,
     bound: int = 12,
     precision: Fraction = DEFAULT_PRECISION,
-    cancel: Callable[[], bool] | None = None,
 ) -> DependenceWitness | None:
     """Search exponents 1 <= m, n <= bound with dominant(m1)^m = dominant(m2)^n.
 
     Candidate pairs are screened with exact rational interval arithmetic on
     the dominant enclosures, then certified through the gcd of the
     characteristic polynomials of the matrix powers, which ``power_char_poly``
-    derives from the matrices' own.  Pairs are walked in (m+n, m) order and
-    the least is returned, or None; absence means only "no witness up to the
-    bound", never multiplicative independence.
+    derives from the matrices' own; when both dominants are rational the
+    screen's exact meet is the certificate's value.  Pairs are walked in
+    ``exponent_pairs`` order and the least is returned, or None; absence
+    means only "no witness up to the bound", never multiplicative
+    independence.
     """
     prim1, _ = is_primitive(m1)
     prim2, _ = is_primitive(m2)
@@ -397,25 +360,17 @@ def mult_dependent(
     alpha = _matrix_dominant(m1, precision)
     beta = _matrix_dominant(m2, precision)
     p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
-    for total in range(2, 2 * bound + 1):
-        for m in range(max(1, total - bound), min(bound, total - 1) + 1):
-            n = total - m
-            if cancel is not None and cancel():
-                raise CancelledSearch(f"dependence search cancelled at pair ({m}, {n})")
-            if alpha.exact and beta.exact:
-                if alpha.hi**m != beta.hi**n:
-                    continue
-                value = alpha.hi**m
-                g = poly_gcd(power_char_poly(p1, m), power_char_poly(p2, n))
-                return DependenceWitness(m, n, True, g, RootEnclosure(value, value, True), value)
-            # quick exclusion before any polynomial work
-            if alpha.powered(m).intersect(beta.powered(n)) is None:
-                continue
-            cert = _certify_equal_largest_roots(
-                power_char_poly(p1, m), power_char_poly(p2, n), precision
-            )
-            if cert is not None:
-                g, meet = cert
-                exact = meet.lo if meet.exact else None
-                return DependenceWitness(m, n, True, g, meet, exact)
+    for m, n in exponent_pairs(bound):
+        # quick exclusion before any polynomial work
+        meet = alpha.powered(m).intersect(beta.powered(n))
+        if meet is None:
+            continue
+        q1, q2 = power_char_poly(p1, m), power_char_poly(p2, n)
+        if meet.exact:
+            # both powers are the same rational: no isolation is needed
+            return DependenceWitness(m, n, True, poly_gcd(q1, q2), meet, meet.hi)
+        cert = _certify_equal_largest_roots(q1, q2, precision)
+        if cert is not None:
+            g, meet = cert
+            return DependenceWitness(m, n, True, g, meet, meet.lo if meet.exact else None)
     return None

@@ -17,6 +17,12 @@ def test_search_outcomes_are_not_passes(outcome):
     assert not Check("search", outcome).passed
 
 
+def test_search_is_found_with_its_witness_or_absent_with_its_bound():
+    assert Check.search("delay", 0, "no delay <= 64") == Check("delay", "found", witness=0)
+    assert Check.search("pair", [2, 1], "no pair <= 6") == Check("pair", "found", witness=[2, 1])
+    assert Check.search("pair", None, "no pair <= 6") == Check("pair", "absent", "no pair <= 6")
+
+
 def test_unknown_outcome_refused():
     with pytest.raises(ValueError):
         Check("x", "maybe")

@@ -16,7 +16,7 @@ from retword.cli import (
     EXIT_USAGE,
     run_command,
 )
-from retword.errors import CancelledSearch, InternalInconsistencyError
+from retword.errors import InternalInconsistencyError
 from retword.substitution import identity_morphism, morphic_image_prefix, parse_substitution
 
 FIB = """
@@ -362,7 +362,6 @@ def test_periodic_input_exits_usage(tmp_path, capsys, argv):
     "exc, message",
     [
         pytest.param(InternalInconsistencyError, "error: stopped\n", id="InternalInconsistencyError"),
-        pytest.param(CancelledSearch, "error: stopped\n", id="CancelledSearch"),
         pytest.param(
             RuntimeError, "error: internal error (RuntimeError): stopped\n", id="RuntimeError"
         ),

@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from retword.errors import ResourceLimitError
 from retword.intpoly import (
-    DIVISOR_CAP,
     IntPolynomial,
     LargestRootBisection,
     SturmCounter,
@@ -161,10 +159,9 @@ def test_isolate_respects_largest():
 
 def test_rational_roots_with_multiplicity():
     p = P((0, 1)) * P((-1, 1)) * P((-1, 1)) * P((3, 2))
-    roots = dict(rational_roots(p))
-    assert roots[Fraction(0)] == 1
-    assert roots[Fraction(1)] == 2
-    assert roots[Fraction(-3, 2)] == 1
+    roots, residual = rational_roots(p)
+    assert dict(roots) == {Fraction(0): 1, Fraction(1): 2, Fraction(-3, 2): 1}
+    assert residual == P((1,))
 
 
 def test_root_bound_contains_roots():
@@ -282,27 +279,76 @@ def test_isolate_matches_fraction_chain_reference_non_monic(roots, cofactor):
 )
 def test_rational_roots_of_monic_match_divisor_oracle(roots, cofactor):
     p = _from_roots([Fraction(r) for r in roots], cofactor + [1])
-    assert rational_roots(p) == divisor_rational_roots(p)
+    assert rational_roots(p)[0] == divisor_rational_roots(p)
+
+
+def _reconstructs(p, roots, residual):
+    """The residual times the roots' linear factors is p."""
+    return _from_roots([r for r, mult in roots for _ in range(mult)], residual.coeffs) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6), max_size=5),
+    cofactor=st.lists(st.integers(-9, 9), max_size=4),
+    lead=st.integers(-12, 12).filter(lambda c: abs(c) >= 2),
+)
+def test_rational_roots_non_monic_match_divisor_oracle(roots, cofactor, lead):
+    p = _from_roots(roots, cofactor + [lead])
+    work = p.shift_divide(p.zero_root_multiplicity())
+    assert max(abs(work.coeffs[0]), abs(work.leading)) < 10**12
+    got, residual = rational_roots(p)
+    assert got == divisor_rational_roots(p)
+    assert _reconstructs(p, got, residual)
+
+
+def sympy_rational_roots(p):
+    """Rational roots with multiplicities from sympy's factorization over the integers."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(p.coeffs)), x))
+    roots = []
+    for factor, mult in factors:
+        if factor.degree() == 1:
+            a, b = (int(c) for c in factor.all_coeffs())
+            roots.append((Fraction(-b, a), mult))
+    return sorted(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=st.lists(
+        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**6), max_size=4
+    ),
+    cofactor=st.lists(st.integers(-(10**6), 10**6), max_size=3),
+    lead=st.integers(10**12, 10**15),
+)
+def test_rational_roots_non_monic_match_sympy(roots, cofactor, lead):
+    # a leading coefficient of 10^12 or more: beyond enumerating its divisors
+    p = _from_roots(roots, cofactor + [lead])
+    got, residual = rational_roots(p)
+    assert got == sympy_rational_roots(p)
+    assert _reconstructs(p, got, residual)
 
 
 def test_rational_roots_beyond_divisor_cap():
-    # constant term about -2e13, above the divisor cap of the rational root test
+    # constant term about -2e13, beyond enumerating its divisors
     p = P((-10**7, 1)) * P((2 * 10**6 + 3, 1)) * P((1, 1, 1))
-    assert abs(p.coeffs[0]) > DIVISOR_CAP
-    assert rational_roots(p) == [(Fraction(-2 * 10**6 - 3), 1), (Fraction(10**7), 1)]
+    assert abs(p.coeffs[0]) > 10**12
+    assert rational_roots(p) == ([(Fraction(-2 * 10**6 - 3), 1), (Fraction(10**7), 1)], P((1, 1, 1)))
     assert isolate_largest_real_root(p) == (10**7, 10**7, True)
     s = spectrum_of_poly(p)
     assert s.exact_roots == ((Fraction(-2 * 10**6 - 3), 1), (Fraction(10**7), 1))
     assert s.residual_factor == P((1, 1, 1))
     big = P((-(10**30 + 57), 1)) ** 2 * P((0, 1))
-    assert rational_roots(big) == [(Fraction(0), 1), (Fraction(10**30 + 57), 2)]
+    assert rational_roots(big) == ([(Fraction(0), 1), (Fraction(10**30 + 57), 2)], P((1,)))
 
 
-def test_rational_roots_non_monic_beyond_cap_raises():
+def test_rational_roots_non_monic_beyond_cap():
+    # constant term -10^13: its divisors were once too many to enumerate
     p = P((-1, 2)) * P((-(10**13), 1))
-    with pytest.raises(ResourceLimitError) as info:
-        rational_roots(p)
-    assert info.value.budget == DIVISOR_CAP
+    assert rational_roots(p) == ([(Fraction(1, 2), 1), (Fraction(10**13), 1)], P((1,)))
+    assert isolate_largest_real_root(p) == (10**13, 10**13, True)
 
 
 @st.composite

@@ -9,7 +9,6 @@ from returns_oracle import tower_prefixes_by_scan
 from spectral_oracle import same_nonzero_root_sets
 from retword.cli import run_command
 from retword.corpus import fibonacci
-from retword.errors import CancelledSearch
 from retword.relations import (
     check_stepone_hypotheses,
     coding_substitution,
@@ -306,11 +305,6 @@ def test_shared_fixed_point_non_power_fixture(morse):
 def test_shared_fixed_point_gate(fib, morse):
     with pytest.raises(ValueError):
         shared_fixed_point_analysis(fib, morse)
-
-
-def test_shared_fixed_point_cancellation(fib):
-    with pytest.raises(CancelledSearch):
-        shared_fixed_point_analysis(fib, power(fib, 2), cancel=lambda: True)
 
 
 # `shared --left samples/fib.sub --right <fib squared> --budget 1 --json`,

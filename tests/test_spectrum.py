@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retword.cli import run_command
-from retword.errors import CancelledSearch
 from retword.intpoly import IntPolynomial, LargestRootBisection, SturmCounter, cyclotomic, poly_gcd
 from retword.periodic import build_periodic_presentation
 from retword.returns import return_substitution
@@ -20,6 +19,7 @@ from retword.spectrum import (
     char_poly,
     certify_equal_dominant,
     dominant_eigenvalue,
+    exponent_pairs,
     mult_dependent,
     power_char_poly,
     spectra_equal_mod_trivial,
@@ -380,22 +380,13 @@ def test_mult_dependent_rejects_non_primitive(fib):
         mult_dependent(identity_matrix(2), fib.matrix(), 4)
 
 
-def test_mult_dependent_cancellation(fib, morse):
-    with pytest.raises(CancelledSearch):
-        mult_dependent(fib.matrix(), morse.matrix(), 12, cancel=lambda: True)
-
-
-def test_mult_dependent_walks_pairs_in_sum_then_m_order(fib, trib):
-    """The k-th cancel check falls on the k-th pair of the sorted (m+n, m) order."""
-    bound = 4
-    order = sorted(
-        ((m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)),
-        key=lambda mn: (mn[0] + mn[1], mn[0]),
-    )
-    for k, (m, n) in enumerate(order, start=1):
-        checks = iter(range(k - 1, -1, -1))
-        with pytest.raises(CancelledSearch, match=rf"pair \({m}, {n}\)"):
-            mult_dependent(fib.matrix(), trib.matrix(), bound, cancel=lambda: next(checks) == 0)
+def test_exponent_pairs_walk_in_sum_then_m_order():
+    for bound in range(1, 7):
+        order = sorted(
+            ((m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)),
+            key=lambda mn: (mn[0] + mn[1], mn[0]),
+        )
+        assert list(exponent_pairs(bound)) == order
 
 
 def test_dependence_and_coincidence_form_no_matrix_power(monkeypatch, fib, quad_pair):
