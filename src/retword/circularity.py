@@ -15,7 +15,8 @@ the factors of the derived sequence, on the distinct factors of a derived
 prefix.  That prefix is translated once through the coding and once through
 the substitution, and every factor's decoded length and image are read off
 the two translations at one of its start positions, with no morphism applied
-word by word.
+word by word.  The return substitution's check on its own factors is the
+same walk with the identity coding.
 """
 
 from __future__ import annotations
@@ -24,8 +25,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .errors import require_nonnegative
 from .returns import nonperiodic_check, return_substitution
-from .substitution import Morphism, Substitution, fixed_point_prefix, is_primitive
+from .substitution import (
+    Morphism,
+    Substitution,
+    fixed_point_prefix,
+    identity_morphism,
+    is_primitive,
+)
 from .words import Word, factor_spans, factors
 
 
@@ -117,10 +125,12 @@ def sync_delay_search(
     returned D is exactly the largest such forcing, or None when it exceeds
     ``d_max``; boundary cuts (first and last) participate like any other.
     Absence is a lower-bound report on the sample, not a refutation of
-    circularity.  A sample length below 1 samples nothing and is refused.
+    circularity.  A sample length below 1 samples nothing and is refused, as
+    is a negative ``d_max``.
     """
     if sample_len < 1:
         raise ValueError(f"sample length must be >= 1, got {sample_len}")
+    require_nonnegative("delay bound", d_max)
     primitive, _ = is_primitive(tau.matrix())
     if not primitive:
         raise ValueError("delay search expects a primitive substitution")
@@ -180,9 +190,10 @@ def _first_collision(
     translated once through the coding and once more through ``sub``; prefix
     sums of the per-letter decoded and image lengths then give each factor's
     decoded length and image as slices at the start the walk gives for it,
-    with no per-word morphism call.  Return words form a code, so distinct factors
-    decode to distinct words and the first image met twice is the first
-    collision; a second walk finds the earlier word with that image.
+    with no per-word morphism call.  Return words form a code, as does the
+    identity coding :func:`find_n0` passes, so distinct factors decode to
+    distinct words and the first image met twice is the first collision; a
+    second walk finds the earlier word with that image.
     """
     text = host.scan_text
     image = sub(coding(host)).scan_text
@@ -245,21 +256,25 @@ def find_n0(
     """Least prefix length whose injectivity certificate passes, together with
     injectivity of the return substitution on its own factors: those of a
     ``derived_sample`` prefix of its fixed point up to ``length_bound``
-    letters, enumerated by :func:`retword.words.factors` and mapped one by
-    one, with pairwise distinct images.
+    letters must have pairwise distinct images.  That check is
+    :func:`_first_collision` with the identity coding, on the host
+    ``check_injectivity`` derives: every factor decodes to itself, so all of
+    them are read and the images come from one translation of the host.
 
     None when no prefix length up to ``max_prefix`` passes; existence beyond
     the scan is not decided here.  A length bound below 1 is refused, as in
-    ``check_injectivity``.
+    ``check_injectivity``, and so is a negative ``max_prefix``.
     """
     _require_length_bound(length_bound)
+    require_nonnegative("prefix bound", max_prefix)
     nonperiodic_check(tau)
     for n in range(1, max_prefix + 1):
         u = fixed_point_prefix(tau, n)
         if not check_injectivity(tau, u, length_bound, derived_sample).passed:
             continue
         _, tau_u = return_substitution(tau, u)
-        own = factors(fixed_point_prefix(tau_u, derived_sample), range(1, length_bound + 1))
-        if len({tau_u(w).scan_text for w in own}) == len(own):
+        host = fixed_point_prefix(tau_u, derived_sample)
+        identity = identity_morphism(tau_u.alphabet)
+        if _first_collision(host, identity, tau_u, length_bound, length_bound)[1] is None:
             return n
     return None

@@ -26,7 +26,13 @@ from typing import Any
 
 from .checks import Check
 from .circularity import find_n0, sync_delay_search
-from .errors import GenerationError, InternalInconsistencyError, ParseError, ResourceLimitError
+from .errors import (
+    GenerationError,
+    InternalInconsistencyError,
+    ParseError,
+    ResourceLimitError,
+    require_nonnegative,
+)
 from .intpoly import RootEnclosure
 from .periodic import build_periodic_presentation, verify_presentation
 from .relations import (
@@ -315,6 +321,7 @@ def _cmd_tower(args, report: Report) -> None:
 
 
 def _cmd_relations(args, report: Report) -> None:
+    require_nonnegative("span", args.span)
     sub, _ = _load(args.file)
     u, v = _word_arg(sub, args.u), _word_arg(sub, args.v)
     rel = verify_propprec(sub, u, v)
@@ -369,6 +376,8 @@ def _cmd_shared(args, report: Report) -> None:
 
 
 def _cmd_cobham(args, report: Report) -> None:
+    # refused before the gate, which can end the command without a search
+    require_nonnegative("exponent bound", args.bound)
     left, codings_left = _load(args.left)
     right, codings_right = _load(args.right)
     coding_left = _coding_by_name(args.coding_left, left, codings_left)

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the check on search bounds."""
 
 
 class ParseError(ValueError):
@@ -33,3 +33,9 @@ class DecompositionError(ValueError):
 
 class InternalInconsistencyError(RuntimeError):
     """A structural guarantee failed; indicates a bug upstream, not bad input."""
+
+
+def require_nonnegative(what: str, bound: int) -> None:
+    """Refuse a negative search bound as an input error; a zero bound searches nothing."""
+    if bound < 0:
+        raise ValueError(f"{what} must be >= 0, got {bound}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .checks import Check
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, require_nonnegative
 from .spectrum import certify_equal_dominant
 from .substitution import (
     Alphabet,
@@ -150,11 +150,12 @@ def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> tu
     """Every invariant of a presentation as a check; failures are entries, not errors.
 
     The coded fixed point is compared with the periodic target on its first
-    ``check_len`` letters (skipped at length 0); the other four checks are
-    the presentation's ``structural_checks``, computed once per presentation.
-    The order is: intertwining identity, primitivity, coded prefix, period
-    column, dominant eigenvalue.
+    ``check_len`` letters (skipped at length 0, refused below); the other
+    four checks are the presentation's ``structural_checks``, computed once
+    per presentation.  The order is: intertwining identity, primitivity,
+    coded prefix, period column, dominant eigenvalue.
     """
+    require_nonnegative("check length", check_len)
     coded_ok = True
     detail = f"checked {check_len} letters"
     if check_len > 0:

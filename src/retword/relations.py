@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import Check
-from .errors import DecompositionError, InternalInconsistencyError, ResourceLimitError
+from .errors import (
+    DecompositionError,
+    InternalInconsistencyError,
+    ResourceLimitError,
+    require_nonnegative,
+)
 from .returns import (
     ReturnConstants,
     ReturnSystem,
@@ -450,7 +455,8 @@ def power_coincidence(
     """Least exponents (i, j) in ``exponent_pairs`` order whose matrix powers
     carry the same spectrum up to zeros and roots of unity; None means no pair
     up to the bound.  The powers' characteristic polynomials come from the
-    matrices' own, with no matrix power formed."""
+    matrices' own, with no matrix power formed.  A negative bound is refused."""
+    require_nonnegative("exponent bound", bound)
     same_fixed_point_gate(tau, sigma, check_len)
     m1, m2 = tau.matrix(), sigma.matrix()
     for i, j in exponent_pairs(bound):
@@ -482,8 +488,11 @@ def shared_fixed_point_analysis(
     be; at each level both return substitutions live on the same return
     alphabet (the return words depend only on the fixed point), so exact
     equality of powers is a direct comparison.  Returns the first witness in
-    (level, i+j, i) order or None once depth and budget are exhausted.
+    (level, i+j, i) order or None once depth and budget are exhausted.  A
+    negative depth or budget is refused.
     """
+    require_nonnegative("depth bound", depth)
+    require_nonnegative("exponent budget", budget)
     same_fixed_point_gate(tau, sigma, check_len)
     for sub in (tau, sigma):
         primitive, _ = is_primitive(sub.matrix())

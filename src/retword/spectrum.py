@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, require_nonnegative
 from .intpoly import (
     IntPolynomial,
     LargestRootBisection,
@@ -351,8 +351,9 @@ def mult_dependent(
     screen's exact meet is the certificate's value.  Pairs are walked in
     ``exponent_pairs`` order and the least is returned, or None; absence
     means only "no witness up to the bound", never multiplicative
-    independence.
+    independence.  A negative bound is refused.
     """
+    require_nonnegative("exponent bound", bound)
     prim1, _ = is_primitive(m1)
     prim2, _ = is_primitive(m2)
     if not (prim1 and prim2):

@@ -9,17 +9,21 @@ from hypothesis import assume, given, settings, strategies as st
 import circularity_oracle as oracle
 from retword.circularity import (
     Interpretation,
+    _first_collision,
     check_injectivity,
     find_n0,
     interpretations,
     sync_delay_search,
 )
 from retword.cli import build_parser, run_command
+from retword.corpus import fibonacci, thue_morse
 from retword.relations import coding_substitution, find_gamma
 from retword.returns import return_substitution
 from retword.substitution import (
+    Morphism,
     compose,
     fixed_point_prefix,
+    identity_morphism,
     is_primitive,
     power,
     substitution_from_strings,
@@ -221,6 +225,66 @@ def test_find_n0_matches_word_oracle(tau, bound):
             find_n0(tau, bound, max_prefix=6)
         return
     assert find_n0(tau, bound, max_prefix=6) == expected
+
+
+def _own_factor_collision(sub, bound, sample=1000):
+    """find_n0's own-factor check on a stand-in for the return substitution,
+    next to the word-by-word oracle over the same host."""
+    host = fixed_point_prefix(sub, sample)
+    found = _first_collision(host, identity_morphism(sub.alphabet), sub, bound, bound)
+    return found, oracle.first_collision(sub, oracle.window_factors(host, bound))
+
+
+@pytest.mark.parametrize("images", COLLIDING, ids=lambda im: ",".join(im.values()))
+def test_own_factor_collisions_match_word_oracle(images):
+    # each of these sends two letters to one image, so every bound collides
+    sub = substitution_from_strings(" ".join(images), images, "a")
+    for bound in (1, 2, 5, 13, 30):
+        found, expected = _own_factor_collision(sub, bound)
+        assert found == expected
+        first, second = found[1]
+        assert first != second and sub(first) == sub(second)
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 30), st.integers(1, 400))
+def test_own_factor_check_matches_word_oracle(sub, bound, sample):
+    found, expected = _own_factor_collision(sub, bound, sample)
+    assert found == expected
+
+
+@pytest.mark.parametrize(
+    "images, bound, n0",
+    [
+        ({"a": "acab", "b": "acab", "c": "caba"}, 2, 2),
+        ({"a": "aabc", "b": "baac", "c": "baac"}, 1, 3),
+        ({"a": "aabc", "b": "baac", "c": "baac"}, 2, 3),
+    ],
+)
+def test_find_n0_rejects_own_factor_collisions(images, bound, n0):
+    """Below n0 every injectivity certificate passes, yet two derived factors of
+    at most ``bound`` letters, whose decodings are longer, share an image under
+    the return substitution, so find_n0 passes those prefixes by."""
+    tau = substitution_from_strings(" ".join(images), images, "a")
+    for n in range(1, n0):
+        assert check_injectivity(tau, fixed_point_prefix(tau, n), bound).passed
+    assert find_n0(tau, bound, max_prefix=6) == n0 == oracle.find_n0(tau, bound, max_prefix=6)
+
+
+@pytest.mark.parametrize("make", [fibonacci, thue_morse])
+def test_find_n0_maps_no_factor_one_by_one(monkeypatch, make):
+    """The number of morphism applications in find_n0 does not grow with the
+    number of factors it checks, which grows with the length bound."""
+    calls = []
+    apply = Morphism.__call__
+    monkeypatch.setattr(Morphism, "__call__", lambda m, w: calls.append(1) or apply(m, w))
+    counts = set()
+    for sample in (500, 2000):
+        for bound in (10, 30):
+            calls.clear()
+            assert find_n0(make(), bound, derived_sample=sample) == 1  # fresh caches
+            counts.add(len(calls))
+    assert len(counts) == 1
 
 
 def test_check_injectivity_vacuous_short_bound(fib):

@@ -400,6 +400,8 @@ def test_periodic_24_letter_product_finishes(files):
         (["--sample-len", "0"], "error: sample length must be >= 1, got 0\n"),
         (["--sample-len", "-4"], "error: sample length must be >= 1, got -4\n"),
         (["--inj-length", "0"], "error: injectivity length bound must be >= 1, got 0\n"),
+        (["--max-prefix", "-1"], "error: prefix bound must be >= 0, got -1\n"),
+        (["--delay-max", "-1"], "error: delay bound must be >= 0, got -1\n"),
     ],
 )
 def test_circularity_refuses_empty_samples(files, capsys, flag, message):
@@ -408,6 +410,28 @@ def test_circularity_refuses_empty_samples(files, capsys, flag, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shared", "--left", "fib", "--right", "fib", "--power-bound", "-1"], "exponent bound"),
+        (["shared", "--left", "fib", "--right", "fib", "--budget", "-1"], "exponent budget"),
+        (["shared", "--left", "fib", "--right", "fib", "--depth", "-1"], "depth bound"),
+        (["cobham", "--left", "tau4", "--right", "sigma4", "--coding-right", "phi", "--bound", "-1"], "exponent bound"),
+        # the coded fixed points differ, so the gate would end the command before the search
+        (["cobham", "--left", "fib", "--right", "morse", "--bound", "-1"], "exponent bound"),
+        (["relations", "fib", "--u", "0", "--v", "01", "--span", "-1"], "span"),
+        (["periodic", "fib", "--period", "0110", "--check-len", "-1"], "check length"),
+    ],
+)
+def test_negative_search_bounds_are_refused(files, capsys, argv, message):
+    """A negative bound is an input error, never an empty search reported as absent."""
+    status, _ = run_command([files.get(arg, arg) for arg in argv])
+    assert status == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} must be >= 0, got -1\n"
 
 
 def _without_elapsed(stdout: str) -> str:
