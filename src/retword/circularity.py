@@ -8,7 +8,11 @@ same position with the same core letter beneath it.  The synchronization
 delay of a substitution is the margin beyond which every pair of
 interpretations of every factor synchronizes; here it is searched over a
 factor sample, never derived, so results are certificates on the sample and
-lower-bound reports, not proofs.
+lower-bound reports, not proofs.  Interpretations are enumerated on scan
+texts, each core grown one code point at a time against a pool of factor
+texts, and the search reads each one's cuts off its core text; ``Word`` and
+``Interpretation`` objects are built only for what :func:`interpretations`
+returns.
 
 Injectivity is checked over decodable factors, which are the decodings of
 the factors of the derived sequence, on the distinct factors of a derived
@@ -34,7 +38,7 @@ from .substitution import (
     identity_morphism,
     is_primitive,
 )
-from .words import Word, factor_spans, factors
+from .words import Word, _word, factor_spans
 
 
 @dataclass(frozen=True)
@@ -59,55 +63,64 @@ class Interpretation:
 
 
 class _InterpretationContext:
-    """Shared factor pools for enumerating interpretations over one substitution.
+    """Shared pools for enumerating interpretations over one substitution.
 
-    ``factors`` lists the non-empty factors up to ``max_factor`` letters of a
-    fixed-point prefix in lexicographic order, enumerated by
-    :func:`retword.words.factors` from the prefix's distinct windows of
-    ``max_factor`` letters; the pools hold scan texts.
+    ``factors`` lists the scan texts of the non-empty factors up to
+    ``max_factor`` letters of a fixed-point prefix in lexicographic order,
+    sliced at the spans :func:`retword.words.factor_spans` yields, with no
+    ``Word`` per factor; ``pool`` holds the same texts, and ``suffixes`` and
+    ``prefixes`` the margins letter images allow.
     """
 
     def __init__(self, tau: Substitution, prefix_len: int, max_factor: int):
-        self.tau = tau
-        self.factors = factors(fixed_point_prefix(tau, prefix_len), range(1, max_factor + 1))
-        self.pool = {w.scan_text for w in self.factors}
+        text = fixed_point_prefix(tau, prefix_len).scan_text
+        self.factors = [text[i:j] for i, j in factor_spans(text, range(1, max_factor + 1))]
+        self.pool = set(self.factors)
         self.images = [w.scan_text for w in tau.images]
         self.suffixes = {t[i:] for t in self.images for i in range(len(t) + 1)}
         self.prefixes = {t[:i] for t in self.images for i in range(len(t) + 1)}
-        self.singles = [Word(tau.alphabet, (c,)) for c in range(tau.alphabet.size)]
 
-    def interpretations(self, x: Word) -> list[Interpretation]:
-        """Every interpretation of x, sorted by (left, core, right) scan texts.
+    def walk(self, text: str) -> list[tuple[int, int, str]]:
+        """(cut, end, core) for every interpretation of the scan text ``text``:
+        text[:cut] is a suffix of a letter image, the image of the core text
+        is text[cut:end] and text[end:] is a prefix of a letter image.
 
-        A worklist of partial cuts (cut, position, core) grows each core one
-        letter image at a time while the longer core stays in the pool.
+        A worklist of partial cores grows each core one letter image at a
+        time while the longer core stays in the pool.  Each start has its own
+        cut and the cores grown from one partial core differ in their last
+        letter, so no interpretation is met twice.  A list, not a generator,
+        so that the walk's time stays in its own traced span.
         """
-        text = x.scan_text
-        found: dict[tuple[str, str, str], Interpretation] = {}
-        empty = Word(self.tau.alphabet, ())
-        work = [(len(left), len(left), empty) for left in self.suffixes if text.startswith(left)]
+        found = []
+        work = [(len(left), len(left), "") for left in self.suffixes if text.startswith(left)]
         while work:
             cut, pos, core = work.pop()
             rest = text[pos:]
             if rest in self.prefixes:
-                found[text[:cut], core.scan_text, rest] = Interpretation(x[:cut], core, x[pos:])
+                found.append((cut, pos, core))
             for c, im in enumerate(self.images):
                 if rest.startswith(im):
-                    longer = core + self.singles[c]
-                    if longer.scan_text in self.pool:
+                    longer = core + chr(c)
+                    if longer in self.pool:
                         work.append((cut, pos + len(im), longer))
-        return [found[key] for key in sorted(found)]
+        return found
 
 
 def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -> list[Interpretation]:
     """All cuts of x as left · tau(core) · right with the core a factor of the
-    fixed point observed in the generated prefix."""
+    fixed point observed in the generated prefix, sorted by (left, core,
+    right) scan texts."""
     if len(x) == 0:
         raise ValueError("factor must be non-empty")
     ctx = _InterpretationContext(tau, search_prefix_len, len(x))
-    if x.scan_text not in ctx.pool:
+    text = x.scan_text
+    if text not in ctx.pool:
         raise ValueError("x does not occur in the generated prefix")
-    return ctx.interpretations(x)
+    found = sorted((text[:cut], core, text[end:]) for cut, end, core in ctx.walk(text))
+    return [
+        Interpretation(x[: len(left)], _word(tau.alphabet, core), x[len(x) - len(right) :])
+        for left, core, right in found
+    ]
 
 
 def sync_delay_search(
@@ -125,8 +138,18 @@ def sync_delay_search(
     returned D is exactly the largest such forcing, or None when it exceeds
     ``d_max``; boundary cuts (first and last) participate like any other.
     Absence is a lower-bound report on the sample, not a refutation of
-    circularity.  A sample length below 1 samples nothing and is refused, as
-    is a negative ``d_max``.
+    circularity.
+
+    No pair is formed: a cut is in one interpretation's cut set and missing
+    from another's exactly when it is in some cut set but not in all of them,
+    so the forcing cuts of a factor are the union of its cut sets minus their
+    intersection, and a factor with one interpretation forces nothing.  Each
+    interpretation's cuts are read off its core text and the image lengths.
+    ``required`` only grows, so stopping at the first factor that takes it
+    past ``d_max`` gives the same None.
+
+    A sample length below 1 samples nothing and is refused, as is a negative
+    ``d_max``; so is a periodic fixed point, as in :func:`find_n0`.
     """
     if sample_len < 1:
         raise ValueError(f"sample length must be >= 1, got {sample_len}")
@@ -134,26 +157,28 @@ def sync_delay_search(
     primitive, _ = is_primitive(tau.matrix())
     if not primitive:
         raise ValueError("delay search expects a primitive substitution")
+    nonperiodic_check(tau)
     if prefix_len is None:
         prefix_len = max(50 * sample_len, 2000)
     ctx = _InterpretationContext(tau, prefix_len, sample_len)
+    lengths = [len(im) for im in ctx.images]
     required = 0
     for x in ctx.factors:
-        interps = ctx.interpretations(x)
-        cut_sets = [set(i.cuts(tau)) for i in interps]
-        for a in range(len(interps)):
-            for b in range(len(interps)):
-                if a == b:
-                    continue
-                for pos, letter in cut_sets[a]:
-                    if (pos, letter) in cut_sets[b]:
-                        continue
-                    margin_left = pos
-                    margin_right = len(x) - pos - len(tau.image(letter))
-                    required = max(required, min(margin_left, margin_right))
-                    if required > d_max:
-                        return None
-    return required if required <= d_max else None
+        found = ctx.walk(x)
+        if len(found) < 2:
+            continue
+        cut_sets = []
+        for cut, _, core in found:
+            cuts = set()
+            for letter in map(ord, core):
+                cuts.add((cut, letter))
+                cut += lengths[letter]
+            cut_sets.append(cuts)
+        for pos, letter in set.union(*cut_sets) - set.intersection(*cut_sets):
+            required = max(required, min(pos, len(x) - pos - lengths[letter]))
+        if required > d_max:
+            return None
+    return required
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
-"""Injectivity over decodable factors checked one Word at a time, as a test oracle.
+"""Injectivity and synchronization delay checked one Word at a time, as test oracles.
 
 The library reads every factor's decoded length and image off one host
 translated through the coding and through the substitution; the oracle
 enumerates the factors by slicing every window, applies both morphisms to
 each factor as a Word and keys the images in a dict, the per-word route the
 library's kernel replaced.
+
+The library's delay search takes the forcing cuts of a factor as the union
+of its interpretations' cut sets minus their intersection; the oracle
+compares the cut sets of every ordered pair of interpretations, each built
+as an ``Interpretation`` by the public ``interpretations()``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from retword.circularity import InjectivityCertificate
+from retword.circularity import InjectivityCertificate, interpretations
 from retword.returns import nonperiodic_check, return_substitution
 from retword.substitution import Substitution, fixed_point_prefix
 from retword.words import Word
@@ -71,3 +76,28 @@ def find_n0(
         if first_collision(tau_u, own)[1] is None:
             return n
     return None
+
+
+def sync_delay_search(
+    tau: Substitution, d_max: int = 64, sample_len: int = 10, prefix_len: int | None = None
+) -> int | None:
+    """The largest margin a cut of one interpretation missing from another forces,
+    over every ordered pair of interpretations of every sampled factor."""
+    if prefix_len is None:
+        prefix_len = max(50 * sample_len, 2000)
+    required = 0
+    for x in window_factors(fixed_point_prefix(tau, prefix_len), sample_len):
+        interps = interpretations(tau, x, prefix_len)
+        cut_sets = [set(i.cuts(tau)) for i in interps]
+        for a in range(len(interps)):
+            for b in range(len(interps)):
+                if a == b:
+                    continue
+                for pos, letter in cut_sets[a]:
+                    if (pos, letter) in cut_sets[b]:
+                        continue
+                    margin_right = len(x) - pos - len(tau.image(letter))
+                    required = max(required, min(pos, margin_right))
+                    if required > d_max:
+                        return None
+    return required

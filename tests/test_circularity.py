@@ -18,7 +18,7 @@ from retword.circularity import (
 from retword.cli import build_parser, run_command
 from retword.corpus import fibonacci, thue_morse
 from retword.relations import coding_substitution, find_gamma
-from retword.returns import return_substitution
+from retword.returns import nonperiodic_check, return_substitution
 from retword.substitution import (
     Morphism,
     compose,
@@ -60,39 +60,6 @@ def test_interpretations_single_interior_letter(morse):
 def test_interpretations_requires_observed_factor(fib):
     with pytest.raises(ValueError):
         interpretations(fib, fib.alphabet.word("11"))
-
-
-def test_interpretations_exhaustive_against_bruteforce(morse):
-    """Oracle: enumerate all (left, core, right) directly from definitions."""
-    x = morse.alphabet.word("011010")
-    prefix = fixed_point_prefix(morse, 3000).letters
-    factors = {()}
-    for length in range(1, len(x) + 1):
-        for i in range(len(prefix) - length + 1):
-            factors.add(prefix[i : i + length])
-    suffixes = {w.letters[i:] for w in morse.images for i in range(len(w) + 1)}
-    prefixes = {w.letters[:i] for w in morse.images for i in range(len(w) + 1)}
-    expected = set()
-    for left in suffixes:
-        if x.letters[: len(left)] != left:
-            continue
-        # try all cores drawn from observed factors
-        for core in factors:
-            image = []
-            for c in core:
-                image.extend(morse.image(c).letters)
-            image = tuple(image)
-            rest = x.letters[len(left) :]
-            if rest[: len(image)] != image:
-                continue
-            right = rest[len(image) :]
-            if right in prefixes:
-                expected.add((left, core, right))
-    found = {
-        (i.left.letters, i.core.letters, i.right.letters)
-        for i in interpretations(morse, x)
-    }
-    assert found == expected
 
 
 def test_sync_delay_fibonacci(fib):
@@ -200,6 +167,86 @@ def primitive_substitutions(draw):
     tau = substitution_from_strings(" ".join(symbols), images, "a")
     assume(is_primitive(tau.matrix())[0])
     return tau
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_substitutions(), st.data())
+def test_interpretations_exhaustive_against_bruteforce(tau, data):
+    """Oracle: enumerate all (left, core, right) directly from definitions,
+    for a drawn factor of a drawn substitution's fixed point."""
+    prefix = fixed_point_prefix(tau, 400).letters
+    length = data.draw(st.integers(1, 8))
+    start = data.draw(st.integers(0, len(prefix) - length))
+    x = Word(tau.alphabet, prefix[start : start + length])
+    factors = {()}
+    for n in range(1, len(x) + 1):
+        for i in range(len(prefix) - n + 1):
+            factors.add(prefix[i : i + n])
+    suffixes = {w.letters[i:] for w in tau.images for i in range(len(w) + 1)}
+    prefixes = {w.letters[:i] for w in tau.images for i in range(len(w) + 1)}
+    expected = set()
+    for left in suffixes:
+        if x.letters[: len(left)] != left:
+            continue
+        # try all cores drawn from observed factors
+        for core in factors:
+            image = []
+            for c in core:
+                image.extend(tau.image(c).letters)
+            image = tuple(image)
+            rest = x.letters[len(left) :]
+            if rest[: len(image)] != image:
+                continue
+            right = rest[len(image) :]
+            if right in prefixes:
+                expected.add((left, core, right))
+    found = interpretations(tau, x, search_prefix_len=400)
+    triples = [(i.left.letters, i.core.letters, i.right.letters) for i in found]
+    assert set(triples) == expected
+    assert len(triples) == len(expected)
+    keys = [(i.left.scan_text, i.core.scan_text, i.right.scan_text) for i in found]
+    assert keys == sorted(keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 10), st.integers(0, 6))
+def test_sync_delay_matches_pair_oracle(tau, sample_len, d_max):
+    """The union-minus-intersection forcing gives the delay, or None, that
+    comparing every ordered pair of interpretations gives."""
+    try:
+        nonperiodic_check(tau)
+    except ValueError:
+        with pytest.raises(ValueError, match="fixed point is periodic"):
+            sync_delay_search(tau, d_max, sample_len)
+        return
+    expected = oracle.sync_delay_search(tau, d_max, sample_len)
+    assert sync_delay_search(tau, d_max, sample_len) == expected
+
+
+def test_sync_delay_refuses_periodic_fixed_point():
+    """a -> ab, b -> ab is primitive with the periodic fixed point (ab)^omega."""
+    tau = substitution_from_strings("a b", {"a": "ab", "b": "ab"}, "a")
+    assert is_primitive(tau.matrix())[0]
+    with pytest.raises(ValueError, match="fixed point is periodic"):
+        sync_delay_search(tau)
+
+
+@pytest.mark.parametrize("make", [fibonacci, thue_morse])
+def test_sync_delay_builds_no_word_per_core(monkeypatch, make):
+    """The delay search grows cores as scan texts and reads cuts off them, so
+    it concatenates no Word and builds no Interpretation.  The periodicity
+    check it starts with is cached on the substitution, and is taken first,
+    as the circularity command's find_n0 takes it."""
+    tau = make()
+    nonperiodic_check(tau)
+    calls = []
+    add, init = Word.__add__, Interpretation.__init__
+    monkeypatch.setattr(Word, "__add__", lambda a, b: calls.append("add") or add(a, b))
+    monkeypatch.setattr(
+        Interpretation, "__init__", lambda i, *args: calls.append("init") or init(i, *args)
+    )
+    assert sync_delay_search(tau) is not None
+    assert calls == []
 
 
 @settings(max_examples=80, deadline=None)
