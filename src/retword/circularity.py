@@ -8,11 +8,14 @@ same position with the same core letter beneath it.  The synchronization
 delay of a substitution is the margin beyond which every pair of
 interpretations of every factor synchronizes; here it is searched over a
 factor sample, never derived, so results are certificates on the sample and
-lower-bound reports, not proofs.  Interpretations are enumerated on scan
-texts, each core grown one code point at a time against a pool of factor
-texts, and the search reads each one's cuts off its core text; ``Word`` and
-``Interpretation`` objects are built only for what :func:`interpretations`
-returns.
+lower-bound reports, not proofs.  Interpretations are kept on scan texts as
+(cut, end, core text), the cores checked against a pool of factor texts, and
+those of x·a come from those of x by one extension step.  The search runs
+that step along the trie order of the sampled factors, one step per factor
+from its parent, and reads each interpretation's cuts off its core text;
+:func:`interpretations` folds the step over the letters of one factor.
+``Word`` and ``Interpretation`` objects are built only for what
+:func:`interpretations` returns.
 
 Injectivity is checked over decodable factors, which are the decodings of
 the factors of the derived sequence, on the distinct factors of a derived
@@ -25,7 +28,7 @@ same walk with the identity coding.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -62,61 +65,95 @@ class Interpretation:
         return tuple(out)
 
 
+# The one interpretation of the empty word: empty margins around an empty core.
+_EMPTY_WORD_THREADS = ((0, 0, ""),)
+
+
 class _InterpretationContext:
-    """Shared pools for enumerating interpretations over one substitution.
+    """Shared pools for extending interpretations over one substitution.
 
     ``factors`` lists the scan texts of the non-empty factors up to
-    ``max_factor`` letters of a fixed-point prefix in lexicographic order,
-    sliced at the spans :func:`retword.words.factor_spans` yields, with no
-    ``Word`` per factor; ``pool`` holds the same texts, and ``suffixes`` and
-    ``prefixes`` the margins letter images allow.
+    ``max_factor`` letters of a fixed-point prefix in the trie order
+    :func:`retword.words.factor_spans` yields (a factor before its
+    extensions), sliced at its spans with no ``Word`` per factor; ``pool``
+    holds the same texts, ``suffixes`` and ``prefixes`` the margins letter
+    images allow, and ``letters_of`` maps each image text to the core texts
+    of the letters with that image.
     """
 
     def __init__(self, tau: Substitution, prefix_len: int, max_factor: int):
         text = fixed_point_prefix(tau, prefix_len).scan_text
         self.factors = [text[i:j] for i, j in factor_spans(text, range(1, max_factor + 1))]
         self.pool = set(self.factors)
-        self.images = [w.scan_text for w in tau.images]
-        self.suffixes = {t[i:] for t in self.images for i in range(len(t) + 1)}
-        self.prefixes = {t[:i] for t in self.images for i in range(len(t) + 1)}
+        self.lengths = [len(w) for w in tau.images]
+        images = [w.scan_text for w in tau.images]
+        self.suffixes = {t[i:] for t in images for i in range(len(t) + 1)}
+        self.prefixes = {t[:i] for t in images for i in range(len(t) + 1)}
+        self.letters_of: dict[str, list[str]] = {}
+        for c, t in enumerate(images):
+            self.letters_of.setdefault(t, []).append(chr(c))
 
-    def walk(self, text: str) -> list[tuple[int, int, str]]:
-        """(cut, end, core) for every interpretation of the scan text ``text``:
-        text[:cut] is a suffix of a letter image, the image of the core text
-        is text[cut:end] and text[end:] is a prefix of a letter image.
+    def extend(
+        self, threads: Iterable[tuple[int, int, str]], text: str
+    ) -> list[tuple[int, int, str]]:
+        """The interpretations of the scan text ``text`` = x·a, given
+        ``threads``, those of x.  An interpretation (cut, end, core) of a
+        text t says that t[:cut] is a suffix of a letter image, that the image
+        of the core text is t[cut:end], and that t[end:] is a prefix of a
+        letter image; the core is empty or in the pool.
 
-        A worklist of partial cores grows each core one letter image at a
-        time while the longer core stays in the pool.  Each start has its own
-        cut and the cores grown from one partial core differ in their last
-        letter, so no interpretation is met twice.  A list, not a generator,
-        so that the walk's time stays in its own traced span.
+        Those of x·a are exactly these three kinds:
+
+        1. (cut, end, core) of x whose right part text[end:] is still a
+           prefix of a letter image;
+        2. (cut, |xa|, core·c) for such a (cut, end, core) whose right part
+           is the image of the letter c, when core·c is in the pool;
+        3. (|xa|, |xa|, ε) when x·a is a suffix of a letter image.
+
+        Each is an interpretation of x·a.  Conversely, take one, (cut, end,
+        core).  If end < |xa|, then cut and end lie in x, and x[end:] is a
+        prefix of the right part, so (cut, end, core) is one of x: kind 1.  If
+        end = |xa| and core = core'·c, images are non-empty, so the image of c
+        starts at e' <= |x|, x[e':] is a proper prefix of that image and core'
+        is empty or a prefix of a pool text, which the pool holds with it: so
+        (cut, e', core') is one of x and the interpretation is of kind 2.  If
+        end = |xa| and the core is empty, then cut = |xa|: kind 3.  So the
+        step loses none.  The kinds are told apart by end and core, the
+        threads of x are distinct, and in kind 2 the cut and core·c name the
+        parent thread and the letter, so the step meets none twice.  A list,
+        not a generator: the delay search keeps it for the factor's
+        extensions, and the step's traced span holds the step's work.
         """
+        n = len(text)
         found = []
-        work = [(len(left), len(left), "") for left in self.suffixes if text.startswith(left)]
-        while work:
-            cut, pos, core = work.pop()
-            rest = text[pos:]
+        for cut, end, core in threads:
+            rest = text[end:]
             if rest in self.prefixes:
-                found.append((cut, pos, core))
-            for c, im in enumerate(self.images):
-                if rest.startswith(im):
-                    longer = core + chr(c)
+                found.append((cut, end, core))
+                for c in self.letters_of.get(rest, ()):
+                    longer = core + c
                     if longer in self.pool:
-                        work.append((cut, pos + len(im), longer))
+                        found.append((cut, n, longer))
+        if text in self.suffixes:
+            found.append((n, n, ""))
         return found
 
 
 def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -> list[Interpretation]:
     """All cuts of x as left · tau(core) · right with the core a factor of the
     fixed point observed in the generated prefix, sorted by (left, core,
-    right) scan texts."""
+    right) scan texts.  The extension step of the delay search is folded over
+    the letters of x, from the one interpretation of the empty word."""
     if len(x) == 0:
         raise ValueError("factor must be non-empty")
     ctx = _InterpretationContext(tau, search_prefix_len, len(x))
     text = x.scan_text
     if text not in ctx.pool:
         raise ValueError("x does not occur in the generated prefix")
-    found = sorted((text[:cut], core, text[end:]) for cut, end, core in ctx.walk(text))
+    threads = _EMPTY_WORD_THREADS
+    for n in range(1, len(text) + 1):
+        threads = ctx.extend(threads, text[:n])
+    found = sorted((text[:cut], core, text[end:]) for cut, end, core in threads)
     return [
         Interpretation(x[: len(left)], _word(tau.alphabet, core), x[len(x) - len(right) :])
         for left, core, right in found
@@ -140,6 +177,12 @@ def sync_delay_search(
     Absence is a lower-bound report on the sample, not a refutation of
     circularity.
 
+    The factors come in trie order, so a factor's parent, its longest proper
+    prefix, is the last factor one letter shorter met before it.  A stack
+    keeps the interpretations of the last factor of each length, and a
+    factor's are one extension step from the top of the stack once the
+    entries of its own length and longer are dropped.
+
     No pair is formed: a cut is in one interpretation's cut set and missing
     from another's exactly when it is in some cut set but not in all of them,
     so the forcing cuts of a factor are the union of its cut sets minus their
@@ -161,10 +204,13 @@ def sync_delay_search(
     if prefix_len is None:
         prefix_len = max(50 * sample_len, 2000)
     ctx = _InterpretationContext(tau, prefix_len, sample_len)
-    lengths = [len(im) for im in ctx.images]
+    lengths = ctx.lengths
     required = 0
+    stack = [_EMPTY_WORD_THREADS]
     for x in ctx.factors:
-        found = ctx.walk(x)
+        del stack[len(x) :]
+        found = ctx.extend(stack[-1], x)
+        stack.append(found)
         if len(found) < 2:
             continue
         cut_sets = []

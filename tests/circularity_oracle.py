@@ -6,17 +6,19 @@ enumerates the factors by slicing every window, applies both morphisms to
 each factor as a Word and keys the images in a dict, the per-word route the
 library's kernel replaced.
 
-The library's delay search takes the forcing cuts of a factor as the union
-of its interpretations' cut sets minus their intersection; the oracle
-compares the cut sets of every ordered pair of interpretations, each built
-as an ``Interpretation`` by the public ``interpretations()``.
+The library's delay search extends the interpretations of each factor from
+those of its parent in trie order, and takes the forcing cuts of a factor as
+the union of its interpretations' cut sets minus their intersection; the
+oracle finds every factor's interpretations from scratch by a worklist walk
+over a pool of window-sliced factors, and compares the cut sets of every
+ordered pair of them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from retword.circularity import InjectivityCertificate, interpretations
+from retword.circularity import InjectivityCertificate
 from retword.returns import nonperiodic_check, return_substitution
 from retword.substitution import Substitution, fixed_point_prefix
 from retword.words import Word
@@ -78,19 +80,66 @@ def find_n0(
     return None
 
 
+class WorklistWalk:
+    """Every interpretation of a factor, found from scratch.
+
+    ``pool`` holds the scan texts of the factors of ``host`` up to
+    ``max_factor`` letters, sliced window by window; ``suffixes`` and
+    ``prefixes`` the margins letter images allow.
+    """
+
+    def __init__(self, tau: Substitution, host: Word, max_factor: int):
+        self.pool = {w.scan_text for w in window_factors(host, max_factor)}
+        self.images = [w.scan_text for w in tau.images]
+        self.suffixes = {t[i:] for t in self.images for i in range(len(t) + 1)}
+        self.prefixes = {t[:i] for t in self.images for i in range(len(t) + 1)}
+
+    def __call__(self, text: str) -> list[tuple[int, int, str]]:
+        """(cut, end, core) for every interpretation of the scan text ``text``:
+        text[:cut] is a suffix of a letter image, the image of the core text
+        is text[cut:end] and text[end:] is a prefix of a letter image.
+
+        A worklist of partial cores grows each core one letter image at a
+        time while the longer core stays in the pool.  Each start has its own
+        cut and the cores grown from one partial core differ in their last
+        letter, so no interpretation is met twice.
+        """
+        found = []
+        work = [(len(left), len(left), "") for left in self.suffixes if text.startswith(left)]
+        while work:
+            cut, pos, core = work.pop()
+            rest = text[pos:]
+            if rest in self.prefixes:
+                found.append((cut, pos, core))
+            for c, im in enumerate(self.images):
+                if rest.startswith(im):
+                    longer = core + chr(c)
+                    if longer in self.pool:
+                        work.append((cut, pos + len(im), longer))
+        return found
+
+
 def sync_delay_search(
     tau: Substitution, d_max: int = 64, sample_len: int = 10, prefix_len: int | None = None
 ) -> int | None:
     """The largest margin a cut of one interpretation missing from another forces,
-    over every ordered pair of interpretations of every sampled factor."""
+    over every ordered pair of interpretations of every sampled factor, each
+    factor's interpretations found by the worklist walk."""
     if prefix_len is None:
         prefix_len = max(50 * sample_len, 2000)
+    host = fixed_point_prefix(tau, prefix_len)
+    walk = WorklistWalk(tau, host, sample_len)
     required = 0
-    for x in window_factors(fixed_point_prefix(tau, prefix_len), sample_len):
-        interps = interpretations(tau, x, prefix_len)
-        cut_sets = [set(i.cuts(tau)) for i in interps]
-        for a in range(len(interps)):
-            for b in range(len(interps)):
+    for x in window_factors(host, sample_len):
+        cut_sets = []
+        for cut, _, core in walk(x.scan_text):
+            cuts = set()
+            for letter in map(ord, core):
+                cuts.add((cut, letter))
+                cut += len(tau.image(letter))
+            cut_sets.append(cuts)
+        for a in range(len(cut_sets)):
+            for b in range(len(cut_sets)):
                 if a == b:
                     continue
                 for pos, letter in cut_sets[a]:

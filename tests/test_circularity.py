@@ -10,6 +10,7 @@ import circularity_oracle as oracle
 from retword.circularity import (
     Interpretation,
     _first_collision,
+    _InterpretationContext,
     check_injectivity,
     find_n0,
     interpretations,
@@ -211,8 +212,9 @@ def test_interpretations_exhaustive_against_bruteforce(tau, data):
 @settings(max_examples=40, deadline=None)
 @given(primitive_substitutions(), st.integers(1, 10), st.integers(0, 6))
 def test_sync_delay_matches_pair_oracle(tau, sample_len, d_max):
-    """The union-minus-intersection forcing gives the delay, or None, that
-    comparing every ordered pair of interpretations gives."""
+    """The union-minus-intersection forcing over the extended interpretations
+    gives the delay, or None, that comparing every ordered pair of the
+    worklist walk's interpretations gives."""
     try:
         nonperiodic_check(tau)
     except ValueError:
@@ -221,6 +223,24 @@ def test_sync_delay_matches_pair_oracle(tau, sample_len, d_max):
         return
     expected = oracle.sync_delay_search(tau, d_max, sample_len)
     assert sync_delay_search(tau, d_max, sample_len) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 10), st.integers(1, 600))
+def test_extension_step_matches_worklist_walk(tau, sample_len, prefix_len):
+    """Along the trie order of the sampled factors, one extension step from a
+    factor's parent gives, each once, the interpretations the worklist walk
+    finds from scratch."""
+    ctx = _InterpretationContext(tau, prefix_len, sample_len)
+    host = fixed_point_prefix(tau, prefix_len)
+    walk = oracle.WorklistWalk(tau, host, sample_len)
+    assert ctx.factors == [w.scan_text for w in oracle.window_factors(host, sample_len)]
+    stack = [[(0, 0, "")]]
+    for x in ctx.factors:
+        del stack[len(x) :]
+        threads = ctx.extend(stack[-1], x)
+        stack.append(threads)
+        assert sorted(threads) == sorted(walk(x))
 
 
 def test_sync_delay_refuses_periodic_fixed_point():

@@ -412,6 +412,18 @@ def test_circularity_refuses_empty_samples(files, capsys, flag, message):
     assert captured.err == message
 
 
+def test_circularity_asks_for_the_derived_host_before_the_delay_prefix(monkeypatch, capsys):
+    """Under a 600-letter cap, find_n0's 1000-letter derived host is refused
+    before the delay search asks for its 2000-letter prefix."""
+    monkeypatch.setenv("REPO_PREFIX_CAP", "600")
+    sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
+    status, _ = run_command(["circularity", str(sample), "--json"])
+    assert status == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exhausted: requested prefix length 1000 exceeds the buffer cap 600\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
