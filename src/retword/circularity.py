@@ -17,30 +17,27 @@ from its parent, and reads each interpretation's cuts off its core text;
 ``Word`` and ``Interpretation`` objects are built only for what
 :func:`interpretations` returns.
 
-Injectivity is checked over decodable factors, which are the decodings of
-the factors of the derived sequence, on the distinct factors of a derived
-prefix.  That prefix is translated once through the coding and once through
-the substitution, and every factor's decoded length and image are read off
-the two translations at one of its start positions, with no morphism applied
-word by word.  The return substitution's check on its own factors is the
-same walk with the identity coding.
+Injectivity is checked over decodable factors, the decodings c(f) of the
+factors f of the derived sequence, on the distinct factors of a derived
+prefix.  Since tau∘c = c∘tau_u and c is one-to-one on derived factors, the
+images of two decodings agree exactly when the tau_u-images of the factors
+agree; so the prefix is translated once, through tau_u, and each factor's
+image and decoded length are read off that translation and the return-word
+lengths at one of its start positions, with no morphism applied word by
+word.  The least injective prefix asks only whether tau_u is one-to-one on
+its own factors, the same walk with each letter weighing 1; that implies
+the decoded check on the same prefix.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import require_nonnegative
 from .returns import nonperiodic_check, return_substitution
-from .substitution import (
-    Morphism,
-    Substitution,
-    fixed_point_prefix,
-    identity_morphism,
-    is_primitive,
-)
+from .substitution import Substitution, fixed_point_prefix, is_primitive
 from .words import Word, _word, factor_spans
 
 
@@ -160,16 +157,11 @@ def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -
     ]
 
 
-def sync_delay_search(
-    tau: Substitution,
-    d_max: int = 64,
-    sample_len: int = 10,
-    prefix_len: int | None = None,
-) -> int | None:
+def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) -> int | None:
     """Least delay D making every sampled interpretation pair synchronize.
 
     For every distinct factor up to ``sample_len`` (collected from a prefix of
-    at least 50 times that length) and every ordered pair of its
+    max(50 · ``sample_len``, 2000) letters) and every ordered pair of its
     interpretations, a cut (position, letter) of one missing from the other
     forces D to at least the smaller of the two margins around the cut.  The
     returned D is exactly the largest such forcing, or None when it exceeds
@@ -201,9 +193,7 @@ def sync_delay_search(
     if not primitive:
         raise ValueError("delay search expects a primitive substitution")
     nonperiodic_check(tau)
-    if prefix_len is None:
-        prefix_len = max(50 * sample_len, 2000)
-    ctx = _InterpretationContext(tau, prefix_len, sample_len)
+    ctx = _InterpretationContext(tau, max(50 * sample_len, 2000), sample_len)
     lengths = ctx.lengths
     required = 0
     stack = [_EMPTY_WORD_THREADS]
@@ -250,43 +240,36 @@ def _require_length_bound(length_bound: int) -> None:
 
 
 def _first_collision(
-    host: Word, coding: Morphism, sub: Substitution, max_factor: int, length_bound: int
+    host: Word, sub: Substitution, weights: list[int], length_bound: int
 ) -> tuple[int, tuple[Word, Word] | None]:
-    """How many decoded factors were read, and the first two distinct ones sharing an image.
+    """How many factors were read, and the first two distinct ones sharing an image.
 
-    The words read are coding(f) for the distinct factors f of ``host`` with at
-    most ``max_factor`` letters whose decoding has at most ``length_bound``
-    letters, taken in the lexicographic order of the factors, the order
-    :func:`retword.words.factor_spans` yields them in.  The host is
-    translated once through the coding and once more through ``sub``; prefix
-    sums of the per-letter decoded and image lengths then give each factor's
-    decoded length and image as slices at the start the walk gives for it,
-    with no per-word morphism call.  Return words form a code, as does the
-    identity coding :func:`find_n0` passes, so distinct factors decode to
-    distinct words and the first image met twice is the first collision; a
-    second walk finds the earlier word with that image.
+    The factors read are the distinct factors of ``host`` whose letters weigh
+    at most ``length_bound`` together, letter b weighing ``weights[b]``,
+    taken in the lexicographic order :func:`retword.words.factor_spans`
+    yields them in; none has more than ``length_bound // min(weights)``
+    letters.  The host is translated once through ``sub``; prefix sums of the
+    weights and of the image lengths then give each factor's weight and image
+    as slices at the start the walk gives for it, with no per-word morphism
+    call.  Each image is kept with the span of the first factor that has it,
+    so the first image met twice names both words of the first collision.
     """
     text = host.scan_text
-    image = sub(coding(host)).scan_text
-    letter_lengths = [len(w) for w in sub.images]
-    decoded_lengths = [len(w) for w in coding.images]
-    image_lengths = [sum(map(letter_lengths.__getitem__, w)) for w in coding.images]
+    image = sub(host).scan_text
+    image_lengths = [len(w) for w in sub.images]
     letters = list(map(ord, text))
-    decoded_at = list(accumulate(map(decoded_lengths.__getitem__, letters), initial=0))
+    weight_at = list(accumulate(map(weights.__getitem__, letters), initial=0))
     image_at = list(accumulate(map(image_lengths.__getitem__, letters), initial=0))
-
-    def words() -> Iterator[tuple[int, int, str]]:
-        for i, j in factor_spans(text, range(1, max_factor + 1)):
-            if decoded_at[j] - decoded_at[i] <= length_bound:
-                yield i, j, image[image_at[i] : image_at[j]]
-
-    seen: set[str] = set()
-    for i, j, key in words():
-        if key in seen:
-            a, b = next((a, b) for a, b, other in words() if other == key)
-            return len(seen) + 1, (coding(host[a:b]), coding(host[i:j]))
-        seen.add(key)
-    return len(seen), None
+    first: dict[str, tuple[int, int]] = {}
+    for i, j in factor_spans(text, range(1, length_bound // min(weights) + 1)):
+        if weight_at[j] - weight_at[i] > length_bound:
+            continue
+        key = image[image_at[i] : image_at[j]]
+        if key in first:
+            a, b = first[key]
+            return len(first) + 1, (host[a:b], host[i:j])
+        first[key] = (i, j)
+    return len(first), None
 
 
 def check_injectivity(
@@ -295,26 +278,28 @@ def check_injectivity(
     """Check the substitution is one-to-one on decodable factors up to a length.
 
     The words that both occur in the fixed point and split over the return
-    words on u are exactly the decodings of factors of the derived sequence
-    (Durand, *Discrete Math.* 179, 1998), so those are enumerated directly:
-    the decodings of at most ``length_bound`` letters of the distinct factors
-    of a ``derived_sample`` prefix of the derived sequence.  That prefix is
-    translated once through the coding and once through tau, and each
-    factor's decoding and image are read off the two translations by
-    :func:`_first_collision`.  ``words_checked`` counts every word when no
-    two images agree, and otherwise the words up to the first collision in
-    the lexicographic order of their derived factors.  A length bound below 1
-    checks no word and is refused.
+    words on u are exactly the decodings c(f) of factors f of the derived
+    sequence (Durand, *Discrete Math.* 179, 1998): here those of at most
+    ``length_bound`` letters, f running over the distinct factors of a
+    ``derived_sample`` prefix of the derived sequence.  As tau(c(f)) =
+    tau(c(g)) exactly when tau_u(f) = tau_u(g) (see :func:`find_n0`),
+    :func:`_first_collision` compares the images under the return
+    substitution tau_u, each letter weighing the length of its return word,
+    and a collision is mapped through c once.  ``words_checked`` counts
+    every word when no two images agree, and otherwise the words up to the
+    first collision in the lexicographic order of their derived factors.  A
+    length bound below 1 checks no word and is refused.
     """
     _require_length_bound(length_bound)
     nonperiodic_check(tau)
     system, tau_u = return_substitution(tau, u)
-    shortest = min(len(w) for w in system.return_words)
-    max_derived = length_bound // max(1, shortest)
+    weights = [len(w) for w in system.return_words]
     checked, collision = 0, None
-    if max_derived:
+    if length_bound >= min(weights):
         host = fixed_point_prefix(tau_u, derived_sample)
-        checked, collision = _first_collision(host, system.coding(), tau, max_derived, length_bound)
+        checked, collision = _first_collision(host, tau_u, weights, length_bound)
+        if collision is not None:
+            collision = tuple(map(system.coding(), collision))
     return InjectivityCertificate(u, length_bound, checked, collision is None, collision)
 
 
@@ -324,13 +309,24 @@ def find_n0(
     max_prefix: int = 200,
     derived_sample: int = 1000,
 ) -> int | None:
-    """Least prefix length whose injectivity certificate passes, together with
-    injectivity of the return substitution on its own factors: those of a
-    ``derived_sample`` prefix of its fixed point up to ``length_bound``
-    letters must have pairwise distinct images.  That check is
-    :func:`_first_collision` with the identity coding, on the host
-    ``check_injectivity`` derives: every factor decodes to itself, so all of
-    them are read and the images come from one translation of the host.
+    """Least prefix length n whose return substitution tau_u, on the prefix u
+    of length n, is one-to-one on its own factors: those of at most
+    ``length_bound`` letters of a ``derived_sample`` prefix of its fixed
+    point must have pairwise distinct images.  That check is
+    :func:`_first_collision` with every letter weighing 1, on the host
+    :func:`check_injectivity` derives, whose certificate it implies, so no
+    certificate is built.  Take derived factors f and g, that is factors of
+    tau_u's fixed point, and c the coding onto the return words on u:
+
+    - tau(c(f)) = tau(c(g)) exactly when tau_u(f) = tau_u(g).  The left side
+      is c(tau_u(f)) = c(tau_u(g)), as tau∘c = c∘tau_u; both tau_u(f) and
+      tau_u(g) are derived factors, and c is one-to-one on derived factors:
+      the occurrences of u in c(f)·u cut it back into f.
+    - Every return word has at least one letter, so |f| <= |c(f)|, and every
+      factor the certificate reads (|c(f)| <= L) is read by the own-factor
+      check (|f| <= L) on the same host.
+
+    So when the own-factor check passes, the certificate passes too.
 
     None when no prefix length up to ``max_prefix`` passes; existence beyond
     the scan is not decided here.  A length bound below 1 is refused, as in
@@ -340,12 +336,8 @@ def find_n0(
     require_nonnegative("prefix bound", max_prefix)
     nonperiodic_check(tau)
     for n in range(1, max_prefix + 1):
-        u = fixed_point_prefix(tau, n)
-        if not check_injectivity(tau, u, length_bound, derived_sample).passed:
-            continue
-        _, tau_u = return_substitution(tau, u)
+        _, tau_u = return_substitution(tau, fixed_point_prefix(tau, n))
         host = fixed_point_prefix(tau_u, derived_sample)
-        identity = identity_morphism(tau_u.alphabet)
-        if _first_collision(host, identity, tau_u, length_bound, length_bound)[1] is None:
+        if _first_collision(host, tau_u, [1] * tau_u.alphabet.size, length_bound)[1] is None:
             return n
     return None

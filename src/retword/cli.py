@@ -37,6 +37,7 @@ from .intpoly import RootEnclosure
 from .periodic import build_periodic_presentation, verify_presentation
 from .relations import (
     eigenvalue_transfer_check,
+    equals_own_return_substitution,
     matrix_decomposition,
     power_coincidence,
     shared_fixed_point_analysis,
@@ -281,12 +282,7 @@ def _cmd_return_sub(args, report: Report) -> None:
         "images",
         {system.return_alphabet.symbol(b): tau_u.image(b).text() for b in range(system.count)},
     )
-    same = (
-        system.count == sub.alphabet.size
-        and sub.start == 0
-        and spelling(tau_u.images) == spelling(sub.images)
-    )
-    report.data("equals_original_after_renaming", same)
+    report.data("equals_original_after_renaming", equals_own_return_substitution(sub, tau_u))
     report.add(Check.of("eigenvalue-transfer", eigenvalue_transfer_check(sub, u)))
 
 

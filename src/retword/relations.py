@@ -301,14 +301,18 @@ class SteponeHypotheses:
         )
 
 
+def equals_own_return_substitution(tau: Substitution, tau_u: Substitution) -> bool:
+    """Whether the return substitution tau_u is tau with its letters renamed in
+    order: tau starts at its first letter, as every return substitution does,
+    and both send each letter index to the same indices.  Equal spellings hold
+    as many images, so there are as many return words as letters of tau."""
+    return tau.start == 0 and spelling(tau_u.images) == spelling(tau.images)
+
+
 def check_stepone_hypotheses(tau: Substitution, u: Word) -> SteponeHypotheses:
     h1 = tau.start == 0 and all(w[0] == tau.start for w in tau.images)
     sys_u, tau_u = return_substitution(tau, u)
-    h2 = (
-        sys_u.count == tau.alphabet.size
-        and tau.start == 0
-        and spelling(tau_u.images) == spelling(tau.images)
-    )
+    h2 = equals_own_return_substitution(tau, tau_u)
     try:
         depth = nonperiodic_check(tau)
     except ValueError:
@@ -414,10 +418,7 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     for p, l_p, _ in best:
         theta_l = power(theta, l_p).morphism
         tau_p = power(tau, p).morphism
-        if not (
-            _morphisms_equal_check("a", compose(theta_l, gamma), tau_p).passed
-            and _morphisms_equal_check("b", compose(gamma, theta_l), tau_p).passed
-        ):
+        if not compose(theta_l, gamma) == tau_p == compose(gamma, theta_l):
             verified = False
     return SteponeResult(
         hypotheses=hyp,

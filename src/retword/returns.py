@@ -96,8 +96,6 @@ def decompose(system: ReturnSystem, w: Word) -> Word:
         )
     out = []
     for a, b in zip(cuts, cuts[1:]):
-        if a >= len(w):
-            break
         letter = index.get(text[a:b])
         if letter is None:
             raise DecompositionError(

@@ -488,16 +488,18 @@ def parse_substitution(text: str) -> tuple[Substitution, dict[str, Morphism]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("alphabet"):
-            _, _, rhs = line.partition("=")
+        # a header's keyword is the whole left side of its '=', so an image
+        # line of a letter named like ``start`` or ``alphabetic`` is no header
+        keyword, _, rhs = line.partition("=")
+        keyword = keyword.strip()
+        if keyword == "alphabet":
             if not rhs.strip():
                 raise ParseError("empty alphabet", lineno)
             try:
                 alphabet = Alphabet(rhs.split())
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-        elif line.startswith("start"):
-            _, _, rhs = line.partition("=")
+        elif keyword == "start":
             start_symbol = rhs.strip()
             if not start_symbol:
                 raise ParseError("empty start letter", lineno)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import circularity_oracle as oracle
 from retword.circularity import (
+    InjectivityCertificate,
     Interpretation,
     _first_collision,
     _InterpretationContext,
@@ -24,12 +25,14 @@ from retword.substitution import (
     Morphism,
     compose,
     fixed_point_prefix,
-    identity_morphism,
     is_primitive,
+    parse_substitution,
     power,
     substitution_from_strings,
 )
 from retword.words import Word
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 def test_interpretations_morse_0110(morse):
@@ -298,7 +301,7 @@ def _own_factor_collision(sub, bound, sample=1000):
     """find_n0's own-factor check on a stand-in for the return substitution,
     next to the word-by-word oracle over the same host."""
     host = fixed_point_prefix(sub, sample)
-    found = _first_collision(host, identity_morphism(sub.alphabet), sub, bound, bound)
+    found = _first_collision(host, sub, [1] * sub.alphabet.size, bound)
     return found, oracle.first_collision(sub, oracle.window_factors(host, bound))
 
 
@@ -318,6 +321,51 @@ def test_own_factor_collisions_match_word_oracle(images):
 def test_own_factor_check_matches_word_oracle(sub, bound, sample):
     found, expected = _own_factor_collision(sub, bound, sample)
     assert found == expected
+
+
+def _colliding_substitution(images):
+    return substitution_from_strings(" ".join(images), images, "a")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(primitive_substitutions(), st.sampled_from(COLLIDING).map(_colliding_substitution)),
+    st.integers(1, 6),
+    st.integers(1, 30),
+)
+def test_own_factor_check_implies_injectivity_certificate(tau, prefix_len, bound):
+    """The lemma find_n0 rests on: when the return substitution is one-to-one on
+    its own factors of at most ``bound`` letters, the certificate on the same
+    derived host passes."""
+    try:
+        nonperiodic_check(tau)
+    except ValueError:
+        assume(False)
+    u = fixed_point_prefix(tau, prefix_len)
+    _, tau_u = return_substitution(tau, u)
+    host = fixed_point_prefix(tau_u, 1000)
+    if _first_collision(host, tau_u, [1] * tau_u.alphabet.size, bound)[1] is None:
+        assert check_injectivity(tau, u, bound, derived_sample=1000).passed
+
+
+def test_find_n0_builds_no_injectivity_certificate(monkeypatch):
+    """find_n0 asks only the own-factor question, which implies the certificate."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_n0 built an injectivity certificate")
+
+    cases = [fibonacci(), thue_morse(), *map(_colliding_substitution, COLLIDING)]
+    expected = [oracle.find_n0(tau, 8, max_prefix=6) for tau in cases]
+    monkeypatch.setattr("retword.circularity.check_injectivity", refuse)
+    monkeypatch.setattr(InjectivityCertificate, "__init__", refuse)
+    assert [find_n0(tau, 8, max_prefix=6) for tau in cases] == expected
+
+
+@pytest.mark.parametrize("sample", sorted(SAMPLES.glob("*.sub")), ids=lambda p: p.name)
+def test_find_n0_matches_word_oracle_on_samples(sample):
+    tau, _ = parse_substitution(sample.read_text(encoding="utf-8"))
+    for bound in (1, 2, 3, 5, 8, 13, 30):
+        assert find_n0(tau, bound) == oracle.find_n0(tau, bound)
 
 
 @pytest.mark.parametrize(
@@ -397,8 +445,7 @@ def test_composed_power_identity(fib):
 def test_circularity_run_leaves_no_reference_cycles():
     """Interpretations are enumerated without a self-referencing closure, so a
     run frees its words and interpretations without the cycle collector."""
-    sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
-    argv = ["circularity", str(sample), "--json"]
+    argv = ["circularity", str(SAMPLES / "fib.sub"), "--json"]
     build_parser()
     gc.collect()
     was_enabled, flags = gc.isenabled(), gc.get_debug()

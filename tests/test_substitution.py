@@ -282,6 +282,27 @@ coding phi:  a -> a,  b -> b, c -> b
     assert format_substitution(sub2, codings2) == rendered
 
 
+def test_parse_substitution_letters_named_like_headers():
+    """A header's keyword is the whole left side of its '=', so the image lines
+    of the letters start and alphabetic are not read as headers, and headers
+    with no space around '=' still parse."""
+    text = (
+        "alphabet=start end alphabetic\n"
+        "start=start\n"
+        "start -> start end\n"
+        "end -> alphabetic start\n"
+        "alphabetic -> start\n"
+    )
+    sub, _ = parse_substitution(text)
+    assert sub.alphabet.symbols == ("start", "end", "alphabetic")
+    assert sub.start == 0
+    assert [w.symbols() for w in sub.images] == [
+        ("start", "end"),
+        ("alphabetic", "start"),
+        ("start",),
+    ]
+
+
 def test_parse_substitution_start_violation():
     text = "alphabet = a b\nstart = a\na -> b a\nb -> a\n"
     with pytest.raises(ParseError):
