@@ -9,10 +9,11 @@ delay of a substitution is the margin beyond which every pair of
 interpretations of every factor synchronizes; here it is searched over a
 factor sample, never derived, so results are certificates on the sample and
 lower-bound reports, not proofs.  Interpretations are kept on scan texts as
-(cut, end, core text), the cores checked against a pool of factor texts, and
-those of x·a come from those of x by one extension step.  The search runs
+(cut, end, core text, cut set), the cores checked against a pool of factor
+texts, and those of x·a come from those of x by one extension step, which
+places each new image boundary in the cut set it carries.  The search runs
 that step along the trie order of the sampled factors, one step per factor
-from its parent, and reads each interpretation's cuts off its core text;
+from its parent, and reads the cut sets as the step made them;
 :func:`interpretations` folds the step over the letters of one factor.
 ``Word`` and ``Interpretation`` objects are built only for what
 :func:`interpretations` returns.
@@ -62,8 +63,12 @@ class Interpretation:
         return tuple(out)
 
 
+# An interpretation on scan texts: (cut, end, core text, cut set), the cut set
+# holding (position of the image boundary, letter code) for every core letter.
+_Thread = tuple[int, int, str, frozenset[tuple[int, int]]]
+
 # The one interpretation of the empty word: empty margins around an empty core.
-_EMPTY_WORD_THREADS = ((0, 0, ""),)
+_EMPTY_WORD_THREADS: tuple[_Thread, ...] = ((0, 0, "", frozenset()),)
 
 
 class _InterpretationContext:
@@ -90,49 +95,57 @@ class _InterpretationContext:
         for c, t in enumerate(images):
             self.letters_of.setdefault(t, []).append(chr(c))
 
-    def extend(
-        self, threads: Iterable[tuple[int, int, str]], text: str
-    ) -> list[tuple[int, int, str]]:
+    def extend(self, threads: Iterable[_Thread], text: str) -> list[_Thread]:
         """The interpretations of the scan text ``text`` = x·a, given
-        ``threads``, those of x.  An interpretation (cut, end, core) of a
-        text t says that t[:cut] is a suffix of a letter image, that the image
-        of the core text is t[cut:end], and that t[end:] is a prefix of a
-        letter image; the core is empty or in the pool.
+        ``threads``, those of x.  An interpretation (cut, end, core, cuts) of
+        a text t says that t[:cut] is a suffix of a letter image, that the
+        image of the core text is t[cut:end], and that t[end:] is a prefix of
+        a letter image; the core is empty or in the pool, and ``cuts`` is the
+        set of (cut + |tau(core[:i])|, ord(core[i])) over the core's letters.
 
         Those of x·a are exactly these three kinds:
 
-        1. (cut, end, core) of x whose right part text[end:] is still a
+        1. (cut, end, core, cuts) of x whose right part text[end:] is still a
            prefix of a letter image;
-        2. (cut, |xa|, core·c) for such a (cut, end, core) whose right part
-           is the image of the letter c, when core·c is in the pool;
-        3. (|xa|, |xa|, ε) when x·a is a suffix of a letter image.
+        2. (cut, |xa|, core·c, cuts ∪ {(end, ord(c))}) for such a (cut, end,
+           core, cuts) whose right part is the image of the letter c, when
+           core·c is in the pool;
+        3. (|xa|, |xa|, ε, ∅) when x·a is a suffix of a letter image.
 
-        Each is an interpretation of x·a.  Conversely, take one, (cut, end,
-        core).  If end < |xa|, then cut and end lie in x, and x[end:] is a
-        prefix of the right part, so (cut, end, core) is one of x: kind 1.  If
-        end = |xa| and core = core'·c, images are non-empty, so the image of c
-        starts at e' <= |x|, x[e':] is a proper prefix of that image and core'
-        is empty or a prefix of a pool text, which the pool holds with it: so
-        (cut, e', core') is one of x and the interpretation is of kind 2.  If
-        end = |xa| and the core is empty, then cut = |xa|: kind 3.  So the
-        step loses none.  The kinds are told apart by end and core, the
-        threads of x are distinct, and in kind 2 the cut and core·c name the
-        parent thread and the letter, so the step meets none twice.  A list,
-        not a generator: the delay search keeps it for the factor's
-        extensions, and the step's traced span holds the step's work.
+        Each is an interpretation of x·a, and each carries its own cut set.
+        As tau(core) = t[cut:end], the cuts depend only on cut and core: kind
+        1 keeps both, so it keeps the set, the very object of x's thread;
+        kind 2's letter c starts exactly at the parent's end, the one cut it
+        adds; kind 3 has an empty core and no cut.  So no cut set is ever
+        read off a core text.
+
+        Conversely, take one, (cut, end, core).  If end < |xa|, then cut and
+        end lie in x, and x[end:] is a prefix of the right part, so (cut, end,
+        core) is one of x: kind 1.  If end = |xa| and core = core'·c, images
+        are non-empty, so the image of c starts at e' <= |x|, x[e':] is a
+        proper prefix of that image and core' is empty or a prefix of a pool
+        text, which the pool holds with it: so (cut, e', core') is one of x
+        and the interpretation is of kind 2.  If end = |xa| and the core is
+        empty, then cut = |xa|: kind 3.  So the step loses none.  The kinds
+        are told apart by end and core, the threads of x are distinct, and in
+        kind 2 the cut and core·c name the parent thread and the letter, so
+        the step meets none twice.  A list, not a generator: the delay search
+        keeps it for the factor's extensions, and the step's traced span
+        holds the step's work.
         """
         n = len(text)
         found = []
-        for cut, end, core in threads:
+        for thread in threads:
+            cut, end, core, cuts = thread
             rest = text[end:]
             if rest in self.prefixes:
-                found.append((cut, end, core))
+                found.append(thread)
                 for c in self.letters_of.get(rest, ()):
                     longer = core + c
                     if longer in self.pool:
-                        found.append((cut, n, longer))
+                        found.append((cut, n, longer, cuts | {(end, ord(c))}))
         if text in self.suffixes:
-            found.append((n, n, ""))
+            found.append((n, n, "", frozenset()))
         return found
 
 
@@ -150,7 +163,7 @@ def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -
     threads = _EMPTY_WORD_THREADS
     for n in range(1, len(text) + 1):
         threads = ctx.extend(threads, text[:n])
-    found = sorted((text[:cut], core, text[end:]) for cut, end, core in threads)
+    found = sorted((text[:cut], core, text[end:]) for cut, end, core, _ in threads)
     return [
         Interpretation(x[: len(left)], _word(tau.alphabet, core), x[len(x) - len(right) :])
         for left, core, right in found
@@ -179,7 +192,8 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     from another's exactly when it is in some cut set but not in all of them,
     so the forcing cuts of a factor are the union of its cut sets minus their
     intersection, and a factor with one interpretation forces nothing.  Each
-    interpretation's cuts are read off its core text and the image lengths.
+    interpretation's cut set is the one the extension step carries; the image
+    lengths give only the right margin of a forcing cut.
     ``required`` only grows, so stopping at the first factor that takes it
     past ``d_max`` gives the same None.
 
@@ -203,14 +217,8 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
         stack.append(found)
         if len(found) < 2:
             continue
-        cut_sets = []
-        for cut, _, core in found:
-            cuts = set()
-            for letter in map(ord, core):
-                cuts.add((cut, letter))
-                cut += lengths[letter]
-            cut_sets.append(cuts)
-        for pos, letter in set.union(*cut_sets) - set.intersection(*cut_sets):
+        cut_sets = [cuts for *_, cuts in found]
+        for pos, letter in frozenset.union(*cut_sets) - frozenset.intersection(*cut_sets):
             required = max(required, min(pos, len(x) - pos - lengths[letter]))
         if required > d_max:
             return None

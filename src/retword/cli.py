@@ -57,7 +57,7 @@ from .substitution import (
     power,
     prefix_cap,
 )
-from .words import Word, same_symbols, spelling
+from .words import same_symbols, spelling
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -154,10 +154,6 @@ def _coding_by_name(name: str, sub: Substitution, codings: dict[str, Morphism]) 
     if name not in codings:
         raise ParseError(f"coding {name!r} not defined in the substitution file")
     return codings[name]
-
-
-def _word_arg(sub: Substitution, text: str) -> Word:
-    return sub.alphabet.word(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -268,7 +264,7 @@ def _cmd_spectrum(args, report: Report) -> None:
 
 def _cmd_return_words(args, report: Report) -> None:
     sub, _ = _load(args.file)
-    system, _ = return_substitution(sub, _word_arg(sub, args.prefix))
+    system, _ = return_substitution(sub, sub.alphabet.word(args.prefix))
     report.data("prefix", args.prefix)
     report.data("return_words", [w.text() for w in system.return_words])
     report.data("count", system.count)
@@ -276,7 +272,7 @@ def _cmd_return_words(args, report: Report) -> None:
 
 def _cmd_return_sub(args, report: Report) -> None:
     sub, _ = _load(args.file)
-    u = _word_arg(sub, args.prefix)
+    u = sub.alphabet.word(args.prefix)
     system, tau_u = return_substitution(sub, u)
     report.data(
         "images",
@@ -288,7 +284,7 @@ def _cmd_return_sub(args, report: Report) -> None:
 
 def _cmd_derived(args, report: Report) -> None:
     sub, _ = _load(args.file)
-    u = _word_arg(sub, args.prefix)
+    u = sub.alphabet.word(args.prefix)
     dp = derived_prefix(sub, u, args.length)
     report.data("derived_prefix", dp.letters.text())
     decoded = dp.decoded()
@@ -319,7 +315,7 @@ def _cmd_tower(args, report: Report) -> None:
 def _cmd_relations(args, report: Report) -> None:
     require_nonnegative("span", args.span)
     sub, _ = _load(args.file)
-    u, v = _word_arg(sub, args.u), _word_arg(sub, args.v)
+    u, v = sub.alphabet.word(args.u), sub.alphabet.word(args.v)
     rel = verify_propprec(sub, u, v)
     report.data("k", rel.k)
     for chk in rel.checks:

@@ -132,22 +132,6 @@ class IntPolynomial:
             k += 1
         return k
 
-    def divmod_monic(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-        """Synthetic division by a monic divisor; exact over the integers."""
-        if divisor.is_zero or divisor.leading != 1:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        d = divisor.degree
-        quot = [0] * max(0, len(rem) - d)
-        for i in range(len(rem) - d - 1, -1, -1):
-            q = rem[i + d]
-            if q == 0:
-                continue
-            quot[i] = q
-            for j, c in enumerate(divisor.coeffs):
-                rem[i + j] -= q * c
-        return IntPolynomial(quot), IntPolynomial(rem[:d])
-
     def try_exact_div(self, divisor: IntPolynomial) -> IntPolynomial | None:
         """Quotient if the division is exact with integer coefficients, else None."""
         if divisor.is_zero:
@@ -605,7 +589,7 @@ def cyclotomic(d: int) -> IntPolynomial:
     num = IntPolynomial((-1,) + (0,) * (d - 1) + (1,))
     for e in range(1, d):
         if d % e == 0:
-            num, rem = num.divmod_monic(cyclotomic(e))
-            if not rem.is_zero:
+            num = num.try_exact_div(cyclotomic(e))
+            if num is None:
                 raise InternalInconsistencyError("cyclotomic division left a remainder")
     return num

@@ -230,7 +230,7 @@ def matrix_decomposition(
         raise ValueError(f"exponent {l} below the two-occurrence exponent {n0}")
     sys_u, tau_u = return_substitution(tau, u)
     if constants is None:
-        lengths = sorted(set(range(1, max(8, len(u)) + 1)) | {len(u)})
+        lengths = list(range(1, max(8, len(u)) + 1))
         constants = estimate_constants(tau, lengths)
     tau_l = power(tau, l)
     k_rows = []
@@ -432,11 +432,11 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     )
 
 
-def same_fixed_point_gate(tau: Substitution, sigma: Substitution, check_len: int | None = None) -> int:
-    """Compare fixed-point prefixes; returns the compared length or raises with
-    the first differing index."""
-    if check_len is None:
-        check_len = max(10_000, 20 * max(tau.max_image_length(), sigma.max_image_length()))
+def same_fixed_point_gate(tau: Substitution, sigma: Substitution) -> int:
+    """Compare fixed-point prefixes of max(10 000, 20 · the longest image)
+    letters; returns the compared length or raises with the first differing
+    index."""
+    check_len = max(10_000, 20 * max(tau.max_image_length(), sigma.max_image_length()))
     a = fixed_point_prefix(tau, check_len)
     b = fixed_point_prefix(sigma, check_len)
     if a.alphabet != b.alphabet:
@@ -447,18 +447,13 @@ def same_fixed_point_gate(tau: Substitution, sigma: Substitution, check_len: int
     return check_len
 
 
-def power_coincidence(
-    tau: Substitution,
-    sigma: Substitution,
-    bound: int = 6,
-    check_len: int | None = None,
-) -> tuple[int, int] | None:
+def power_coincidence(tau: Substitution, sigma: Substitution, bound: int = 6) -> tuple[int, int] | None:
     """Least exponents (i, j) in ``exponent_pairs`` order whose matrix powers
     carry the same spectrum up to zeros and roots of unity; None means no pair
     up to the bound.  The powers' characteristic polynomials come from the
     matrices' own, with no matrix power formed.  A negative bound is refused."""
     require_nonnegative("exponent bound", bound)
-    same_fixed_point_gate(tau, sigma, check_len)
+    same_fixed_point_gate(tau, sigma)
     m1, m2 = tau.matrix(), sigma.matrix()
     for i, j in exponent_pairs(bound):
         if spectra_equal_mod_trivial(m1, m2, i, j):
@@ -481,7 +476,6 @@ def shared_fixed_point_analysis(
     sigma: Substitution,
     depth: int = 8,
     budget: int = 6,
-    check_len: int | None = None,
 ) -> SharedWitness | None:
     """Find a prefix u and exponents with tau_u^i = sigma_u^j exactly.
 
@@ -494,7 +488,7 @@ def shared_fixed_point_analysis(
     """
     require_nonnegative("depth bound", depth)
     require_nonnegative("exponent budget", budget)
-    same_fixed_point_gate(tau, sigma, check_len)
+    same_fixed_point_gate(tau, sigma)
     for sub in (tau, sigma):
         primitive, _ = is_primitive(sub.matrix())
         if not primitive:

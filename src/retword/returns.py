@@ -71,7 +71,10 @@ class ReturnSystem:
 
 
 def _chunk_positions(w: Word, u: Word) -> list[int]:
-    """Occurrence positions of u in w·u; the cuts of the return decomposition."""
+    """Occurrence positions of u in w·u; the cuts of the return decomposition.
+
+    u occurs at |w| and no occurrence starts later, so the last cut is |w|.
+    """
     return find_all(w.scan_text + u.scan_text, u.scan_text)
 
 
@@ -85,12 +88,10 @@ def decompose(system: ReturnSystem, w: Word) -> Word:
     """
     if w.alphabet != system.prefix.alphabet:
         raise DecompositionError("word is over the wrong alphabet", position=0)
-    if len(w) == 0:
-        return Word(system.return_alphabet, ())
     index = {rw.scan_text: i for i, rw in enumerate(system.return_words)}
     text = w.scan_text
     cuts = _chunk_positions(w, system.prefix)
-    if not cuts or cuts[0] != 0:
+    if cuts[0] != 0:
         raise DecompositionError(
             "word does not start at an occurrence of the prefix", position=0
         )
@@ -102,10 +103,6 @@ def decompose(system: ReturnSystem, w: Word) -> Word:
                 f"chunk at position {a} is not a known return word", position=a
             )
         out.append(letter)
-    if cuts[-1] != len(w):
-        raise DecompositionError(
-            "word does not end at an occurrence boundary", position=cuts[-1]
-        )
     return Word(system.return_alphabet, tuple(out))
 
 
@@ -202,7 +199,7 @@ def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitut
         w = tau(words[b])
         text = w.scan_text
         cuts = _chunk_positions(w, u)
-        if not cuts or cuts[0] != 0 or cuts[-1] != len(w):
+        if cuts[0] != 0:
             raise InternalInconsistencyError(
                 "image of a return word is not aligned on occurrences of u"
             )

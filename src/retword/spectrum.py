@@ -41,6 +41,9 @@ from .intpoly import (
 from .substitution import IncidenceMatrix, is_primitive
 
 DEFAULT_PRECISION = Fraction(1, 10**9)
+# rounds of 2^-8 narrowing before two dominant enclosures must have parted
+# or met on one common root
+MAX_REFINEMENTS = 60
 _NONNEGATIVE_ONLY = "dominant eigenvalue is defined for non-negative matrices"
 
 
@@ -220,12 +223,8 @@ def strip_trivial_poly(p: IntPolynomial) -> IntPolynomial:
         if euler_phi(d) > deg:
             continue
         phi_d = cyclotomic(d)
-        while True:
-            quotient, rem = work.divmod_monic(phi_d)
-            if rem.is_zero and not quotient.is_zero:
-                work = quotient
-            else:
-                break
+        while (quotient := work.try_exact_div(phi_d)) is not None:
+            work = quotient
     return work
 
 
@@ -265,7 +264,6 @@ def certify_equal_dominant(
     m1: IncidenceMatrix,
     m2: IncidenceMatrix,
     precision: Fraction = DEFAULT_PRECISION,
-    max_refinements: int = 60,
 ) -> tuple[IntPolynomial, RootEnclosure] | None:
     """Decide exactly whether two matrices share their dominant eigenvalue.
 
@@ -279,11 +277,11 @@ def certify_equal_dominant(
     p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
     if not (m1.is_nonnegative and m2.is_nonnegative):
         raise ValueError(_NONNEGATIVE_ONLY)
-    return _certify_equal_largest_roots(p1, p2, precision, max_refinements)
+    return _certify_equal_largest_roots(p1, p2, precision)
 
 
 def _certify_equal_largest_roots(
-    p1: IntPolynomial, p2: IntPolynomial, precision: Fraction, max_refinements: int = 60
+    p1: IntPolynomial, p2: IntPolynomial, precision: Fraction
 ) -> tuple[IntPolynomial, RootEnclosure] | None:
     """``certify_equal_dominant`` on the two characteristic polynomials.
 
@@ -317,7 +315,7 @@ def _certify_equal_largest_roots(
     # refinement must eventually separate the enclosures
     chains = (counter(g), counter(p1), counter(p2)) if g.degree >= 1 else ()
     width = precision
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         meet = e1.intersect(e2)
         if meet is None:
             return None

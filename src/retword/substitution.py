@@ -492,6 +492,10 @@ def parse_substitution(text: str) -> tuple[Substitution, dict[str, Morphism]]:
         # line of a letter named like ``start`` or ``alphabetic`` is no header
         keyword, _, rhs = line.partition("=")
         keyword = keyword.strip()
+        # a coding line's first token is ``coding`` and its second does not
+        # start with an arrow, so the image line of a letter named ``coding``
+        # is no coding line
+        tokens = line.split(maxsplit=2)
         if keyword == "alphabet":
             if not rhs.strip():
                 raise ParseError("empty alphabet", lineno)
@@ -503,8 +507,8 @@ def parse_substitution(text: str) -> tuple[Substitution, dict[str, Morphism]]:
             start_symbol = rhs.strip()
             if not start_symbol:
                 raise ParseError("empty start letter", lineno)
-        elif line.startswith("coding "):
-            head, sep, body = line[len("coding "):].partition(":")
+        elif tokens[0] == "coding" and len(tokens) > 1 and not tokens[1].startswith("->"):
+            head, sep, body = line[len("coding") :].partition(":")
             if not sep:
                 raise ParseError("coding line needs a ':'", lineno)
             coding_lines.append((head.strip(), body, lineno))

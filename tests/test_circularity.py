@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -233,17 +234,22 @@ def test_sync_delay_matches_pair_oracle(tau, sample_len, d_max):
 def test_extension_step_matches_worklist_walk(tau, sample_len, prefix_len):
     """Along the trie order of the sampled factors, one extension step from a
     factor's parent gives, each once, the interpretations the worklist walk
-    finds from scratch."""
+    finds from scratch; and every thread carries the cut set read off its
+    core text and the image lengths."""
     ctx = _InterpretationContext(tau, prefix_len, sample_len)
     host = fixed_point_prefix(tau, prefix_len)
     walk = oracle.WorklistWalk(tau, host, sample_len)
     assert ctx.factors == [w.scan_text for w in oracle.window_factors(host, sample_len)]
-    stack = [[(0, 0, "")]]
+    lengths = [len(w) for w in tau.images]
+    stack = [[(0, 0, "", frozenset())]]
     for x in ctx.factors:
         del stack[len(x) :]
         threads = ctx.extend(stack[-1], x)
         stack.append(threads)
-        assert sorted(threads) == sorted(walk(x))
+        assert sorted(thread[:3] for thread in threads) == sorted(walk(x))
+        for cut, _, core, cuts in threads:
+            starts = accumulate((lengths[ord(c)] for c in core), initial=cut)
+            assert cuts == set(zip(starts, map(ord, core)))
 
 
 def test_sync_delay_refuses_periodic_fixed_point():
@@ -256,8 +262,8 @@ def test_sync_delay_refuses_periodic_fixed_point():
 
 @pytest.mark.parametrize("make", [fibonacci, thue_morse])
 def test_sync_delay_builds_no_word_per_core(monkeypatch, make):
-    """The delay search grows cores as scan texts and reads cuts off them, so
-    it concatenates no Word and builds no Interpretation.  The periodicity
+    """The delay search grows cores as scan texts and carries their cut sets,
+    so it concatenates no Word and builds no Interpretation.  The periodicity
     check it starts with is cached on the substitution, and is taken first,
     as the circularity command's find_n0 takes it."""
     tau = make()

@@ -89,9 +89,7 @@ def test_prefix_cap_env_validation(monkeypatch):
         prefix_cap()
 
 
-def test_divmod_monic_requires_monic():
-    with pytest.raises(ValueError):
-        P((1, 1)).divmod_monic(P((1, 2)))
+def test_try_exact_div_refuses_zero_divisor():
     with pytest.raises(ZeroDivisionError):
         P((1, 1)).try_exact_div(P(()))
 

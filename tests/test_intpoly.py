@@ -50,17 +50,17 @@ def test_trailing_zeros_trimmed():
     assert P(()).degree == -1
 
 
-def test_divmod_monic_reconstructs():
+def test_try_exact_div_reconstructs():
+    """By a monic divisor every quotient is integral, so q·d + r divides
+    exactly, giving q back, when the remainder r is zero, and not otherwise."""
     rng = random.Random(23)
     for _ in range(200):
         q = rand_poly(rng, 4)
         d_coeffs = tuple(rng.randint(-4, 4) for _ in range(rng.randrange(1, 4))) + (1,)
         d = P(d_coeffs)
-        r = rand_poly(rng, d.degree - 1) if d.degree >= 1 else P(())
-        product = q * d + r
-        quot, rem = product.divmod_monic(d)
-        assert quot * d + rem == product
-        assert rem.degree < d.degree
+        r = rand_poly(rng, d.degree - 1)
+        assert (q * d).try_exact_div(d) == q
+        assert (q * d + r).try_exact_div(d) == (q if r.is_zero else None)
 
 
 def test_try_exact_div():

@@ -303,6 +303,19 @@ def test_parse_substitution_letters_named_like_headers():
     ]
 
 
+def test_parse_substitution_letter_named_coding():
+    """A coding line's first token is ``coding`` and its second does not start
+    with an arrow, so the letter coding can be given an image, while a coding
+    line with no ':' is still refused."""
+    text = "alphabet = coding b\nstart = coding\ncoding -> coding b\nb -> coding\n"
+    sub, codings = parse_substitution(text + "coding phi: coding -> 0, b -> 1\n")
+    assert [w.symbols() for w in sub.images] == [("coding", "b"), ("coding",)]
+    assert codings["phi"].images[0].symbols() == ("0",)
+    with pytest.raises(ParseError, match="coding line needs a ':'") as err:
+        parse_substitution(text + "coding phi coding -> 0\n")
+    assert err.value.line == 5
+
+
 def test_parse_substitution_start_violation():
     text = "alphabet = a b\nstart = a\na -> b a\nb -> a\n"
     with pytest.raises(ParseError):
