@@ -322,8 +322,11 @@ def _cmd_relations(args, report: Report) -> None:
         report.add(chk)
     n0 = two_occurrence_exponent(sub, u)
     report.data("two_occurrence_exponent", n0)
+    constants = None
     for l in range(n0, n0 + args.span):
-        md = matrix_decomposition(sub, u, l)
+        # the return-word constants depend on u alone: estimated once, then passed on
+        md = matrix_decomposition(sub, u, l, constants)
+        constants = md.constants
         report.add(Check.of(f"matrix-split-nonnegative-Q(l={l})", md.q_nonnegative))
         report.add(
             Check.of(

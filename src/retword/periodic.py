@@ -11,7 +11,11 @@ Every invariant of a presentation is a :class:`~retword.checks.Check`.  The
 four that do not depend on a prefix length (the intertwining identity,
 primitivity of zeta, the period column under coding∘psi and the dominant
 eigenvalue certificate) are computed once per presentation and kept on it;
-only the coded prefix is checked again for each requested length.
+only the coded prefix is checked again for each requested length.  The
+dominant certificate is Sylvester's identity plus one isolation: zeta's
+matrix is P N with P psi's matrix and N P = M^k, so its characteristic
+polynomial is x^(|A| (p - 1)) times that of M^k, and the two share their
+dominant root with no gcd formed.
 """
 
 from __future__ import annotations
@@ -62,8 +66,13 @@ class PeriodicPresentation:
         In order: zeta∘psi = psi∘tau^k letter by letter (naming the first
         offender), primitivity of zeta, the period spelled by coding∘psi on
         every base letter, and exact equality of zeta's dominant eigenvalue
-        with the k-th power of the base's (tau^k's matrix is M^k).  The cache
-        is not a field, so a hand-built presentation computes its own checks.
+        with the k-th power of the base's (tau^k's matrix is M^k).  That
+        equality is Sylvester's identity plus one isolation: zeta's matrix is
+        P N for psi's |A| p x |A| incidence matrix P and an N with N P = M^k,
+        so det(xI - P N) = x^(|A| (p - 1)) det(xI - M^k), and
+        ``certify_equal_dominant`` isolates the common dominant root once.
+        The cache is not a field, so a hand-built presentation computes its
+        own checks.
         """
         rho = power(self.base, self.exponent)
         lhs = compose(self.zeta.morphism, self.psi)

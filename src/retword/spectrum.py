@@ -11,12 +11,17 @@ spectrum up to zero and roots of unity, multiplicative dependence of
 dominant roots) are decided by exact polynomial identities plus Sturm root
 counts, never by floating point.  A matrix's characteristic polynomial and
 dominant enclosure are kept on the matrix, so the dominant eigenvalue, the
-dependence search and its certificate share them; the dominant-root
-comparison builds one squarefree part and Sturm chain per distinct
-polynomial and narrows each dominant enclosure by continuing its bisection;
-the gcds, chains and the one enclosure type, ``RootEnclosure``, come from
-:mod:`retword.intpoly`.  Every bounded exponent search, here and in
-:mod:`retword.relations`, walks the pairs of ``exponent_pairs``.
+dependence search and its certificate share them.  Two polynomials that
+differ only by a power of x, as the polynomial of a periodic presentation
+and that of M^k do by Sylvester's identity, or the two powers at a
+dependence witness of one matrix against its own powers, share their
+largest positive root through that identity alone: the comparison then
+isolates it once and forms no gcd.  Otherwise it builds one squarefree part
+and Sturm chain per distinct polynomial and narrows each dominant enclosure
+by continuing its bisection.  The gcds, chains and the one enclosure type,
+``RootEnclosure``, come from :mod:`retword.intpoly`.  Every bounded exponent
+search, here and in :mod:`retword.relations`, walks the pairs of
+``exponent_pairs``.
 """
 
 from __future__ import annotations
@@ -207,6 +212,11 @@ def spectrum(matrix: IncidenceMatrix, precision: Fraction = DEFAULT_PRECISION) -
     return spectrum_of_poly(_matrix_char_poly(matrix), precision)
 
 
+def _nonzero_part(p: IntPolynomial) -> IntPolynomial:
+    """p with its zero roots divided out: q for p = x^k q with q(0) != 0."""
+    return p.shift_divide(p.zero_root_multiplicity())
+
+
 def strip_trivial_poly(p: IntPolynomial) -> IntPolynomial:
     """Remove every zero root and every root-of-unity root from p.
 
@@ -217,7 +227,7 @@ def strip_trivial_poly(p: IntPolynomial) -> IntPolynomial:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    work = p.shift_divide(p.zero_root_multiplicity())
+    work = _nonzero_part(p)
     deg = work.degree
     for d in range(1, 2 * deg * deg + 1):
         if euler_phi(d) > deg:
@@ -241,11 +251,16 @@ def spectra_equal_mod_trivial(
     Set comparison, not multiset: the stripped characteristic polynomials are
     compared through their squarefree parts (normalized primitive, positive
     leading coefficient).  The powers' polynomials come from the matrices'
-    kept ones through ``power_char_poly``; no matrix power is formed.
+    kept ones through ``power_char_poly``; no matrix power is formed.  Two
+    polynomials with the same non-zero part q (p = x^k q, q(0) != 0) strip
+    to the same polynomial, so they are equal at once, with no cyclotomic
+    division and no squarefree part.
     """
-    p1 = strip_trivial_poly(power_char_poly(_matrix_char_poly(m1), i)).squarefree_part()
-    p2 = strip_trivial_poly(power_char_poly(_matrix_char_poly(m2), j)).squarefree_part()
-    return p1 == p2
+    p1 = power_char_poly(_matrix_char_poly(m1), i)
+    p2 = power_char_poly(_matrix_char_poly(m2), j)
+    if _nonzero_part(p1) == _nonzero_part(p2):
+        return True
+    return strip_trivial_poly(p1).squarefree_part() == strip_trivial_poly(p2).squarefree_part()
 
 
 @dataclass(frozen=True)
@@ -272,12 +287,15 @@ def certify_equal_dominant(
     polynomials together with a Sturm count of one inside the intersection of
     the two dominant enclosures; inequality by eventually disjoint enclosures.
     Each refinement round continues both bisections; the enclosures are the
-    ones a fresh isolation to the smaller width gives.
+    ones a fresh isolation to the smaller width gives.  Polynomials that
+    differ only by a power of x take the short path of
+    ``_certify_equal_largest_roots``: one isolation and no gcd, with the same
+    certificate.  A matrix with a negative entry is refused before any
+    polynomial is computed.
     """
-    p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
     if not (m1.is_nonnegative and m2.is_nonnegative):
         raise ValueError(_NONNEGATIVE_ONLY)
-    return _certify_equal_largest_roots(p1, p2, precision)
+    return _certify_equal_largest_roots(_matrix_char_poly(m1), _matrix_char_poly(m2), precision)
 
 
 def _certify_equal_largest_roots(
@@ -288,6 +306,22 @@ def _certify_equal_largest_roots(
     The largest real roots of the polynomials are compared; for polynomials
     of non-negative matrices (or of their powers) these are the dominant
     eigenvalues.
+
+    Short path: write p1 = x^k1 q1 and p2 = x^k2 q2 with q1(0), q2(0) != 0.
+    When q1 = q2 = q has degree >= 1, the largest root of the lower-degree
+    polynomial x^min(k1, k2) q is isolated once; if that enclosure lies above
+    0, the answer is (x^min(k1, k2) q made primitive, that enclosure), with no
+    gcd, no second bisection and no chain for a gcd.  It is the certificate
+    of the general path below.  The squarefree parts of p1 and p2 differ at
+    most by one factor x, and q(0) != 0, so they have the same root bound
+    (the coefficients shift and the leading one stays) and the same largest
+    root, which is positive.  Every dyadic bisection step asks whether that
+    root lies above the midpoint, so both bisections take the same decisions
+    and end on the same enclosure, which holds no other root of either part.
+    The general path's gcd is then x^min(k1, k2) q made primitive, and its
+    first round meets e1 and e2 in e1 with a Sturm count of one for the gcd
+    and both polynomials.  In every other case (different non-zero parts,
+    or an enclosure that reaches down to 0) the general path runs.
     """
     # one squarefree part and Sturm chain per distinct polynomial
     counters: dict[IntPolynomial, SturmCounter] = {}
@@ -297,6 +331,12 @@ def _certify_equal_largest_roots(
             counters[p] = SturmCounter(p)
         return counters[p]
 
+    q = _nonzero_part(p1)
+    if q.degree >= 1 and q == _nonzero_part(p2):
+        low = min(p1, p2, key=lambda p: p.degree)
+        enclosure = LargestRootBisection(counter(low)).narrow(precision)
+        if enclosure.lo > 0:
+            return low.primitive(), enclosure
     r1, r2 = LargestRootBisection(counter(p1)), LargestRootBisection(counter(p2))
     e1, e2 = r1.narrow(precision), r2.narrow(precision)
     if e1.exact != e2.exact:
@@ -359,9 +399,16 @@ def mult_dependent(
     alpha = _matrix_dominant(m1, precision)
     beta = _matrix_dominant(m2, precision)
     p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
+    # each enclosure power is formed once, when the walk first reaches it
+    alpha_powers: dict[int, RootEnclosure] = {}
+    beta_powers: dict[int, RootEnclosure] = {}
     for m, n in exponent_pairs(bound):
+        if m not in alpha_powers:
+            alpha_powers[m] = alpha.powered(m)
+        if n not in beta_powers:
+            beta_powers[n] = beta.powered(n)
         # quick exclusion before any polynomial work
-        meet = alpha.powered(m).intersect(beta.powered(n))
+        meet = alpha_powers[m].intersect(beta_powers[n])
         if meet is None:
             continue
         q1, q2 = power_char_poly(p1, m), power_char_poly(p2, n)

@@ -128,6 +128,24 @@ def test_relations_command(files):
     assert all(c["outcome"] == "pass" for c in report.payload["checks"])
 
 
+def test_relations_command_estimates_constants_once(monkeypatch, files):
+    import retword.relations as relations
+
+    calls = []
+    estimate = relations.estimate_constants
+
+    def counted(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(relations, "estimate_constants", counted)
+    argv = ["relations", files["fib"], "--u", "0", "--v", "01", "--span", "3"]
+    status, report = run_command(argv)
+    assert status == EXIT_OK
+    assert sum(c["name"].startswith("matrix-split-bounds") for c in report.payload["checks"]) == 3
+    assert len(calls) == 1
+
+
 def test_circularity_command(files):
     status, report = run_command(["circularity", files["fib"], "--sample-len", "6"])
     assert status == EXIT_OK

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import random
 import sys
@@ -9,12 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retword.cli import run_command
-from retword.intpoly import IntPolynomial, LargestRootBisection, SturmCounter, cyclotomic, poly_gcd
+from retword.intpoly import (
+    IntPolynomial,
+    LargestRootBisection,
+    RootEnclosure,
+    SturmCounter,
+    cyclotomic,
+    poly_gcd,
+)
 from retword.periodic import build_periodic_presentation
 from retword.returns import return_substitution
 from retword.relations import power_coincidence
 from retword.spectrum import (
     _berkowitz,
+    _certify_equal_largest_roots,
     _lumped,
     char_poly,
     certify_equal_dominant,
@@ -34,6 +43,7 @@ from spectral_oracle import (
     minor_expansion_char_poly,
     same_nonzero_root_sets,
 )
+from test_substitution import primitive_substitutions
 
 P = IntPolynomial
 
@@ -513,7 +523,9 @@ def test_certify_equal_dominant_one_squarefree_part_per_polynomial(monkeypatch, 
     pairs = [
         (fib_and_one, fib_and_zero, 3),  # the gcd is a third polynomial
         (fib_and_one, fib_m, 2),  # the gcd is the second polynomial
-        (pres.zeta.matrix(), fib.matrix() ** pres.exponent, 2),
+        # zeta's polynomial is x^(|A|(p-1)) times M^k's: the lower-degree one
+        # alone is isolated, and no gcd is formed
+        (pres.zeta.matrix(), fib.matrix() ** pres.exponent, 1),
         # distinct dominants with a common factor x - 1: width-1 enclosures
         # overlap, so the refinement loop narrows both bisections
         (fib_and_one, trib_and_one, 3),
@@ -530,7 +542,9 @@ def test_certify_equal_dominant_one_squarefree_part_per_polynomial(monkeypatch, 
         calls.clear()
         cert = certify_equal_dominant(m1, m2, Fraction(1))
         assert len(calls) == len(set(calls)) == distinct
-        assert set(calls) == {char_poly(m1), char_poly(m2), poly_gcd(char_poly(m1), char_poly(m2))}
+        p1, p2 = char_poly(m1), char_poly(m2)
+        want = {p2} if distinct == 1 else {p1, p2, poly_gcd(p1, p2)}
+        assert set(calls) == want
         assert (cert is None) == (m2 is trib_and_one)
 
 
@@ -631,3 +645,138 @@ def test_mult_dependent_witness_sound_at_high_precision():
         e1 = dominant_eigenvalue(m1, tight).powered(w.m)
         e2 = dominant_eigenvalue(m2, tight).powered(w.n)
         assert max(e1.lo, e2.lo) <= min(e1.hi, e2.hi)
+
+
+def _nilpotent(size: int) -> IncidenceMatrix:
+    """Ones above the diagonal, so every eigenvalue is 0."""
+    return IncidenceMatrix([[int(j > i) for j in range(size)] for i in range(size)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_certify_identity_pairs_match_reisolating_oracle(sub, a, b, data):
+    """Pairs whose polynomials differ only by a power of x take the
+    one-isolation path; their certificates are the oracle's, enclosures included."""
+    precision = Fraction(1, 10**9)
+    m = sub.matrix()
+    p = char_poly(m)
+    # (M^a, M^b) at the least dependence witness, where a m = b n
+    w = mult_dependent(m**a, m**b, 3)
+    assert w is not None and a * w.m == b * w.n
+    want = fraction_certify_equal_dominant(
+        power_char_poly(p, a * w.m), power_char_poly(p, b * w.n), precision
+    )
+    assert (w.common_factor, tuple(w.enclosure)) == want
+    # M against M plus a nilpotent block: the polynomials differ by x^size
+    size = data.draw(st.integers(1, 3))
+    big = _block(m, _nilpotent(size))
+    assert char_poly(big) == p * P((0, 1)) ** size
+    for m1, m2 in ((m, big), (big, m)):
+        want = fraction_certify_equal_dominant(char_poly(m1), char_poly(m2), precision)
+        assert want is not None
+        assert _certificate(m1, m2, precision) == want
+    # zeta against M^k: Sylvester's identity
+    letters = data.draw(st.lists(st.integers(0, sub.alphabet.size - 1), min_size=1, max_size=3))
+    pres = build_periodic_presentation(Word(sub.alphabet, tuple(letters)), sub)
+    zeta, mk = pres.zeta.matrix(), m**pres.exponent
+    assert char_poly(zeta) == char_poly(mk) * P((0, 1)) ** (sub.alphabet.size * (len(letters) - 1))
+    want = fraction_certify_equal_dominant(char_poly(zeta), char_poly(mk), precision)
+    assert want is not None
+    assert _certificate(zeta, mk, precision) == want
+
+
+def test_certify_equal_largest_roots_guards_take_the_general_path(monkeypatch):
+    """Equal non-zero parts whose largest root is not positive: the general
+    path runs, building a chain for each polynomial, and answers as the oracle."""
+    x = P((0, 1))
+    precision = Fraction(1, 10**9)
+    cases = [
+        (x * P((1, 1)), P((1, 1)), None),  # largest roots 0 and -1
+        (x * P((1, 0, 1)), x**2 * P((1, 0, 1)), x * P((1, 0, 1))),  # q has no real root
+        (x * P((2, 1)), x**2 * P((2, 1)), x * P((2, 1))),  # both largest roots 0
+    ]
+    calls = []
+    squarefree_part = P.squarefree_part
+
+    def counted(self):
+        calls.append(self)
+        return squarefree_part(self)
+
+    monkeypatch.setattr(P, "squarefree_part", counted)
+    for p1, p2, common in cases:
+        calls.clear()
+        cert = _certify_equal_largest_roots(p1, p2, precision)
+        assert {p1, p2} <= set(calls)
+        got = None if cert is None else (cert[0], tuple(cert[1]))
+        assert got == fraction_certify_equal_dominant(p1, p2, precision)
+        assert (cert is None) == (common is None)
+        if cert is not None:
+            assert cert[0] == common and cert[1] == RootEnclosure(0, 0, True)
+    # with no zero root, the lower-degree polynomial has no real root at all:
+    # refused as the general path refuses it
+    with pytest.raises(ValueError, match="no real root"):
+        _certify_equal_largest_roots(P((1, 0, 1)), x * P((1, 0, 1)), precision)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=nonnegative_matrices,
+    b=nonnegative_matrices,
+    i=st.integers(1, 3),
+    j=st.integers(1, 3),
+)
+def test_spectra_equal_mod_trivial_matches_strip_path(a, b, i, j):
+    def strip_path(m1, m2, i, j):
+        s1 = strip_trivial_poly(power_char_poly(char_poly(m1), i)).squarefree_part()
+        s2 = strip_trivial_poly(power_char_poly(char_poly(m2), j)).squarefree_part()
+        return s1 == s2
+
+    big = _block(a, _nilpotent(2))
+    # identity pairs (equal non-zero parts), then pairs that are not
+    pairs = ((a, big, i, i), (big, a, j, j), (a @ a, a, i, 2 * i), (a, b, i, j), (a, a, i, j))
+    for m1, m2, e1, e2 in pairs:
+        assert spectra_equal_mod_trivial(m1, m2, e1, e2) == strip_path(m1, m2, e1, e2)
+
+
+def test_certify_equal_dominant_refuses_before_any_polynomial():
+    negative = IncidenceMatrix(((1, -1), (1, 0)))
+    fresh = IncidenceMatrix(((1, 1), (1, 0)))
+    for m1, m2 in ((fresh, negative), (negative, fresh)):
+        with pytest.raises(ValueError, match="non-negative"):
+            certify_equal_dominant(m1, m2)
+    assert negative._char_poly is None and fresh._char_poly is None
+
+
+def test_build_periodic_presentation_forms_no_gcd_on_samples(monkeypatch):
+    # the package re-exports the function spectrum, which shadows the module
+    spectrum_module = importlib.import_module("retword.spectrum")
+
+    def refused(*args):
+        raise AssertionError("a gcd was formed")
+
+    monkeypatch.setattr(spectrum_module, "poly_gcd", refused)
+    samples = sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.sub"))
+    assert len(samples) == 6
+    for path in samples:
+        sub, _ = parse_substitution(path.read_text(encoding="utf-8"))
+        pres = build_periodic_presentation(Word(sub.alphabet, (0, 1)), sub)
+        assert all(c.passed for c in pres.structural_checks)
+
+
+def test_mult_dependent_powers_each_enclosure_once(monkeypatch, fib, trib):
+    calls = []
+    powered = RootEnclosure.powered
+
+    def counted(self, m):
+        calls.append(m)
+        return powered(self, m)
+
+    monkeypatch.setattr(RootEnclosure, "powered", counted)
+    # an absent search walks 24 * 24 pairs and powers each enclosure 24 times
+    assert mult_dependent(fib.matrix(), trib.matrix(), 24) is None
+    assert sorted(calls) == sorted(list(range(1, 25)) * 2)
+    # an early witness powers only what its walk reached: (1, 1), (1, 2), (2, 1)
+    calls.clear()
+    w = mult_dependent(fib.matrix(), fib.matrix() ** 2, 24)
+    assert (w.m, w.n) == (2, 1)
+    assert sorted(calls) == [1, 1, 2, 2]
