@@ -26,8 +26,9 @@ agree; so the prefix is translated once, through tau_u, and each factor's
 image and decoded length are read off that translation and the return-word
 lengths at one of its start positions, with no morphism applied word by
 word.  The least injective prefix asks only whether tau_u is one-to-one on
-its own factors, the same walk with each letter weighing 1; that implies
-the decoded check on the same prefix.
+its own factors, which implies the decoded check on the same prefix: decided
+by the code test when tau_u's images form a code, sampled otherwise by the
+same walk with each letter weighing 1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import accumulate
 from .errors import require_nonnegative
 from .returns import nonperiodic_check, return_substitution
 from .substitution import Substitution, fixed_point_prefix, is_primitive
-from .words import Word, _word, factor_spans
+from .words import Word, _word, factor_spans, is_code
 
 
 @dataclass(frozen=True)
@@ -336,6 +337,17 @@ def find_n0(
 
     So when the own-factor check passes, the certificate passes too.
 
+    Each n first asks :func:`retword.words.is_code` of tau_u's images, and
+    walks the factors only when they are not a code.  Images that are
+    distinct and form a code make tau_u one-to-one on all words, so no two
+    distinct factors share an image and the walk would pass at that n too:
+    the answer is the same.  Every n below the answer was rejected by a
+    collision between two factors of the generated host, which are real
+    factors of tau_u's fixed point; so when the code test answers, tau_u is
+    injective at n0 and at no smaller n, and n0 is decided, not sampled.
+    The host is generated before the code test, so a host longer than the
+    prefix cap is refused whichever way the n is answered.
+
     None when no prefix length up to ``max_prefix`` passes; existence beyond
     the scan is not decided here.  A length bound below 1 is refused, as in
     ``check_injectivity``, and so is a negative ``max_prefix``.
@@ -346,6 +358,8 @@ def find_n0(
     for n in range(1, max_prefix + 1):
         _, tau_u = return_substitution(tau, fixed_point_prefix(tau, n))
         host = fixed_point_prefix(tau_u, derived_sample)
+        if is_code(w.scan_text for w in tau_u.images):
+            return n
         if _first_collision(host, tau_u, [1] * tau_u.alphabet.size, length_bound)[1] is None:
             return n
     return None

@@ -367,6 +367,15 @@ def _certify_equal_largest_roots(
     raise InternalInconsistencyError("dominant comparison did not converge")
 
 
+def _exact_common_factor(p1: IntPolynomial, p2: IntPolynomial) -> IntPolynomial:
+    """poly_gcd(p1, p2), with no gcd formed when p1 = x^k1 q and p2 = x^k2 q:
+    then the gcd is x^min(k1, k2) q, the lower-degree polynomial made
+    primitive, as on the short path of ``_certify_equal_largest_roots``."""
+    if _nonzero_part(p1) == _nonzero_part(p2):
+        return min(p1, p2, key=lambda p: p.degree).primitive()
+    return poly_gcd(p1, p2)
+
+
 def exponent_pairs(bound: int) -> Iterator[tuple[int, int]]:
     """The pairs 1 <= m, n <= bound in (m + n, m) order: by sum, then by m."""
     for total in range(2, 2 * bound + 1):
@@ -386,10 +395,11 @@ def mult_dependent(
     the dominant enclosures, then certified through the gcd of the
     characteristic polynomials of the matrix powers, which ``power_char_poly``
     derives from the matrices' own; when both dominants are rational the
-    screen's exact meet is the certificate's value.  Pairs are walked in
-    ``exponent_pairs`` order and the least is returned, or None; absence
-    means only "no witness up to the bound", never multiplicative
-    independence.  A negative bound is refused.
+    screen's exact meet is the certificate's value, and two powers that
+    differ only by a power of x give their common factor with no gcd.  Pairs
+    are walked in ``exponent_pairs`` order and the least is returned, or
+    None; absence means only "no witness up to the bound", never
+    multiplicative independence.  A negative bound is refused.
     """
     require_nonnegative("exponent bound", bound)
     prim1, _ = is_primitive(m1)
@@ -414,7 +424,7 @@ def mult_dependent(
         q1, q2 = power_char_poly(p1, m), power_char_poly(p2, n)
         if meet.exact:
             # both powers are the same rational: no isolation is needed
-            return DependenceWitness(m, n, True, poly_gcd(q1, q2), meet, meet.hi)
+            return DependenceWitness(m, n, True, _exact_common_factor(q1, q2), meet, meet.hi)
         cert = _certify_equal_largest_roots(q1, q2, precision)
         if cert is not None:
             g, meet = cert

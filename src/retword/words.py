@@ -9,6 +9,8 @@ occurrence-scan inputs (``str.find``); only this module and
 :mod:`retword.substitution` know how letters map to code points.  The naive
 window scan stays available in the test suite as the oracle.  Periodicity is
 decided exactly from return words by :func:`retword.returns.nonperiodic_check`.
+Whether a set of scan texts is a code is decided by the Sardinas–Patterson
+test, :func:`is_code`.
 """
 
 from __future__ import annotations
@@ -205,6 +207,42 @@ def occurrences(pattern: Word, host: Word) -> OccurrenceList:
         raise ValueError("pattern and host must share an alphabet")
     positions = tuple(find_all(host.scan_text, pattern.scan_text))
     return OccurrenceList(pattern, host, positions)
+
+
+def is_code(texts: Iterable[str]) -> bool:
+    """Whether the scan texts form a code: every concatenation of them splits
+    back into them in one way only (Sardinas and Patterson, 1953; Berstel,
+    Perrin and Reutenauer, *Codes and Automata*, 2010).
+
+    Repeated or empty texts are not a code.  Otherwise the walk collects the
+    dangling suffixes: w[|v|:] for code words v a proper prefix of w, then
+    d[|c|:] and c[|d|:] for each dangling d and code word c with one a proper
+    prefix of the other.  Two factorizations of one word leave one of these
+    dangling after each code word, and they end together exactly when a
+    dangling suffix is itself a code word, which answers False.  Every
+    dangling suffix is a suffix of a code word, so the walk ends.
+    """
+    words = list(texts)
+    code = set(words)
+    if len(code) != len(words) or "" in code:
+        return False
+    pending = [w[len(v) :] for v in code for w in code if v != w and w.startswith(v)]
+    seen = set(pending)
+    while pending:
+        d = pending.pop()
+        if d in code:
+            return False
+        for c in code:
+            if c.startswith(d):
+                rest = c[len(d) :]
+            elif d.startswith(c):
+                rest = d[len(c) :]
+            else:
+                continue
+            if rest not in seen:
+                seen.add(rest)
+                pending.append(rest)
+    return True
 
 
 def factor_spans(text: str, lengths: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -31,7 +31,7 @@ from retword.substitution import (
     power,
     substitution_from_strings,
 )
-from retword.words import Word
+from retword.words import Word, is_code
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -367,6 +367,58 @@ def test_find_n0_builds_no_injectivity_certificate(monkeypatch):
     assert [find_n0(tau, 8, max_prefix=6) for tau in cases] == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 6), st.integers(1, 30))
+def test_code_images_leave_the_own_factor_walk_no_collision(tau, prefix_len, bound):
+    """find_n0's short-cut: when the images form a code, the walk it skips
+    finds no collision, on tau_u's host and on tau's own fixed point."""
+    if is_code(w.scan_text for w in tau.images):
+        assert _first_collision(fixed_point_prefix(tau, 1000), tau, [1] * tau.alphabet.size, bound)[1] is None
+    try:
+        nonperiodic_check(tau)
+    except ValueError:
+        return
+    _, tau_u = return_substitution(tau, fixed_point_prefix(tau, prefix_len))
+    if is_code(w.scan_text for w in tau_u.images):
+        host = fixed_point_prefix(tau_u, 1000)
+        assert _first_collision(host, tau_u, [1] * tau_u.alphabet.size, bound)[1] is None
+
+
+def test_find_n0_on_samples_is_decided_by_the_code_test(monkeypatch):
+    """On every sample tau_u's images form a code at n0, so the walk never runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_n0 walked the factors")
+
+    cases = [parse_substitution(p.read_text(encoding="utf-8"))[0] for p in sorted(SAMPLES.glob("*.sub"))]
+    expected = [[oracle.find_n0(tau, bound) for bound in (1, 8, 30)] for tau in cases]
+    monkeypatch.setattr("retword.circularity._first_collision", refuse)
+    assert [[find_n0(tau, bound) for bound in (1, 8, 30)] for tau in cases] == expected
+
+
+@pytest.mark.parametrize(
+    "images, bound, n0, walks",
+    [
+        # not a code at n = 1, where the walk finds a collision; a code at 2
+        ({"a": "ab", "b": "ca", "c": "ca"}, 30, 2, 1),
+        # not a code at n = 1, yet no two factors of one letter collide
+        ({"a": "aac", "b": "aac", "c": "aabc"}, 1, 1, 1),
+        # no code at n = 1 to 4: the walk rejects n = 1 and passes n = 2
+        ({"a": "abca", "b": "cab", "c": "cab"}, 1, 2, 2),
+    ],
+)
+def test_find_n0_walks_where_the_images_are_no_code(monkeypatch, images, bound, n0, walks):
+    """A prefix whose tau_u has no code for images is answered by the walk."""
+    tau = substitution_from_strings(" ".join(images), images, "a")
+    _, tau_u = return_substitution(tau, fixed_point_prefix(tau, 1))
+    assert not is_code(w.scan_text for w in tau_u.images)
+    calls = []
+    walk = _first_collision
+    monkeypatch.setattr("retword.circularity._first_collision", lambda *a: calls.append(1) or walk(*a))
+    assert find_n0(tau, bound, max_prefix=6) == n0 == oracle.find_n0(tau, bound, max_prefix=6)
+    assert len(calls) == walks
+
+
 @pytest.mark.parametrize("sample", sorted(SAMPLES.glob("*.sub")), ids=lambda p: p.name)
 def test_find_n0_matches_word_oracle_on_samples(sample):
     tau, _ = parse_substitution(sample.read_text(encoding="utf-8"))
@@ -392,10 +444,15 @@ def test_find_n0_rejects_own_factor_collisions(images, bound, n0):
     assert find_n0(tau, bound, max_prefix=6) == n0 == oracle.find_n0(tau, bound, max_prefix=6)
 
 
-@pytest.mark.parametrize("make", [fibonacci, thue_morse])
-def test_find_n0_maps_no_factor_one_by_one(monkeypatch, make):
+@pytest.mark.parametrize(
+    "make, n0",
+    [(fibonacci, 1), (thue_morse, 1), (lambda: _colliding_substitution(COLLIDING[1]), 5)],
+    ids=["fibonacci", "thue_morse", "abca,cab,cab"],
+)
+def test_find_n0_maps_no_factor_one_by_one(monkeypatch, make, n0):
     """The number of morphism applications in find_n0 does not grow with the
-    number of factors it checks, which grows with the length bound."""
+    number of factors it checks, which grows with the length bound; the last
+    substitution's images are no code below n0, so its factors are walked."""
     calls = []
     apply = Morphism.__call__
     monkeypatch.setattr(Morphism, "__call__", lambda m, w: calls.append(1) or apply(m, w))
@@ -403,7 +460,7 @@ def test_find_n0_maps_no_factor_one_by_one(monkeypatch, make):
     for sample in (500, 2000):
         for bound in (10, 30):
             calls.clear()
-            assert find_n0(make(), bound, derived_sample=sample) == 1  # fresh caches
+            assert find_n0(make(), bound, derived_sample=sample) == n0  # fresh caches
             counts.add(len(calls))
     assert len(counts) == 1
 

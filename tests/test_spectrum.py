@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from retword.cli import run_command
 from retword.intpoly import (
@@ -36,8 +36,16 @@ from retword.spectrum import (
     strip_trivial,
     strip_trivial_poly,
 )
-from retword.substitution import IncidenceMatrix, identity_matrix, parse_substitution, power
-from retword.words import Word
+from retword.substitution import (
+    IncidenceMatrix,
+    Morphism,
+    Substitution,
+    identity_matrix,
+    is_primitive,
+    parse_substitution,
+    power,
+)
+from retword.words import Alphabet, Word
 from spectral_oracle import (
     fraction_certify_equal_dominant,
     minor_expansion_char_poly,
@@ -780,3 +788,59 @@ def test_mult_dependent_powers_each_enclosure_once(monkeypatch, fib, trib):
     w = mult_dependent(fib.matrix(), fib.matrix() ** 2, 24)
     assert (w.m, w.n) == (2, 1)
     assert sorted(calls) == [1, 1, 2, 2]
+
+
+def test_cobham_of_a_sample_against_itself_forms_no_gcd(monkeypatch):
+    """Each sample against itself meets at (1, 1) on two equal polynomials,
+    whose common factor is read off with no gcd, rational dominants included."""
+    spectrum_module = importlib.import_module("retword.spectrum")
+
+    def refused(*args):
+        raise AssertionError("a gcd was formed")
+
+    monkeypatch.setattr(spectrum_module, "poly_gcd", refused)
+    samples = sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.sub"))
+    assert len(samples) == 6
+    for path in samples:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, report = run_command(["cobham", "--left", str(path), "--right", str(path), "--json"])
+        assert status == 0
+        found = [c for c in report.payload["checks"] if c["name"] == "multiplicative-dependence"]
+        assert found[0]["outcome"] == "found"
+        assert found[0]["witness"]["m"] == found[0]["witness"]["n"] == 1
+
+
+@st.composite
+def constant_length_substitutions(draw):
+    """Primitive substitutions on 2-3 letters whose images all have 2, 3 or 4
+    letters, so that the dominant eigenvalue is that length."""
+    k = draw(st.integers(2, 3))
+    length = draw(st.integers(2, 4))
+    images = [draw(st.lists(st.integers(0, k - 1), min_size=length, max_size=length)) for _ in range(k)]
+    images[0][0] = 0  # the start letter's image begins with it
+    alphabet = Alphabet("abc"[:k])
+    sub = Substitution(Morphism(alphabet, alphabet, tuple(Word(alphabet, tuple(im)) for im in images)), 0)
+    assume(is_primitive(sub.matrix())[0])
+    return sub
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(constant_length_substitutions(), constant_length_substitutions()).map(
+            lambda pair: (pair[0].matrix(), pair[1].matrix())
+        ),
+        st.tuples(primitive_substitutions(), st.integers(1, 3), st.integers(1, 3)).map(
+            lambda t: (t[0].matrix() ** t[1], t[0].matrix() ** t[2])
+        ),
+    )
+)
+def test_mult_dependent_common_factor_is_the_gcd(pair):
+    """The witness's common factor is the gcd of the two powers' polynomials,
+    on every branch: exact meets, the one-isolation path and the general path."""
+    m1, m2 = pair
+    w = mult_dependent(m1, m2, 4)
+    if w is not None:
+        q1 = power_char_poly(char_poly(m1), w.m)
+        q2 = power_char_poly(char_poly(m2), w.n)
+        assert w.common_factor == poly_gcd(q1, q2)

@@ -11,6 +11,7 @@ from retword.words import (
     factor_set,
     factor_spans,
     factors,
+    is_code,
     occurrences,
     same_symbols,
 )
@@ -295,3 +296,83 @@ def test_same_symbols_keeps_multi_character_symbols_apart():
     mixed, reordered = Alphabet(("a1", "b")), Alphabet(("b", "a1", "1"))
     assert same_symbols(mixed.word(["a1", "b", "a1"]), reordered.word(["a1", "b", "a1"]))
     assert not same_symbols(mixed.word(["a1", "b"]), reordered.word(["a1", "1"]))
+
+
+def has_ambiguity(words: list[str]) -> bool:
+    """Oracle: whether two different sequences of the words spell one word of
+    at most (sum of |c| + 1) * max |c| letters, a length past which every
+    non-code shows an ambiguity.  The empty word spells the same as twice
+    itself.  Otherwise the sequences compared start with different words
+    (a common first word can be dropped from both), and each pair is grown
+    word by word on its shorter side while one spelling is a prefix of the
+    other: a pair whose spellings already differ grows into no ambiguity.
+    """
+    if "" in words:
+        return True
+    limit = (sum(map(len, words)) + 1) * max(map(len, words), default=0)
+    pairs = [(a, b) for i, a in enumerate(words) for b in words[i + 1 :] if a.startswith(b) or b.startswith(a)]
+    while pairs:
+        s, t = pairs.pop()
+        if s == t:
+            return True
+        if len(s) > len(t):
+            s, t = t, s
+        for w in words:
+            grown = s + w
+            if len(grown) <= limit and (t.startswith(grown) or grown.startswith(t)):
+                pairs.append((grown, t))
+    return False
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["a", "ab", "ba"],  # a.ba = ab.a
+        ["a", "ab", "b"],  # a.b = ab
+        ["0", "01", "10"],
+        ["aa", "aaa"],  # aa.aaa = aaa.aa
+        ["a", "b", "abb"],
+        ["ab", "abba", "baab", "ba"],  # ab.ba = abba
+        ["a", "a"],
+        ["ab", "b", "ab"],
+        ["", "a"],
+        [""],
+    ],
+)
+def test_is_code_refuses_non_codes(words):
+    assert not is_code(words)
+    assert has_ambiguity(words)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["a", "ba"],  # prefix code
+        ["0", "10", "11"],  # prefix code
+        ["a", "ab"],  # suffix code
+        ["a", "ab", "bb"],  # suffix code
+        ["a", "ab", "bba"],  # neither prefix nor suffix code
+        ["abab"],
+        ["b"],
+        [],
+    ],
+)
+def test_is_code_accepts_codes(words):
+    assert is_code(words)
+    assert not has_ambiguity(words)
+
+
+@st.composite
+def word_lists(draw):
+    """1-5 words of at most 4 letters over 2-3 letters: mostly distinct and
+    non-empty, so that many are codes, sometimes with repeats or empty words."""
+    letters = "abc"[: draw(st.integers(2, 3))]
+    if draw(st.integers(0, 3)):
+        return draw(st.lists(st.text(letters, min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
+    return draw(st.lists(st.text(letters, max_size=4), min_size=1, max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_lists())
+def test_is_code_matches_concatenation_oracle(words):
+    assert is_code(words) == (not has_ambiguity(words))
