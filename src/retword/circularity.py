@@ -39,7 +39,7 @@ from itertools import accumulate
 
 from .errors import require_nonnegative
 from .returns import nonperiodic_check, return_substitution
-from .substitution import Substitution, fixed_point_prefix, is_primitive
+from .substitution import Substitution, fixed_point_prefix
 from .words import Word, _word, factor_spans, is_code
 
 
@@ -199,14 +199,12 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     past ``d_max`` gives the same None.
 
     A sample length below 1 samples nothing and is refused, as is a negative
-    ``d_max``; so is a periodic fixed point, as in :func:`find_n0`.
+    ``d_max``; so are a periodic fixed point and a non-primitive
+    substitution, as in :func:`find_n0`.
     """
     if sample_len < 1:
         raise ValueError(f"sample length must be >= 1, got {sample_len}")
     require_nonnegative("delay bound", d_max)
-    primitive, _ = is_primitive(tau.matrix())
-    if not primitive:
-        raise ValueError("delay search expects a primitive substitution")
     nonperiodic_check(tau)
     ctx = _InterpretationContext(tau, max(50 * sample_len, 2000), sample_len)
     lengths = ctx.lengths
@@ -345,8 +343,6 @@ def find_n0(
     collision between two factors of the generated host, which are real
     factors of tau_u's fixed point; so when the code test answers, tau_u is
     injective at n0 and at no smaller n, and n0 is decided, not sampled.
-    The host is generated before the code test, so a host longer than the
-    prefix cap is refused whichever way the n is answered.
 
     None when no prefix length up to ``max_prefix`` passes; existence beyond
     the scan is not decided here.  A length bound below 1 is refused, as in
@@ -357,9 +353,9 @@ def find_n0(
     nonperiodic_check(tau)
     for n in range(1, max_prefix + 1):
         _, tau_u = return_substitution(tau, fixed_point_prefix(tau, n))
-        host = fixed_point_prefix(tau_u, derived_sample)
         if is_code(w.scan_text for w in tau_u.images):
             return n
+        host = fixed_point_prefix(tau_u, derived_sample)
         if _first_collision(host, tau_u, [1] * tau_u.alphabet.size, length_bound)[1] is None:
             return n
     return None

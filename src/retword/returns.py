@@ -146,9 +146,9 @@ def _first_return_word(tau: Substitution, u: Word) -> Word:
         text = fp.text(length)
         if not text.startswith(u.scan_text):
             raise ValueError("u is not a prefix of the fixed point")
-        hits = find_all(text, u.scan_text)
-        if len(hits) >= 2:
-            return fp.prefix(hits[1])
+        second = text.find(u.scan_text, 1)
+        if second != -1:
+            return fp.prefix(second)
         if length == fp.cap:
             raise ResourceLimitError(
                 f"no second occurrence of the prefix within the buffer cap {fp.cap}",
@@ -431,9 +431,6 @@ class ReturnConstants:
 def estimate_constants(tau: Substitution, prefix_lengths: list[int]) -> ReturnConstants:
     if not prefix_lengths:
         raise ValueError("need at least one prefix length to sample")
-    primitive, _ = is_primitive(tau.matrix())
-    if not primitive:
-        raise ValueError("constants are estimated for primitive substitutions")
     depth = nonperiodic_check(tau)
     h1: Fraction | None = None
     h2: Fraction | None = None

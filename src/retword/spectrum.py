@@ -9,19 +9,20 @@ M^m follows from M's by Newton's identities, so no matrix power is formed.
 Dominant roots come with certified rational enclosures; comparisons (same
 spectrum up to zero and roots of unity, multiplicative dependence of
 dominant roots) are decided by exact polynomial identities plus Sturm root
-counts, never by floating point.  A matrix's characteristic polynomial and
-dominant enclosure are kept on the matrix, so the dominant eigenvalue, the
-dependence search and its certificate share them.  Two polynomials that
-differ only by a power of x, as the polynomial of a periodic presentation
-and that of M^k do by Sylvester's identity, or the two powers at a
-dependence witness of one matrix against its own powers, share their
-largest positive root through that identity alone: the comparison then
-isolates it once and forms no gcd.  Otherwise it builds one squarefree part
-and Sturm chain per distinct polynomial and narrows each dominant enclosure
-by continuing its bisection.  The gcds, chains and the one enclosure type,
-``RootEnclosure``, come from :mod:`retword.intpoly`.  Every bounded exponent
-search, here and in :mod:`retword.relations`, walks the pairs of
-``exponent_pairs``.
+counts, never by floating point.  Every enclosure the public functions
+return is isolated to one width, ``DEFAULT_PRECISION``; only the kernels
+take a width.  A matrix's characteristic polynomial and dominant enclosure
+are kept on the matrix, so the dominant eigenvalue, the dependence search
+and its certificate share them.  Two polynomials that differ only by a
+power of x, as the polynomial of a periodic presentation and that of M^k do
+by Sylvester's identity, or the two powers at a dependence witness of one
+matrix against its own powers, share their largest positive root through
+that identity alone: the comparison then isolates it once and forms no gcd.
+Otherwise it builds one squarefree part and Sturm chain per distinct
+polynomial and narrows each dominant enclosure by continuing its bisection.  The gcds, chains and the
+one enclosure type, ``RootEnclosure``, come from :mod:`retword.intpoly`.
+Every bounded exponent search, here and in :mod:`retword.relations`, walks
+the pairs of ``exponent_pairs``.
 """
 
 from __future__ import annotations
@@ -145,20 +146,14 @@ def _matrix_char_poly(matrix: IncidenceMatrix) -> IntPolynomial:
     return matrix._char_poly
 
 
-def _matrix_dominant(matrix: IncidenceMatrix, precision: Fraction) -> RootEnclosure:
-    """Certified enclosure of the dominant root; kept on the matrix at default precision."""
-    kept = precision == DEFAULT_PRECISION
-    if kept and matrix._dominant is not None:
-        return matrix._dominant
-    enclosure = isolate_largest_real_root(_matrix_char_poly(matrix), precision)
-    if kept:
-        matrix._dominant = enclosure
-    return enclosure
+def _matrix_dominant(matrix: IncidenceMatrix) -> RootEnclosure:
+    """Certified enclosure of the dominant root, computed once per matrix and kept on it."""
+    if matrix._dominant is None:
+        matrix._dominant = isolate_largest_real_root(_matrix_char_poly(matrix), DEFAULT_PRECISION)
+    return matrix._dominant
 
 
-def dominant_eigenvalue(
-    matrix: IncidenceMatrix, precision: Fraction = DEFAULT_PRECISION
-) -> RootEnclosure:
+def dominant_eigenvalue(matrix: IncidenceMatrix) -> RootEnclosure:
     """Certified enclosure of the dominant (largest real) eigenvalue.
 
     For a non-negative matrix this is the spectral radius; for a primitive
@@ -168,7 +163,7 @@ def dominant_eigenvalue(
         raise ValueError("dominant eigenvalue requires a square matrix")
     if not matrix.is_nonnegative:
         raise ValueError(_NONNEGATIVE_ONLY)
-    return _matrix_dominant(matrix, precision)
+    return _matrix_dominant(matrix)
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,7 @@ class Spectrum:
     residual_factor: IntPolynomial
 
 
-def spectrum_of_poly(p: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) -> Spectrum:
+def spectrum_of_poly(p: IntPolynomial) -> Spectrum:
     if p.is_zero:
         raise ValueError("zero polynomial has no spectrum")
     roots, residual = rational_roots(p)
@@ -199,7 +194,7 @@ def spectrum_of_poly(p: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) 
             check = check * IntPolynomial((-r.numerator, r.denominator))
     if check * residual != p:
         raise InternalInconsistencyError("spectrum factorization does not reconstruct")
-    dominant = isolate_largest_real_root(p, precision) if p.degree >= 1 else None
+    dominant = isolate_largest_real_root(p, DEFAULT_PRECISION) if p.degree >= 1 else None
     return Spectrum(
         char_poly=p,
         dominant=dominant,
@@ -208,8 +203,8 @@ def spectrum_of_poly(p: IntPolynomial, precision: Fraction = DEFAULT_PRECISION) 
     )
 
 
-def spectrum(matrix: IncidenceMatrix, precision: Fraction = DEFAULT_PRECISION) -> Spectrum:
-    return spectrum_of_poly(_matrix_char_poly(matrix), precision)
+def spectrum(matrix: IncidenceMatrix) -> Spectrum:
+    return spectrum_of_poly(_matrix_char_poly(matrix))
 
 
 def _nonzero_part(p: IntPolynomial) -> IntPolynomial:
@@ -238,9 +233,9 @@ def strip_trivial_poly(p: IntPolynomial) -> IntPolynomial:
     return work
 
 
-def strip_trivial(s: Spectrum, precision: Fraction = DEFAULT_PRECISION) -> Spectrum:
+def strip_trivial(s: Spectrum) -> Spectrum:
     """Spectrum with zero eigenvalues and root-of-unity eigenvalues removed."""
-    return spectrum_of_poly(strip_trivial_poly(s.char_poly), precision)
+    return spectrum_of_poly(strip_trivial_poly(s.char_poly))
 
 
 def spectra_equal_mod_trivial(
@@ -276,9 +271,7 @@ class DependenceWitness:
 
 
 def certify_equal_dominant(
-    m1: IncidenceMatrix,
-    m2: IncidenceMatrix,
-    precision: Fraction = DEFAULT_PRECISION,
+    m1: IncidenceMatrix, m2: IncidenceMatrix
 ) -> tuple[IntPolynomial, RootEnclosure] | None:
     """Decide exactly whether two matrices share their dominant eigenvalue.
 
@@ -295,7 +288,8 @@ def certify_equal_dominant(
     """
     if not (m1.is_nonnegative and m2.is_nonnegative):
         raise ValueError(_NONNEGATIVE_ONLY)
-    return _certify_equal_largest_roots(_matrix_char_poly(m1), _matrix_char_poly(m2), precision)
+    p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
+    return _certify_equal_largest_roots(p1, p2, DEFAULT_PRECISION)
 
 
 def _certify_equal_largest_roots(
@@ -321,7 +315,9 @@ def _certify_equal_largest_roots(
     The general path's gcd is then x^min(k1, k2) q made primitive, and its
     first round meets e1 and e2 in e1 with a Sturm count of one for the gcd
     and both polynomials.  In every other case (different non-zero parts,
-    or an enclosure that reaches down to 0) the general path runs.
+    or an enclosure that reaches down to 0) the general path runs; there
+    two polynomials with a constant gcd have no common root, so no common
+    largest root, and the answer is None with no refinement.
     """
     # one squarefree part and Sturm chain per distinct polynomial
     counters: dict[IntPolynomial, SturmCounter] = {}
@@ -351,15 +347,15 @@ def _certify_equal_largest_roots(
             raise InternalInconsistencyError("equal exact dominants must share a factor")
         return g, e1
     g = poly_gcd(p1, p2)
-    # with no common factor the dominants are distinct algebraics, so
-    # refinement must eventually separate the enclosures
-    chains = (counter(g), counter(p1), counter(p2)) if g.degree >= 1 else ()
+    if g.degree < 1:
+        return None
+    chains = (counter(g), counter(p1), counter(p2))
     width = precision
     for _ in range(MAX_REFINEMENTS):
         meet = e1.intersect(e2)
         if meet is None:
             return None
-        if chains and all(c.count(meet.lo, meet.hi) == 1 for c in chains):
+        if all(c.count(meet.lo, meet.hi) == 1 for c in chains):
             return g, meet
         # both roots are irrational here, so narrowing never turns exact
         width = width / 2**8
@@ -384,10 +380,7 @@ def exponent_pairs(bound: int) -> Iterator[tuple[int, int]]:
 
 
 def mult_dependent(
-    m1: IncidenceMatrix,
-    m2: IncidenceMatrix,
-    bound: int = 12,
-    precision: Fraction = DEFAULT_PRECISION,
+    m1: IncidenceMatrix, m2: IncidenceMatrix, bound: int = 12
 ) -> DependenceWitness | None:
     """Search exponents 1 <= m, n <= bound with dominant(m1)^m = dominant(m2)^n.
 
@@ -406,8 +399,7 @@ def mult_dependent(
     prim2, _ = is_primitive(m2)
     if not (prim1 and prim2):
         raise ValueError("multiplicative dependence check needs primitive matrices")
-    alpha = _matrix_dominant(m1, precision)
-    beta = _matrix_dominant(m2, precision)
+    alpha, beta = _matrix_dominant(m1), _matrix_dominant(m2)
     p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
     # each enclosure power is formed once, when the walk first reaches it
     alpha_powers: dict[int, RootEnclosure] = {}
@@ -425,7 +417,7 @@ def mult_dependent(
         if meet.exact:
             # both powers are the same rational: no isolation is needed
             return DependenceWitness(m, n, True, _exact_common_factor(q1, q2), meet, meet.hi)
-        cert = _certify_equal_largest_roots(q1, q2, precision)
+        cert = _certify_equal_largest_roots(q1, q2, DEFAULT_PRECISION)
         if cert is not None:
             g, meet = cert
             return DependenceWitness(m, n, True, g, meet, meet.lo if meet.exact else None)

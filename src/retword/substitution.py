@@ -37,14 +37,16 @@ class IncidenceMatrix:
 
     Entry ``(i, j)`` is the number of occurrences of target letter ``i`` in
     the image of source letter ``j``; composition of morphisms corresponds to
-    the matrix product.  ``_char_poly`` and ``_dominant`` (the dominant root
-    at default precision) are kept once :mod:`retword.spectrum` computes them.
+    the matrix product.  ``_primitive`` (see :func:`is_primitive`),
+    ``_char_poly`` and ``_dominant`` are each computed once and kept, the
+    last two by :mod:`retword.spectrum`.
     """
 
-    __slots__ = ("rows", "_char_poly", "_dominant")
+    __slots__ = ("rows", "_primitive", "_char_poly", "_dominant")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         self.rows: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in rows)
+        self._primitive = None
         self._char_poly = None
         self._dominant = None
         if self.rows:
@@ -206,9 +208,19 @@ def is_primitive(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
     """Decide primitivity of a non-negative square matrix.
 
     Returns ``(True, k)`` with the least exponent k for which the k-th power
-    is entrywise positive, or ``(False, None)``.  The search is capped at the
-    sharp bound n^2 - 2n + 2, beyond which no new positivity can appear, so
-    the decision is exact.  Powers are taken over the boolean (reachability)
+    is entrywise positive, or ``(False, None)``.  The answer is decided once
+    per matrix and kept on it; a non-square or negative matrix is refused
+    every time it is asked.
+    """
+    if matrix._primitive is None:
+        matrix._primitive = _least_positive_power(matrix)
+    return matrix._primitive
+
+
+def _least_positive_power(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
+    """The search behind :func:`is_primitive`.  It is capped at the sharp
+    bound n^2 - 2n + 2, beyond which no new positivity can appear, so the
+    decision is exact.  Powers are taken over the boolean (reachability)
     semiring, each row an int bitmask of its positive entries: row i of the
     next power is the union of the base rows l over the bits l of row i.
     """
@@ -283,9 +295,6 @@ class Substitution:
 
     def matrix(self) -> IncidenceMatrix:
         return self.morphism.matrix()
-
-    def is_primitive(self) -> bool:
-        return is_primitive(self.matrix())[0]
 
     def fixed_point(self) -> FixedPointPrefix:
         """The shared extend-on-demand prefix generator for this substitution."""

@@ -430,16 +430,64 @@ def test_circularity_refuses_empty_samples(files, capsys, flag, message):
     assert captured.err == message
 
 
-def test_circularity_asks_for_the_derived_host_before_the_delay_prefix(monkeypatch, capsys):
-    """Under a 600-letter cap, find_n0's 1000-letter derived host is refused
-    before the delay search asks for its 2000-letter prefix."""
+@pytest.mark.parametrize(
+    "text, length",
+    [
+        # the code test answers n0 = 1 with no host; the delay search asks first
+        ("alphabet = 0 1\nstart = 0\n0 -> 0 1\n1 -> 0\n", 2000),
+        # tau_u is no code at n = 1, so the walk asks for its derived host
+        ("alphabet = a b c\nstart = a\na -> a b c a\nb -> c a b\nc -> c a b\n", 1000),
+    ],
+    ids=["fib-delay-prefix", "walk-host"],
+)
+def test_circularity_refuses_the_first_prefix_past_the_cap(tmp_path, monkeypatch, capsys, text, length):
+    """Under a 600-letter cap the first prefix asked for is refused: find_n0's
+    1000-letter derived host when the walk runs, else the delay search's
+    2000-letter prefix."""
     monkeypatch.setenv("REPO_PREFIX_CAP", "600")
-    sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
-    status, _ = run_command(["circularity", str(sample), "--json"])
+    path = tmp_path / "capped.sub"
+    path.write_text(text)
+    status, _ = run_command(["circularity", str(path), "--json"])
     assert status == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "budget exhausted: requested prefix length 1000 exceeds the buffer cap 600\n"
+    assert captured.err == f"budget exhausted: requested prefix length {length} exceeds the buffer cap 600\n"
+
+
+REDUCIBLE = "alphabet = a b\nstart = a\na -> a b\nb -> b b\n"
+NOT_PRIMITIVE = "return substitutions are defined for primitive substitutions"
+REDUCIBLE_REFUSALS = [
+    (["return-words", "{red}", "--prefix", "a"], NOT_PRIMITIVE),
+    (["return-sub", "{red}", "--prefix", "a"], NOT_PRIMITIVE),
+    (["derived", "{red}", "--prefix", "a"], NOT_PRIMITIVE),
+    (["tower", "{red}"], NOT_PRIMITIVE),
+    (["relations", "{red}", "--u", "a", "--v", "ab"], NOT_PRIMITIVE),
+    (["circularity", "{red}"], NOT_PRIMITIVE),
+    (["shared", "--left", "{red}", "--right", "{red}"], "shared-fixed-point analysis needs primitive substitutions"),
+    (["cobham", "--left", "{red}", "--right", "{red}"], "multiplicative dependence check needs primitive matrices"),
+    (["periodic", "{red}", "--period", "ab"], "periodic presentation needs a primitive substitution"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REDUCIBLE_REFUSALS, ids=[argv[0] for argv, _ in REDUCIBLE_REFUSALS])
+def test_reducible_substitution_is_refused(tmp_path, capsys, argv, message):
+    """Each command that needs primitivity refuses a -> ab, b -> bb with one
+    usage error line, whichever of its steps asks first."""
+    path = tmp_path / "reducible.sub"
+    path.write_text(REDUCIBLE)
+    status, _ = run_command([a.format(red=path) for a in argv] + ["--json"])
+    assert status == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_spectrum_reports_a_reducible_substitution(tmp_path):
+    path = tmp_path / "reducible.sub"
+    path.write_text(REDUCIBLE)
+    status, report = run_command(["spectrum", str(path), "--json"])
+    assert status == EXIT_OK
+    assert report.payload["data"]["primitive"] == {"value": False, "witness_exponent": None}
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from retword.intpoly import (
     RootEnclosure,
     SturmCounter,
     cyclotomic,
+    isolate_largest_real_root,
     poly_gcd,
 )
 from retword.periodic import build_periodic_presentation
@@ -210,7 +211,7 @@ def test_dominant_quad_exact(quad_pair):
 
 
 def test_dominant_fibonacci_enclosure(fib):
-    enc = dominant_eigenvalue(fib.matrix(), Fraction(1, 10**9))
+    enc = isolate_largest_real_root(char_poly(fib.matrix()), Fraction(1, 10**9))
     assert not enc.exact
     assert enc.width <= Fraction(1, 10**9)
     golden = Fraction(16180339887, 10**10)
@@ -341,9 +342,9 @@ def test_power_char_poly_rejects_bad_input():
 
 def test_dominant_power_consistency(corpus):
     for sub in corpus.values():
-        enc = dominant_eigenvalue(sub.matrix(), Fraction(1, 10**12))
+        enc = isolate_largest_real_root(char_poly(sub.matrix()), Fraction(1, 10**12))
         for k in range(2, 5):
-            enc_k = dominant_eigenvalue(sub.matrix() ** k, Fraction(1, 10**6))
+            enc_k = isolate_largest_real_root(char_poly(sub.matrix() ** k), Fraction(1, 10**6))
             powered = enc.powered(k)
             assert max(powered.lo, enc_k.lo) <= min(powered.hi, enc_k.hi)
 
@@ -477,18 +478,37 @@ def test_certify_equal_dominant_one_char_poly_per_matrix(monkeypatch):
     fib = IncidenceMatrix(((1, 1), (1, 0)))
     trib = IncidenceMatrix(((1, 1, 1), (1, 0, 0), (0, 1, 0)))
     fib_and_one = IncidenceMatrix(((1, 1, 0), (1, 0, 0), (0, 0, 1)))
-    # width-1 enclosures of the two dominants overlap, so refinement runs
-    assert certify_equal_dominant(fib, trib, Fraction(1)) is None
+    kept = spectrum_module._matrix_char_poly
+    # width-1 enclosures of the two dominants overlap, and the constant gcd
+    # tells them apart
+    assert _certify_equal_largest_roots(kept(fib), kept(trib), Fraction(1)) is None
     assert calls == [fib, trib]
     calls.clear()
-    g, meet = certify_equal_dominant(fib_and_one, fib, Fraction(1))
+    g, meet = _certify_equal_largest_roots(kept(fib_and_one), kept(fib), Fraction(1))
     assert g == P((-1, -1, 1)) and meet.lo < Fraction(1618034, 10**6) < meet.hi
     # fib's polynomial is kept on the matrix since the first comparison
     assert calls == [fib_and_one]
 
 
+def test_certify_equal_largest_roots_answers_a_constant_gcd_at_once(monkeypatch):
+    """x^2 - x - 1 and x^3 - x^2 - x - 1 have a constant gcd: their width-1
+    enclosures overlap, yet each bisection narrows once and no refinement
+    round runs."""
+    calls = []
+    narrow = LargestRootBisection.narrow
+
+    def counted(self, width):
+        calls.append(width)
+        return narrow(self, width)
+
+    monkeypatch.setattr(LargestRootBisection, "narrow", counted)
+    fib, trib = P((-1, -1, 1)), P((-1, -1, -1, 1))
+    assert _certify_equal_largest_roots(fib, trib, Fraction(1)) is None
+    assert calls == [Fraction(1), Fraction(1)]
+
+
 def _certificate(m1, m2, precision):
-    cert = certify_equal_dominant(m1, m2, precision)
+    cert = _certify_equal_largest_roots(char_poly(m1), char_poly(m2), precision)
     if cert is None:
         return None
     g, enc = cert
@@ -548,7 +568,7 @@ def test_certify_equal_dominant_one_squarefree_part_per_polynomial(monkeypatch, 
     monkeypatch.setattr(P, "squarefree_part", counted)
     for m1, m2, distinct in pairs:
         calls.clear()
-        cert = certify_equal_dominant(m1, m2, Fraction(1))
+        cert = _certify_equal_largest_roots(char_poly(m1), char_poly(m2), Fraction(1))
         assert len(calls) == len(set(calls)) == distinct
         p1, p2 = char_poly(m1), char_poly(m2)
         want = {p2} if distinct == 1 else {p1, p2, poly_gcd(p1, p2)}
@@ -638,10 +658,6 @@ def test_strip_trivial_random_products():
 def test_mult_dependent_witness_sound_at_high_precision():
     """Any returned witness must keep its powered enclosures overlapping when
     the dominant roots are isolated two hundred decimal digits tight."""
-    from fractions import Fraction
-
-    from retword.spectrum import dominant_eigenvalue
-
     cases = [
         (IncidenceMatrix(((1, 1), (1, 0))), IncidenceMatrix(((2, 1), (1, 1)))),
         (IncidenceMatrix(((1, 1), (1, 0))), IncidenceMatrix(((0, 1), (1, 1)))),
@@ -650,8 +666,8 @@ def test_mult_dependent_witness_sound_at_high_precision():
     for m1, m2 in cases:
         w = mult_dependent(m1, m2, 6)
         assert w is not None
-        e1 = dominant_eigenvalue(m1, tight).powered(w.m)
-        e2 = dominant_eigenvalue(m2, tight).powered(w.n)
+        e1 = isolate_largest_real_root(char_poly(m1), tight).powered(w.m)
+        e2 = isolate_largest_real_root(char_poly(m2), tight).powered(w.n)
         assert max(e1.lo, e2.lo) <= min(e1.hi, e2.hi)
 
 

@@ -1,10 +1,13 @@
 import gc
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from retword.cli import run_command
 from retword.errors import GenerationError, ParseError, ResourceLimitError
 from retword.returns import derivation_tower
 from retword.substitution import (
@@ -26,6 +29,9 @@ from retword.substitution import (
     substitution_from_strings,
 )
 from spectral_oracle import boolean_is_primitive
+
+substitution_module = sys.modules["retword.substitution"]
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 def test_compose_fibonacci_square(fib):
@@ -105,6 +111,46 @@ def test_is_primitive_quad_sigma(quad_pair):
 def test_is_primitive_rejects_non_square():
     with pytest.raises(ValueError):
         is_primitive(IncidenceMatrix(((1, 0, 1), (0, 1, 0))))
+
+
+def _count_primitivity_searches(monkeypatch) -> list[IncidenceMatrix]:
+    searched = []
+    search = substitution_module._least_positive_power
+
+    def counted(matrix):
+        searched.append(matrix)
+        return search(matrix)
+
+    monkeypatch.setattr(substitution_module, "_least_positive_power", counted)
+    return searched
+
+
+def test_is_primitive_keeps_its_answer_on_the_matrix(monkeypatch):
+    searched = _count_primitivity_searches(monkeypatch)
+    m = IncidenceMatrix(((1, 1), (1, 0)))
+    assert is_primitive(m) == is_primitive(m) == (True, 2)
+    assert searched == [m]
+    # a refusal is not kept: it is raised every time
+    for bad in (IncidenceMatrix(((1, 0, 1), (0, 1, 0))), IncidenceMatrix(((1, -1), (1, 1)))):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                is_primitive(bad)
+
+
+def test_primitivity_is_decided_once_per_matrix(monkeypatch, capsys):
+    """relations, shared and circularity ask is_primitive of the same
+    matrices again and again; each matrix object runs the search once."""
+    searched = _count_primitivity_searches(monkeypatch)
+    fib = str(SAMPLES / "fib.sub")
+    for argv in (
+        ["relations", fib, "--u", "0", "--v", "01"],
+        ["shared", "--left", fib, "--right", fib],
+        ["circularity", fib],
+    ):
+        assert run_command(argv + ["--json"])[0] == 0
+    capsys.readouterr()
+    assert searched
+    assert len(searched) == len({id(m) for m in searched})
 
 
 @st.composite

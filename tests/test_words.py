@@ -306,17 +306,25 @@ def has_ambiguity(words: list[str]) -> bool:
     (a common first word can be dropped from both), and each pair is grown
     word by word on its shorter side while one spelling is a prefix of the
     other: a pair whose spellings already differ grows into no ambiguity.
+    What a pair grows into depends only on the longer spelling's length and
+    on its overhang past the shorter one, so each such state is grown once;
+    otherwise the pairs can multiply exponentially with the limit.
     """
     if "" in words:
         return True
     limit = (sum(map(len, words)) + 1) * max(map(len, words), default=0)
     pairs = [(a, b) for i, a in enumerate(words) for b in words[i + 1 :] if a.startswith(b) or b.startswith(a)]
+    grown_states = set()
     while pairs:
         s, t = pairs.pop()
         if s == t:
             return True
         if len(s) > len(t):
             s, t = t, s
+        state = (len(t), t[len(s) :])
+        if state in grown_states:
+            continue
+        grown_states.add(state)
         for w in words:
             grown = s + w
             if len(grown) <= limit and (t.startswith(grown) or grown.startswith(t)):
