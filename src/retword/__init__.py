@@ -10,8 +10,6 @@ decides bounded multiplicative dependence of dominant eigenvalues.
 from .checks import Check
 from .circularity import (
     Interpretation,
-    InjectivityCertificate,
-    check_injectivity,
     find_n0,
     interpretations,
     sync_delay_search,
@@ -56,7 +54,6 @@ from .returns import (
     derivation_tower,
     derived_prefix,
     estimate_constants,
-    min_return_length,
     nested_derivation,
     nonperiodic_check,
     return_substitution,
@@ -88,12 +85,6 @@ from .substitution import (
     power,
     substitution_from_strings,
 )
-from .words import (
-    Alphabet,
-    OccurrenceList,
-    Word,
-    factor_set,
-    occurrences,
-)
+from .words import Alphabet, Word
 
 __version__ = "0.1.0"

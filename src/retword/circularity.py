@@ -1,4 +1,4 @@
-"""Interpretations of factors, synchronization-delay search, injectivity checks.
+"""Interpretations of factors, synchronization-delay search, the least injective prefix.
 
 An interpretation of a factor x cuts it as (left, core, right) where the
 image of the core sits exactly inside x, the left piece is a suffix of some
@@ -18,17 +18,16 @@ from its parent, and reads the cut sets as the step made them;
 ``Word`` and ``Interpretation`` objects are built only for what
 :func:`interpretations` returns.
 
-Injectivity is checked over decodable factors, the decodings c(f) of the
-factors f of the derived sequence, on the distinct factors of a derived
-prefix.  Since tau∘c = c∘tau_u and c is one-to-one on derived factors, the
-images of two decodings agree exactly when the tau_u-images of the factors
-agree; so the prefix is translated once, through tau_u, and each factor's
-image and decoded length are read off that translation and the return-word
-lengths at one of its start positions, with no morphism applied word by
-word.  The least injective prefix asks only whether tau_u is one-to-one on
-its own factors, which implies the decoded check on the same prefix: decided
-by the code test when tau_u's images form a code, sampled otherwise by the
-same walk with each letter weighing 1.
+Injectivity is asked of the return substitution tau_u on its own factors,
+the distinct factors of a prefix of its fixed point: the prefix is translated
+once, through tau_u, and each factor's image is read off that translation at
+one of its start positions, with no morphism applied word by word.  That
+answers for the decodable factors too, the words of the fixed point that
+split over the return words on u: when tau_u is one-to-one on its own
+factors of at most L letters, no two decodable factors of at most L letters
+share an image under tau (see :func:`find_n0`).  The least injective prefix
+is decided by the code test when tau_u's images form a code, and sampled
+otherwise by that walk.
 """
 
 from __future__ import annotations
@@ -224,90 +223,32 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     return required
 
 
-@dataclass(frozen=True)
-class InjectivityCertificate:
-    """Outcome of pairwise-distinctness of images over decodable factors.
-
-    ``passed`` means no two distinct words of length at most ``length_bound``
-    that both occur in the fixed point and decompose over the return words on
-    ``prefix`` share their image.  The certificate is monotone: passing at L
-    implies passing at any shorter bound.
-    """
-
-    prefix: Word
-    length_bound: int
-    words_checked: int
-    passed: bool
-    collision: tuple[Word, Word] | None
-
-
-def _require_length_bound(length_bound: int) -> None:
-    if length_bound < 1:
-        raise ValueError(f"injectivity length bound must be >= 1, got {length_bound}")
-
-
 def _first_collision(
-    host: Word, sub: Substitution, weights: list[int], length_bound: int
+    host: Word, sub: Substitution, length_bound: int
 ) -> tuple[int, tuple[Word, Word] | None]:
     """How many factors were read, and the first two distinct ones sharing an image.
 
-    The factors read are the distinct factors of ``host`` whose letters weigh
-    at most ``length_bound`` together, letter b weighing ``weights[b]``,
-    taken in the lexicographic order :func:`retword.words.factor_spans`
-    yields them in; none has more than ``length_bound // min(weights)``
-    letters.  The host is translated once through ``sub``; prefix sums of the
-    weights and of the image lengths then give each factor's weight and image
-    as slices at the start the walk gives for it, with no per-word morphism
-    call.  Each image is kept with the span of the first factor that has it,
-    so the first image met twice names both words of the first collision.
+    The factors read are the distinct factors of ``host`` of at most
+    ``length_bound`` letters, taken in the lexicographic order
+    :func:`retword.words.factor_spans` yields them in.  The host is
+    translated once through ``sub``; prefix sums of the image lengths then
+    give each factor's image as a slice at the start the walk gives for it,
+    with no per-word morphism call.  Each image is kept with the span of the
+    first factor that has it, so the first image met twice names both words
+    of the first collision.
     """
     text = host.scan_text
     image = sub(host).scan_text
     image_lengths = [len(w) for w in sub.images]
-    letters = list(map(ord, text))
-    weight_at = list(accumulate(map(weights.__getitem__, letters), initial=0))
-    image_at = list(accumulate(map(image_lengths.__getitem__, letters), initial=0))
+    image_at = list(accumulate(map(image_lengths.__getitem__, map(ord, text)), initial=0))
     first: dict[str, tuple[int, int]] = {}
-    for i, j in factor_spans(text, range(1, length_bound // min(weights) + 1)):
-        if weight_at[j] - weight_at[i] > length_bound:
-            continue
+    for i, j in factor_spans(text, range(1, length_bound + 1)):
         key = image[image_at[i] : image_at[j]]
         if key in first:
             a, b = first[key]
             return len(first) + 1, (host[a:b], host[i:j])
         first[key] = (i, j)
     return len(first), None
-
-
-def check_injectivity(
-    tau: Substitution, u: Word, length_bound: int = 30, derived_sample: int = 2000
-) -> InjectivityCertificate:
-    """Check the substitution is one-to-one on decodable factors up to a length.
-
-    The words that both occur in the fixed point and split over the return
-    words on u are exactly the decodings c(f) of factors f of the derived
-    sequence (Durand, *Discrete Math.* 179, 1998): here those of at most
-    ``length_bound`` letters, f running over the distinct factors of a
-    ``derived_sample`` prefix of the derived sequence.  As tau(c(f)) =
-    tau(c(g)) exactly when tau_u(f) = tau_u(g) (see :func:`find_n0`),
-    :func:`_first_collision` compares the images under the return
-    substitution tau_u, each letter weighing the length of its return word,
-    and a collision is mapped through c once.  ``words_checked`` counts
-    every word when no two images agree, and otherwise the words up to the
-    first collision in the lexicographic order of their derived factors.  A
-    length bound below 1 checks no word and is refused.
-    """
-    _require_length_bound(length_bound)
-    nonperiodic_check(tau)
-    system, tau_u = return_substitution(tau, u)
-    weights = [len(w) for w in system.return_words]
-    checked, collision = 0, None
-    if length_bound >= min(weights):
-        host = fixed_point_prefix(tau_u, derived_sample)
-        checked, collision = _first_collision(host, tau_u, weights, length_bound)
-        if collision is not None:
-            collision = tuple(map(system.coding(), collision))
-    return InjectivityCertificate(u, length_bound, checked, collision is None, collision)
 
 
 def find_n0(
@@ -319,21 +260,23 @@ def find_n0(
     """Least prefix length n whose return substitution tau_u, on the prefix u
     of length n, is one-to-one on its own factors: those of at most
     ``length_bound`` letters of a ``derived_sample`` prefix of its fixed
-    point must have pairwise distinct images.  That check is
-    :func:`_first_collision` with every letter weighing 1, on the host
-    :func:`check_injectivity` derives, whose certificate it implies, so no
-    certificate is built.  Take derived factors f and g, that is factors of
-    tau_u's fixed point, and c the coding onto the return words on u:
+    point must have pairwise distinct images, which :func:`_first_collision`
+    checks.  That answers for the decodable factors, the words that occur in
+    the fixed point and split over the return words on u; they are exactly
+    the decodings c(f) of the derived factors f, the factors of tau_u's fixed
+    point, c the coding onto the return words (Durand, *Discrete Math.* 179,
+    1998).  Take derived factors f and g:
 
     - tau(c(f)) = tau(c(g)) exactly when tau_u(f) = tau_u(g).  The left side
       is c(tau_u(f)) = c(tau_u(g)), as tau∘c = c∘tau_u; both tau_u(f) and
       tau_u(g) are derived factors, and c is one-to-one on derived factors:
       the occurrences of u in c(f)·u cut it back into f.
-    - Every return word has at least one letter, so |f| <= |c(f)|, and every
-      factor the certificate reads (|c(f)| <= L) is read by the own-factor
-      check (|f| <= L) on the same host.
+    - Every return word has at least one letter, so |f| <= |c(f)|, and a
+      decodable factor of at most L letters is c(f) for a derived factor f
+      of at most L letters.
 
-    So when the own-factor check passes, the certificate passes too.
+    So when tau_u is one-to-one on its own factors of at most L letters, no
+    two decodable factors of at most L letters share an image under tau.
 
     Each n first asks :func:`retword.words.is_code` of tau_u's images, and
     walks the factors only when they are not a code.  Images that are
@@ -345,10 +288,11 @@ def find_n0(
     injective at n0 and at no smaller n, and n0 is decided, not sampled.
 
     None when no prefix length up to ``max_prefix`` passes; existence beyond
-    the scan is not decided here.  A length bound below 1 is refused, as in
-    ``check_injectivity``, and so is a negative ``max_prefix``.
+    the scan is not decided here.  A length bound below 1 checks no factor
+    and is refused, and so is a negative ``max_prefix``.
     """
-    _require_length_bound(length_bound)
+    if length_bound < 1:
+        raise ValueError(f"injectivity length bound must be >= 1, got {length_bound}")
     require_nonnegative("prefix bound", max_prefix)
     nonperiodic_check(tau)
     for n in range(1, max_prefix + 1):
@@ -356,6 +300,6 @@ def find_n0(
         if is_code(w.scan_text for w in tau_u.images):
             return n
         host = fixed_point_prefix(tau_u, derived_sample)
-        if _first_collision(host, tau_u, [1] * tau_u.alphabet.size, length_bound)[1] is None:
+        if _first_collision(host, tau_u, length_bound)[1] is None:
             return n
     return None

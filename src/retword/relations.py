@@ -46,6 +46,7 @@ from .substitution import (
     incidence_matrix,
     is_primitive,
     power,
+    power_lengths,
 )
 from .words import Word, find_all, spelling
 
@@ -482,8 +483,11 @@ def shared_fixed_point_analysis(
     Walks levels 1..depth of tau's cached tower, past its repetition if need
     be; at each level both return substitutions live on the same return
     alphabet (the return words depend only on the fixed point), so exact
-    equality of powers is a direct comparison.  Returns the first witness in
-    (level, i+j, i) order or None once depth and budget are exhausted.  A
+    equality of powers is a direct comparison.  Equal powers have equal image
+    lengths, so a pair whose :func:`power_lengths` differ is passed by with
+    no power formed.  Returns the first witness in (level, i+j, i) order or
+    None once depth and budget are exhausted; a pair of equal lengths whose
+    powers would pass the buffer cap raises ``ResourceLimitError``.  A
     negative depth or budget is refused.
     """
     require_nonnegative("depth bound", depth)
@@ -503,7 +507,10 @@ def shared_fixed_point_analysis(
             raise InternalInconsistencyError(
                 "return words disagree although the fixed points were gated equal"
             )
+        lengths_t, lengths_s = power_lengths(tau_u, budget), power_lengths(sigma_u, budget)
         for i, j in exponent_pairs(budget):
+            if lengths_t[i - 1] != lengths_s[j - 1]:
+                continue
             if spelling(power(tau_u, i).images) == spelling(power(sigma_u, j).images):
                 return SharedWitness(u, i, j, level)
     return None

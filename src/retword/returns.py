@@ -451,11 +451,3 @@ def estimate_constants(tau: Substitution, prefix_lengths: list[int]) -> ReturnCo
         prefix_lengths=tuple(sorted(set(prefix_lengths))),
         nonperiodic_depth=depth,
     )
-
-
-def min_return_length(tau: Substitution, n: int) -> int:
-    """Length of the shortest return word on the prefix of length n."""
-    if n < 1:
-        raise ValueError("prefix length must be >= 1")
-    system, _ = return_substitution(tau, fixed_point_prefix(tau, n))
-    return min(len(v) for v in system.return_words)

@@ -326,11 +326,27 @@ def substitution_from_strings(symbols: str | Iterable[str], images: dict[str, st
     return Substitution(Morphism(alphabet, alphabet, image_words), alphabet.index(start))
 
 
+def power_lengths(s: Substitution, n: int) -> list[tuple[int, ...]]:
+    """The image lengths of s, s^2, ..., s^n, letter by letter, read off the
+    images of s with no composition: l_0(b) = 1 and l_e(b) is the sum of
+    l_(e-1)(c) over the letters c of s(b)."""
+    texts = [w.scan_text for w in s.images]
+    lengths = []
+    current = (1,) * len(texts)
+    for _ in range(n):
+        current = tuple(sum(map(current.__getitem__, map(ord, t))) for t in texts)
+        lengths.append(current)
+    return lengths
+
+
 def power(s: Substitution, n: int) -> Substitution:
     """The substitution whose images are the n-fold iterates; same start letter.
 
     ``power(s, 1)`` is s; higher powers are kept on s, each new exponent
     costing one composition, so a repeated call returns the same object.
+    Before composing, the images' total length is read off
+    :func:`power_lengths`, and a power whose images hold more letters than
+    the buffer cap is refused with ``ResourceLimitError``.
     """
     if n < 1:
         raise ValueError("power exponent must be >= 1")
@@ -338,6 +354,13 @@ def power(s: Substitution, n: int) -> Substitution:
         return s
     table = s._powers
     if n not in table:
+        total, cap = sum(power_lengths(s, n)[-1]), prefix_cap()
+        if total > cap:
+            raise ResourceLimitError(
+                f"the images of power {n} hold {total} letters, "
+                f"over the buffer cap {cap} ({PREFIX_CAP_ENV})",
+                budget=cap,
+            )
         # the table holds exactly the exponents 2 .. top
         top = len(table) + 1
         m = table[top].morphism if table else s.morphism

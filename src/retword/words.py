@@ -16,7 +16,6 @@ test, :func:`is_code`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -173,19 +172,6 @@ def same_symbols(a: Word, b: Word) -> bool:
     return a.scan_text.translate(table_a) == b.scan_text.translate(table_b)
 
 
-@dataclass(frozen=True)
-class OccurrenceList:
-    """Every start index of ``pattern`` inside ``host``, in increasing order."""
-
-    pattern: Word
-    host: Word
-    positions: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.positions)
-
-
 def find_all(text: str, pattern: str) -> list[int]:
     """All (possibly overlapping) occurrence positions of ``pattern`` in ``text``."""
     out = []
@@ -194,19 +180,6 @@ def find_all(text: str, pattern: str) -> list[int]:
         out.append(i)
         i = text.find(pattern, i + 1)
     return out
-
-
-def occurrences(pattern: Word, host: Word) -> OccurrenceList:
-    """List every occurrence of ``pattern`` in ``host``.
-
-    Overlapping occurrences count; the scan is exhaustive.
-    """
-    if len(pattern) == 0:
-        raise ValueError("occurrence pattern must be non-empty")
-    if pattern.alphabet != host.alphabet:
-        raise ValueError("pattern and host must share an alphabet")
-    positions = tuple(find_all(host.scan_text, pattern.scan_text))
-    return OccurrenceList(pattern, host, positions)
 
 
 def is_code(texts: Iterable[str]) -> bool:
@@ -279,19 +252,3 @@ def _trie_spans(text: str, wanted: list[int]) -> Iterator[tuple[int, int]]:
         for n in wanted[bisect_right(wanted, shared) : bisect_right(wanted, len(window))]:
             yield i, i + n
         previous = window
-
-
-def factors(host: Word, lengths: Iterable[int]) -> list[Word]:
-    """The distinct factors of ``host`` with the given lengths, in lexicographic
-    order of their letter indices (a shorter word before its extensions),
-    enumerated by :func:`factor_spans`.  A length below 1 is refused.
-    """
-    text = host.scan_text
-    return [_word(host.alphabet, text[i:j]) for i, j in factor_spans(text, lengths)]
-
-
-def factor_set(host: Word, n: int) -> set[Word]:
-    """The distinct length-``n`` factors of ``host``: :func:`factors` at one length."""
-    if not 1 <= n <= len(host):
-        raise ValueError(f"factor length {n} out of range 1..{len(host)}")
-    return set(factors(host, (n,)))

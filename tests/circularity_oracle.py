@@ -1,10 +1,12 @@
 """Injectivity and synchronization delay checked one Word at a time, as test oracles.
 
-The library reads every factor's decoded length and image off one host
-translated through the coding and through the substitution; the oracle
-enumerates the factors by slicing every window, applies both morphisms to
-each factor as a Word and keys the images in a dict, the per-word route the
-library's kernel replaced.
+The library reads every factor's image off one host translated through the
+return substitution; the oracle enumerates the factors by slicing every
+window, applies the morphism to each factor as a Word and keys the images in
+a dict, the per-word route the library's kernel replaced.  The oracle also
+keeps the injectivity certificate over decodable factors, which the library
+does not build: find_n0's lemma says that its own-factor check implies the
+certificate, and the tests check the lemma against it.
 
 The library's delay search extends the interpretations of each factor from
 those of its parent in trie order, and takes the forcing cuts of a factor as
@@ -17,11 +19,28 @@ ordered pair of them.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 
-from retword.circularity import InjectivityCertificate
 from retword.returns import nonperiodic_check, return_substitution
 from retword.substitution import Substitution, fixed_point_prefix
 from retword.words import Word
+
+
+@dataclass(frozen=True)
+class InjectivityCertificate:
+    """Outcome of pairwise-distinctness of images over decodable factors.
+
+    ``passed`` means no two distinct words of length at most ``length_bound``
+    that both occur in the fixed point and decompose over the return words on
+    ``prefix`` share their image.  The certificate is monotone: passing at L
+    implies passing at any shorter bound.
+    """
+
+    prefix: Word
+    length_bound: int
+    words_checked: int
+    passed: bool
+    collision: tuple[Word, Word] | None
 
 
 def window_factors(host: Word, max_length: int) -> list[Word]:

@@ -1,6 +1,6 @@
 import pytest
 
-from retword.corpus import (
+from corpus import (
     constant_length_three,
     dominant_four_pair,
     fibonacci,

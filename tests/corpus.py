@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .substitution import Alphabet, Morphism, Substitution, substitution_from_strings
+from retword.substitution import Alphabet, Morphism, Substitution, substitution_from_strings
 
 
 def fibonacci() -> Substitution:

@@ -8,7 +8,6 @@ from retword.returns import (
     decompose,
     derivation_tower,
     estimate_constants,
-    min_return_length,
     return_substitution,
 )
 from retword.relations import coding_substitution, kappa_morphism
@@ -24,17 +23,10 @@ from retword.substitution import (
     power,
     prefix_cap,
 )
-from retword.words import Word as W, occurrences
 from retword.circularity import interpretations, sync_delay_search
 
 P = IntPolynomial
 AB = Alphabet(("a", "b"))
-
-
-def test_occurrences_alphabet_mismatch():
-    other = Alphabet(("a", "b", "c"))
-    with pytest.raises(ValueError):
-        occurrences(other.word("a"), AB.word("ab"))
 
 
 def test_word_letter_out_of_range():
@@ -135,8 +127,6 @@ def test_tower_and_sampling_guards(fib):
         derivation_tower(fib, 0)
     with pytest.raises(ValueError):
         estimate_constants(fib, [])
-    with pytest.raises(ValueError):
-        min_return_length(fib, 0)
 
 
 def test_kappa_budget_exhaustion(fib):

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from retword.cli import run_command
-from retword.errors import ParseError
-from retword.corpus import fibonacci
+from retword.errors import ParseError, ResourceLimitError
+from corpus import fibonacci
 from retword.periodic import (
     PeriodicPresentation,
     build_periodic_presentation,
@@ -133,6 +133,16 @@ def test_rejects_non_primitive_base():
     reducible = substitution_from_strings("a b", {"a": "ab", "b": "bb"}, "a")
     with pytest.raises(ValueError):
         build_periodic_presentation(TARGET.word("ab"), reducible)
+
+
+def test_build_under_the_cap(fib, monkeypatch):
+    """The period ab needs Fibonacci's cube, whose images hold 8 letters."""
+    expected = build_periodic_presentation(TARGET.word("ab"), fib)
+    monkeypatch.setenv("REPO_PREFIX_CAP", "8")
+    assert build_periodic_presentation(TARGET.word("ab"), fibonacci()) == expected
+    monkeypatch.setenv("REPO_PREFIX_CAP", "7")
+    with pytest.raises(ResourceLimitError, match="REPO_PREFIX_CAP"):
+        build_periodic_presentation(TARGET.word("ab"), fibonacci())
 
 
 def test_works_for_other_bases(morse, trib):

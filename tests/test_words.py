@@ -5,16 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from periodic_oracle import periodic_tail_witness
 from retword.substitution import fixed_point_prefix
-from retword.words import (
-    Alphabet,
-    Word,
-    factor_set,
-    factor_spans,
-    factors,
-    is_code,
-    occurrences,
-    same_symbols,
-)
+from retword.words import Alphabet, Word, factor_spans, find_all, is_code, same_symbols
 
 AB = Alphabet(("a", "b", "c"))
 BIN = Alphabet(("0", "1"))
@@ -32,30 +23,21 @@ def naive_occurrences(pattern: Word, host: Word) -> list[int]:
 
 def test_occurrences_example_string():
     host = AB.word("ababcababbbabab")
-    occ = occurrences(AB.word("abab"), host)
-    assert occ.positions == (0, 5, 11)
-    assert occ.positions == tuple(naive_occurrences(AB.word("abab"), host))
-    assert occ.count == 3
+    positions = find_all(host.scan_text, AB.word("abab").scan_text)
+    assert positions == [0, 5, 11]
+    assert positions == naive_occurrences(AB.word("abab"), host)
 
 
 def test_occurrences_identity_case():
-    occ = occurrences(AB.word("a"), AB.word("a"))
-    assert occ.positions == (0,)
+    assert find_all(AB.word("a").scan_text, AB.word("a").scan_text) == [0]
 
 
 def test_occurrences_absent_pattern():
-    occ = occurrences(AB.word("aa"), AB.word("abab"))
-    assert occ.positions == ()
-
-
-def test_occurrences_empty_pattern_rejected():
-    with pytest.raises(ValueError):
-        occurrences(Word(AB, ()), AB.word("abab"))
+    assert find_all(AB.word("abab").scan_text, AB.word("aa").scan_text) == []
 
 
 def test_occurrences_overlapping_counted():
-    host = BIN.word("00000")
-    assert occurrences(BIN.word("00"), host).positions == (0, 1, 2, 3)
+    assert find_all(BIN.word("00000").scan_text, BIN.word("00").scan_text) == [0, 1, 2, 3]
 
 
 def test_occurrences_matches_oracle_random():
@@ -64,39 +46,39 @@ def test_occurrences_matches_oracle_random():
         host = Word(BIN, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 40))))
         plen = rng.randrange(1, 5)
         pattern = Word(BIN, tuple(rng.randrange(2) for _ in range(plen)))
-        assert list(occurrences(pattern, host).positions) == naive_occurrences(pattern, host)
+        assert find_all(host.scan_text, pattern.scan_text) == naive_occurrences(pattern, host)
+
+
+def factor_texts(host: Word, lengths) -> list[str]:
+    """The scan texts of the distinct factors of ``host`` with the given lengths,
+    in the order :func:`factor_spans` yields them."""
+    text = host.scan_text
+    return [text[i:j] for i, j in factor_spans(text, lengths)]
 
 
 def test_factor_set_binary_example():
-    fs = factor_set(BIN.word("0110"), 2)
-    assert fs == {BIN.word("01"), BIN.word("11"), BIN.word("10")}
+    assert factor_texts(BIN.word("0110"), (2,)) == [BIN.word(w).scan_text for w in ("01", "10", "11")]
 
 
 def test_factor_set_whole_word():
     w = AB.word("abca")
-    assert factor_set(w, len(w)) == {w}
+    assert factor_texts(w, (len(w),)) == [w.scan_text]
 
 
 def test_factor_set_unary_host():
-    host = AB.word("aaaa")
-    assert factor_set(host, 2) == {AB.word("aa")}
+    assert factor_texts(AB.word("aaaa"), (2,)) == [AB.word("aa").scan_text]
 
 
 def test_factor_set_bad_length():
+    assert factor_texts(AB.word("ab"), (3,)) == []
     with pytest.raises(ValueError):
-        factor_set(AB.word("ab"), 3)
-    with pytest.raises(ValueError):
-        factor_set(AB.word("ab"), 0)
+        factor_spans(AB.word("ab").scan_text, (0,))
 
 
 def slice_factors(host: Word, lengths) -> list[str]:
     """Oracle: every window of every requested length, deduplicated and sorted."""
     text = host.scan_text
     return sorted({text[i : i + n] for n in lengths for i in range(len(text) - n + 1)})
-
-
-def scan_texts(words: list[Word]) -> list[str]:
-    return [w.scan_text for w in words]
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,12 +89,8 @@ def scan_texts(words: list[Word]) -> list[str]:
 def test_factors_match_slice_oracle(letters, lengths):
     """Random hosts, non-contiguous length sets and lengths past the host."""
     host = Word(AB, letters)
-    found = factors(host, lengths)
-    assert scan_texts(found) == slice_factors(host, lengths)
-    assert all(w.alphabet == AB for w in found)
-    spans = list(factor_spans(host.scan_text, lengths))
-    assert [host.scan_text[i:j] for i, j in spans] == scan_texts(found)
-    assert all(j - i in lengths for i, j in spans)
+    assert factor_texts(host, lengths) == slice_factors(host, lengths)
+    assert all(j - i in lengths for i, j in factor_spans(host.scan_text, lengths))
 
 
 @settings(max_examples=100, deadline=None)
@@ -123,42 +101,42 @@ def test_factors_match_slice_oracle(letters, lengths):
 def test_factors_of_fixed_points_match_slice_oracle(fib, morse, trib, n, lengths):
     for sub in (fib, morse, trib):
         host = fixed_point_prefix(sub, n)
-        assert scan_texts(factors(host, lengths)) == slice_factors(host, lengths)
+        assert factor_texts(host, lengths) == slice_factors(host, lengths)
 
 
 def test_factors_without_lengths_and_past_the_host():
     host = AB.word("abca")
-    assert factors(host, ()) == []
-    assert factors(host, (5, 9)) == []
-    assert factors(Word(AB, ()), range(1, 4)) == []
-    assert factors(host, (4, 5)) == [host]
+    assert factor_texts(host, ()) == []
+    assert factor_texts(host, (5, 9)) == []
+    assert factor_texts(Word(AB, ()), range(1, 4)) == []
+    assert factor_texts(host, (4, 5)) == [host.scan_text]
 
 
 def test_factors_refuse_lengths_below_one():
     with pytest.raises(ValueError):
-        factors(AB.word("abca"), (0, 2))
+        factor_spans(AB.word("abca").scan_text, (0, 2))
     with pytest.raises(ValueError):
-        factors(AB.word("abca"), (-1,))
+        factor_spans(AB.word("abca").scan_text, (-1,))
 
 
 def test_fibonacci_factor_complexity_is_n_plus_one(fib):
     """The Fibonacci word is Sturmian: n + 1 factors of each length n."""
     host = fixed_point_prefix(fib, 5000)
-    found = factors(host, range(1, 41))
+    found = factor_texts(host, range(1, 41))
     counts = [sum(1 for w in found if len(w) == n) for n in range(1, 41)]
     assert counts == [n + 1 for n in range(1, 41)]
 
 
 def test_thue_morse_factor_complexity(morse):
     host = fixed_point_prefix(morse, 4096)
-    found = factors(host, range(1, 9))
+    found = factor_texts(host, range(1, 9))
     counts = [sum(1 for w in found if len(w) == n) for n in range(1, 9)]
     assert counts == [2, 4, 6, 10, 12, 16, 20, 22]
 
 
 def test_factors_order_puts_a_word_before_its_extensions(trib):
     host = fixed_point_prefix(trib, 3000)
-    found = scan_texts(factors(host, (2, 5, 6, 11)))
+    found = factor_texts(host, (2, 5, 6, 11))
     assert found == sorted(found)
     assert len(set(found)) == len(found)
     position = {t: i for i, t in enumerate(found)}
@@ -179,7 +157,7 @@ def test_seam_occurrence_inequality():
         w = Word(BIN, tuple(rng.randrange(2) for _ in range(rng.randrange(0, 15))))
         lu = lambda host: len(naive_occurrences(u, host))
         assert lu(v + w) >= lu(v) + lu(w) - 1
-        assert len(occurrences(u, v + w).positions) == lu(v + w)
+        assert len(find_all((v + w).scan_text, u.scan_text)) == lu(v + w)
 
 
 def test_occurrences_consistent_with_factor_set():
@@ -189,11 +167,9 @@ def test_occurrences_consistent_with_factor_set():
         for n in range(1, 4):
             if n > len(host):
                 continue
-            factors = factor_set(host, n)
-            for cand in ({Word(BIN, t) for t in [(0,) * n, (1,) * n]} | factors):
-                in_set = cand in factors
-                has_occ = occurrences(cand, host).count > 0
-                assert in_set == has_occ
+            found = set(factor_texts(host, (n,)))
+            for cand in {"\0" * n, "\1" * n} | found:
+                assert (cand in found) == bool(find_all(host.scan_text, cand))
 
 
 def test_periodic_tail_witness_flags_periodic():
