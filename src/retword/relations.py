@@ -30,6 +30,7 @@ from .errors import (
 from .returns import (
     ReturnConstants,
     ReturnSystem,
+    _chunk_positions,
     _tower_level,
     decompose,
     estimate_constants,
@@ -47,6 +48,7 @@ from .substitution import (
     is_primitive,
     power,
     power_lengths,
+    power_matrix,
 )
 from .words import Word, find_all, spelling
 
@@ -207,11 +209,11 @@ class MatrixDecomposition:
 
     @property
     def q_within_bound(self) -> bool:
-        return all(e < self.q_bound for row in self.q_matrix.rows for e in row)
+        return max(map(max, self.q_matrix.rows)) < self.q_bound
 
     @property
     def p_within_bound(self) -> bool:
-        return all(abs(e) <= self.p_bound for row in self.p_matrix.rows for e in row)
+        return max(max(map(abs, row)) for row in self.p_matrix.rows) <= self.p_bound
 
 
 def matrix_decomposition(
@@ -224,7 +226,11 @@ def matrix_decomposition(
 
     The counting matrix K has entry (c, b) equal to the number of occurrences
     of (return word c)·u inside tau^l(b)·u; it needs every l-th image to show
-    u at least twice, so l must reach the two-occurrence exponent.
+    u at least twice, so l must reach the two-occurrence exponent.  The word
+    (return word c)·u holds u only at its two ends, so its occurrences are
+    the pairs of successive occurrences of u in tau^l(b)·u with return word
+    c between them: column b of K counts the chunks cut at the occurrences
+    of u.  M_u^l is read off the images of tau_u by :func:`power_matrix`.
     """
     n0 = two_occurrence_exponent(tau, u)
     if l < n0:
@@ -234,18 +240,21 @@ def matrix_decomposition(
         lengths = list(range(1, max(8, len(u)) + 1))
         constants = estimate_constants(tau, lengths)
     tau_l = power(tau, l)
-    k_rows = []
-    for c in range(sys_u.count):
-        pattern = sys_u.word_for(c) + u
-        k_rows.append(
-            tuple(_count_occurrences(tau_l.image(b) + u, pattern) for b in range(tau.alphabet.size))
-        )
-    k_matrix = IncidenceMatrix(k_rows)
+    index = {rw.scan_text: c for c, rw in enumerate(sys_u.return_words)}
+    k_columns = []
+    for image in tau_l.images:
+        text = image.scan_text
+        cuts = _chunk_positions(text, u.scan_text)
+        column = [0] * sys_u.count
+        for a, z in zip(cuts, cuts[1:]):
+            c = index.get(text[a:z])
+            if c is not None:
+                column[c] += 1
+        k_columns.append(column)
+    k_matrix = IncidenceMatrix(zip(*k_columns))
     coding_matrix = incidence_matrix(sys_u.coding())
-    m_l = tau_l.matrix()
-    mu_l = tau_u.matrix() ** l
-    q_matrix = m_l - coding_matrix @ k_matrix
-    p_matrix = mu_l - k_matrix @ coding_matrix
+    q_matrix = tau_l.matrix() - coding_matrix @ k_matrix
+    p_matrix = power_matrix(tau_u, l) - k_matrix @ coding_matrix
     q_bound = (constants.h2 + 2) * len(u)
     p_bound = Fraction(2) * (constants.h2 + 1) * constants.h2 * len(u) / constants.h1
     return MatrixDecomposition(
@@ -488,11 +497,13 @@ def shared_fixed_point_analysis(
     no power formed.  Returns the first witness in (level, i+j, i) order or
     None once depth and budget are exhausted; a pair of equal lengths whose
     powers would pass the buffer cap raises ``ResourceLimitError``.  A
-    negative depth or budget is refused.
+    negative depth or budget is refused, and so are fixed points that pass
+    the gate's prefix but differ later: their return words differ at some
+    level, and the ``ValueError`` names its prefix length and tower level.
     """
     require_nonnegative("depth bound", depth)
     require_nonnegative("exponent budget", budget)
-    same_fixed_point_gate(tau, sigma)
+    compared = same_fixed_point_gate(tau, sigma)
     for sub in (tau, sigma):
         primitive, _ = is_primitive(sub.matrix())
         if not primitive:
@@ -504,8 +515,9 @@ def shared_fixed_point_analysis(
         u, sys_t, tau_u = tower_level.prefix, tower_level.system, tower_level.substitution
         sys_s, sigma_u = return_substitution(sigma, u)
         if spelling(sys_t.return_words) != spelling(sys_s.return_words):
-            raise InternalInconsistencyError(
-                "return words disagree although the fixed points were gated equal"
+            raise ValueError(
+                f"fixed points agree on {compared} letters but differ later: the return "
+                f"words on the prefix of length {len(u)} differ at tower level {level}"
             )
         lengths_t, lengths_s = power_lengths(tau_u, budget), power_lengths(sigma_u, budget)
         for i, j in exponent_pairs(budget):

@@ -33,7 +33,7 @@ from .substitution import (
     fixed_point_prefix,
     is_primitive,
 )
-from .words import Alphabet, Word, find_all
+from .words import Alphabet, Word, _word, find_all
 
 MAX_RETURN_WORDS = 100_000
 # Return systems cached per substitution; the least recently used goes first.
@@ -70,12 +70,13 @@ class ReturnSystem:
         return self.return_words[letter]
 
 
-def _chunk_positions(w: Word, u: Word) -> list[int]:
-    """Occurrence positions of u in w·u; the cuts of the return decomposition.
+def _chunk_positions(text: str, u: str) -> list[int]:
+    """Occurrence positions of the scan text u in text·u; the cuts of the
+    return decomposition, so the chunks are slices of text.
 
-    u occurs at |w| and no occurrence starts later, so the last cut is |w|.
+    u occurs at |text| and no occurrence starts later, so the last cut is |text|.
     """
-    return find_all(w.scan_text + u.scan_text, u.scan_text)
+    return find_all(text + u, u)
 
 
 def decompose(system: ReturnSystem, w: Word) -> Word:
@@ -90,7 +91,7 @@ def decompose(system: ReturnSystem, w: Word) -> Word:
         raise DecompositionError("word is over the wrong alphabet", position=0)
     index = {rw.scan_text: i for i, rw in enumerate(system.return_words)}
     text = w.scan_text
-    cuts = _chunk_positions(w, system.prefix)
+    cuts = _chunk_positions(text, system.prefix.scan_text)
     if cuts[0] != 0:
         raise DecompositionError(
             "word does not start at an occurrence of the prefix", position=0
@@ -133,8 +134,9 @@ def return_words_of_prefix(host: Word, u: Word) -> ReturnSystem:
     )
 
 
-def _first_return_word(tau: Substitution, u: Word) -> Word:
-    """The return word at position 0 of the fixed point, growing the buffer as needed."""
+def _first_return_text(tau: Substitution, u: Word) -> str:
+    """The scan text of the return word at position 0 of the fixed point,
+    growing the buffer as needed."""
     fp = tau.fixed_point()
     if fp.cap <= len(u):
         raise ResourceLimitError(
@@ -148,7 +150,7 @@ def _first_return_word(tau: Substitution, u: Word) -> Word:
             raise ValueError("u is not a prefix of the fixed point")
         second = text.find(u.scan_text, 1)
         if second != -1:
-            return fp.prefix(second)
+            return text[:second]
         if length == fp.cap:
             raise ResourceLimitError(
                 f"no second occurrence of the prefix within the buffer cap {fp.cap}",
@@ -186,19 +188,22 @@ def return_substitution(tau: Substitution, u: Word) -> tuple[ReturnSystem, Subst
 
 
 def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitution]:
+    """The closure behind :func:`return_substitution`, run on scan texts: the
+    image of each known return word is one translation through tau's table,
+    cut at the occurrences of u, and the chunk dict maps each return word to
+    its return letter's code point, so images are built as scan texts.  The
+    words are made once, at the end."""
     primitive, _ = is_primitive(tau.matrix())
     if not primitive:
         raise ValueError("return substitutions are defined for primitive substitutions")
 
-    first = _first_return_word(tau, u)
-    words: list[Word] = [first]
-    index: dict[str, int] = {first.scan_text: 0}
-    images: list[list[int]] = []
-    while len(images) < len(words):
-        b = len(images)
-        w = tau(words[b])
-        text = w.scan_text
-        cuts = _chunk_positions(w, u)
+    table, ut = tau.morphism._table, u.scan_text
+    texts = [_first_return_text(tau, u)]
+    index: dict[str, str] = {texts[0]: chr(0)}
+    images: list[str] = []
+    while len(images) < len(texts):
+        text = texts[len(images)].translate(table)
+        cuts = _chunk_positions(text, ut)
         if cuts[0] != 0:
             raise InternalInconsistencyError(
                 "image of a return word is not aligned on occurrences of u"
@@ -208,25 +213,24 @@ def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitut
             chunk = text[a:c]
             letter = index.get(chunk)
             if letter is None:
-                letter = len(words)
-                index[chunk] = letter
-                words.append(w[a:c])
-                if len(words) > MAX_RETURN_WORDS:
+                letter = index[chunk] = chr(len(texts))
+                texts.append(chunk)
+                if len(texts) > MAX_RETURN_WORDS:
                     raise ResourceLimitError(
                         f"return-word closure exceeded {MAX_RETURN_WORDS} letters",
                         budget=MAX_RETURN_WORDS,
                     )
             img.append(letter)
-        images.append(img)
+        images.append("".join(img))
 
-    alphabet = _return_alphabet(len(words))
+    alphabet = _return_alphabet(len(texts))
     system = ReturnSystem(
         prefix=u,
-        return_words=tuple(words),
+        return_words=tuple(_word(u.alphabet, t) for t in texts),
         return_alphabet=alphabet,
         complete=True,
     )
-    image_words = tuple(Word(alphabet, img) for img in images)
+    image_words = tuple(_word(alphabet, img) for img in images)
     sub = Substitution(Morphism(alphabet, alphabet, image_words), 0)
     return system, sub
 
@@ -438,10 +442,10 @@ def estimate_constants(tau: Substitution, prefix_lengths: list[int]) -> ReturnCo
     for n in sorted(set(prefix_lengths)):
         u = fixed_point_prefix(tau, n)
         system, _ = return_substitution(tau, u)
-        for v in system.return_words:
-            ratio = Fraction(len(v), n)
-            h1 = ratio if h1 is None else min(h1, ratio)
-            h2 = ratio if h2 is None else max(h2, ratio)
+        lengths = list(map(len, system.return_words))
+        shortest, longest = Fraction(min(lengths), n), Fraction(max(lengths), n)
+        h1 = shortest if h1 is None else min(h1, shortest)
+        h2 = longest if h2 is None else max(h2, longest)
         h3 = max(h3, system.count)
     assert h1 is not None and h2 is not None
     return ReturnConstants(

@@ -9,6 +9,7 @@ unique fixed point.
 from __future__ import annotations
 
 import os
+from operator import mul
 from typing import Iterable
 
 from .errors import GenerationError, ParseError, ResourceLimitError
@@ -84,7 +85,7 @@ class IncidenceMatrix:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         cols = list(zip(*other.rows)) if other.rows else []
         return IncidenceMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows)
         )
 
     def __add__(self, other: IncidenceMatrix) -> IncidenceMatrix:
@@ -337,6 +338,20 @@ def power_lengths(s: Substitution, n: int) -> list[tuple[int, ...]]:
         current = tuple(sum(map(current.__getitem__, map(ord, t))) for t in texts)
         lengths.append(current)
     return lengths
+
+
+def power_matrix(s: Substitution, n: int) -> IncidenceMatrix:
+    """The incidence matrix of s^n, read off the images of s with no
+    composition and no matrix product.  Column b is the Parikh vector of
+    s^e(b): e_b at e = 0, and at e the sum of the columns at e-1 of the
+    letters of s(b), the recurrence of :func:`power_lengths`."""
+    if n < 0:
+        raise ValueError("power exponent must be >= 0")
+    texts = [w.scan_text for w in s.images]
+    columns = identity_matrix(len(texts)).rows
+    for _ in range(n):
+        columns = [tuple(map(sum, zip(*map(columns.__getitem__, map(ord, t))))) for t in texts]
+    return IncidenceMatrix(zip(*columns))
 
 
 def power(s: Substitution, n: int) -> Substitution:

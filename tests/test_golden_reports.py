@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from retword.cli import run_command
+from retword.substitution import IncidenceMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden_reports.json"
@@ -98,6 +99,19 @@ def _case_id(argv: list[str]) -> str:
 @pytest.mark.parametrize("argv", golden_argvs(), ids=_case_id)
 def test_report_matches_golden(argv, monkeypatch):
     monkeypatch.delenv("REPO_PREFIX_CAP", raising=False)
+    assert run_in_root(argv) == _load_golden()[" ".join(argv)]
+
+
+def _no_matrix_power(matrix, n):
+    raise AssertionError("a matrix power was formed")
+
+
+@pytest.mark.parametrize("argv", [a for a in golden_argvs() if a[0] == "relations"], ids=_case_id)
+def test_relations_report_forms_no_matrix_power(argv, monkeypatch):
+    """The matrix split reads M_u^l off the images of tau_u: with the dense
+    matrix power refused, every ``relations`` report is still its golden one."""
+    monkeypatch.delenv("REPO_PREFIX_CAP", raising=False)
+    monkeypatch.setattr(IncidenceMatrix, "__pow__", _no_matrix_power)
     assert run_in_root(argv) == _load_golden()[" ".join(argv)]
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from retword.returns import (
 )
 from retword.spectrum import char_poly, exponent_pairs
 from retword.substitution import (
+    IncidenceMatrix,
     compose,
     fixed_point_prefix,
     format_substitution,
@@ -42,7 +45,7 @@ from retword.substitution import (
     power,
     substitution_from_strings,
 )
-from retword.words import spelling
+from retword.words import find_all, spelling
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,6 +171,19 @@ def test_matrix_decomposition_morse(morse):
     system, tau_u = return_substitution(morse, u)
     coding_m = incidence_matrix(system.coding())
     assert tau_u.matrix() ** md.l == md.k_matrix @ coding_m + md.p_matrix
+
+
+def test_matrix_split_bounds_read_every_entry(fib):
+    """Q must stay below its bound in every entry, P within its bound in
+    absolute value in every entry; one entry past it fails the check."""
+    md = matrix_decomposition(fib, fib.alphabet.word("0"), 3)
+    bound = Fraction(5, 2)
+    cases = [([[0, 2], [1, 0]], True), ([[0, 1], [3, 0]], False), ([[-4, 0], [0, 1]], True)]
+    for rows, expected in cases:
+        assert replace(md, q_matrix=IncidenceMatrix(rows), q_bound=bound).q_within_bound is expected
+    cases = [([[0, 2], [-2, 1]], True), ([[1, 0], [-3, 0]], False), ([[0, 3], [0, 0]], False)]
+    for rows, expected in cases:
+        assert replace(md, p_matrix=IncidenceMatrix(rows), p_bound=bound).p_within_bound is expected
 
 
 def test_eigenvalue_transfer(fib, morse):
@@ -485,3 +501,55 @@ def test_the_length_screen_skips_no_equal_pair(tau, a, b):
         assume(False)
     expected = shared_without_screen(power(tau, a), power(tau, b), 2, 3)
     assert shared_fixed_point_analysis(power(tau, a), power(tau, b), depth=2, budget=3) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_primitive_substitutions(), st.integers(1, 3))
+def test_matrix_decomposition_identities_on_drawn_substitutions(tau, n):
+    """M^l = C K + Q and M_u^l = K C + P at l = n0, n0+1, n0+2, against the
+    dense power and product; K against its definition, the occurrences of
+    (return word c)·u in tau^l(b)·u; the bound checks against every entry."""
+    try:
+        nonperiodic_check(tau)
+    except ValueError:  # a periodic fixed point has no return constants
+        assume(False)
+    u = fixed_point_prefix(tau, n)
+    system, tau_u = return_substitution(tau, u)
+    coding_m = incidence_matrix(system.coding())
+    n0 = two_occurrence_exponent(tau, u)
+    for l in (n0, n0 + 1, n0 + 2):
+        md = matrix_decomposition(tau, u, l)
+        assert tau.matrix() ** l == coding_m @ md.k_matrix + md.q_matrix
+        assert tau_u.matrix() ** l == md.k_matrix @ coding_m + md.p_matrix
+        hosts = [w.scan_text + u.scan_text for w in power(tau, l).images]
+        assert md.k_matrix.rows == tuple(
+            tuple(len(find_all(host, rw.scan_text + u.scan_text)) for host in hosts)
+            for rw in system.return_words
+        )
+        assert md.q_within_bound == all(e < md.q_bound for row in md.q_matrix.rows for e in row)
+        assert md.p_within_bound == all(abs(e) <= md.p_bound for row in md.p_matrix.rows for e in row)
+
+
+# a -> a^100 b, b -> c: with c -> a and with c -> a b the fixed points agree
+# up to the first c, past the gate's 10 000 letters
+HUNDRED_AB = {"a": "a" * 100 + "b", "b": "c"}
+
+
+def test_shared_refuses_fixed_points_that_differ_past_the_gate(tmp_path, capsys):
+    """Fixed points that differ past the gate are an input fault, exit 2,
+    named by the tower level where their return words first differ."""
+    tau = substitution_from_strings("a b c", {**HUNDRED_AB, "c": "a"}, "a")
+    sigma = substitution_from_strings("a b c", {**HUNDRED_AB, "c": "ab"}, "a")
+    with pytest.raises(ValueError, match="prefix of length 2 differ at tower level 2"):
+        shared_fixed_point_analysis(tau, sigma)
+    (tmp_path / "tau.sub").write_text(format_substitution(tau))
+    (tmp_path / "sigma.sub").write_text(format_substitution(sigma))
+    argv = ["shared", "--left", str(tmp_path / "tau.sub"), "--right", str(tmp_path / "sigma.sub")]
+    status, _ = run_command(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: fixed points agree on 10000 letters but differ later: the return "
+        "words on the prefix of length 2 differ at tower level 2\n"
+    )

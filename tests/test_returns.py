@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from periodic_oracle import looks_periodic, periodic_tail_witness
 from returns_oracle import derived_prefix_by_scan
@@ -24,9 +25,10 @@ from retword.substitution import (
     fixed_point_prefix,
     is_primitive,
     power,
+    power_lengths,
     substitution_from_strings,
 )
-from retword.words import Alphabet, Word, find_all
+from retword.words import Alphabet, Word, find_all, spelling
 
 ABC = Alphabet(("a", "b", "c"))
 
@@ -257,6 +259,41 @@ def test_random_primitive_substitutions_stress():
             decoded = dp.decoded()
             assert decoded.letters == fixed_point_prefix(sub, len(decoded)).letters
     assert tested == 25
+
+
+@st.composite
+def drawn_substitutions(draw):
+    """Primitive substitutions on 2-4 letters, start letter a, images of 1-4 letters."""
+    symbols = "abcd"[: draw(st.integers(2, 4))]
+    images = {s: draw(st.text(symbols, min_size=1, max_size=4)) for s in symbols}
+    images["a"] = "a" + draw(st.text(symbols, min_size=1, max_size=3))
+    tau = substitution_from_strings(" ".join(symbols), images, "a")
+    assume(is_primitive(tau.matrix())[0])
+    return tau
+
+
+SCAN_CAP = 1 << 17
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_substitutions(), st.integers(1, 4))
+def test_closure_matches_a_long_scan_and_decodes_onto_the_fixed_point(tau, n):
+    """The closure's return words are the ones a scan of the fixed point meets,
+    in first-appearance order, and its return substitution decodes onto the
+    fixed point.  A return word found in the image of one found j steps from
+    r_1, the return word at 0, lies in tau^(j+1)(r_1)·u, a prefix of the
+    fixed point; j stays below the number of return words, so a scan that
+    long meets them all."""
+    u = fixed_point_prefix(tau, n)
+    system, tau_u = return_substitution(tau, u)
+    lengths = power_lengths(tau, system.count)[-1]
+    reach = sum(lengths[b] for b in system.return_words[0]) + n
+    observed = return_words_of_prefix(fixed_point_prefix(tau, min(reach, SCAN_CAP)), u)
+    seen = spelling(observed.return_words)
+    complete = spelling(system.return_words)
+    assert seen == (complete if reach <= SCAN_CAP else complete[: len(seen)])
+    decoded = system.coding()(fixed_point_prefix(tau_u, 64))
+    assert fixed_point_prefix(tau, len(decoded)) == decoded
 
 
 def test_derived_prefix_fibonacci_renaming(fib):

@@ -27,6 +27,7 @@ from retword.substitution import (
     parse_substitution,
     power,
     power_lengths,
+    power_matrix,
     substitution_from_strings,
 )
 from spectral_oracle import boolean_is_primitive
@@ -455,9 +456,9 @@ def morphisms(draw):
 
 
 @st.composite
-def primitive_substitutions(draw, min_letters=1):
-    """Substitutions on min_letters-4 letters with start letter 0 and images of 1-6 letters."""
-    alphabet = draw(st.sampled_from(ALPHABETS[min_letters - 1 : 4]))
+def primitive_substitutions(draw, min_letters=1, max_letters=4):
+    """Substitutions on min_letters-max_letters letters with start letter 0 and images of 1-6 letters."""
+    alphabet = draw(st.sampled_from(ALPHABETS[min_letters - 1 : max_letters]))
     k = alphabet.size
     images = []
     for b in range(k):
@@ -517,6 +518,18 @@ def test_power_lengths_are_the_composed_image_lengths(sub, n):
     assert power_lengths(sub, n) == [
         tuple(len(w) for w in power(sub, e).images) for e in range(1, n + 1)
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_substitutions(min_letters=2, max_letters=5), st.integers(1, 6))
+def test_power_matrix_is_the_matrix_power_and_the_powers_matrix(sub, n):
+    """The Parikh recurrence gives the dense matrix power and the incidence
+    matrix of the composed power; its column sums are the image lengths."""
+    assert power_matrix(sub, n) == sub.matrix() ** n == power(sub, n).matrix()
+    assert power_matrix(sub, n).column_sums() == power_lengths(sub, n)[-1]
+    assert power_matrix(sub, 0) == identity_matrix(sub.alphabet.size)
+    with pytest.raises(ValueError):
+        power_matrix(sub, -1)
 
 
 def test_power_past_the_cap_is_refused_before_composing(monkeypatch):
