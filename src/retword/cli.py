@@ -41,7 +41,6 @@ from .relations import (
     matrix_decomposition,
     power_coincidence,
     shared_fixed_point_analysis,
-    two_occurrence_exponent,
     verify_propprec,
 )
 from .returns import derivation_tower, derived_prefix, return_substitution
@@ -320,17 +319,13 @@ def _cmd_relations(args, report: Report) -> None:
     report.data("k", rel.k)
     for chk in rel.checks:
         report.add(chk)
-    n0 = two_occurrence_exponent(sub, u)
+    n0, splits = matrix_decomposition(sub, u, args.span)
     report.data("two_occurrence_exponent", n0)
-    constants = None
-    for l in range(n0, n0 + args.span):
-        # the return-word constants depend on u alone: estimated once, then passed on
-        md = matrix_decomposition(sub, u, l, constants)
-        constants = md.constants
-        report.add(Check.of(f"matrix-split-nonnegative-Q(l={l})", md.q_nonnegative))
+    for md in splits:
+        report.add(Check.of(f"matrix-split-nonnegative-Q(l={md.l})", md.q_nonnegative))
         report.add(
             Check.of(
-                f"matrix-split-bounds(l={l})",
+                f"matrix-split-bounds(l={md.l})",
                 md.q_within_bound and md.p_within_bound,
                 {"q_bound": _frac(md.q_bound), "p_bound": _frac(md.p_bound)},
             )

@@ -6,7 +6,8 @@ on u, the other pushes iterated images of return words on u onto return words
 on v.  Their compositions are exact powers of the return substitutions, which
 is what transfers eigenvalues.  The same decomposition idea at the matrix
 level splits powers of the incidence matrix along the coding matrix with
-uniformly bounded residuals.
+uniformly bounded residuals, for a span of exponents at once: the least
+exponent, the coding matrix and the residual bounds depend on u alone.
 
 The second half of the module handles substitutions that equal their own
 return substitution on some prefix: for these, iterated codings commute with
@@ -28,7 +29,6 @@ from .errors import (
     require_nonnegative,
 )
 from .returns import (
-    ReturnConstants,
     ReturnSystem,
     _chunk_positions,
     _tower_level,
@@ -52,7 +52,7 @@ from .substitution import (
 )
 from .words import Word, find_all, spelling
 
-KAPPA_BUDGET = 64
+EXPONENT_BUDGET = 64  # the largest power of tau any exponent search here tries
 
 
 def _check_prefix_pair(tau: Substitution, u: Word, v: Word) -> None:
@@ -82,9 +82,7 @@ def lambda_morphism(tau: Substitution, u: Word, v: Word) -> Morphism:
     return Morphism(sys_v.return_alphabet, sys_u.return_alphabet, images)
 
 
-def kappa_morphism(
-    tau: Substitution, u: Word, v: Word, budget: int = KAPPA_BUDGET
-) -> tuple[int, Morphism]:
+def kappa_morphism(tau: Substitution, u: Word, v: Word) -> tuple[int, Morphism]:
     """Least exponent k and the morphism with coding_v ∘ kappa = tau^k ∘ coding_u.
 
     k starts at the first exponent for which the k-th image of u outgrows v
@@ -94,6 +92,7 @@ def kappa_morphism(
     _check_prefix_pair(tau, u, v)
     sys_u, _ = return_substitution(tau, u)
     sys_v, _ = return_substitution(tau, v)
+    budget = EXPONENT_BUDGET
     k = 1
     while len(power(tau, k)(u)) <= len(v):
         k += 1
@@ -170,8 +169,9 @@ def verify_propprec(tau: Substitution, u: Word, v: Word) -> RelationReport:
     return RelationReport(u, v, k, lam, kap, tau_u, tau_v, checks)
 
 
-def two_occurrence_exponent(tau: Substitution, u: Word, budget: int = 64) -> int:
+def two_occurrence_exponent(tau: Substitution, u: Word) -> int:
     """Least n such that every n-th image of a letter contains u at least twice."""
+    budget = EXPONENT_BUDGET
     for n in range(1, budget + 1):
         if all(_count_occurrences(w, u) >= 2 for w in power(tau, n).images):
             return n
@@ -193,13 +193,10 @@ class MatrixDecomposition:
     2(h2+1)h2|u|/h1 for the sampled constants.
     """
 
-    u: Word
     l: int
-    n0: int
     k_matrix: IncidenceMatrix
     q_matrix: IncidenceMatrix
     p_matrix: IncidenceMatrix
-    constants: ReturnConstants
     q_bound: Fraction
     p_bound: Fraction
 
@@ -217,57 +214,48 @@ class MatrixDecomposition:
 
 
 def matrix_decomposition(
-    tau: Substitution,
-    u: Word,
-    l: int,
-    constants: ReturnConstants | None = None,
-) -> MatrixDecomposition:
-    """Split M^l and M_u^l along the coding matrix of the return words on u.
+    tau: Substitution, u: Word, span: int
+) -> tuple[int, tuple[MatrixDecomposition, ...]]:
+    """The two-occurrence exponent n0 and the splits of M^l and M_u^l along
+    the coding matrix of the return words on u, for l = n0 .. n0+span-1.
 
     The counting matrix K has entry (c, b) equal to the number of occurrences
     of (return word c)·u inside tau^l(b)·u; it needs every l-th image to show
-    u at least twice, so l must reach the two-occurrence exponent.  The word
+    u at least twice, so l starts at the two-occurrence exponent.  The word
     (return word c)·u holds u only at its two ends, so its occurrences are
     the pairs of successive occurrences of u in tau^l(b)·u with return word
     c between them: column b of K counts the chunks cut at the occurrences
     of u.  M_u^l is read off the images of tau_u by :func:`power_matrix`.
+    n0, the coding matrix and the sampled constants depend on u alone and
+    are formed once; a span of 0 returns n0 with no constants estimated.
     """
     n0 = two_occurrence_exponent(tau, u)
-    if l < n0:
-        raise ValueError(f"exponent {l} below the two-occurrence exponent {n0}")
+    if span == 0:
+        return n0, ()
     sys_u, tau_u = return_substitution(tau, u)
-    if constants is None:
-        lengths = list(range(1, max(8, len(u)) + 1))
-        constants = estimate_constants(tau, lengths)
-    tau_l = power(tau, l)
+    constants = estimate_constants(tau, list(range(1, max(8, len(u)) + 1)))
     index = {rw.scan_text: c for c, rw in enumerate(sys_u.return_words)}
-    k_columns = []
-    for image in tau_l.images:
-        text = image.scan_text
-        cuts = _chunk_positions(text, u.scan_text)
-        column = [0] * sys_u.count
-        for a, z in zip(cuts, cuts[1:]):
-            c = index.get(text[a:z])
-            if c is not None:
-                column[c] += 1
-        k_columns.append(column)
-    k_matrix = IncidenceMatrix(zip(*k_columns))
     coding_matrix = incidence_matrix(sys_u.coding())
-    q_matrix = tau_l.matrix() - coding_matrix @ k_matrix
-    p_matrix = power_matrix(tau_u, l) - k_matrix @ coding_matrix
     q_bound = (constants.h2 + 2) * len(u)
     p_bound = Fraction(2) * (constants.h2 + 1) * constants.h2 * len(u) / constants.h1
-    return MatrixDecomposition(
-        u=u,
-        l=l,
-        n0=n0,
-        k_matrix=k_matrix,
-        q_matrix=q_matrix,
-        p_matrix=p_matrix,
-        constants=constants,
-        q_bound=q_bound,
-        p_bound=p_bound,
-    )
+    splits = []
+    for l in range(n0, n0 + span):
+        tau_l = power(tau, l)
+        k_columns = []
+        for image in tau_l.images:
+            text = image.scan_text
+            cuts = _chunk_positions(text, u.scan_text)
+            column = [0] * sys_u.count
+            for a, z in zip(cuts, cuts[1:]):
+                c = index.get(text[a:z])
+                if c is not None:
+                    column[c] += 1
+            k_columns.append(column)
+        k_matrix = IncidenceMatrix(zip(*k_columns))
+        q_matrix = tau_l.matrix() - coding_matrix @ k_matrix
+        p_matrix = power_matrix(tau_u, l) - k_matrix @ coding_matrix
+        splits.append(MatrixDecomposition(l, k_matrix, q_matrix, p_matrix, q_bound, p_bound))
+    return n0, tuple(splits)
 
 
 def eigenvalue_transfer_check(tau: Substitution, u: Word) -> bool:
@@ -385,11 +373,15 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     theta = coding_substitution(sys_u)
 
     # least exponent whose images all start with u
+    budget = EXPONENT_BUDGET
     k0 = next(
-        (k for k in range(1, 65) if all(w.startswith(u) for w in power(tau, k).images)), None
+        (k for k in range(1, budget + 1) if all(w.startswith(u) for w in power(tau, k).images)),
+        None,
     )
     if k0 is None:
-        raise ResourceLimitError("no exponent <= 64 makes u a prefix of every image", budget=64)
+        raise ResourceLimitError(
+            f"no exponent <= {budget} makes u a prefix of every image", budget=budget
+        )
 
     # nested prefixes w_1 = u, w_{n+1} = theta^n(u) · w_n
     nested: list[Word] = [u]

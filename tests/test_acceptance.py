@@ -23,7 +23,6 @@ from retword.relations import (
 )
 from retword.returns import (
     derivation_tower,
-    estimate_constants,
     return_substitution,
     return_words_of_prefix,
 )
@@ -144,14 +143,15 @@ def test_criterion_04_return_word_example(capsys):
 def test_criterion_05_matrix_split_suite(corpus, capsys):
     with Budget(30.0) as budget:
         for name, sub in corpus.items():
-            constants = estimate_constants(sub, list(range(1, 9)))
             for n in range(1, 6):
                 u = fixed_point_prefix(sub, n)
                 system, tau_u = return_substitution(sub, u)
                 coding_m = incidence_matrix(system.coding())
-                n0 = two_occurrence_exponent(sub, u)
-                for l in (n0, n0 + 1, n0 + 2):
-                    md = matrix_decomposition(sub, u, l, constants)
+                n0, splits = matrix_decomposition(sub, u, 3)
+                assert n0 == two_occurrence_exponent(sub, u)
+                assert [md.l for md in splits] == [n0, n0 + 1, n0 + 2]
+                for md in splits:
+                    l = md.l
                     assert sub.matrix() ** l == coding_m @ md.k_matrix + md.q_matrix
                     assert tau_u.matrix() ** l == md.k_matrix @ coding_m + md.p_matrix
                     assert md.q_nonnegative

@@ -129,21 +129,53 @@ def test_relations_command(files):
 
 
 def test_relations_command_estimates_constants_once(monkeypatch, files):
-    import retword.relations as relations
+    """One relations job forms n0, the constants and the coding matrix once
+    for its whole span, each counted through every module binding.  Of the
+    incidence matrices only the coding's count: a morphism from the return
+    alphabet to the base alphabet, where a substitution's maps one alphabet
+    to itself."""
+    calls = {"two_occurrence_exponent": 0, "estimate_constants": 0, "incidence_matrix": 0}
+    modules = [m for n, m in sys.modules.items() if n == "retword" or n.startswith("retword.")]
+    for name in calls:
+        original = getattr(retword, name)
 
-    calls = []
-    estimate = relations.estimate_constants
+        def counted(*args, _name=name, _original=original):
+            if _name != "incidence_matrix" or args[0].source != args[0].target:
+                calls[_name] += 1
+            return _original(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return estimate(*args)
-
-    monkeypatch.setattr(relations, "estimate_constants", counted)
-    argv = ["relations", files["fib"], "--u", "0", "--v", "01", "--span", "3"]
-    status, report = run_command(argv)
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    status, report = run_command(["relations", files["fib"], "--u", "0", "--v", "01"])
     assert status == EXIT_OK
     assert sum(c["name"].startswith("matrix-split-bounds") for c in report.payload["checks"]) == 3
-    assert len(calls) == 1
+    assert calls == {"two_occurrence_exponent": 1, "estimate_constants": 1, "incidence_matrix": 1}
+
+
+PERIODIC_AB = "alphabet = a b\nstart = a\na -> a b\nb -> a b\n"
+
+
+def test_relations_span_zero_stops_before_the_constants(tmp_path, capsys):
+    """On a periodic fixed point the bridge identities and n0 exist, the
+    return constants do not: span 0 asks for no split and passes, span 1
+    is refused with the periodicity witness."""
+    path = tmp_path / "per.sub"
+    path.write_text(PERIODIC_AB)
+    argv = ["relations", str(path), "--u", "a", "--v", "ab", "--json"]
+    status, report = run_command(argv + ["--span", "0"])
+    assert status == EXIT_OK
+    assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 4
+    assert "two_occurrence_exponent" in report.payload["data"]
+    capsys.readouterr()
+    status, _ = run_command(argv + ["--span", "1"])
+    assert status == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: fixed point is periodic: one return word 'ab' on the prefix of "
+        "length 1, tower depth 1\n"
+    )
 
 
 def test_circularity_command(files):

@@ -10,6 +10,7 @@ from retword.returns import (
     estimate_constants,
     return_substitution,
 )
+from retword import relations
 from retword.relations import coding_substitution, kappa_morphism
 from retword.spectrum import dominant_eigenvalue, spectrum_of_poly, strip_trivial_poly
 from retword.substitution import (
@@ -129,11 +130,12 @@ def test_tower_and_sampling_guards(fib):
         estimate_constants(fib, [])
 
 
-def test_kappa_budget_exhaustion(fib):
+def test_kappa_budget_exhaustion(fib, monkeypatch):
     from retword.errors import ResourceLimitError
 
+    monkeypatch.setattr(relations, "EXPONENT_BUDGET", 1)
     with pytest.raises(ResourceLimitError):
-        kappa_morphism(fib, fib.alphabet.word("0"), fib.alphabet.word("01"), budget=1)
+        kappa_morphism(fib, fib.alphabet.word("0"), fib.alphabet.word("01"))
 
 
 def test_coding_substitution_needs_matching_alphabet(morse):

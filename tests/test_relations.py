@@ -30,7 +30,6 @@ from retword.relations import (
 from retword.returns import (
     _tower_level,
     derivation_tower,
-    estimate_constants,
     nonperiodic_check,
     return_substitution,
 )
@@ -135,8 +134,8 @@ def test_two_occurrence_exponent_fibonacci(fib):
 
 def test_matrix_decomposition_exact_identities(fib):
     u = fib.alphabet.word("0")
-    n0 = two_occurrence_exponent(fib, u)
-    md = matrix_decomposition(fib, u, n0)
+    n0, (md,) = matrix_decomposition(fib, u, 1)
+    assert md.l == n0 == two_occurrence_exponent(fib, u)
     system, tau_u = return_substitution(fib, u)
     coding_m = incidence_matrix(system.coding())
     assert fib.matrix() ** md.l == coding_m @ md.k_matrix + md.q_matrix
@@ -145,20 +144,19 @@ def test_matrix_decomposition_exact_identities(fib):
 
 
 def test_matrix_decomposition_requires_threshold(fib):
-    u = fib.alphabet.word("0")
-    with pytest.raises(ValueError) as err:
-        matrix_decomposition(fib, u, 1)
-    assert "3" in str(err.value)
+    """The splits start at the two-occurrence exponent and run for the span."""
+    n0, splits = matrix_decomposition(fib, fib.alphabet.word("0"), 2)
+    assert n0 == 3
+    assert [md.l for md in splits] == [3, 4]
 
 
 def test_matrix_decomposition_residuals_finite(fib):
     """The residual matrices take few values as the exponent grows."""
     u = fib.alphabet.word("0")
-    n0 = two_occurrence_exponent(fib, u)
-    constants = estimate_constants(fib, list(range(1, 9)))
+    n0, splits = matrix_decomposition(fib, u, 7)
+    assert [md.l for md in splits] == list(range(n0, n0 + 7))
     qs = set()
-    for l in range(n0, n0 + 7):
-        md = matrix_decomposition(fib, u, l, constants)
+    for md in splits:
         qs.add(md.q_matrix.rows)
         assert md.q_within_bound
     assert len(qs) <= 7
@@ -166,8 +164,8 @@ def test_matrix_decomposition_residuals_finite(fib):
 
 def test_matrix_decomposition_morse(morse):
     u = morse.alphabet.word("01")
-    n0 = two_occurrence_exponent(morse, u)
-    md = matrix_decomposition(morse, u, n0 + 1)
+    n0, (_, md) = matrix_decomposition(morse, u, 2)
+    assert md.l == n0 + 1
     system, tau_u = return_substitution(morse, u)
     coding_m = incidence_matrix(system.coding())
     assert tau_u.matrix() ** md.l == md.k_matrix @ coding_m + md.p_matrix
@@ -176,7 +174,7 @@ def test_matrix_decomposition_morse(morse):
 def test_matrix_split_bounds_read_every_entry(fib):
     """Q must stay below its bound in every entry, P within its bound in
     absolute value in every entry; one entry past it fails the check."""
-    md = matrix_decomposition(fib, fib.alphabet.word("0"), 3)
+    _, (md,) = matrix_decomposition(fib, fib.alphabet.word("0"), 1)
     bound = Fraction(5, 2)
     cases = [([[0, 2], [1, 0]], True), ([[0, 1], [3, 0]], False), ([[-4, 0], [0, 1]], True)]
     for rows, expected in cases:
@@ -516,9 +514,11 @@ def test_matrix_decomposition_identities_on_drawn_substitutions(tau, n):
     u = fixed_point_prefix(tau, n)
     system, tau_u = return_substitution(tau, u)
     coding_m = incidence_matrix(system.coding())
-    n0 = two_occurrence_exponent(tau, u)
-    for l in (n0, n0 + 1, n0 + 2):
-        md = matrix_decomposition(tau, u, l)
+    n0, splits = matrix_decomposition(tau, u, 3)
+    assert n0 == two_occurrence_exponent(tau, u)
+    assert [md.l for md in splits] == [n0, n0 + 1, n0 + 2]
+    for md in splits:
+        l = md.l
         assert tau.matrix() ** l == coding_m @ md.k_matrix + md.q_matrix
         assert tau_u.matrix() ** l == md.k_matrix @ coding_m + md.p_matrix
         hosts = [w.scan_text + u.scan_text for w in power(tau, l).images]
