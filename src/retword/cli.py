@@ -287,10 +287,8 @@ def _cmd_derived(args, report: Report) -> None:
     dp = derived_prefix(sub, u, args.length)
     report.data("derived_prefix", dp.letters.text())
     decoded = dp.decoded()
-    host = fixed_point_prefix(sub, len(decoded)) if len(decoded) else None
-    report.add(
-        Check.of("decoding-is-prefix-of-fixed-point", host is not None and decoded == host)
-    )
+    host = fixed_point_prefix(sub, len(decoded))
+    report.add(Check.of("decoding-is-prefix-of-fixed-point", decoded == host))
 
 
 def _cmd_tower(args, report: Report) -> None:

@@ -187,7 +187,7 @@ class IntPolynomial:
             raise InternalInconsistencyError("squarefree division failed")
         return q.primitive()
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if self.is_zero:
             return "0"
         terms = []
@@ -199,7 +199,7 @@ class IntPolynomial:
                 body = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-                body = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+                body = f"{mag}x" + (f"^{i}" if i > 1 else "")
             terms.append(("- " if c < 0 else "+ ") + body)
         head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
         return " ".join([head] + terms[1:])

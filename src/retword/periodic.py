@@ -1,7 +1,9 @@
 """Present any periodic sequence as the coded fixed point of a primitive substitution.
 
 Given a period word m and any primitive substitution tau, some power tau^k
-has strictly positive incidence matrix with every image longer than m.  The
+has strictly positive incidence matrix with every image longer than m; both
+conditions are monotone in k, so the least such k is max(e, k_len) of their
+least exponents, and a -> a, whose images never grow, is refused.  The
 product alphabet of (letter, position-in-m) pairs then carries a substitution
 whose fixed point, read through the position coordinate, spells m forever;
 its dominant eigenvalue is the k-th power of tau's.  The caller supplies the
@@ -34,6 +36,7 @@ from .substitution import (
     is_primitive,
     morphic_image_prefix,
     power,
+    power_lengths,
 )
 from .words import Word
 
@@ -100,22 +103,28 @@ class PeriodicPresentation:
 def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentation:
     """Construct the product substitution presenting m^omega.
 
-    k is the least exponent making tau^k's matrix entrywise positive with
-    every column sum (image length) exceeding |m|.  The image of (b, i) is
+    k = max(e, k_len), e tau's primitivity exponent and k_len the least
+    exponent whose ``power_lengths`` exceed |m|, is the least exponent with
+    tau^k's matrix positive and every image longer than m: no column of M is
+    zero and no image is empty, so each condition holds past its least
+    exponent.  a -> a, the one primitive substitution with a one-letter start
+    image, never grows, and fixed-point generation refuses it.  Any other has
+    its start letter, of image length >= 2, in every image of tau^e, so
+    k_len <= e + |m|.  The image of (b, i) is
     the psi-column of the i-th letter of tau^k(b) for interior positions, and
     of the whole remaining tail for the last position, so images have length
     |m| except at the seam.  All invariants are re-verified before returning.
     """
     if len(m) == 0:
         raise ValueError("period word must be non-empty")
-    primitive, _ = is_primitive(tau.matrix())
+    primitive, e = is_primitive(tau.matrix())
     if not primitive:
         raise ValueError("periodic presentation needs a primitive substitution")
+    tau.fixed_point()  # refuses a -> a, whose images never grow
     p = len(m)
-    k, mk = 1, tau.matrix()
-    while not (mk.all_positive() and all(s > p for s in mk.column_sums())):
-        k += 1
-        mk = power(tau, k).matrix()
+    lengths = power_lengths(tau, e + p)
+    k_len = next(n for n, row in enumerate(lengths, start=1) if min(row) > p)
+    k = max(e, k_len)
     rho = power(tau, k)
     base_alphabet = tau.alphabet
     symbols = tuple(

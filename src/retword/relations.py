@@ -50,7 +50,7 @@ from .substitution import (
     power_lengths,
     power_matrix,
 )
-from .words import Word, find_all, spelling
+from .words import Word, _word, find_all, spelling
 
 EXPONENT_BUDGET = 64  # the largest power of tau any exponent search here tries
 
@@ -363,8 +363,8 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     For each admissible exponent p the images of tau^p split over the return
     words on the nested prefix w_{l_p}; the split defines a candidate
     morphism gamma_p.  Image lengths of gamma_p are bounded independently of
-    p, so equal candidates must repeat; the largest group is returned with
-    its commuting identities verified exactly.
+    p, so equal candidates must repeat; the largest group, the first opened
+    among equals, is returned with its commuting identities verified exactly.
     """
     hyp = check_stepone_hypotheses(tau, u)
     if not hyp.all_hold:
@@ -383,7 +383,8 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
             f"no exponent <= {budget} makes u a prefix of every image", budget=budget
         )
 
-    # nested prefixes w_1 = u, w_{n+1} = theta^n(u) · w_n
+    # nested prefixes w_1 = u, w_{n+1} = theta^n(u) · w_n; each target extends
+    # the last and starts with u (p > k0), so all w_n kept are prefixes of it
     nested: list[Word] = [u]
 
     candidates: dict[tuple, list[tuple[int, int, Morphism]]] = {}
@@ -391,27 +392,19 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
         target = power(tau, p - 1).image(tau.start)
         while target.startswith(w_next := power(theta, len(nested))(u) + nested[-1]):
             nested.append(w_next)
-        l_p = 0
-        for idx, w in enumerate(nested, start=1):
-            if target.startswith(w):
-                l_p = idx
-        if l_p == 0:
-            continue
-        sys_w, _ = return_substitution(tau, nested[l_p - 1])
+        l_p = len(nested)
+        sys_w, _ = return_substitution(tau, nested[-1])
         if sys_w.count != tau.alphabet.size:
             raise InternalInconsistencyError("nested coding lost letters")
         tau_p = power(tau, p)
         gamma_images = tuple(
-            tau.alphabet.from_indices(decompose(sys_w, tau_p.image(b)))
+            _word(tau.alphabet, decompose(sys_w, tau_p.image(b)).scan_text)
             for b in range(tau.alphabet.size)
         )
         gamma_p = Morphism(tau.alphabet, tau.alphabet, gamma_images)
         candidates.setdefault(spelling(gamma_images), []).append((p, l_p, gamma_p))
 
-    best: list[tuple[int, int, Morphism]] = []
-    for group in candidates.values():
-        if len(group) > len(best) or (len(group) == len(best) and best and group[0][0] < best[0][0]):
-            best = group
+    best = max(candidates.values(), key=len, default=[])
     if len(best) < 2:
         return SteponeResult(hyp, k0, p_max, tuple(p for p, _, _ in best), tuple(l for _, l, _ in best), None, False, 0)
 

@@ -340,7 +340,6 @@ class TowerLevel:
 class TowerResult:
     levels: tuple[TowerLevel, ...]
     repetition: tuple[int, int] | None
-    depth_requested: int
 
 
 def _tower_level(tau: Substitution, depth: int) -> TowerLevel:
@@ -411,7 +410,7 @@ def derivation_tower(tau: Substitution, depth: int) -> TowerResult:
     q = nonperiodic_check(tau)
     levels = tuple(tau._tower[: min(depth, q)])
     repetition = (levels[-1].repeats, q) if q <= depth else None
-    return TowerResult(levels, repetition, depth)
+    return TowerResult(levels, repetition)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ stored as one ``str``, its *scan text*, holding one code point per letter
 (letter index i is ``chr(i)``).  Slicing, concatenation, equality, hashing and
 ordering of scan texts are those of the letter sequences they encode, so the
 other modules use scan texts directly as dict keys, set members and
-occurrence-scan inputs (``str.find``); only this module and
-:mod:`retword.substitution` know how letters map to code points.  The naive
-window scan stays available in the test suite as the oracle.  Periodicity is
-decided exactly from return words by :func:`retword.returns.nonperiodic_check`.
+occurrence-scan inputs (``str.find``).  Letters map to code points with
+``chr``/``ord`` here, in :mod:`retword.substitution`, in the return closure
+of :mod:`retword.returns` and in the interpretation threads of
+:mod:`retword.circularity`.  The naive window scan stays available in the
+test suite as the oracle.  Periodicity is decided exactly from return words
+by :func:`retword.returns.nonperiodic_check`.
 Whether a set of scan texts is a code is decided by the Sardinas–Patterson
 test, :func:`is_code`.
 """
@@ -54,9 +56,6 @@ class Alphabet:
         if isinstance(source, str) and any(c.isspace() for c in source):
             source = source.split()
         return _word(self, "".join(chr(self.index(p)) for p in source))
-
-    def from_indices(self, letters: Iterable[int]) -> Word:
-        return Word(self, tuple(letters))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.symbols == other.symbols

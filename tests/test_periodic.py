@@ -1,13 +1,17 @@
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+import retword
 from retword.cli import run_command
-from retword.errors import ParseError, ResourceLimitError
+from retword.errors import GenerationError, ParseError, ResourceLimitError
 from corpus import fibonacci
+from test_substitution import primitive_substitutions
 from retword.periodic import (
     PeriodicPresentation,
     build_periodic_presentation,
@@ -71,15 +75,18 @@ def test_image_lengths(fib):
                 assert len(img) == p * (len(rho.image(b)) - p + 1)
 
 
-def test_exponent_minimality(fib):
-    period = TARGET.word("aba")
-    pres = build_periodic_presentation(period, fib)
-    k = pres.exponent
-    m = fib.matrix()
-    good = (m**k).all_positive() and all(s > len(period) for s in (m**k).column_sums())
-    assert good
-    prev = m ** (k - 1)
-    assert not (prev.all_positive() and all(s > len(period) for s in prev.column_sums()))
+@settings(max_examples=60, deadline=None)
+@given(primitive_substitutions(), st.text("ab", min_size=1, max_size=12))
+@example(fibonacci(), "aba")
+def test_exponent_minimality(base, period_text):
+    """The exponent is the least k with M^k entrywise positive and every
+    column sum of M^k, an image length of tau^k, longer than the period."""
+    period = TARGET.word(period_text)
+    m = base.matrix()
+    k = 1
+    while not ((m**k).all_positive() and all(s > len(period) for s in (m**k).column_sums())):
+        k += 1
+    assert build_periodic_presentation(period, base).exponent == k
 
 
 def test_zeta_primitive_and_dominant(fib):
@@ -133,6 +140,30 @@ def test_rejects_non_primitive_base():
     reducible = substitution_from_strings("a b", {"a": "ab", "b": "bb"}, "a")
     with pytest.raises(ValueError):
         build_periodic_presentation(TARGET.word("ab"), reducible)
+
+
+ONE_LETTER_IDENTITY = "alphabet = a\nstart = a\na -> a\n"
+GROWTH_ERROR = "fixed-point generation needs the start image to have length >= 2"
+
+
+def test_one_letter_identity_is_refused_not_searched(tmp_path):
+    """a -> a is primitive but its images never outgrow the period; the
+    command exits 2 with one line.  A subprocess turns a hang into a timeout."""
+    # written outside samples/, which the benchmark generator reads
+    path = tmp_path / "one.sub"
+    path.write_text(ONE_LETTER_IDENTITY)
+    env = dict(os.environ, PYTHONPATH=str(Path(retword.__file__).resolve().parents[1]))
+    argv = ["periodic", str(path), "--period", "a", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "retword.cli", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {GROWTH_ERROR}\n")
+
+
+def test_build_refuses_the_one_letter_identity():
+    tau, _ = parse_substitution(ONE_LETTER_IDENTITY)
+    with pytest.raises(GenerationError, match=GROWTH_ERROR):
+        build_periodic_presentation(tau.alphabet.word("a"), tau)
 
 
 def test_build_under_the_cap(fib, monkeypatch):

@@ -44,7 +44,7 @@ from retword.substitution import (
     power,
     substitution_from_strings,
 )
-from retword.words import find_all, spelling
+from retword.words import Word, find_all, spelling
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -335,7 +335,7 @@ def test_shared_fixed_point_non_power_fixture(morse):
     from retword.returns import decompose
 
     v = decompose(tower.levels[p - 1].system, head)
-    v = base.alphabet.from_indices(v.letters)
+    v = Word(base.alphabet, v.letters)
     sys_v, base_v = return_substitution(base, v)
     assert tuple(w.letters for w in base_v.images) == tuple(w.letters for w in base.images)
     theta = coding_substitution(sys_v)

@@ -204,8 +204,6 @@ def test_word_constructor_rejects_out_of_range_indices():
     for bad in ((3,), (0, -1), (1, 2, 7), (10**9,)):
         with pytest.raises(ValueError):
             Word(AB, bad)
-    with pytest.raises(ValueError):
-        AB.from_indices([0, 3])
 
 
 @settings(max_examples=200, deadline=None)
