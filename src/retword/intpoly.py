@@ -382,17 +382,26 @@ def rational_roots(p: IntPolynomial) -> tuple[list[tuple[Fraction, int]], IntPol
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every root")
+    work = p.shift_divide(p.zero_root_multiplicity())
+    return _rational_roots(p, SturmCounter(_monic_scaling(work)) if work.degree >= 1 else None)
+
+
+def _rational_roots(
+    p: IntPolynomial, counter: SturmCounter | None
+) -> tuple[list[tuple[Fraction, int]], IntPolynomial]:
+    """``rational_roots(p)`` for a non-zero p, searched on ``counter``: the
+    Sturm counter of the monic scaling of p's non-zero part, or None when
+    that part is a constant."""
     roots: list[tuple[Fraction, int]] = []
     k = p.zero_root_multiplicity()
     work = p.shift_divide(k)
     if k:
         roots.append((Fraction(0), k))
-    if work.degree < 1:
+    if counter is None:
         return roots, work
-    scaled = _monic_scaling(work)
-    bound = ceil(root_magnitude_bound(scaled))
+    bound = ceil(root_magnitude_bound(counter.poly))
     lead = work.leading
-    for n in _integer_roots(SturmCounter(scaled), -bound, bound):
+    for n in _integer_roots(counter, -bound, bound):
         root = Fraction(n, lead)
         factor = IntPolynomial((-root.numerator, root.denominator))
         mult = 0

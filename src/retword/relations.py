@@ -345,7 +345,6 @@ class SteponeResult:
 
     hypotheses: SteponeHypotheses
     k0: int
-    searched_to: int
     exponents: tuple[int, ...]
     l_values: tuple[int, ...]
     gamma: Morphism | None
@@ -406,7 +405,7 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
 
     best = max(candidates.values(), key=len, default=[])
     if len(best) < 2:
-        return SteponeResult(hyp, k0, p_max, tuple(p for p, _, _ in best), tuple(l for _, l, _ in best), None, False, 0)
+        return SteponeResult(hyp, k0, tuple(p for p, _, _ in best), tuple(l for _, l, _ in best), None, False, 0)
 
     gamma = best[0][2]
     verified = True
@@ -418,7 +417,6 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     return SteponeResult(
         hypotheses=hyp,
         k0=k0,
-        searched_to=p_max,
         exponents=tuple(p for p, _, _ in best),
         l_values=tuple(l for _, l, _ in best),
         gamma=gamma,

@@ -17,10 +17,14 @@ and its certificate share them.  Two polynomials that differ only by a
 power of x, as the polynomial of a periodic presentation and that of M^k do
 by Sylvester's identity, or the two powers at a dependence witness of one
 matrix against its own powers, share their largest positive root through
-that identity alone: the comparison then isolates it once and forms no gcd.
-Otherwise it builds one squarefree part and Sturm chain per distinct
-polynomial and narrows each dominant enclosure by continuing its bisection.  The gcds, chains and the
-one enclosure type, ``RootEnclosure``, come from :mod:`retword.intpoly`.
+that identity alone: the comparison then isolates it once, or reads a
+matrix's kept enclosure, and forms no gcd.  Otherwise it builds one
+squarefree part and Sturm chain per distinct polynomial and narrows each
+dominant enclosure by continuing its bisection.  A spectrum, too, builds one
+chain per polynomial: that of the non-zero part serves the rational roots
+and the dominant root, and a stripped spectrum reads its rational roots off
+the full one.  The gcds, chains and the one enclosure type,
+``RootEnclosure``, come from :mod:`retword.intpoly`.
 Every bounded exponent search, here and in :mod:`retword.relations`, walks
 the pairs of ``exponent_pairs``.
 """
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInconsistencyError, require_nonnegative
 from .intpoly import (
@@ -38,11 +42,12 @@ from .intpoly import (
     LargestRootBisection,
     RootEnclosure,
     SturmCounter,
+    _monic_scaling,
+    _rational_roots,
     cyclotomic,
     euler_phi,
     isolate_largest_real_root,
     poly_gcd,
-    rational_roots,
 )
 from .substitution import IncidenceMatrix, is_primitive
 
@@ -184,23 +189,64 @@ class Spectrum:
     residual_factor: IntPolynomial
 
 
-def spectrum_of_poly(p: IntPolynomial) -> Spectrum:
-    if p.is_zero:
-        raise ValueError("zero polynomial has no spectrum")
-    roots, residual = rational_roots(p)
+def _checked_spectrum(
+    p: IntPolynomial,
+    roots: Sequence[tuple[Fraction, int]],
+    residual: IntPolynomial,
+    dominant: RootEnclosure | None,
+) -> Spectrum:
+    """The ``Spectrum`` of p, once the linear factors and the residual reconstruct p."""
     check = IntPolynomial.one()
     for r, mult in roots:
         for _ in range(mult):
             check = check * IntPolynomial((-r.numerator, r.denominator))
     if check * residual != p:
         raise InternalInconsistencyError("spectrum factorization does not reconstruct")
-    dominant = isolate_largest_real_root(p, DEFAULT_PRECISION) if p.degree >= 1 else None
-    return Spectrum(
-        char_poly=p,
-        dominant=dominant,
-        exact_roots=tuple(roots),
-        residual_factor=residual,
-    )
+    return Spectrum(char_poly=p, dominant=dominant, exact_roots=tuple(roots), residual_factor=residual)
+
+
+def _largest_root(p: IntPolynomial, k: int, counter: SturmCounter | None) -> RootEnclosure:
+    """``isolate_largest_real_root(p, DEFAULT_PRECISION)`` for p = x^k q, on the
+    chain of q when it can serve.
+
+    ``counter`` is the one of ``_rational_roots``, built on q's monic
+    scaling, which is q itself when q is monic.  The squarefree parts of p
+    and q then differ at most by one factor x, so they have the same root
+    bound, and every dyadic bisection step asks only whether the largest
+    root lies above the midpoint: the two bisections end on the same
+    enclosure when k = 0 or when that enclosure lies above 0.  Otherwise (a
+    non-monic q, a q with no root above 0) p gets a chain of its own.
+    """
+    if counter is not None and p.leading == 1:
+        try:
+            enclosure = LargestRootBisection(counter).narrow(DEFAULT_PRECISION)
+        except ValueError:
+            # q has no real root; p's largest root is then 0
+            if not k:
+                raise
+        else:
+            if not k or enclosure.lo > 0:
+                return enclosure
+    return isolate_largest_real_root(p, DEFAULT_PRECISION)
+
+
+def spectrum_of_poly(p: IntPolynomial) -> Spectrum:
+    """Rational roots, residual and certified dominant root of p.
+
+    One Sturm chain serves both searches when p is monic, as every
+    characteristic polynomial is: it is built on the non-zero part q =
+    p / x^k, whose monic scaling is q itself, so the integer-root search of
+    ``rational_roots`` and the bisection of the largest root (see
+    ``_largest_root``) run on it.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has no spectrum")
+    k = p.zero_root_multiplicity()
+    q = p.shift_divide(k)
+    counter = SturmCounter(_monic_scaling(q)) if q.degree >= 1 else None
+    roots, residual = _rational_roots(p, counter)
+    dominant = _largest_root(p, k, counter) if p.degree >= 1 else None
+    return _checked_spectrum(p, roots, residual, dominant)
 
 
 def spectrum(matrix: IncidenceMatrix) -> Spectrum:
@@ -234,8 +280,26 @@ def strip_trivial_poly(p: IntPolynomial) -> IntPolynomial:
 
 
 def strip_trivial(s: Spectrum) -> Spectrum:
-    """Spectrum with zero eigenvalues and root-of-unity eigenvalues removed."""
-    return spectrum_of_poly(strip_trivial_poly(s.char_poly))
+    """Spectrum with zero eigenvalues and root-of-unity eigenvalues removed.
+
+    ``strip_trivial_poly`` divides out only x and cyclotomic factors, whose
+    only rational roots are 0, 1 and -1.  The stripped polynomial's rational
+    roots are therefore s's others, with the same multiplicities, and its
+    residual is what dividing those out leaves: no integer-root search runs
+    again.  The stripped dominant root is isolated on the stripped
+    polynomial's own chain.
+    """
+    stripped = strip_trivial_poly(s.char_poly)
+    roots = tuple((r, mult) for r, mult in s.exact_roots if r not in (0, 1, -1))
+    residual = stripped
+    for r, mult in roots:
+        factor = IntPolynomial((-r.numerator, r.denominator))
+        for _ in range(mult):
+            residual = residual.try_exact_div(factor)
+            if residual is None:
+                raise InternalInconsistencyError("stripping lost a rational root")
+    dominant = isolate_largest_real_root(stripped, DEFAULT_PRECISION) if stripped.degree >= 1 else None
+    return _checked_spectrum(stripped, roots, residual, dominant)
 
 
 def spectra_equal_mod_trivial(
@@ -293,7 +357,10 @@ def certify_equal_dominant(
 
 
 def _certify_equal_largest_roots(
-    p1: IntPolynomial, p2: IntPolynomial, precision: Fraction
+    p1: IntPolynomial,
+    p2: IntPolynomial,
+    precision: Fraction,
+    isolated: Mapping[IntPolynomial, RootEnclosure] = {},
 ) -> tuple[IntPolynomial, RootEnclosure] | None:
     """``certify_equal_dominant`` on the two characteristic polynomials.
 
@@ -318,6 +385,10 @@ def _certify_equal_largest_roots(
     or an enclosure that reaches down to 0) the general path runs; there
     two polynomials with a constant gcd have no common root, so no common
     largest root, and the answer is None with no refinement.
+
+    ``isolated`` maps polynomials to their largest-root enclosures at
+    ``precision``, already isolated; the short path reads the lower-degree
+    polynomial's enclosure there instead of isolating it again.
     """
     # one squarefree part and Sturm chain per distinct polynomial
     counters: dict[IntPolynomial, SturmCounter] = {}
@@ -330,7 +401,9 @@ def _certify_equal_largest_roots(
     q = _nonzero_part(p1)
     if q.degree >= 1 and q == _nonzero_part(p2):
         low = min(p1, p2, key=lambda p: p.degree)
-        enclosure = LargestRootBisection(counter(low)).narrow(precision)
+        enclosure = isolated.get(low)
+        if enclosure is None:
+            enclosure = LargestRootBisection(counter(low)).narrow(precision)
         if enclosure.lo > 0:
             return low.primitive(), enclosure
     r1, r2 = LargestRootBisection(counter(p1)), LargestRootBisection(counter(p2))
@@ -389,10 +462,12 @@ def mult_dependent(
     characteristic polynomials of the matrix powers, which ``power_char_poly``
     derives from the matrices' own; when both dominants are rational the
     screen's exact meet is the certificate's value, and two powers that
-    differ only by a power of x give their common factor with no gcd.  Pairs
-    are walked in ``exponent_pairs`` order and the least is returned, or
-    None; absence means only "no witness up to the bound", never
-    multiplicative independence.  A negative bound is refused.
+    differ only by a power of x give their common factor with no gcd.  At
+    exponent 1 a power's polynomial is the matrix's own, and the certificate
+    reads the dominant enclosure kept on the matrix instead of isolating the
+    root again.  Pairs are walked in ``exponent_pairs`` order and the least
+    is returned, or None; absence means only "no witness up to the bound",
+    never multiplicative independence.  A negative bound is refused.
     """
     require_nonnegative("exponent bound", bound)
     prim1, _ = is_primitive(m1)
@@ -417,7 +492,7 @@ def mult_dependent(
         if meet.exact:
             # both powers are the same rational: no isolation is needed
             return DependenceWitness(m, n, True, _exact_common_factor(q1, q2), meet, meet.hi)
-        cert = _certify_equal_largest_roots(q1, q2, DEFAULT_PRECISION)
+        cert = _certify_equal_largest_roots(q1, q2, DEFAULT_PRECISION, {p1: alpha, p2: beta})
         if cert is not None:
             g, meet = cert
             return DependenceWitness(m, n, True, g, meet, meet.lo if meet.exact else None)

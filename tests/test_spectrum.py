@@ -18,11 +18,14 @@ from retword.intpoly import (
     cyclotomic,
     isolate_largest_real_root,
     poly_gcd,
+    rational_roots,
 )
 from retword.periodic import build_periodic_presentation
 from retword.returns import return_substitution
 from retword.relations import power_coincidence
 from retword.spectrum import (
+    DEFAULT_PRECISION,
+    Spectrum,
     _berkowitz,
     _certify_equal_largest_roots,
     _lumped,
@@ -34,6 +37,7 @@ from retword.spectrum import (
     power_char_poly,
     spectra_equal_mod_trivial,
     spectrum,
+    spectrum_of_poly,
     strip_trivial,
     strip_trivial_poly,
 )
@@ -48,7 +52,9 @@ from retword.substitution import (
 )
 from retword.words import Alphabet, Word
 from spectral_oracle import (
+    divisor_rational_roots,
     fraction_certify_equal_dominant,
+    fraction_isolate,
     minor_expansion_char_poly,
     same_nonzero_root_sets,
 )
@@ -860,3 +866,151 @@ def test_mult_dependent_common_factor_is_the_gcd(pair):
         q1 = power_char_poly(char_poly(m1), w.m)
         q2 = power_char_poly(char_poly(m2), w.n)
         assert w.common_factor == poly_gcd(q1, q2)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _separate_spectrum(p: P) -> Spectrum:
+    """The spectrum from ``rational_roots`` and ``isolate_largest_real_root``,
+    each building its own chain."""
+    roots, residual = rational_roots(p)
+    dominant = isolate_largest_real_root(p, DEFAULT_PRECISION) if p.degree >= 1 else None
+    return Spectrum(p, dominant, tuple(roots), residual)
+
+
+@st.composite
+def spectral_polynomials(draw):
+    """Integer polynomials with zero roots, rational roots, a random cofactor
+    and any leading coefficient: constants, non-monic ones and ones whose
+    non-zero part has only negative roots, such as x^2 (x + 2), included."""
+    p = P((0, 1)) ** draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["random", "negative", "constant"]))
+    if kind == "negative":
+        for r in draw(st.lists(st.integers(1, 6), max_size=3)):
+            p = p * P((r, 1))
+        if draw(st.booleans()):
+            p = p * P((1, 0, 1))  # x^2 + 1, no real root
+    elif kind == "random":
+        roots = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=3), max_size=3))
+        for r in roots:
+            p = p * P((-r.numerator, r.denominator))
+        p = p * P(draw(st.lists(st.integers(-5, 5), max_size=3)) + [1])
+    lead = draw(st.sampled_from([1, 1, 1, -1, 2, 3, -4]))
+    return p * lead
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectral_polynomials())
+def test_spectrum_of_poly_matches_separate_searches(p):
+    """One chain on the non-zero part gives the rational roots and the
+    dominant enclosure that separate chains give, and the oracles' answers."""
+    got = _outcome(spectrum_of_poly, p)
+    assert got == _outcome(_separate_spectrum, p)
+    if isinstance(got, Spectrum):
+        assert list(got.exact_roots) == divisor_rational_roots(p)
+        if p.degree >= 1:
+            assert tuple(got.dominant) == fraction_isolate(p, DEFAULT_PRECISION)
+
+
+def test_spectrum_of_poly_falls_back_when_the_nonzero_part_has_no_root_above_zero():
+    x = P((0, 1))
+    for p, dominant in (
+        (x**2 * P((2, 1)), 0),  # x^2 (x + 2)
+        (x * P((1, 0, 1)), 0),  # x (x^2 + 1): the non-zero part has no real root
+        (P((2, 1)), -2),  # no zero root: the non-zero part's enclosure serves
+        (P((-6, -1, 1)) * 2, 3),  # non-monic 2 (x - 3)(x + 2)
+        (x**3 * 5, 0),  # a constant non-zero part
+    ):
+        s = spectrum_of_poly(p)
+        assert s == _separate_spectrum(p)
+        assert s.dominant == RootEnclosure(dominant, dominant, True)
+    assert spectrum_of_poly(P((7,))) == Spectrum(P((7,)), None, (), P((7,)))
+    with pytest.raises(ValueError, match="no real root"):
+        spectrum_of_poly(P((1, 0, 1)))
+
+
+def _cycle(size: int) -> IncidenceMatrix:
+    """The cyclic permutation matrix, whose eigenvalues are the size-th roots of unity."""
+    return IncidenceMatrix([[int(j == (i + 1) % size) for j in range(size)] for i in range(size)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        nonnegative_matrices,
+        # roots of unity and a zero root
+        st.tuples(nonnegative_matrices, st.integers(1, 3)).map(
+            lambda t: _block(t[0], _nilpotent(1), _cycle(t[1]))
+        ),
+    )
+)
+def test_strip_trivial_reads_the_stripped_roots_off_the_parent(m):
+    """The stripped spectrum equals the spectrum of the stripped polynomial,
+    whose rational roots are searched afresh."""
+    assert strip_trivial(spectrum(m)) == spectrum_of_poly(strip_trivial_poly(char_poly(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectral_polynomials(), st.lists(st.integers(1, 8), max_size=3))
+def test_strip_trivial_of_any_polynomial_matches_a_fresh_spectrum(p, cyclotomic_indices):
+    for d in cyclotomic_indices:
+        p = p * cyclotomic(d)
+    s = _outcome(spectrum_of_poly, p)
+    if isinstance(s, Spectrum):
+        assert _outcome(strip_trivial, s) == _outcome(spectrum_of_poly, strip_trivial_poly(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 3), st.integers(1, 3))
+def test_mult_dependent_on_powers_matches_a_fresh_certification(sub, a, b):
+    """The witness on (M^a, M^b), which reads a kept enclosure at exponent 1,
+    is the certificate of the same pair with every root isolated afresh."""
+    m = sub.matrix()
+    w = mult_dependent(m**a, m**b, 3)
+    assert w is not None and a * w.m == b * w.n
+    q1, q2 = power_char_poly(char_poly(m), a * w.m), power_char_poly(char_poly(m), b * w.n)
+    fresh = _certify_equal_largest_roots(q1, q2, DEFAULT_PRECISION)
+    assert (w.common_factor, w.enclosure) == fresh
+    assert (w.common_factor, tuple(w.enclosure)) == fraction_certify_equal_dominant(q1, q2, DEFAULT_PRECISION)
+
+
+def _counted_chains(monkeypatch, argv: list[str]) -> list[P]:
+    """The polynomials of the Sturm counters one run of ``argv`` builds."""
+    built = []
+    init = SturmCounter.__init__
+
+    def counted(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(SturmCounter, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, _ = run_command(argv + ["--json"])
+    monkeypatch.setattr(SturmCounter, "__init__", init)
+    assert status == 0
+    return built
+
+
+def test_spectrum_builds_one_chain_per_polynomial(monkeypatch):
+    """The characteristic polynomial's chain serves its rational roots and
+    its dominant root; the stripped polynomial's serves its dominant root."""
+    samples = sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.sub"))
+    assert len(samples) == 6
+    for path in samples:
+        built = _counted_chains(monkeypatch, ["spectrum", str(path)])
+        assert len(built) == 2, (path.name, built)
+
+
+@pytest.mark.parametrize("name", ["fib", "trib"])
+def test_cobham_of_a_sample_against_itself_builds_two_chains(monkeypatch, name):
+    """One chain per side for the reported dominants; the certificate at
+    (1, 1) reads the kept enclosure instead of isolating it again."""
+    path = str(Path(__file__).resolve().parents[1] / "samples" / f"{name}.sub")
+    built = _counted_chains(monkeypatch, ["cobham", "--left", path, "--right", path])
+    assert len(built) == 2
