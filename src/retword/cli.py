@@ -370,15 +370,22 @@ def _cmd_cobham(args, report: Report) -> None:
     right, codings_right = _load(args.right)
     coding_left = _coding_by_name(args.coding_left, left, codings_left)
     coding_right = _coding_by_name(args.coding_right, right, codings_right)
+    # equal sides share one substitution, equal matrices one matrix, so the
+    # fixed point, the polynomial and the dominant are each made once
+    if right == left:
+        right = left
+    matrix_left, matrix_right = left.matrix(), right.matrix()
+    if matrix_right == matrix_left:
+        matrix_right = matrix_left
     a = morphic_image_prefix(coding_left, left, args.prefix_check)
     b = morphic_image_prefix(coding_right, right, args.prefix_check)
     gate = same_symbols(a, b)
     report.add(Check.of("coded-fixed-points-agree", gate, f"compared {args.prefix_check} letters"))
-    report.data("dominant_left", _enclosure(dominant_eigenvalue(left.matrix())))
-    report.data("dominant_right", _enclosure(dominant_eigenvalue(right.matrix())))
+    report.data("dominant_left", _enclosure(dominant_eigenvalue(matrix_left)))
+    report.data("dominant_right", _enclosure(dominant_eigenvalue(matrix_right)))
     if not gate:
         return
-    witness = mult_dependent(left.matrix(), right.matrix(), args.bound)
+    witness = mult_dependent(matrix_left, matrix_right, args.bound)
     found = None
     if witness is not None:
         found = {

@@ -472,13 +472,19 @@ class LargestRootBisection:
     returned.  The midpoints depend on the interval alone: narrowing to a
     width w and then to w' < w ends exactly where a fresh bisection to w'
     ends.
+
+    The grid polynomial, the counter's squarefree part unless one is given,
+    fixes B and so every midpoint; the counter's chain takes every decision.
+    A grid whose root bound exceeds every real root of the counter's
+    polynomial lets one chain run the bisection of another polynomial with
+    the same largest real root (see ``spectrum.strip_trivial``).
     """
 
-    def __init__(self, counter: SturmCounter):
+    def __init__(self, counter: SturmCounter, grid: IntPolynomial | None = None):
         sf = counter.squarefree
         if sf.degree < 1:
             raise ValueError("polynomial has no roots")
-        bound = root_magnitude_bound(sf)
+        bound = root_magnitude_bound(sf if grid is None else grid)
         self.counter = counter
         self._bn, self._bd = bound.numerator, bound.denominator
         bn_powers, bd_powers = _powers(self._bn, len(sf.coeffs)), _powers(self._bd, len(sf.coeffs))

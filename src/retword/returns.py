@@ -28,6 +28,7 @@ from itertools import count
 from .checks import Check
 from .errors import DecompositionError, InternalInconsistencyError, ResourceLimitError
 from .substitution import (
+    PREFIX_CAP_ENV,
     Morphism,
     Substitution,
     fixed_point_prefix,
@@ -192,17 +193,35 @@ def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitut
     image of each known return word is one translation through tau's table,
     cut at the occurrences of u, and the chunk dict maps each return word to
     its return letter's code point, so images are built as scan texts.  The
-    words are made once, at the end."""
+    words are made once, at the end.
+
+    Before an image is formed, the letters of the return words held plus
+    those of the image are checked against the fixed point's buffer cap
+    (``prefix_cap()`` when the buffer was made), and a closure that would
+    pass it is refused with ``ResourceLimitError``.  The image of a return
+    word r holds at most |r| times the longest letter image; its letters
+    are counted exactly only when that bound passes the cap."""
     primitive, _ = is_primitive(tau.matrix())
     if not primitive:
         raise ValueError("return substitutions are defined for primitive substitutions")
 
     table, ut = tau.morphism._table, u.scan_text
+    longest, cap = tau.max_image_length(), tau.fixed_point().cap
     texts = [_first_return_text(tau, u)]
+    held = len(texts[0])
     index: dict[str, str] = {texts[0]: chr(0)}
     images: list[str] = []
     while len(images) < len(texts):
-        text = texts[len(images)].translate(table)
+        r = texts[len(images)]
+        if held + len(r) * longest > cap:
+            total = held + sum(len(table[ord(c)]) for c in r)
+            if total > cap:
+                raise ResourceLimitError(
+                    f"the return-word closure would hold {total} letters, "
+                    f"over the buffer cap {cap} ({PREFIX_CAP_ENV})",
+                    budget=cap,
+                )
+        text = r.translate(table)
         cuts = _chunk_positions(text, ut)
         if cuts[0] != 0:
             raise InternalInconsistencyError(
@@ -215,6 +234,7 @@ def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitut
             if letter is None:
                 letter = index[chunk] = chr(len(texts))
                 texts.append(chunk)
+                held += len(chunk)
                 if len(texts) > MAX_RETURN_WORDS:
                     raise ResourceLimitError(
                         f"return-word closure exceeded {MAX_RETURN_WORDS} letters",

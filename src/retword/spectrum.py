@@ -21,9 +21,11 @@ that identity alone: the comparison then isolates it once, or reads a
 matrix's kept enclosure, and forms no gcd.  Otherwise it builds one
 squarefree part and Sturm chain per distinct polynomial and narrows each
 dominant enclosure by continuing its bisection.  A spectrum, too, builds one
-chain per polynomial: that of the non-zero part serves the rational roots
+chain per polynomial: that of the non-zero part q serves the rational roots
 and the dominant root, and a stripped spectrum reads its rational roots off
-the full one.  The gcds, chains and the one enclosure type,
+the full one and its dominant root off q's enclosure or q's chain, so a
+spectrum and its stripped spectrum build one chain between them.  The gcds,
+chains and the one enclosure type,
 ``RootEnclosure``, come from :mod:`retword.intpoly`.
 Every bounded exponent search, here and in :mod:`retword.relations`, walks
 the pairs of ``exponent_pairs``.
@@ -31,7 +33,7 @@ the pairs of ``exponent_pairs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Iterator, Mapping, Sequence
@@ -180,13 +182,19 @@ class Spectrum:
     polynomial after dividing those out, so the product of the linear factors
     and the residual reconstructs ``char_poly`` exactly.  Every field is
     exact: the residual's roots are described by the polynomial itself and
-    the dominant root by a certified rational enclosure.
+    the dominant root by a certified rational enclosure.  ``_nonzero_root``
+    keeps, for a monic polynomial x^k q whose non-zero part q has a real
+    root, q's Sturm counter and largest-root enclosure, which
+    ``strip_trivial`` reads; it takes no part in comparisons.
     """
 
     char_poly: IntPolynomial
     dominant: RootEnclosure | None
     exact_roots: tuple[tuple[Fraction, int], ...]
     residual_factor: IntPolynomial
+    _nonzero_root: tuple[SturmCounter, RootEnclosure] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def _checked_spectrum(
@@ -194,6 +202,7 @@ def _checked_spectrum(
     roots: Sequence[tuple[Fraction, int]],
     residual: IntPolynomial,
     dominant: RootEnclosure | None,
+    nonzero_root: tuple[SturmCounter, RootEnclosure] | None = None,
 ) -> Spectrum:
     """The ``Spectrum`` of p, once the linear factors and the residual reconstruct p."""
     check = IntPolynomial.one()
@@ -202,12 +211,15 @@ def _checked_spectrum(
             check = check * IntPolynomial((-r.numerator, r.denominator))
     if check * residual != p:
         raise InternalInconsistencyError("spectrum factorization does not reconstruct")
-    return Spectrum(char_poly=p, dominant=dominant, exact_roots=tuple(roots), residual_factor=residual)
+    return Spectrum(p, dominant, tuple(roots), residual, nonzero_root)
 
 
-def _largest_root(p: IntPolynomial, k: int, counter: SturmCounter | None) -> RootEnclosure:
+def _largest_root(
+    p: IntPolynomial, k: int, counter: SturmCounter | None
+) -> tuple[RootEnclosure, tuple[SturmCounter, RootEnclosure] | None]:
     """``isolate_largest_real_root(p, DEFAULT_PRECISION)`` for p = x^k q, on the
-    chain of q when it can serve.
+    chain of q when it can serve, and that chain with q's own enclosure when
+    it ran.
 
     ``counter`` is the one of ``_rational_roots``, built on q's monic
     scaling, which is q itself when q is monic.  The squarefree parts of p
@@ -217,6 +229,7 @@ def _largest_root(p: IntPolynomial, k: int, counter: SturmCounter | None) -> Roo
     enclosure when k = 0 or when that enclosure lies above 0.  Otherwise (a
     non-monic q, a q with no root above 0) p gets a chain of its own.
     """
+    kept = None
     if counter is not None and p.leading == 1:
         try:
             enclosure = LargestRootBisection(counter).narrow(DEFAULT_PRECISION)
@@ -225,9 +238,10 @@ def _largest_root(p: IntPolynomial, k: int, counter: SturmCounter | None) -> Roo
             if not k:
                 raise
         else:
+            kept = counter, enclosure
             if not k or enclosure.lo > 0:
-                return enclosure
-    return isolate_largest_real_root(p, DEFAULT_PRECISION)
+                return enclosure, kept
+    return isolate_largest_real_root(p, DEFAULT_PRECISION), kept
 
 
 def spectrum_of_poly(p: IntPolynomial) -> Spectrum:
@@ -245,8 +259,8 @@ def spectrum_of_poly(p: IntPolynomial) -> Spectrum:
     q = p.shift_divide(k)
     counter = SturmCounter(_monic_scaling(q)) if q.degree >= 1 else None
     roots, residual = _rational_roots(p, counter)
-    dominant = _largest_root(p, k, counter) if p.degree >= 1 else None
-    return _checked_spectrum(p, roots, residual, dominant)
+    dominant, kept = _largest_root(p, k, counter) if p.degree >= 1 else (None, None)
+    return _checked_spectrum(p, roots, residual, dominant, kept)
 
 
 def spectrum(matrix: IncidenceMatrix) -> Spectrum:
@@ -268,15 +282,24 @@ def strip_trivial_poly(p: IntPolynomial) -> IntPolynomial:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    work = _nonzero_part(p)
+    return _strip_cyclotomics(_nonzero_part(p))[0]
+
+
+def _strip_cyclotomics(work: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
+    """``strip_trivial_poly`` of a polynomial with no zero root, and the
+    indices d of the cyclotomic factors phi_d it divided out, ascending."""
     deg = work.degree
+    divided = []
     for d in range(1, 2 * deg * deg + 1):
         if euler_phi(d) > deg:
             continue
         phi_d = cyclotomic(d)
-        while (quotient := work.try_exact_div(phi_d)) is not None:
-            work = quotient
-    return work
+        quotient = work.try_exact_div(phi_d)
+        if quotient is not None:
+            divided.append(d)
+        while quotient is not None:
+            work, quotient = quotient, quotient.try_exact_div(phi_d)
+    return work, divided
 
 
 def strip_trivial(s: Spectrum) -> Spectrum:
@@ -286,10 +309,10 @@ def strip_trivial(s: Spectrum) -> Spectrum:
     only rational roots are 0, 1 and -1.  The stripped polynomial's rational
     roots are therefore s's others, with the same multiplicities, and its
     residual is what dividing those out leaves: no integer-root search runs
-    again.  The stripped dominant root is isolated on the stripped
-    polynomial's own chain.
+    again.  The stripped dominant root builds no chain of its own when s
+    kept its non-zero part's chain (see ``_stripped_dominant``).
     """
-    stripped = strip_trivial_poly(s.char_poly)
+    stripped, divided = _strip_cyclotomics(_nonzero_part(s.char_poly))
     roots = tuple((r, mult) for r, mult in s.exact_roots if r not in (0, 1, -1))
     residual = stripped
     for r, mult in roots:
@@ -298,8 +321,51 @@ def strip_trivial(s: Spectrum) -> Spectrum:
             residual = residual.try_exact_div(factor)
             if residual is None:
                 raise InternalInconsistencyError("stripping lost a rational root")
-    dominant = isolate_largest_real_root(stripped, DEFAULT_PRECISION) if stripped.degree >= 1 else None
+    dominant = _stripped_dominant(s, stripped, divided) if stripped.degree >= 1 else None
     return _checked_spectrum(stripped, roots, residual, dominant)
+
+
+def _stripped_dominant(s: Spectrum, stripped: IntPolynomial, divided: list[int]) -> RootEnclosure:
+    """``isolate_largest_real_root(stripped, DEFAULT_PRECISION)``, read off the
+    chain that s kept for its non-zero part q when that is sound.
+
+    With no cyclotomic factor divided out, the stripped polynomial is q, and
+    q's kept enclosure is the answer.  Otherwise the stripped polynomial's
+    bisection runs on its own grid, the root bound of its squarefree part
+    (q's kept squarefree part with each phi_d of ``divided`` divided out
+    once), with every decision read from q's chain.  This gives the fresh
+    isolation's enclosure when q's kept enclosure lies at or above
+    1 + DEFAULT_PRECISION:
+
+    - q's roots are the stripped polynomial's plus roots of unity, whose
+      real ones are 1 and -1, so both have the largest real root rho > 1,
+      below the grid's bound B >= 2, and q's real roots all lie in (-B, B].
+    - Every bisection step asks whether rho lies above the midpoint (or at
+      it), and the two chains agree on that.
+    - A bisection stops once its interval holds one root of its chain and
+      is no wider than the width.  The fresh bisection's last interval
+      holds rho and is at most DEFAULT_PRECISION wide, so its lower end
+      lies above rho - DEFAULT_PRECISION, which exceeds q's kept lower end
+      minus DEFAULT_PRECISION >= 1.  That interval holds neither 1 nor -1,
+      so q's chain, which never stops before the fresh one, stops on it
+      too.  A rational rho is an integer above 1, and the closing test for
+      it searches integers above 1 only.
+
+    When q's enclosure lies lower, or s kept none (a non-monic polynomial,
+    a q with no real root), the stripped polynomial gets its own chain.
+    """
+    if s._nonzero_root is not None:
+        counter, enclosure = s._nonzero_root
+        if not divided:
+            return enclosure
+        if enclosure.lo >= 1 + DEFAULT_PRECISION:
+            grid = counter.squarefree
+            for d in divided:
+                grid = grid.try_exact_div(cyclotomic(d))
+                if grid is None:
+                    raise InternalInconsistencyError("a stripped cyclotomic factor does not divide q")
+            return LargestRootBisection(counter, grid).narrow(DEFAULT_PRECISION)
+    return isolate_largest_real_root(stripped, DEFAULT_PRECISION)
 
 
 def spectra_equal_mod_trivial(

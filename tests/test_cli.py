@@ -486,6 +486,30 @@ def test_circularity_refuses_the_first_prefix_past_the_cap(tmp_path, monkeypatch
     assert captured.err == f"budget exhausted: requested prefix length {length} exceeds the buffer cap 600\n"
 
 
+LONG_RETURN = "alphabet = a b\nstart = a\na -> a" + " b" * 600 + "\nb -> a\n"
+
+
+@pytest.mark.parametrize("cap", [1000, 1801, 1802])
+def test_return_closure_refuses_an_image_past_the_cap(tmp_path, monkeypatch, capsys, cap):
+    """The closure holds the 601-letter return word a b^600, whose image has
+    1201 letters: 1802 together, refused under a smaller cap before the image
+    is formed, with one line."""
+    monkeypatch.setenv("REPO_PREFIX_CAP", str(cap))
+    path = tmp_path / "long.sub"
+    path.write_text(LONG_RETURN)
+    status, report = run_command(["return-words", str(path), "--prefix", "a", "--json"])
+    captured = capsys.readouterr()
+    if cap == 1802:
+        assert status == EXIT_OK and report.payload["data"]["count"] == 2
+        return
+    assert status == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exhausted: the return-word closure would hold 1802 letters, "
+        f"over the buffer cap {cap} (REPO_PREFIX_CAP)\n"
+    )
+
+
 REDUCIBLE = "alphabet = a b\nstart = a\na -> a b\nb -> b b\n"
 NOT_PRIMITIVE = "return substitutions are defined for primitive substitutions"
 REDUCIBLE_REFUSALS = [

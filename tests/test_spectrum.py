@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from retword.cli import run_command
+from retword.cli import _enclosure, run_command
 from retword.intpoly import (
     IntPolynomial,
     LargestRootBisection,
@@ -980,8 +980,9 @@ def test_mult_dependent_on_powers_matches_a_fresh_certification(sub, a, b):
     assert (w.common_factor, tuple(w.enclosure)) == fraction_certify_equal_dominant(q1, q2, DEFAULT_PRECISION)
 
 
-def _counted_chains(monkeypatch, argv: list[str]) -> list[P]:
-    """The polynomials of the Sturm counters one run of ``argv`` builds."""
+@contextlib.contextmanager
+def _chains_built():
+    """The polynomials of the Sturm counters built inside the block."""
     built = []
     init = SturmCounter.__init__
 
@@ -989,28 +990,157 @@ def _counted_chains(monkeypatch, argv: list[str]) -> list[P]:
         built.append(p)
         init(self, p)
 
-    monkeypatch.setattr(SturmCounter, "__init__", counted)
-    with contextlib.redirect_stdout(io.StringIO()):
+    SturmCounter.__init__ = counted
+    try:
+        yield built
+    finally:
+        SturmCounter.__init__ = init
+
+
+def _counted_chains(argv: list[str]) -> list[P]:
+    """The polynomials of the Sturm counters one run of ``argv`` builds."""
+    with _chains_built() as built, contextlib.redirect_stdout(io.StringIO()):
         status, _ = run_command(argv + ["--json"])
-    monkeypatch.setattr(SturmCounter, "__init__", init)
     assert status == 0
     return built
 
 
-def test_spectrum_builds_one_chain_per_polynomial(monkeypatch):
-    """The characteristic polynomial's chain serves its rational roots and
-    its dominant root; the stripped polynomial's serves its dominant root."""
-    samples = sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.sub"))
-    assert len(samples) == 6
-    for path in samples:
-        built = _counted_chains(monkeypatch, ["spectrum", str(path)])
-        assert len(built) == 2, (path.name, built)
+SAMPLES = sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.sub"))
 
 
-@pytest.mark.parametrize("name", ["fib", "trib"])
-def test_cobham_of_a_sample_against_itself_builds_two_chains(monkeypatch, name):
-    """One chain per side for the reported dominants; the certificate at
-    (1, 1) reads the kept enclosure instead of isolating it again."""
-    path = str(Path(__file__).resolve().parents[1] / "samples" / f"{name}.sub")
-    built = _counted_chains(monkeypatch, ["cobham", "--left", path, "--right", path])
-    assert len(built) == 2
+def test_spectrum_builds_one_chain_per_polynomial(tmp_path):
+    """The non-zero part's chain serves the rational roots and the dominant
+    root, and the stripped dominant root reads it: q's enclosure when the
+    stripped polynomial is q, q's chain on the stripped grid when cyclotomic
+    factors were divided out, as for tau4, sigma4 and the two files here."""
+    assert len(SAMPLES) == 6
+    reducible = {
+        # (x - 1)(x^2 - 2x - 1)
+        "silver.sub": "alphabet = a b c\nstart = a\na -> a b\nb -> a c b\nc -> b c\n",
+        # (x - 2)(x + 1)
+        "two.sub": "alphabet = a b\nstart = a\na -> a b\nb -> a a\n",
+    }
+    for name, text in reducible.items():
+        (tmp_path / name).write_text(text)
+    for path in SAMPLES + sorted(tmp_path.glob("*.sub")):
+        built = _counted_chains(["spectrum", str(path)])
+        assert len(built) == 1, (path.name, built)
+    s = spectrum(parse_substitution(reducible["silver.sub"])[0].matrix())
+    assert s.char_poly == P((-1, 1)) * P((-1, -2, 1))
+    assert strip_trivial(s).char_poly == P((-1, -2, 1))
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_cobham_of_a_sample_against_itself_builds_one_chain(path):
+    """Both sides share one matrix, so one chain serves both reported
+    dominants; the certificate at (1, 1) reads the kept enclosure."""
+    built = _counted_chains(["cobham", "--left", str(path), "--right", str(path)])
+    assert len(built) == 1
+
+
+def test_cobham_of_two_files_with_one_matrix_computes_one_polynomial(monkeypatch, tmp_path):
+    """Different substitutions with one incidence matrix share it: one
+    characteristic polynomial and one chain, and the report's dominants and
+    witness are those of two separate matrices."""
+    spectrum_module = sys.modules["retword.spectrum"]
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.rows)
+        return char_poly(matrix)
+
+    monkeypatch.setattr(spectrum_module, "char_poly", counted)
+    left, right = tmp_path / "left.sub", tmp_path / "right.sub"
+    left.write_text("alphabet = a b\nstart = a\na -> a a b\nb -> a b\n")
+    right.write_text("alphabet = a b\nstart = a\na -> a b a\nb -> b a\n")
+    # the fixed points part at the third letter, so the gate compares one
+    argv = ["cobham", "--left", str(left), "--right", str(right), "--prefix-check", "1", "--json"]
+    with _chains_built() as built, contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(argv)
+    assert status == 0
+    assert len(calls) == 1 and len(built) == 1
+    monkeypatch.undo()
+    rows = ((2, 1), (1, 1))
+    m1, m2 = IncidenceMatrix(rows), IncidenceMatrix(rows)
+    data = report.payload["data"]
+    assert data["dominant_left"] == _enclosure(dominant_eigenvalue(m1))
+    assert data["dominant_right"] == _enclosure(dominant_eigenvalue(m2))
+    w = mult_dependent(m1, m2, 12)
+    found = [c for c in report.payload["checks"] if c["name"] == "multiplicative-dependence"]
+    assert found[0]["witness"] == {"m": w.m, "n": w.n, "certified": w.certified, "value": None}
+    assert (w.m, w.n) == (1, 1)
+
+
+def _presentation_matrix(args) -> IncidenceMatrix:
+    """The product matrix of a periodic presentation, with a cycle block when asked."""
+    sub, letters, cycle = args
+    zeta = build_periodic_presentation(Word(sub.alphabet, tuple(letters)), sub).zeta.matrix()
+    return _block(zeta, _cycle(cycle)) if cycle else zeta
+
+
+def _presentations():
+    return primitive_substitutions(max_letters=3).flatmap(
+        lambda sub: st.tuples(
+            st.just(sub),
+            st.lists(st.integers(0, sub.alphabet.size - 1), min_size=1, max_size=3),
+            st.integers(0, 4),
+        )
+    ).map(_presentation_matrix)
+
+
+def _with_unit_roots(args) -> P:
+    """A polynomial, made primitive (so monic unless it has a non-integer
+    rational root), times cyclotomic factors: q's largest root is often 1
+    or below it."""
+    p, indices = args
+    p = p.primitive()
+    for d in indices:
+        p = p * cyclotomic(d)
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        _presentations().map(spectrum),
+        # zero roots and roots of unity
+        st.tuples(nonnegative_matrices, st.integers(0, 3), st.integers(0, 4)).map(
+            lambda t: spectrum(_block(t[0], *([_nilpotent(t[1])] if t[1] else []), *([_cycle(t[2])] if t[2] else [])))
+        ),
+        st.tuples(spectral_polynomials(), st.lists(st.integers(1, 8), max_size=3))
+        .map(_with_unit_roots)
+        .map(lambda p: _outcome(spectrum_of_poly, p)),
+    )
+)
+def test_stripped_dominant_is_a_fresh_isolation(s):
+    """The stripped dominant root, read off the non-zero part's enclosure or
+    chain, is the stripped polynomial's own isolation and the Fraction
+    oracle's; the stripped polynomial's chain is built exactly when q's kept
+    enclosure lies below 1 + DEFAULT_PRECISION or none was kept."""
+    assume(isinstance(s, Spectrum))
+    stripped = strip_trivial_poly(s.char_poly)
+    with _chains_built() as built:
+        got = _outcome(strip_trivial, s)
+    if stripped.degree < 1:
+        assert got.dominant is None and not built
+        return
+    want = _outcome(isolate_largest_real_root, stripped, DEFAULT_PRECISION)
+    assert (got.dominant if isinstance(got, Spectrum) else got) == want
+    if isinstance(want, RootEnclosure):
+        assert tuple(want) == fraction_isolate(stripped, DEFAULT_PRECISION)
+    kept = s._nonzero_root
+    reads_q = kept is not None and (stripped == kept[0].poly or kept[1].lo >= 1 + DEFAULT_PRECISION)
+    # a non-monic polynomial's closing rational-root test builds a second chain
+    assert built[:1] == ([] if reads_q else [stripped])
+
+
+def test_stripped_dominant_falls_back_below_one():
+    """q = (x - 1)(x + 2) and q = (x + 1)(x + 3): q's largest root is 1 or
+    -1, so the stripped polynomial's own chain isolates its root."""
+    for p, root in ((P((-1, 1)) * P((2, 1)), -2), (P((0, 1)) * P((1, 1)) * P((3, 1)), -3)):
+        s = spectrum_of_poly(p)
+        assert s._nonzero_root is not None
+        with _chains_built() as built:
+            stripped = strip_trivial(s)
+        assert stripped.dominant == RootEnclosure(root, root, True)
+        assert built == [strip_trivial_poly(p)]
