@@ -608,3 +608,9 @@ def cyclotomic(d: int) -> IntPolynomial:
             if num is None:
                 raise InternalInconsistencyError("cyclotomic division left a remainder")
     return num
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_at_two(d: int) -> int:
+    """The d-th cyclotomic polynomial's value at 2, never 0 (each root has modulus 1)."""
+    return cyclotomic(d)(2)

@@ -14,10 +14,11 @@ four that do not depend on a prefix length (the intertwining identity,
 primitivity of zeta, the period column under coding∘psi and the dominant
 eigenvalue certificate) are computed once per presentation and kept on it;
 only the coded prefix is checked again for each requested length.  The
-dominant certificate is Sylvester's identity plus one isolation: zeta's
+dominant certificate is Sylvester's identity plus Perron-Frobenius: zeta's
 matrix is P N with P psi's matrix and N P = M^k, so its characteristic
-polynomial is x^(|A| (p - 1)) times that of M^k, and the two share their
-dominant root with no gcd formed.
+polynomial is x^(|A| (p - 1)) times that of M^k, and two non-negative
+matrices with the same non-zero characteristic factor share their dominant
+eigenvalue, with no gcd formed and no root isolated.
 """
 
 from __future__ import annotations
@@ -70,12 +71,15 @@ class PeriodicPresentation:
         offender), primitivity of zeta, the period spelled by coding∘psi on
         every base letter, and exact equality of zeta's dominant eigenvalue
         with the k-th power of the base's (tau^k's matrix is M^k).  That
-        equality is Sylvester's identity plus one isolation: zeta's matrix is
-        P N for psi's |A| p x |A| incidence matrix P and an N with N P = M^k,
-        so det(xI - P N) = x^(|A| (p - 1)) det(xI - M^k), and
-        ``certify_equal_dominant`` isolates the common dominant root once.
-        The cache is not a field, so a hand-built presentation computes its
-        own checks.
+        equality is Sylvester's identity: zeta's matrix is P N for psi's
+        |A| p x |A| incidence matrix P and an N with N P = M^k, so
+        det(xI - P N) = x^(|A| (p - 1)) det(xI - M^k).  The check's detail
+        names the certificate: the gcd is the non-zero part q the two
+        polynomials share, and the common root is q's Perron root, which
+        ``certify_equal_dominant`` accepts with no isolation (see there); a
+        hand-built presentation whose two polynomials have different
+        non-zero parts takes its general path.  The cache is not a field,
+        so a hand-built presentation computes its own checks.
         """
         rho = power(self.base, self.exponent)
         lhs = compose(self.zeta.morphism, self.psi)
@@ -86,7 +90,7 @@ class PeriodicPresentation:
         )
         primitive, witness = is_primitive(self.zeta.matrix())
         column_ok = all(self.coding(self.psi.image(b)) == self.period for b in range(base.size))
-        cert = certify_equal_dominant(self.zeta.matrix(), rho.matrix())
+        equal = certify_equal_dominant(self.zeta.matrix(), rho.matrix())
         offender = None if bad is None else f"fails at letter {bad!r}"
         return (
             Check.of("zeta∘psi=psi∘tau^k", bad is None, offender),
@@ -94,8 +98,8 @@ class PeriodicPresentation:
             Check.of("coding∘psi-spells-period", column_ok),
             Check.of(
                 "dominant-eigenvalue-power",
-                cert is not None,
-                "gcd certificate with isolated common root" if cert is not None else None,
+                equal,
+                "gcd certificate with isolated common root" if equal else None,
             ),
         )
 

@@ -17,8 +17,10 @@ and its certificate share them.  Two polynomials that differ only by a
 power of x, as the polynomial of a periodic presentation and that of M^k do
 by Sylvester's identity, or the two powers at a dependence witness of one
 matrix against its own powers, share their largest positive root through
-that identity alone: the comparison then isolates it once, or reads a
-matrix's kept enclosure, and forms no gcd.  Otherwise it builds one
+that identity alone.  Deciding equal dominants of two non-negative
+matrices then needs no root at all (Perron-Frobenius); a certificate
+isolates the root once, or reads a matrix's kept enclosure, and forms no
+gcd.  Otherwise the comparison builds one
 squarefree part and Sturm chain per distinct polynomial and narrows each
 dominant enclosure by continuing its bisection.  A spectrum, too, builds one
 chain per polynomial: that of the non-zero part q serves the rational roots
@@ -47,6 +49,7 @@ from .intpoly import (
     _monic_scaling,
     _rational_roots,
     cyclotomic,
+    cyclotomic_at_two,
     euler_phi,
     isolate_largest_real_root,
     poly_gcd,
@@ -287,18 +290,28 @@ def strip_trivial_poly(p: IntPolynomial) -> IntPolynomial:
 
 def _strip_cyclotomics(work: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
     """``strip_trivial_poly`` of a polynomial with no zero root, and the
-    indices d of the cyclotomic factors phi_d it divided out, ascending."""
+    indices d of the cyclotomic factors phi_d it divided out, ascending.
+
+    A trial division by phi_d runs only when phi_d(2) divides work(2), which
+    is kept through the divisions: phi_d is monic, so phi_d dividing work
+    means work = phi_d r with r integral, and then work(2) = phi_d(2) r(2).
+    The test is necessary only; the division still decides.
+    """
     deg = work.degree
+    at_two = work(2)
     divided = []
     for d in range(1, 2 * deg * deg + 1):
         if euler_phi(d) > deg:
             continue
-        phi_d = cyclotomic(d)
-        quotient = work.try_exact_div(phi_d)
-        if quotient is not None:
+        phi_two = cyclotomic_at_two(d)
+        times = 0
+        while at_two % phi_two == 0:
+            quotient = work.try_exact_div(cyclotomic(d))
+            if quotient is None:
+                break
+            work, at_two, times = quotient, at_two // phi_two, times + 1
+        if times:
             divided.append(d)
-        while quotient is not None:
-            work, quotient = quotient, quotient.try_exact_div(phi_d)
     return work, divided
 
 
@@ -400,26 +413,37 @@ class DependenceWitness:
     exact_value: Fraction | None
 
 
-def certify_equal_dominant(
-    m1: IncidenceMatrix, m2: IncidenceMatrix
-) -> tuple[IntPolynomial, RootEnclosure] | None:
-    """Decide exactly whether two matrices share their dominant eigenvalue.
+def certify_equal_dominant(m1: IncidenceMatrix, m2: IncidenceMatrix) -> bool:
+    """Decide exactly whether two non-negative matrices share their dominant eigenvalue.
 
-    Returns ``(common_factor, enclosure)`` on equality, ``None`` otherwise.
-    Equality is certified by a non-constant gcd of the characteristic
-    polynomials together with a Sturm count of one inside the intersection of
-    the two dominant enclosures; inequality by eventually disjoint enclosures.
-    Each refinement round continues both bisections; the enclosures are the
-    ones a fresh isolation to the smaller width gives.  Polynomials that
-    differ only by a power of x take the short path of
-    ``_certify_equal_largest_roots``: one isolation and no gcd, with the same
-    certificate.  A matrix with a negative entry is refused before any
-    polynomial is computed.
+    When the characteristic polynomials have the same non-zero part q
+    (p = x^k q, q(0) != 0) of degree >= 1, the answer is True at once, with
+    no Sturm chain and no bisection:
+
+    - The two matrices have the same non-zero eigenvalues, those of q.
+    - A non-negative matrix's spectral radius rho is an eigenvalue
+      (Perron-Frobenius; Horn & Johnson, *Matrix Analysis*, Thm 8.3.1), so
+      every real eigenvalue is at most rho and rho is the dominant one.
+    - rho >= 1 for an integer matrix that is not nilpotent: its non-zero
+      eigenvalues, each of modulus at most rho, multiply to +-q(0), a
+      non-zero integer.  So rho is a non-zero eigenvalue, a root of q, and
+      the same for both matrices.
+
+    Otherwise ``_certify_equal_largest_roots`` decides: a non-constant gcd
+    of the polynomials together with a Sturm count of one inside the
+    intersection of the two dominant enclosures certifies equality, and
+    eventually disjoint enclosures inequality.  On the shortcut's inputs it
+    would give the same answer: its short path isolates rho >= 1 to a width
+    below 1, so the enclosure lies above 0 and it certifies.  A matrix with
+    a negative entry is refused before any polynomial is computed.
     """
     if not (m1.is_nonnegative and m2.is_nonnegative):
         raise ValueError(_NONNEGATIVE_ONLY)
     p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
-    return _certify_equal_largest_roots(p1, p2, DEFAULT_PRECISION)
+    q = _nonzero_part(p1)
+    if q.degree >= 1 and q == _nonzero_part(p2):
+        return True
+    return _certify_equal_largest_roots(p1, p2, DEFAULT_PRECISION) is not None
 
 
 def _certify_equal_largest_roots(
@@ -428,7 +452,8 @@ def _certify_equal_largest_roots(
     precision: Fraction,
     isolated: Mapping[IntPolynomial, RootEnclosure] = {},
 ) -> tuple[IntPolynomial, RootEnclosure] | None:
-    """``certify_equal_dominant`` on the two characteristic polynomials.
+    """The certificate behind ``certify_equal_dominant``: ``(common_factor,
+    enclosure)`` when the largest real roots of p1 and p2 are equal, else None.
 
     The largest real roots of the polynomials are compared; for polynomials
     of non-negative matrices (or of their powers) these are the dominant

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import retword
 from retword.cli import run_command
 from retword.errors import GenerationError, ParseError, ResourceLimitError
+from retword.intpoly import LargestRootBisection, SturmCounter
 from corpus import fibonacci
 from test_substitution import primitive_substitutions
 from retword.periodic import (
@@ -92,10 +94,7 @@ def test_exponent_minimality(base, period_text):
 def test_zeta_primitive_and_dominant(fib):
     pres = build_periodic_presentation(TARGET.word("ab"), fib)
     assert is_primitive(pres.zeta.matrix())[0]
-    cert = certify_equal_dominant(
-        pres.zeta.matrix(), fib.matrix() ** pres.exponent
-    )
-    assert cert is not None
+    assert certify_equal_dominant(pres.zeta.matrix(), fib.matrix() ** pres.exponent) is True
 
 
 def test_unary_period(fib):
@@ -201,6 +200,38 @@ def test_periodic_command_certifies_once(monkeypatch, capsys):
     assert status == 0
     assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
     assert len(calls) == 1
+
+
+SAMPLES = sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.sub"))
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_periodic_command_builds_no_chain_and_no_bisection(monkeypatch, path):
+    """The dominant check decides from the two characteristic polynomials:
+    every period of 1-3 letters over the sample's first two letters passes
+    all five checks with no Sturm chain built and no bisection narrowed."""
+    counts = {"chains": 0, "narrowed": 0}
+    init, narrow = SturmCounter.__init__, LargestRootBisection.narrow
+
+    def counted_init(self, p):
+        counts["chains"] += 1
+        init(self, p)
+
+    def counted_narrow(self, width):
+        counts["narrowed"] += 1
+        return narrow(self, width)
+
+    monkeypatch.setattr(SturmCounter, "__init__", counted_init)
+    monkeypatch.setattr(LargestRootBisection, "narrow", counted_narrow)
+    sub, _ = parse_substitution(path.read_text(encoding="utf-8"))
+    letters = sub.alphabet.symbols[:2]
+    for period in (p for n in (1, 2, 3) for p in itertools.product(letters, repeat=n)):
+        argv = ["periodic", str(path), "--period", "".join(period), "--json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status, report = run_command(argv)
+        assert status == 0
+        assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
+    assert counts == {"chains": 0, "narrowed": 0}
 
 
 def test_hand_built_presentation_certifies_afresh(monkeypatch, fib):

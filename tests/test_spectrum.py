@@ -16,11 +16,12 @@ from retword.intpoly import (
     RootEnclosure,
     SturmCounter,
     cyclotomic,
+    euler_phi,
     isolate_largest_real_root,
     poly_gcd,
     rational_roots,
 )
-from retword.periodic import build_periodic_presentation
+from retword.periodic import PeriodicPresentation, build_periodic_presentation
 from retword.returns import return_substitution
 from retword.relations import power_coincidence
 from retword.spectrum import (
@@ -29,6 +30,8 @@ from retword.spectrum import (
     _berkowitz,
     _certify_equal_largest_roots,
     _lumped,
+    _nonzero_part,
+    _strip_cyclotomics,
     char_poly,
     certify_equal_dominant,
     dominant_eigenvalue,
@@ -467,9 +470,11 @@ def test_matrix_first_power_is_the_matrix(fib):
 
 def test_certify_equal_dominant_irrational(fib):
     m = fib.matrix()
-    cert = certify_equal_dominant(m @ m, m @ m)
-    assert cert is not None
-    assert certify_equal_dominant(m, m @ m) is None
+    assert certify_equal_dominant(m @ m, m @ m) is True
+    assert certify_equal_dominant(m, m @ m) is False
+    p1, p2 = char_poly(m), char_poly(m @ m)
+    assert _certify_equal_largest_roots(p2, p2, DEFAULT_PRECISION) is not None
+    assert _certify_equal_largest_roots(p1, p2, DEFAULT_PRECISION) is None
 
 
 def test_certify_equal_dominant_one_char_poly_per_matrix(monkeypatch):
@@ -634,7 +639,9 @@ def test_mult_dependent_irrational_certification_path(fib):
 
 def test_mult_dependent_absent_fib_vs_trib(fib, trib):
     assert mult_dependent(fib.matrix(), trib.matrix(), 10) is None
-    assert certify_equal_dominant(fib.matrix(), trib.matrix()) is None
+    assert certify_equal_dominant(fib.matrix(), trib.matrix()) is False
+    p1, p2 = char_poly(fib.matrix()), char_poly(trib.matrix())
+    assert _certify_equal_largest_roots(p1, p2, DEFAULT_PRECISION) is None
 
 
 def test_strip_trivial_random_products():
@@ -1144,3 +1151,118 @@ def test_stripped_dominant_falls_back_below_one():
             stripped = strip_trivial(s)
         assert stripped.dominant == RootEnclosure(root, root, True)
         assert built == [strip_trivial_poly(p)]
+
+
+def _dominant_decisions(m1: IncidenceMatrix, m2: IncidenceMatrix) -> tuple[bool, bool, bool]:
+    """``certify_equal_dominant``'s answer, the kernel's and the Fraction oracle's."""
+    p1, p2 = char_poly(m1), char_poly(m2)
+    return (
+        certify_equal_dominant(m1, m2),
+        _certify_equal_largest_roots(p1, p2, DEFAULT_PRECISION) is not None,
+        fraction_certify_equal_dominant(p1, p2, DEFAULT_PRECISION) is not None,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=nonnegative_matrices, b=nonnegative_matrices, size=st.integers(1, 3))
+def test_certify_equal_dominant_decides_as_the_kernel_and_the_oracle(a, b, size):
+    """Random pairs, and M against M plus a nilpotent block in both orders,
+    which share their non-zero part q: the bool is the kernel's and the
+    oracle's answer, and the shortcut builds no chain when deg q >= 1."""
+    big = _block(a, _nilpotent(size))
+    for m1, m2 in ((a, b), (a, big), (big, a)):
+        with _chains_built() as built:
+            got = certify_equal_dominant(m1, m2)
+        assert type(got) is bool
+        assert (got, got, got) == _dominant_decisions(m1, m2)
+        q = _nonzero_part(char_poly(m1))
+        if q.degree >= 1 and q == _nonzero_part(char_poly(m2)):
+            assert got is True and built == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(primitive_substitutions(max_letters=3), st.data())
+def test_tampered_presentation_takes_the_general_path(sub, data):
+    """One letter of one zeta image exchanged for another (a swap inside one
+    image keeps the matrix): the non-zero parts differ, the general path
+    builds chains, and the dominant check reports the kernel's and the
+    oracle's answer."""
+    letters = data.draw(st.lists(st.integers(0, sub.alphabet.size - 1), min_size=1, max_size=3))
+    pres = build_periodic_presentation(Word(sub.alphabet, tuple(letters)), sub)
+    images = [list(w.letters) for w in pres.zeta.images]
+    i = data.draw(st.integers(0, len(images) - 1))
+    j = data.draw(st.integers(0, len(images[i]) - 1))
+    assume((i, j) != (pres.zeta.start, 0))
+    images[i][j] = data.draw(st.integers(0, len(images) - 1).filter(lambda c: c != images[i][j]))
+    alphabet = pres.product_alphabet
+    bad_zeta = Substitution(
+        Morphism(alphabet, alphabet, tuple(Word(alphabet, tuple(im)) for im in images)), pres.zeta.start
+    )
+    m1, m2 = bad_zeta.matrix(), sub.matrix() ** pres.exponent
+    assume(_nonzero_part(char_poly(m1)) != _nonzero_part(char_poly(m2)))
+    bad = PeriodicPresentation(pres.period, pres.exponent, sub, bad_zeta, pres.psi, pres.coding)
+    with _chains_built() as built:
+        dominant = bad.structural_checks[3]
+    assert built
+    got, kernel, oracle = _dominant_decisions(m1, m2)
+    assert dominant.passed is got is kernel is oracle
+
+
+def _unfiltered_strip(work: P) -> tuple[P, list[int]]:
+    """``_strip_cyclotomics`` with a trial division by every phi_d, phi(d) <= deg."""
+    deg = work.degree
+    divided = []
+    for d in range(1, 2 * deg * deg + 1):
+        if euler_phi(d) <= deg:
+            quotient = work.try_exact_div(cyclotomic(d))
+            if quotient is not None:
+                divided.append(d)
+            while quotient is not None:
+                work, quotient = quotient, quotient.try_exact_div(cyclotomic(d))
+    return work, divided
+
+
+def _trial_divisors(monkeypatch, work: P) -> list[P]:
+    """The divisors of the trial divisions ``_strip_cyclotomics(work)`` makes."""
+    _strip_cyclotomics(work)  # builds the cyclotomic polynomials and their values at 2
+    calls = []
+    try_exact_div = P.try_exact_div
+
+    def counted(self, divisor):
+        calls.append(divisor)
+        return try_exact_div(self, divisor)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(P, "try_exact_div", counted)
+        _strip_cyclotomics(work)
+    return calls
+
+
+def test_strip_divides_only_where_the_value_at_two_allows(monkeypatch):
+    """phi_d(2) must divide q(2): x^2 - x - 1 (value 1) is tried against
+    phi_1 only, not phi_1, phi_2, phi_3, phi_4 and phi_6, and (x - 3) phi_5
+    phi_12 (value -1 * 31 * 13) once each against phi_1, phi_5 and phi_12,
+    not 20 times."""
+    fib = P((-1, -1, 1))
+    assert _trial_divisors(monkeypatch, fib) == [cyclotomic(1)]
+    assert _strip_cyclotomics(fib) == (fib, [])
+    q = P((-3, 1)) * cyclotomic(5) * cyclotomic(12)
+    assert _trial_divisors(monkeypatch, q) == [cyclotomic(1), cyclotomic(5), cyclotomic(12)]
+    assert _strip_cyclotomics(q) == (P((-3, 1)), [5, 12])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(spectral_polynomials(), st.lists(st.integers(1, 12), max_size=4)).map(_with_unit_roots),
+        st.tuples(nonnegative_matrices, st.integers(0, 4)).map(
+            lambda t: char_poly(_block(t[0], *([_cycle(t[1])] if t[1] else [])))
+        ),
+    )
+)
+def test_strip_cyclotomics_matches_every_trial_division(p):
+    """The filtered stripping divides out what trying every phi_d divides out."""
+    assume(not p.is_zero)
+    q = _nonzero_part(p)
+    assert _strip_cyclotomics(q) == _unfiltered_strip(q)
+
