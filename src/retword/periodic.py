@@ -13,12 +13,23 @@ Every invariant of a presentation is a :class:`~retword.checks.Check`.  The
 four that do not depend on a prefix length (the intertwining identity,
 primitivity of zeta, the period column under coding∘psi and the dominant
 eigenvalue certificate) are computed once per presentation and kept on it;
-only the coded prefix is checked again for each requested length.  The
-dominant certificate is Sylvester's identity plus Perron-Frobenius: zeta's
-matrix is P N with P psi's matrix and N P = M^k, so its characteristic
-polynomial is x^(|A| (p - 1)) times that of M^k, and two non-negative
-matrices with the same non-zero characteristic factor share their dominant
-eigenvalue, with no gcd formed and no root isolated.
+only the coded prefix is checked again for each requested length.
+Primitivity and the dominant certificate rest on the factorization Z = P N
+of zeta's matrix Z, with P psi's 0/1 matrix (one 1 per row, the base
+letter of a product letter) and N Z's rows at the first product letter of
+each base letter, and on N P = M^k, tau^k's matrix.  Both identities are
+checked on the matrices, so no characteristic polynomial is formed:
+
+- Sylvester's identity gives det(xI - Z) = x^(|A| (p - 1)) det(xI - M^k),
+  and two non-negative matrices with the same non-zero characteristic
+  factor share their dominant eigenvalue (Perron-Frobenius), with no gcd
+  formed and no root isolated.
+- Z^2 = P M^k N, which is positive when M^k is, since no zeta image is
+  empty; so zeta is primitive with least exponent 1 when Z > 0 and 2
+  otherwise.
+
+A presentation where either identity fails takes the general paths,
+``certify_equal_dominant`` and ``is_primitive``.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .errors import InternalInconsistencyError, require_nonnegative
 from .spectrum import certify_equal_dominant
 from .substitution import (
     Alphabet,
+    IncidenceMatrix,
     Morphism,
     Substitution,
     compose,
@@ -39,7 +51,7 @@ from .substitution import (
     power,
     power_lengths,
 )
-from .words import Word
+from .words import Word, _word
 
 
 @dataclass(frozen=True)
@@ -70,16 +82,30 @@ class PeriodicPresentation:
         In order: zeta∘psi = psi∘tau^k letter by letter (naming the first
         offender), primitivity of zeta, the period spelled by coding∘psi on
         every base letter, and exact equality of zeta's dominant eigenvalue
-        with the k-th power of the base's (tau^k's matrix is M^k).  That
-        equality is Sylvester's identity: zeta's matrix is P N for psi's
-        |A| p x |A| incidence matrix P and an N with N P = M^k, so
-        det(xI - P N) = x^(|A| (p - 1)) det(xI - M^k).  The check's detail
-        names the certificate: the gcd is the non-zero part q the two
-        polynomials share, and the common root is q's Perron root, which
-        ``certify_equal_dominant`` accepts with no isolation (see there); a
-        hand-built presentation whose two polynomials have different
-        non-zero parts takes its general path.  The cache is not a field,
-        so a hand-built presentation computes its own checks.
+        with the k-th power of the base's (tau^k's matrix is M^k).
+
+        Primitivity and the dominant check are read off the factorization
+        of zeta's matrix Z (see ``_factors``): Z = P N for psi's |A| p x |A|
+        matrix P, with one 1 per row, and N P = M^k.  Then:
+
+        - det(xI - P N) = x^(|A| (p - 1)) det(xI - N P) (Sylvester), so Z and
+          M^k share their non-zero characteristic factor, whose degree is at
+          least 1 since M^k's columns are non-zero.  Both are non-negative,
+          so their spectral radius is their common dominant eigenvalue
+          (Perron-Frobenius), and the check passes with no polynomial formed.
+          It keeps the detail ``gcd certificate with isolated common root``,
+          which names the certificate of the general path, so that reports
+          stay byte-identical.
+        - Z^2 = P (N P) N = P M^k N.  When M^k > 0, entry (r, j) is positive
+          once column j of N is non-zero, which it is because zeta(j) is not
+          empty.  So Z's least positive power is 1 when Z > 0 and 2
+          otherwise, the answer of ``is_primitive``.
+
+        Where the factorization fails (a hand-built or tampered
+        presentation), ``certify_equal_dominant`` and ``is_primitive`` decide,
+        and so does ``is_primitive`` where M^k is not positive.  A failed
+        check carries no detail.  The cache is not a field, so a hand-built
+        presentation computes its own checks.
         """
         rho = power(self.base, self.exponent)
         lhs = compose(self.zeta.morphism, self.psi)
@@ -88,13 +114,20 @@ class PeriodicPresentation:
         bad = next(
             (base.symbol(b) for b in range(base.size) if lhs.image(b) != rhs.image(b)), None
         )
-        primitive, witness = is_primitive(self.zeta.matrix())
+        z, mk = self.zeta.matrix(), rho.matrix()
+        factored = _factors(z, self.psi, mk)
+        equal = factored or certify_equal_dominant(z, mk)
+        if factored and mk.all_positive():
+            primitive, witness = True, 1 if z.all_positive() else 2
+        else:
+            primitive, witness = is_primitive(z)
         column_ok = all(self.coding(self.psi.image(b)) == self.period for b in range(base.size))
-        equal = certify_equal_dominant(self.zeta.matrix(), rho.matrix())
         offender = None if bad is None else f"fails at letter {bad!r}"
         return (
             Check.of("zeta∘psi=psi∘tau^k", bad is None, offender),
-            Check.of("zeta-primitive", primitive, f"witness exponent {witness}"),
+            Check.of(
+                "zeta-primitive", primitive, f"witness exponent {witness}" if primitive else None
+            ),
             Check.of("coding∘psi-spells-period", column_ok),
             Check.of(
                 "dominant-eigenvalue-power",
@@ -102,6 +135,33 @@ class PeriodicPresentation:
                 "gcd certificate with isolated common root" if equal else None,
             ),
         )
+
+
+def _factors(z: IncidenceMatrix, psi: Morphism, m: IncidenceMatrix) -> bool:
+    """Whether z = P N and N P = m, for P psi's incidence matrix with one 1
+    per row and N z's rows at the first letter of each psi image.
+
+    P is read off psi's images: it has one 1 per row exactly when every
+    letter of psi's target occurs once among them, and row r's 1 is then in
+    the column of the image holding r.  z = P N says that z's row at each
+    letter equals N's row at its image, and (N P)[b, c] sums row b of N over
+    the letters of psi(c).  psi's target is z's alphabet and its source m's,
+    as the intertwining check requires.
+    """
+    texts = [w.scan_text for w in psi.images]
+    if "" in texts or sum(map(len, texts)) != z.nrows:
+        return False
+    block: list[int | None] = [None] * z.nrows
+    for b, text in enumerate(texts):
+        for c in text:
+            block[ord(c)] = b
+    if None in block:  # a letter met twice, so another never
+        return False
+    n = tuple(z.rows[ord(text[0])] for text in texts)
+    return z.rows == tuple(map(n.__getitem__, block)) and all(
+        tuple(sum(map(row.__getitem__, map(ord, text))) for text in texts) == target
+        for row, target in zip(n, m.rows)
+    )
 
 
 def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentation:
@@ -136,30 +196,20 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
     )
     product = Alphabet(symbols)
 
-    def pair(b: int, i: int) -> int:
-        return b * p + i
-
-    psi = Morphism(
-        base_alphabet,
-        product,
-        tuple(
-            Word(product, tuple(pair(b, i) for i in range(p)))
-            for b in range(base_alphabet.size)
-        ),
+    # psi's columns and zeta's images as scan texts: an interior position
+    # takes the column of one letter of tau^k(b), the last one the tail's
+    columns = tuple("".join(map(chr, range(b * p, (b + 1) * p))) for b in range(base_alphabet.size))
+    psi = Morphism(base_alphabet, product, tuple(_word(product, c) for c in columns))
+    zeta_texts: list[str] = []
+    for image in rho.images:
+        text = image.scan_text
+        zeta_texts += map(columns.__getitem__, map(ord, text[: p - 1]))
+        zeta_texts.append(text[p - 1 :].translate(columns))
+    zeta = Substitution(
+        Morphism(product, product, tuple(_word(product, t) for t in zeta_texts)), tau.start * p
     )
-    zeta_images = []
-    for b in range(base_alphabet.size):
-        image = rho.image(b)
-        for i in range(p):
-            if i < p - 1:
-                zeta_images.append(psi(image[i : i + 1]))
-            else:
-                zeta_images.append(psi(image[p - 1 :]))
-    zeta = Substitution(Morphism(product, product, tuple(zeta_images)), pair(tau.start, 0))
     coding = Morphism(
-        product,
-        m.alphabet,
-        tuple(m[i : i + 1] for b in range(base_alphabet.size) for i in range(p)),
+        product, m.alphabet, tuple(_word(m.alphabet, c) for c in m.scan_text) * base_alphabet.size
     )
     presentation = PeriodicPresentation(m, k, tau, zeta, psi, coding)
     failed = [c.name for c in verify_presentation(presentation, check_len=4 * p) if not c.passed]

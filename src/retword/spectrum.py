@@ -14,10 +14,9 @@ return is isolated to one width, ``DEFAULT_PRECISION``; only the kernels
 take a width.  A matrix's characteristic polynomial and dominant enclosure
 are kept on the matrix, so the dominant eigenvalue, the dependence search
 and its certificate share them.  Two polynomials that differ only by a
-power of x, as the polynomial of a periodic presentation and that of M^k do
-by Sylvester's identity, or the two powers at a dependence witness of one
-matrix against its own powers, share their largest positive root through
-that identity alone.  Deciding equal dominants of two non-negative
+power of x, as the two powers at a dependence witness of one matrix against
+its own powers do, share their largest positive root through that identity
+alone.  Deciding equal dominants of two non-negative
 matrices then needs no root at all (Perron-Frobenius); a certificate
 isolates the root once, or reads a matrix's kept enclosure, and forms no
 gcd.  Otherwise the comparison builds one

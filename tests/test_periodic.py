@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import retword
+from retword.checks import Check
 from retword.cli import run_command
 from retword.errors import GenerationError, ParseError, ResourceLimitError
 from retword.intpoly import LargestRootBisection, SturmCounter
@@ -22,9 +23,11 @@ from retword.periodic import (
 from retword.spectrum import certify_equal_dominant
 from retword.substitution import (
     Alphabet,
+    IncidenceMatrix,
     Morphism,
     Substitution,
     Word,
+    _least_positive_power,
     compose,
     format_substitution,
     is_primitive,
@@ -181,25 +184,40 @@ def test_works_for_other_bases(morse, trib):
         assert all(c.passed for c in verify_presentation(pres, 200))
 
 
-def _count_certificates(monkeypatch) -> list:
-    calls = []
+def _counted(counts: dict, key: str, fn):
+    """fn, adding one to ``counts[key]`` on each call."""
+
+    def call(*args):
+        counts[key] += 1
+        return fn(*args)
+
+    return call
+
+
+def _count_certificates(monkeypatch) -> dict:
+    """Count the factorization checks of zeta's matrix, the general dominant
+    certificates and the characteristic polynomials formed."""
+    counts = {"factors": 0, "certify": 0, "char_poly": 0}
     periodic_module = sys.modules["retword.periodic"]
-
-    def counted(m1, m2, *args):
-        calls.append((m1, m2))
-        return certify_equal_dominant(m1, m2, *args)
-
-    monkeypatch.setattr(periodic_module, "certify_equal_dominant", counted)
-    return calls
+    spectrum_module = sys.modules["retword.spectrum"]
+    for module, name, key in (
+        (periodic_module, "_factors", "factors"),
+        (periodic_module, "certify_equal_dominant", "certify"),
+        (spectrum_module, "char_poly", "char_poly"),
+    ):
+        monkeypatch.setattr(module, name, _counted(counts, key, getattr(module, name)))
+    return counts
 
 
 def test_periodic_command_certifies_once(monkeypatch, capsys):
-    calls = _count_certificates(monkeypatch)
+    """One job checks zeta's factorization once and reads the dominant check
+    off it: no general certificate and no characteristic polynomial."""
+    counts = _count_certificates(monkeypatch)
     sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
     status, report = run_command(["periodic", str(sample), "--period", "0110", "--json"])
     assert status == 0
     assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
-    assert len(calls) == 1
+    assert counts == {"factors": 1, "certify": 0, "char_poly": 0}
 
 
 SAMPLES = sorted((Path(__file__).resolve().parents[1] / "samples").glob("*.sub"))
@@ -235,24 +253,27 @@ def test_periodic_command_builds_no_chain_and_no_bisection(monkeypatch, path):
 
 
 def test_hand_built_presentation_certifies_afresh(monkeypatch, fib):
-    calls = _count_certificates(monkeypatch)
+    """An equal copy decides its checks again, from the factorization and
+    with no characteristic polynomial, as the built presentation did."""
+    counts = _count_certificates(monkeypatch)
     pres = build_periodic_presentation(TARGET.word("ab"), fib)
-    assert len(calls) == 1
+    assert counts == {"factors": 1, "certify": 0, "char_poly": 0}
     assert all(c.passed for c in verify_presentation(pres, check_len=10))
-    assert len(calls) == 1
+    assert counts["factors"] == 1
     copy = PeriodicPresentation(
         pres.period, pres.exponent, pres.base, pres.zeta, pres.psi, pres.coding
     )
     assert copy == pres
     assert all(c.passed for c in verify_presentation(copy, check_len=10))
-    assert len(calls) == 2
+    assert counts == {"factors": 2, "certify": 0, "char_poly": 0}
     assert verify_presentation(copy, check_len=10) == verify_presentation(pres, check_len=10)
-    assert len(calls) == 2
+    assert counts == {"factors": 2, "certify": 0, "char_poly": 0}
 
 
 def test_periodic_command_checks_structure_once(monkeypatch):
-    """One job checks zeta∘psi and zeta's primitivity once: the build verifies
-    them and the command's verification reuses the presentation's checks."""
+    """One job checks zeta∘psi once and searches primitivity on the base
+    only: the build verifies the presentation, the command's verification
+    reuses its checks, and zeta's primitivity is read off its factorization."""
     periodic_module = sys.modules["retword.periodic"]
     primitive_dims, compositions = [], []
 
@@ -271,9 +292,45 @@ def test_periodic_command_checks_structure_once(monkeypatch):
         status, report = run_command(["periodic", str(sample), "--period", "0110", "--json"])
     assert status == 0
     assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
-    # one call on the base (2 letters), one on the 8-letter product alphabet
-    assert primitive_dims == [2, 8]
+    # one call on the base (2 letters), none on the 8-letter product alphabet
+    assert primitive_dims == [2]
     assert len(compositions) == 2
+
+
+def test_failed_primitivity_check_carries_no_detail():
+    """zeta sending (a,0) to (a,0)(a,0) and every other letter to (a,0) is
+    not primitive: the check fails with no witness exponent in its detail."""
+    fib = substitution_from_strings("a b", {"a": "ab", "b": "a"}, "a")
+    pres = build_periodic_presentation(fib.alphabet.word("ab"), fib)
+    alphabet = pres.product_alphabet
+    a0 = alphabet.index("(a,0)")
+    images = tuple(Word(alphabet, (a0, a0) if b == a0 else (a0,)) for b in range(alphabet.size))
+    zeta = Substitution(Morphism(alphabet, alphabet, images), a0)
+    bad = PeriodicPresentation(pres.period, pres.exponent, fib, zeta, pres.psi, pres.coding)
+    assert bad.structural_checks[1] == Check("zeta-primitive", "fail")
+    assert bad.structural_checks[1].as_json() == {"name": "zeta-primitive", "outcome": "fail"}
+
+
+def test_factored_presentation_over_a_non_positive_power_searches_primitivity(monkeypatch, fib):
+    """Fibonacci presented at exponent 1 for a one-letter period: zeta's
+    matrix is M, which factors with P the identity, but M is not positive,
+    so primitivity is searched; the dominant check is still read off the
+    factorization."""
+    pres = build_periodic_presentation(TARGET.word("a"), fib)
+    alphabet = pres.product_alphabet
+    zeta = Substitution(
+        Morphism(alphabet, alphabet, tuple(pres.psi(w) for w in fib.images)), pres.zeta.start
+    )
+    low = PeriodicPresentation(pres.period, 1, fib, zeta, pres.psi, pres.coding)
+    counts = _count_certificates(monkeypatch)
+    counts["search"] = 0
+    periodic_module = sys.modules["retword.periodic"]
+    monkeypatch.setattr(periodic_module, "is_primitive", _counted(counts, "search", is_primitive))
+    identity, primitive, _, dominant = low.structural_checks
+    assert identity.passed
+    assert primitive == Check("zeta-primitive", "pass", "witness exponent 2")
+    assert dominant.passed
+    assert counts == {"factors": 1, "certify": 0, "char_poly": 0, "search": 1}
 
 
 def _count_compositions(monkeypatch) -> list:
@@ -339,6 +396,72 @@ def test_product_alphabet_round_trips_through_the_text_format(name, data):
         pres.coding.target.symbol(pres.coding.image(b)[0]) for b in range(zeta.alphabet.size)
     ]
     assert format_substitution(zeta, codings) == text
+
+
+def _psi_factors(pres: PeriodicPresentation, z: IncidenceMatrix, mk: IncidenceMatrix) -> bool:
+    """The factorization by matrix products: P, psi's matrix, has one 1 per
+    row, and with N z's rows at the first letter of each psi image,
+    P N = z and N P = mk."""
+    p = pres.psi.matrix()
+    if any(sorted(row) != [0] * (p.ncols - 1) + [1] for row in p.rows):
+        return False
+    if any(len(w) == 0 for w in pres.psi.images):
+        return False
+    n = IncidenceMatrix(z.rows[w[0]] for w in pres.psi.images)
+    return p @ n == z and n @ p == mk
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_SAMPLE_BASES)), data=st.data())
+def test_structural_checks_decide_as_the_general_paths(name, data):
+    """Every sample with a period of 1-8 letters, as built, with one letter of
+    one zeta image replaced by another product letter, or with one letter
+    of one psi image replaced (P then has a zero row): the primitivity and
+    dominant checks equal ``_least_positive_power(Z)`` and
+    ``certify_equal_dominant(Z, M^k)`` on fresh matrices, and a presentation
+    that does not factor reaches both general paths."""
+    base = _SAMPLE_BASES[name]
+    letters = st.integers(0, base.alphabet.size - 1)
+    period = Word(base.alphabet, tuple(data.draw(st.lists(letters, min_size=1, max_size=8))))
+    pres = build_periodic_presentation(period, base)
+    alphabet = pres.product_alphabet
+    product_letter = st.integers(0, alphabet.size - 1)
+    zeta, psi = pres.zeta, pres.psi
+    tamper = data.draw(st.sampled_from(["none", "zeta", "psi"]))
+    if tamper == "zeta":
+        images = [list(w) for w in zeta.images]
+        i = data.draw(st.integers(0, len(images) - 1))
+        j = data.draw(st.integers(0 if i != zeta.start else 1, len(images[i]) - 1))
+        images[i][j] = data.draw(product_letter.filter(lambda c: c != images[i][j]))
+        zeta = Substitution(
+            Morphism(alphabet, alphabet, tuple(Word(alphabet, im) for im in images)), zeta.start
+        )
+    elif tamper == "psi":
+        images = [list(w) for w in psi.images]
+        b = data.draw(st.integers(0, len(images) - 1))
+        j = data.draw(st.integers(0, len(images[b]) - 1))
+        images[b][j] = data.draw(product_letter.filter(lambda c: c != images[b][j]))
+        psi = Morphism(base.alphabet, alphabet, tuple(Word(alphabet, im) for im in images))
+    hand = PeriodicPresentation(pres.period, pres.exponent, base, zeta, psi, pres.coding)
+    z = IncidenceMatrix(zeta.matrix().rows)
+    mk = IncidenceMatrix(power(base, pres.exponent).matrix().rows)
+    factors = _psi_factors(hand, z, mk)
+    # one letter changed moves one count within one column of Z, which leaves
+    # rows of one block unequal (p >= 2) or changes N P = Z (p = 1); one psi
+    # letter changed leaves P a zero row
+    assert factors is (tamper == "none")
+    general = {"certify": 0, "search": 0}
+    periodic_module = sys.modules["retword.periodic"]
+    with pytest.MonkeyPatch.context() as patched:
+        certify = _counted(general, "certify", certify_equal_dominant)
+        patched.setattr(periodic_module, "certify_equal_dominant", certify)
+        patched.setattr(periodic_module, "is_primitive", _counted(general, "search", is_primitive))
+        _, primitive, _, dominant = hand.structural_checks
+    positive, exponent = _least_positive_power(z)
+    assert primitive.passed is positive
+    assert primitive.detail == (f"witness exponent {exponent}" if positive else None)
+    assert dominant.passed is certify_equal_dominant(z, mk)
+    assert general == ({"certify": 0, "search": 0} if factors else {"certify": 1, "search": 1})
 
 
 @pytest.mark.parametrize(
