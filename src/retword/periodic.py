@@ -13,12 +13,16 @@ Every invariant of a presentation is a :class:`~retword.checks.Check`.  The
 four that do not depend on a prefix length (the intertwining identity,
 primitivity of zeta, the period column under coding∘psi and the dominant
 eigenvalue certificate) are computed once per presentation and kept on it;
-only the coded prefix is checked again for each requested length.
-Primitivity and the dominant certificate rest on the factorization Z = P N
-of zeta's matrix Z, with P psi's 0/1 matrix (one 1 per row, the base
-letter of a product letter) and N Z's rows at the first product letter of
-each base letter, and on N P = M^k, tau^k's matrix.  Both identities are
-checked on the matrices, so no characteristic polynomial is formed:
+only the coded prefix is checked again for each requested length.  The
+intertwining identity is checked on scan texts, with no morphism composed;
+with the period column it implies that the coded fixed point is m^omega, so
+the construction guards on the four alone and a command compares the coded
+prefix once, at its own length.  Primitivity and the dominant certificate
+rest on the factorization Z = P N of zeta's matrix Z, with P psi's 0/1
+matrix (one 1 per row, the base letter of a product letter) and N Z's rows
+at the first product letter of each base letter, and on N P = M^k, tau^k's
+matrix.  Both identities are checked on the matrices, so no characteristic
+polynomial is formed:
 
 - Sylvester's identity gives det(xI - Z) = x^(|A| (p - 1)) det(xI - M^k),
   and two non-negative matrices with the same non-zero characteristic
@@ -45,11 +49,11 @@ from .substitution import (
     IncidenceMatrix,
     Morphism,
     Substitution,
-    compose,
     is_primitive,
     morphic_image_prefix,
     power,
     power_lengths,
+    require_composable,
 )
 from .words import Word, _word
 
@@ -80,7 +84,9 @@ class PeriodicPresentation:
         """The four checks independent of a prefix length, computed on first use.
 
         In order: zeta∘psi = psi∘tau^k letter by letter (naming the first
-        offender), primitivity of zeta, the period spelled by coding∘psi on
+        offender), compared on scan texts as psi(b) translated by zeta's
+        table against tau^k(b) translated by psi's, with no morphism
+        composed; primitivity of zeta, the period spelled by coding∘psi on
         every base letter, and exact equality of zeta's dominant eigenvalue
         with the k-th power of the base's (tau^k's matrix is M^k).
 
@@ -108,11 +114,17 @@ class PeriodicPresentation:
         presentation computes its own checks.
         """
         rho = power(self.base, self.exponent)
-        lhs = compose(self.zeta.morphism, self.psi)
-        rhs = compose(self.psi, rho.morphism)
-        base = self.base.alphabet
+        base, psi = self.base.alphabet, self.psi
+        require_composable(self.zeta.morphism, psi)
+        require_composable(psi, rho.morphism)
+        zeta_table, psi_table = self.zeta.morphism._table, psi._table
         bad = next(
-            (base.symbol(b) for b in range(base.size) if lhs.image(b) != rhs.image(b)), None
+            (
+                base.symbol(b)
+                for b, (column, image) in enumerate(zip(psi_table, rho.morphism._table))
+                if column.translate(zeta_table) != image.translate(psi_table)
+            ),
+            None,
         )
         z, mk = self.zeta.matrix(), rho.matrix()
         factored = _factors(z, self.psi, mk)
@@ -177,7 +189,14 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
     k_len <= e + |m|.  The image of (b, i) is
     the psi-column of the i-th letter of tau^k(b) for interior positions, and
     of the whole remaining tail for the last position, so images have length
-    |m| except at the seam.  All invariants are re-verified before returning.
+    |m| except at the seam.
+
+    The structural checks are verified before returning; they imply the
+    coded-prefix check, which ``verify_presentation`` runs at the caller's
+    length.  Write x for tau's fixed point.  zeta(psi(x)) = psi(tau^k(x)) =
+    psi(x), so psi(x) is fixed by zeta; it begins with (start, 0), whose
+    image has at least 2 letters, so it is zeta's fixed point.  coding∘psi
+    spells m on every letter, so the fixed point's coding is m^omega.
     """
     if len(m) == 0:
         raise ValueError("period word must be non-empty")
@@ -212,7 +231,7 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
         product, m.alphabet, tuple(_word(m.alphabet, c) for c in m.scan_text) * base_alphabet.size
     )
     presentation = PeriodicPresentation(m, k, tau, zeta, psi, coding)
-    failed = [c.name for c in verify_presentation(presentation, check_len=4 * p) if not c.passed]
+    failed = [c.name for c in presentation.structural_checks if not c.passed]
     if failed:
         raise InternalInconsistencyError(f"periodic construction failed checks: {failed}")
     return presentation
@@ -224,8 +243,10 @@ def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> tu
     The coded fixed point is compared with the periodic target on its first
     ``check_len`` letters (skipped at length 0, refused below); the other
     four checks are the presentation's ``structural_checks``, computed once
-    per presentation.  The order is: intertwining identity, primitivity,
-    coded prefix, period column, dominant eigenvalue.
+    per presentation.  When those pass they imply the comparison (see
+    :func:`build_periodic_presentation`), which stays as the check of a
+    hand-built presentation.  The order is: intertwining identity,
+    primitivity, coded prefix, period column, dominant eigenvalue.
     """
     require_nonnegative("check length", check_len)
     coded_ok = True

@@ -144,7 +144,7 @@ class Morphism:
         if len(self.images) != source.size:
             raise ValueError(f"need {source.size} images, got {len(self.images)}")
         for w in self.images:
-            if w.alphabet != target:
+            if w.alphabet is not target and w.alphabet != target:
                 raise ValueError("image word over the wrong alphabet")
         self._table = tuple(w.scan_text for w in self.images)
         self._matrix: IncidenceMatrix | None = None
@@ -193,10 +193,15 @@ def identity_morphism(alphabet: Alphabet) -> Morphism:
     return Morphism(alphabet, alphabet, tuple(_word(alphabet, chr(i)) for i in range(alphabet.size)))
 
 
-def compose(f: Morphism, g: Morphism) -> Morphism:
-    """The morphism sending each letter a to f(g(a)); matrices multiply accordingly."""
+def require_composable(f: Morphism, g: Morphism) -> None:
+    """Refuse f∘g unless g maps into f's source alphabet."""
     if g.target != f.source:
         raise ValueError("composition alphabet mismatch: target of g must be source of f")
+
+
+def compose(f: Morphism, g: Morphism) -> Morphism:
+    """The morphism sending each letter a to f(g(a)); matrices multiply accordingly."""
+    require_composable(f, g)
     return Morphism(g.source, f.target, tuple(f(g.image(b)) for b in range(g.source.size)))
 
 

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import retword
 import retword.cli
@@ -616,3 +620,183 @@ def test_closed_stdout_is_an_output_error(files, fmt):
     assert proc.wait(timeout=60) == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# The smallest well-formed argv of each subcommand, the file "f" unread.
+MINIMAL_ARGV = {
+    "fixed-point": ["f"],
+    "spectrum": ["f"],
+    "return-words": ["f", "--prefix", "0"],
+    "return-sub": ["f", "--prefix", "0"],
+    "derived": ["f", "--prefix", "0"],
+    "tower": ["f"],
+    "relations": ["f", "--u", "0", "--v", "01"],
+    "circularity": ["f"],
+    "shared": ["--left", "f", "--right", "g"],
+    "cobham": ["--left", "f", "--right", "g"],
+    "periodic": ["f", "--period", "01"],
+}
+
+INT_OPTIONS = {
+    "fixed-point": ["--length"],
+    "derived": ["--length"],
+    "tower": ["--depth"],
+    "relations": ["--span"],
+    "circularity": ["--inj-length", "--max-prefix", "--delay-max", "--sample-len"],
+    "shared": ["--power-bound", "--budget", "--depth"],
+    "cobham": ["--bound", "--prefix-check"],
+    "periodic": ["--check-len"],
+}
+
+
+def _parse_outcome(parse, argv: list[str]) -> tuple:
+    """What ``parse(argv)`` does: its namespace or exit code, with what it
+    printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("parsed", vars(parse(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _malformed_argvs() -> list[list[str]]:
+    cases = [[], ["-h"], ["--help"], ["--he"], ["nope"], ["nope", "f"], ["--json", "spectrum", "f"]]
+    cases += [["--", "spectrum", "f"], ["-h", "spectrum", "f"]]
+    for name, rest in MINIMAL_ARGV.items():
+        cases += [
+            [name],
+            [name, *rest[:-1]],
+            [name, *rest, "--bogus"],
+            [name, *rest, "extra"],
+            [name, *rest, "extra", "more"],
+            [name, "-h"],
+            [name, *rest, "--he"],
+            [name, *rest, "--js"],
+            [name, *rest, "--"],
+            [name, "--", *rest],
+            [name, *rest, "--", "--json"],
+            [name, *rest, "--json", "-h", "extra"],
+        ]
+        cases += [[name, *rest, option, "x"] for option in INT_OPTIONS.get(name, [])]
+        cases += [[name, *rest, option] for option in INT_OPTIONS.get(name, [])]
+        # a unique prefix of each long option names it
+        cases += [[name, *rest, option[:4], "3"] for option in INT_OPTIONS.get(name, [])]
+        cases += [[name, *(a[:5] if a.startswith("--") else a for a in rest)]]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _malformed_argvs(), ids=" ".join)
+def test_one_pass_dispatch_parses_as_the_retword_parser(argv):
+    """Usage errors, help, abbreviations and ``--``: the one-pass dispatch
+    gives the namespace, exit code, stdout and stderr of the ``retword``
+    parser, and ``run_command`` exits as that parser does."""
+    expected = _parse_outcome(retword.cli.build_parser().parse_args, argv)
+    assert _parse_outcome(retword.cli._parse, argv) == expected
+    (kind, value), out, err = expected
+    if kind == "exit":
+        got_out, got_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+            status, report = run_command(argv)
+        assert (status, report) == ((EXIT_USAGE if value else EXIT_OK), None)
+        assert (got_out.getvalue(), got_err.getvalue()) == (out, err)
+
+
+ARGV_TOKENS = sorted(MINIMAL_ARGV) + [
+    "f", "0", "01", "x", "-3", "--", "-h", "--he", "--json", "--js", "--prefix", "--pre",
+    "--length", "--depth", "--period", "--per", "--left", "--right", "--u", "--v", "--bound",
+    "--coding", "--check-len", "--bogus", "-p",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MINIMAL_ARGV)),
+    prefix=st.integers(0, 4),
+    tail=st.lists(st.sampled_from(ARGV_TOKENS), max_size=5),
+)
+def test_one_pass_dispatch_on_drawn_argv(name, prefix, tail):
+    argv = [name, *MINIMAL_ARGV[name][:prefix], *tail]
+    expected = _parse_outcome(retword.cli.build_parser().parse_args, argv)
+    assert _parse_outcome(retword.cli._parse, argv) == expected
+
+
+def test_a_well_formed_command_is_parsed_once(monkeypatch, files, capsys):
+    """The subcommand's own parser reads the argument list; the ``retword``
+    parser does not run."""
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    status, _ = run_command(["periodic", files["fib"], "--period", "01", "--json"])
+    assert status == EXIT_OK
+    assert calls == ["retword periodic"]
+
+
+def test_importing_the_cli_builds_no_parser():
+    """The parsers are built on first use: importing the module is part of
+    start-up."""
+    package_root = Path(retword.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    code = "import retword.cli as c; print(c._parsers.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "0\n", proc.stderr
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.text()
+    | st.text(alphabet=st.sampled_from('"\\\x00\x1f\x7f/\n\té \U0001f600ab'))
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+# types the renderer leaves to json.dumps: floats and non-str keys
+_FALLBACK_VALUES = st.recursive(
+    _JSON_LEAVES | st.floats(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.text(max_size=4) | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False),
+        children,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+
+
+def _rendered(value) -> str:
+    report = retword.cli.Report("spectrum", [], {})
+    report.payload = value
+    return report.render_json()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [[], [{}]], "c": ()})
+@example({"é\"\\\x00": [" ", 10**400 // 10**370, -0, True, False, None]})
+def test_render_json_is_json_dumps_indent_2(value):
+    assert _rendered(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FALLBACK_VALUES)
+@example({1: "a"})
+@example({"a": [1.5, float("nan"), float("inf")]})
+@example({None: 1, True: 2, 2.5: 3})
+def test_render_json_falls_back_on_other_types(value):
+    assert _rendered(value) == json.dumps(value, indent=2)

@@ -271,9 +271,10 @@ def test_hand_built_presentation_certifies_afresh(monkeypatch, fib):
 
 
 def test_periodic_command_checks_structure_once(monkeypatch):
-    """One job checks zeta∘psi once and searches primitivity on the base
-    only: the build verifies the presentation, the command's verification
-    reuses its checks, and zeta's primitivity is read off its factorization."""
+    """One job checks zeta∘psi once, on scan texts, and searches primitivity
+    on the base only: the build verifies the presentation, the command's
+    verification reuses its checks, and zeta's primitivity is read off its
+    factorization."""
     periodic_module = sys.modules["retword.periodic"]
     primitive_dims, compositions = [], []
 
@@ -286,7 +287,9 @@ def test_periodic_command_checks_structure_once(monkeypatch):
         return compose(*args)
 
     monkeypatch.setattr(periodic_module, "is_primitive", counted_primitive)
-    monkeypatch.setattr(periodic_module, "compose", counted_compose)
+    # the intertwining check composes no morphism, through either module
+    monkeypatch.setattr(periodic_module, "compose", counted_compose, raising=False)
+    monkeypatch.setattr(sys.modules["retword.substitution"], "compose", counted_compose)
     sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
     with contextlib.redirect_stdout(io.StringIO()):
         status, report = run_command(["periodic", str(sample), "--period", "0110", "--json"])
@@ -294,7 +297,8 @@ def test_periodic_command_checks_structure_once(monkeypatch):
     assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
     # one call on the base (2 letters), none on the 8-letter product alphabet
     assert primitive_dims == [2]
-    assert len(compositions) == 2
+    # tau^k's compositions stay on the base; none touches the product alphabet
+    assert [args for args in compositions if any(m.target.size == 8 for m in args)] == []
 
 
 def test_failed_primitivity_check_carries_no_detail():
@@ -484,3 +488,98 @@ def test_coding_line_errors_name_the_line(body):
     with pytest.raises(ParseError) as err:
         parse_substitution(text)
     assert err.value.line == 5
+
+
+def test_periodic_command_compares_the_coded_prefix_once(monkeypatch):
+    """The build guards on the structural checks alone, so one job forms the
+    coded prefix once, in ``verify_presentation``, at the command's length."""
+    periodic_module = sys.modules["retword.periodic"]
+    lengths = []
+
+    def counted(coding, zeta, n):
+        lengths.append(n)
+        return morphic_image_prefix(coding, zeta, n)
+
+    monkeypatch.setattr(periodic_module, "morphic_image_prefix", counted)
+    sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
+    argv = ["periodic", str(sample), "--period", "0110", "--check-len", "300", "--json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(argv)
+    assert status == 0
+    assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
+    assert lengths == [300]
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_SAMPLE_BASES)), data=st.data())
+def test_structural_checks_imply_the_coded_prefix(name, data):
+    """The argument of ``build_periodic_presentation``'s docstring, tested:
+    on every sample and a period of 1-8 letters, the built presentation's
+    coded fixed point is m^omega at several lengths."""
+    base = _SAMPLE_BASES[name]
+    letters = st.integers(0, base.alphabet.size - 1)
+    period = Word(base.alphabet, tuple(data.draw(st.lists(letters, min_size=1, max_size=8))))
+    pres = build_periodic_presentation(period, base)
+    assert all(c.passed for c in pres.structural_checks)
+    p = len(period)
+    for n in sorted({1, p, p + 1, 4 * p, data.draw(st.integers(1, 2000))}):
+        coded = morphic_image_prefix(pres.coding, pres.zeta, n)
+        assert coded == (period * (n // p + 1))[:n]
+
+
+def _intertwining_by_composition(pres: PeriodicPresentation) -> Check:
+    """zeta∘psi = psi∘tau^k from the two composed morphisms, naming the
+    first letter whose images differ."""
+    base = pres.base.alphabet
+    lhs = compose(pres.zeta.morphism, pres.psi)
+    rhs = compose(pres.psi, power(pres.base, pres.exponent).morphism)
+    bad = next((base.symbol(b) for b in range(base.size) if lhs.image(b) != rhs.image(b)), None)
+    return Check.of("zeta∘psi=psi∘tau^k", bad is None, None if bad is None else f"fails at letter {bad!r}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_SAMPLE_BASES)), data=st.data())
+def test_intertwining_check_on_scan_texts_equals_the_composed_morphisms(name, data):
+    """Every sample with a period of 1-8 letters, as built or with one
+    letter of one zeta or psi image replaced: the scan-text check names the
+    offender that comparing compose(zeta, psi) with compose(psi, tau^k) does."""
+    base = _SAMPLE_BASES[name]
+    letters = st.integers(0, base.alphabet.size - 1)
+    period = Word(base.alphabet, tuple(data.draw(st.lists(letters, min_size=1, max_size=8))))
+    pres = build_periodic_presentation(period, base)
+    alphabet = pres.product_alphabet
+    product_letter = st.integers(0, alphabet.size - 1)
+    zeta, psi = pres.zeta, pres.psi
+    tamper = data.draw(st.sampled_from(["none", "zeta", "psi"]))
+    if tamper == "zeta":
+        images = [list(w) for w in zeta.images]
+        i = data.draw(st.integers(0, len(images) - 1))
+        j = data.draw(st.integers(0 if i != zeta.start else 1, len(images[i]) - 1))
+        images[i][j] = data.draw(product_letter.filter(lambda c: c != images[i][j]))
+        zeta = Substitution(
+            Morphism(alphabet, alphabet, tuple(Word(alphabet, im) for im in images)), zeta.start
+        )
+    elif tamper == "psi":
+        images = [list(w) for w in psi.images]
+        b = data.draw(st.integers(0, len(images) - 1))
+        j = data.draw(st.integers(0, len(images[b]) - 1))
+        images[b][j] = data.draw(product_letter.filter(lambda c: c != images[b][j]))
+        psi = Morphism(base.alphabet, alphabet, tuple(Word(alphabet, im) for im in images))
+    hand = PeriodicPresentation(pres.period, pres.exponent, base, zeta, psi, pres.coding)
+    assert hand.structural_checks[0] == _intertwining_by_composition(hand)
+
+
+def test_intertwining_check_keeps_the_alphabet_guards(fib):
+    """psi into another alphabet than zeta's, or out of another than the
+    base's, is refused as compose refuses it."""
+    pres = build_periodic_presentation(TARGET.word("ab"), fib)
+    other = Alphabet(tuple(f"x{i}" for i in range(pres.product_alphabet.size)))
+    into_other = Morphism(
+        fib.alphabet, other, tuple(Word(other, w.letters) for w in pres.psi.images)
+    )
+    wider = Alphabet(("a", "b", "c"))
+    out_of_other = Morphism(wider, pres.product_alphabet, pres.psi.images + pres.psi.images[:1])
+    for psi in (into_other, out_of_other):
+        hand = PeriodicPresentation(pres.period, pres.exponent, fib, pres.zeta, psi, pres.coding)
+        with pytest.raises(ValueError, match="composition alphabet mismatch"):
+            hand.structural_checks

@@ -39,6 +39,7 @@ from retword.substitution import (
     compose,
     fixed_point_prefix,
     format_substitution,
+    parse_substitution,
     incidence_matrix,
     is_primitive,
     power,
@@ -553,3 +554,42 @@ def test_shared_refuses_fixed_points_that_differ_past_the_gate(tmp_path, capsys)
         "error: fixed points agree on 10000 letters but differ later: the return "
         "words on the prefix of length 2 differ at tower level 2\n"
     )
+
+
+def _count_calls(monkeypatch, functions) -> dict[str, int]:
+    """Count the calls of each function through every retword module that
+    binds it under its name."""
+    counts = {}
+    for original in functions:
+        name = original.__name__
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("retword") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_shared_command_reads_the_witness_identity_off_the_analysis(monkeypatch, tmp_path):
+    """``witness-identity-exact`` is the comparison that found the witness:
+    the command forms no return substitution and no power beyond those of
+    ``shared_fixed_point_analysis`` (two of each more before)."""
+    monkeypatch.setenv("REPO_PREFIX_CAP", "2000000")
+    for k in (2, 3):
+        (tmp_path / f"tau{k}.sub").write_text(format_substitution(power(_nine_ab(), k)))
+    left, right = (parse_substitution((tmp_path / f"tau{k}.sub").read_text())[0] for k in (2, 3))
+    counts = _count_calls(monkeypatch, (power, return_substitution))
+    witness = shared_fixed_point_analysis(left, right, budget=8)
+    assert witness == SharedWitness(left.alphabet.word("a"), 3, 2, 1)
+    by_analysis = dict(counts)
+    counts.update(dict.fromkeys(counts, 0))
+    argv = ["shared", "--left", str(tmp_path / "tau2.sub"), "--right", str(tmp_path / "tau3.sub")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(argv + ["--budget", "8", "--json"])
+    assert status == 0
+    assert report.payload["checks"][-1] == {"name": "witness-identity-exact", "outcome": "pass"}
+    assert counts == by_analysis

@@ -62,6 +62,24 @@ def test_incidence_matrix_examples(fib, quad_pair):
     assert incidence_matrix(ident) == identity_matrix(3)
 
 
+@pytest.mark.parametrize(
+    "images, rows",
+    [
+        (["", "", ""], ((0, 0, 0), (0, 0, 0))),
+        (["", "0", ""], ((0, 1, 0), (0, 0, 0))),
+        (["00", "", "1"], ((2, 0, 0), (0, 0, 1))),
+        (["0000", "1", "10"], ((4, 0, 1), (0, 1, 1))),
+        (["01", "0101010", "111"], ((1, 4, 0), (1, 3, 3))),
+    ],
+)
+def test_incidence_matrix_of_empty_images_and_absent_letters(images, rows):
+    """3 source letters into 2 target letters: a non-square matrix, with
+    empty images and letters absent from every image."""
+    source, target = Alphabet(("a", "b", "c")), Alphabet(("0", "1"))
+    m = Morphism(source, target, [target.word(text) for text in images])
+    assert incidence_matrix(m).rows == rows
+
+
 def test_matrix_functoriality_small_alphabets():
     """Incidence of a composition equals the product, across alphabet sizes <= 3
     and image lengths <= 3 (seeded sample of morphism pairs per size combination)."""
