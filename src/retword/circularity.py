@@ -12,8 +12,9 @@ lower-bound reports, not proofs.  Interpretations are kept on scan texts as
 (cut, end, core text, cut set), the cores checked against a pool of factor
 texts, and those of x·a come from those of x by one extension step, which
 places each new image boundary in the cut set it carries.  The search runs
-that step along the trie order of the sampled factors, one step per factor
-from its parent, and reads the cut sets as the step made them;
+that step over the sampled factors by length, one step per factor from its
+parent, reads the cut sets as the step made them, and stops at the length
+past which no factor can force more;
 :func:`interpretations` folds the step over the letters of one factor.
 ``Word`` and ``Interpretation`` objects are built only for what
 :func:`interpretations` returns.
@@ -182,11 +183,23 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     Absence is a lower-bound report on the sample, not a refutation of
     circularity.
 
-    The factors come in trie order, so a factor's parent, its longest proper
-    prefix, is the last factor one letter shorter met before it.  A stack
-    keeps the interpretations of the last factor of each length, and a
-    factor's are one extension step from the top of the stack once the
-    entries of its own length and longer are dropped.
+    The factors are visited by length, each one extension step from its
+    parent, its longest proper prefix, whose interpretations the previous
+    length keeps by text.  The search stops before length n once n > 2(R +
+    1) + L, R the forcing found so far and L the longest image: no longer
+    factor forces more.  Suppose a factor x has a forcing cut (p, c) of
+    margin m > R: it is in one interpretation of x and missing from another.
+    Take the window of R + 1 letters on each side of tau(c), or, when the
+    window lies strictly inside one piece of the other interpretation (its
+    left margin, a core letter's image or its right margin), that piece,
+    of at most L letters.  Restrict both interpretations to it: the margins
+    stay suffixes and prefixes of letter images, and the restricted cores
+    are factors of pooled cores, so they are pooled too (the pool holds
+    every sampled factor of its length).  The restriction is a factor of x
+    of at most 2(R + 1) + L < n letters, so it was sampled and read, and the
+    cut is in one restricted cut set but not in the other, with margin at
+    least R + 1 > R, which cannot be.  So R is the largest forcing over the
+    whole sample.
 
     No pair is formed: a cut is in one interpretation's cut set and missing
     from another's exactly when it is in some cut set but not in all of them,
@@ -207,19 +220,26 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     nonperiodic_check(tau)
     ctx = _InterpretationContext(tau, max(50 * sample_len, 2000), sample_len)
     lengths = ctx.lengths
-    required = 0
-    stack = [_EMPTY_WORD_THREADS]
+    longest = max(lengths)
+    by_length: list[list[str]] = [[] for _ in range(sample_len + 1)]
     for x in ctx.factors:
-        del stack[len(x) :]
-        found = ctx.extend(stack[-1], x)
-        stack.append(found)
-        if len(found) < 2:
-            continue
-        cut_sets = [cuts for *_, cuts in found]
-        for pos, letter in frozenset.union(*cut_sets) - frozenset.intersection(*cut_sets):
-            required = max(required, min(pos, len(x) - pos - lengths[letter]))
-        if required > d_max:
-            return None
+        by_length[len(x)].append(x)
+    required = 0
+    parents = {"": _EMPTY_WORD_THREADS}
+    for n in range(1, sample_len + 1):
+        if n > 2 * (required + 1) + longest:
+            break
+        threads = {}
+        for x in by_length[n]:
+            found = threads[x] = ctx.extend(parents[x[:-1]], x)
+            if len(found) < 2:
+                continue
+            cut_sets = [cuts for *_, cuts in found]
+            for pos, letter in frozenset.union(*cut_sets) - frozenset.intersection(*cut_sets):
+                required = max(required, min(pos, n - pos - lengths[letter]))
+            if required > d_max:
+                return None
+        parents = threads
     return required
 
 

@@ -49,6 +49,7 @@ from .errors import (
 from .intpoly import RootEnclosure
 from .periodic import build_periodic_presentation, verify_presentation
 from .relations import (
+    coded_fixed_points_agree,
     eigenvalue_transfer_check,
     equals_own_return_substitution,
     matrix_decomposition,
@@ -68,7 +69,6 @@ from .substitution import (
     parse_substitution,
     prefix_cap,
 )
-from .words import same_symbols
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -464,9 +464,7 @@ def _cmd_cobham(args, report: Report) -> None:
     matrix_left, matrix_right = left.matrix(), right.matrix()
     if matrix_right == matrix_left:
         matrix_right = matrix_left
-    a = morphic_image_prefix(coding_left, left, args.prefix_check)
-    b = morphic_image_prefix(coding_right, right, args.prefix_check)
-    gate = same_symbols(a, b)
+    gate = coded_fixed_points_agree(left, coding_left, right, coding_right, args.prefix_check)
     report.add(Check.of("coded-fixed-points-agree", gate, f"compared {args.prefix_check} letters"))
     report.data("dominant_left", _enclosure(dominant_eigenvalue(matrix_left)))
     report.data("dominant_right", _enclosure(dominant_eigenvalue(matrix_right)))

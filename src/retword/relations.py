@@ -42,15 +42,19 @@ from .substitution import (
     IncidenceMatrix,
     Morphism,
     Substitution,
+    commute,
     compose,
+    fixed_point_generator,
     fixed_point_prefix,
     incidence_matrix,
     is_primitive,
+    morphic_image_prefix,
     power,
     power_lengths,
     power_matrix,
+    require_coding,
 )
-from .words import Word, _word, find_all, spelling
+from .words import Word, _word, find_all, same_symbols, spelling
 
 EXPONENT_BUDGET = 64  # the largest power of tau any exponent search here tries
 
@@ -425,11 +429,37 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     )
 
 
+def _commuting_fixed_points(tau: Substitution, sigma: Substitution, budget: int) -> bool:
+    """Whether tau and sigma share their start letter and commute, which
+    makes their fixed points equal (see :func:`same_fixed_point_gate`);
+    decided by :func:`commute` within ``budget`` composed letters."""
+    return tau.start == sigma.start and commute(tau.morphism, sigma.morphism, budget)
+
+
 def same_fixed_point_gate(tau: Substitution, sigma: Substitution) -> int:
     """Compare fixed-point prefixes of max(10 000, 20 · the longest image)
     letters; returns the compared length or raises with the first differing
-    index."""
+    index.
+
+    Substitutions over one alphabet with one start letter a that commute,
+    σ∘τ = τ∘σ, pass with no prefix generated.  Then σ(x_τ) = σ(τ(x_τ)) =
+    τ(σ(x_τ)), so σ(x_τ) is a fixed point of τ; it begins with σ(a), which
+    begins with a.  Images are non-empty and |τ(a)| >= 2, so τ^n(a) grows
+    without bound and τ has one fixed point beginning with a: σ(x_τ) = x_τ.
+    So x_τ is a fixed point of σ beginning with a, and by the same argument
+    for σ, x_σ = x_τ: the prefixes would compare equal.  The commutation is
+    tested only when the composed images hold at most the compared length
+    together, so the test never costs more than the comparison.
+
+    The refusals come first, in the comparison's order: τ's start image that
+    cannot grow (``GenerationError``) and its buffer cap
+    (``ResourceLimitError``), then σ's.
+    """
     check_len = max(10_000, 20 * max(tau.max_image_length(), sigma.max_image_length()))
+    for sub in (tau, sigma):
+        fixed_point_generator(sub, check_len)
+    if _commuting_fixed_points(tau, sigma, check_len):
+        return check_len
     a = fixed_point_prefix(tau, check_len)
     b = fixed_point_prefix(sigma, check_len)
     if a.alphabet != b.alphabet:
@@ -438,6 +468,28 @@ def same_fixed_point_gate(tau: Substitution, sigma: Substitution) -> int:
         first = next(i for i, (x, y) in enumerate(zip(a.scan_text, b.scan_text)) if x != y)
         raise ValueError(f"fixed points differ at index {first}")
     return check_len
+
+
+def coded_fixed_points_agree(
+    tau: Substitution, tau_coding: Morphism, sigma: Substitution, sigma_coding: Morphism, n: int
+) -> bool:
+    """Whether the letter-to-letter codings of the two fixed points spell the
+    same first n display symbols.
+
+    The refusals of :func:`retword.substitution.morphic_image_prefix` come
+    first, τ's side and then σ's, in its order.  When the codings give the
+    same display symbol for every letter and the substitutions commute
+    within n composed letters, the fixed points are equal (see
+    :func:`same_fixed_point_gate`), and so are their codings: no prefix is
+    generated.  Every other pair compares the two coded prefixes.
+    """
+    for coding, sub in ((tau_coding, tau), (sigma_coding, sigma)):
+        require_coding(coding, sub)
+        fixed_point_generator(sub, n)
+    same_display = [w.symbols() for w in tau_coding.images] == [w.symbols() for w in sigma_coding.images]
+    if same_display and _commuting_fixed_points(tau, sigma, n):
+        return True
+    return same_symbols(morphic_image_prefix(tau_coding, tau, n), morphic_image_prefix(sigma_coding, sigma, n))
 
 
 def power_coincidence(tau: Substitution, sigma: Substitution, bound: int = 6) -> tuple[int, int] | None:

@@ -205,6 +205,30 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(g.source, f.target, tuple(f(g.image(b)) for b in range(g.source.size)))
 
 
+def commute(f: Morphism, g: Morphism, budget: int) -> bool:
+    """Whether f and g are self-morphisms of one alphabet with f∘g = g∘f,
+    compared letter by letter on scan texts.  The image lengths are compared
+    first, and the images themselves only when f(g(b)) over every letter b
+    holds at most ``budget`` letters together; past it the answer is False,
+    so the test never builds more than ``budget`` letters."""
+    if not f.source == f.target == g.source == g.target:
+        return False
+    f_table, g_table = f._table, g._table
+    f_lengths, g_lengths = [len(t) for t in f_table], [len(t) for t in g_table]
+    total = 0
+    for f_image, g_image in zip(f_table, g_table):
+        composed = sum(f_lengths[ord(c)] for c in g_image)
+        if composed != sum(g_lengths[ord(c)] for c in f_image):
+            return False
+        total += composed
+    if total > budget:
+        return False
+    return all(
+        g_image.translate(f_table) == f_image.translate(g_table)
+        for f_image, g_image in zip(f_table, g_table)
+    )
+
+
 def incidence_matrix(m: Morphism) -> IncidenceMatrix:
     """Entry (i, j) counts target letter i in the image of source letter j."""
     return IncidenceMatrix([[t.count(chr(i)) for t in m._table] for i in range(m.target.size)])
@@ -426,12 +450,16 @@ class FixedPointPrefix:
     def cap(self) -> int:
         return self._cap
 
-    def ensure(self, n: int) -> None:
+    def _check_cap(self, n: int) -> None:
+        """Refuse a request for more letters than the buffer cap allows."""
         if n > self._cap:
             raise ResourceLimitError(
                 f"requested prefix length {n} exceeds the buffer cap {self._cap}",
                 budget=self._cap,
             )
+
+    def ensure(self, n: int) -> None:
+        self._check_cap(n)
         table, longest = self._table, self._longest
         text = self._text
         while len(text) < n:
@@ -455,19 +483,34 @@ class FixedPointPrefix:
         return ord(self._text[i])
 
 
-def fixed_point_prefix(s: Substitution, n: int) -> Word:
-    """First n letters of the fixed point of s (cached per substitution)."""
+def fixed_point_generator(s: Substitution, n: int) -> FixedPointPrefix:
+    """The fixed-point generator of s, once the refusals of
+    ``fixed_point_prefix(s, n)`` have passed, in its order: n below 1, a
+    start image that cannot grow, n past the buffer cap.  Nothing is
+    generated."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    return s.fixed_point().prefix(n)
+    fixed = s.fixed_point()
+    fixed._check_cap(n)
+    return fixed
 
 
-def morphic_image_prefix(m: Morphism, s: Substitution, n: int) -> Word:
-    """First n letters of the image of the fixed point under a letter-to-letter morphism."""
+def fixed_point_prefix(s: Substitution, n: int) -> Word:
+    """First n letters of the fixed point of s (cached per substitution)."""
+    return fixed_point_generator(s, n).prefix(n)
+
+
+def require_coding(m: Morphism, s: Substitution) -> None:
+    """Refuse a coding that is not letter-to-letter or not on s's alphabet."""
     if not m.is_letter_to_letter:
         raise ValueError("coding must be letter-to-letter")
     if m.source != s.alphabet:
         raise ValueError("coding source must be the substitution's alphabet")
+
+
+def morphic_image_prefix(m: Morphism, s: Substitution, n: int) -> Word:
+    """First n letters of the image of the fixed point under a letter-to-letter morphism."""
+    require_coding(m, s)
     return _word(m.target, fixed_point_prefix(s, n).scan_text.translate(m._table))
 
 

@@ -216,7 +216,7 @@ def test_interpretations_exhaustive_against_bruteforce(tau, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(primitive_substitutions(), st.integers(1, 10), st.integers(0, 6))
+@given(primitive_substitutions(), st.integers(1, 18), st.integers(0, 6))
 def test_sync_delay_matches_pair_oracle(tau, sample_len, d_max):
     """The union-minus-intersection forcing over the extended interpretations
     gives the delay, or None, that comparing every ordered pair of the
@@ -252,6 +252,30 @@ def test_extension_step_matches_worklist_walk(tau, sample_len, prefix_len):
         for cut, _, core, cuts in threads:
             starts = accumulate((lengths[ord(c)] for c in core), initial=cut)
             assert cuts == set(zip(starts, map(ord, core)))
+
+
+@pytest.mark.parametrize("sample_len", [3, 5, 10, 18, 60])
+@pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.sub")), ids=lambda p: p.stem)
+def test_sync_delay_of_every_sample_matches_pair_oracle(path, sample_len):
+    """Past the length 2(R + 1) + L the search reads no factor, and the
+    delay is still the largest forcing over every sampled factor."""
+    tau, _ = parse_substitution(path.read_text())
+    assert sync_delay_search(tau, 64, sample_len) == oracle.sync_delay_search(tau, 64, sample_len)
+
+
+def test_sync_delay_stops_at_the_length_that_decides_it(monkeypatch, fib):
+    """On Fibonacci (delay 0, images of at most 2 letters) the search at
+    sample length 18 extends the factors of at most 2(0 + 1) + 2 = 4
+    letters, each once, and none longer."""
+    calls = []
+    extend = _InterpretationContext.extend
+    monkeypatch.setattr(
+        _InterpretationContext, "extend", lambda ctx, threads, text: calls.append(text) or extend(ctx, threads, text)
+    )
+    assert sync_delay_search(fib, 64, 18) == 0
+    factors = _InterpretationContext(fib, 2000, 18).factors
+    assert sorted(calls) == sorted(x for x in factors if len(x) <= 4)
+    assert len(calls) < len(factors)
 
 
 def test_sync_delay_refuses_periodic_fixed_point():

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import relations_oracle
 from returns_oracle import tower_prefixes_by_scan
 from spectral_oracle import same_nonzero_root_sets
 from retword.cli import run_command
-from retword.errors import ResourceLimitError
+from retword.errors import GenerationError, ResourceLimitError
 from corpus import fibonacci
 from retword.relations import (
     check_stepone_hypotheses,
@@ -22,7 +23,9 @@ from retword.relations import (
     lambda_morphism,
     matrix_decomposition,
     SharedWitness,
+    coded_fixed_points_agree,
     power_coincidence,
+    same_fixed_point_gate,
     shared_fixed_point_analysis,
     two_occurrence_exponent,
     verify_propprec,
@@ -35,7 +38,9 @@ from retword.returns import (
 )
 from retword.spectrum import char_poly, exponent_pairs
 from retword.substitution import (
+    FixedPointPrefix,
     IncidenceMatrix,
+    Morphism,
     compose,
     fixed_point_prefix,
     format_substitution,
@@ -45,7 +50,7 @@ from retword.substitution import (
     power,
     substitution_from_strings,
 )
-from retword.words import Word, find_all, spelling
+from retword.words import Alphabet, Word, find_all, spelling
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -593,3 +598,151 @@ def test_shared_command_reads_the_witness_identity_off_the_analysis(monkeypatch,
     assert status == 0
     assert report.payload["checks"][-1] == {"name": "witness-identity-exact", "outcome": "pass"}
     assert counts == by_analysis
+
+
+@st.composite
+def small_substitutions(draw, symbols=None):
+    """Substitutions on 2-3 letters with start letter a and images of 1-3
+    letters, primitive or not; a start image of one letter cannot grow."""
+    symbols = symbols or draw(st.sampled_from(["ab", "abc"]))
+    images = {"a": "a" + draw(st.text(symbols, max_size=2))}
+    for letter in symbols[1:]:
+        images[letter] = draw(st.text(symbols, min_size=1, max_size=3))
+    return substitution_from_strings(" ".join(symbols), images, "a")
+
+
+def _outcome(gate, *args):
+    """A gate's value, or the type and message of what it raised."""
+    try:
+        return gate(*args)
+    except (ValueError, GenerationError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_substitutions(), st.integers(1, 3), st.integers(1, 3))
+def test_gate_matches_the_prefix_oracle_on_powers(tau, a, b):
+    """Powers of one substitution commute, so the gate passes them with no
+    prefix generated, with the value or the refusal of the comparison."""
+    left, right = power(tau, a), power(tau, b)
+    assert _outcome(same_fixed_point_gate, left, right) == _outcome(
+        relations_oracle.same_fixed_point_gate, left, right
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_substitutions(), st.data())
+def test_gate_matches_the_prefix_oracle_on_drawn_pairs(tau, data):
+    """σ is drawn on its own, or rearranges each of τ's images (the start
+    letter kept first), so that every composed length agrees and only the
+    images tell a commuting pair from the others."""
+    if data.draw(st.booleans()):
+        sigma = data.draw(small_substitutions())
+    else:
+        images = {}
+        for letter, image in zip(tau.alphabet.symbols, tau.images):
+            keep = 1 if letter == "a" else 0
+            text = image.text()
+            images[letter] = text[:keep] + "".join(data.draw(st.permutations(text[keep:])))
+        sigma = substitution_from_strings(" ".join(tau.alphabet.symbols), images, "a")
+    assert _outcome(same_fixed_point_gate, tau, sigma) == _outcome(
+        relations_oracle.same_fixed_point_gate, tau, sigma
+    )
+
+
+def _short_start():
+    """0 -> 0 cannot grow a fixed point."""
+    return substitution_from_strings("0 1", {"0": "0", "1": "10"}, "0")
+
+
+@pytest.mark.parametrize(
+    "left, right, cap, refusal",
+    [
+        ("short", "fib", None, GenerationError),
+        ("fib", "short", None, GenerationError),
+        ("short", "short", None, GenerationError),
+        ("fib", "fib2", None, None),
+        ("short", "fib", 5000, GenerationError),
+        ("fib", "short", 5000, ResourceLimitError),
+        ("short", "short", 5000, GenerationError),
+        ("fib", "fib2", 5000, ResourceLimitError),
+    ],
+)
+def test_gate_refuses_in_the_comparison_order(monkeypatch, left, right, cap, refusal):
+    """τ's start image, then τ's cap, then σ's, then σ's cap: a start image
+    of one letter on either side, and a cap below the compared length, are
+    refused as the comparison refuses them, commuting pairs included."""
+    if cap is not None:
+        monkeypatch.setenv("REPO_PREFIX_CAP", str(cap))
+    make = {"short": _short_start, "fib": fibonacci, "fib2": lambda: power(fibonacci(), 2)}
+    found = _outcome(same_fixed_point_gate, make[left](), make[right]())
+    assert found == _outcome(relations_oracle.same_fixed_point_gate, make[left](), make[right]())
+    assert found == 10_000 if refusal is None else found[0] is refusal
+
+
+def _buffers(monkeypatch) -> list:
+    """Every fixed-point generator made from here on."""
+    made = []
+    init = FixedPointPrefix.__init__
+    monkeypatch.setattr(FixedPointPrefix, "__init__", lambda fp, *args: made.append(fp) or init(fp, *args))
+    return made
+
+
+def test_shared_on_fibonacci_and_its_square_generates_no_gate_prefix(monkeypatch, tmp_path):
+    """Fibonacci commutes with its square, so the gate generates none of its
+    10 000 letters: every buffer the command fills stays shorter."""
+    (tmp_path / "fib2.sub").write_text(format_substitution(power(fibonacci(), 2)))
+    made = _buffers(monkeypatch)
+    argv = ["shared", "--left", str(ROOT / "samples" / "fib.sub"), "--right", str(tmp_path / "fib2.sub")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(argv + ["--json"])
+    assert status == 0
+    assert report.payload["checks"][0] == {"name": "power-coincidence", "outcome": "found", "witness": [2, 1]}
+    assert len(made) >= 2
+    assert max(map(len, made)) < 10_000
+
+
+def test_cobham_on_powers_of_fibonacci_generates_no_gate_prefix(monkeypatch, tmp_path):
+    """fib² and fib³ commute and are coded by the identity: the gate passes
+    with its detail unchanged and no buffer reaches its 10 000 letters."""
+    for k in (2, 3):
+        (tmp_path / f"fib{k}.sub").write_text(format_substitution(power(fibonacci(), k)))
+    made = _buffers(monkeypatch)
+    argv = ["cobham", "--left", str(tmp_path / "fib2.sub"), "--right", str(tmp_path / "fib3.sub")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(argv + ["--json"])
+    assert status == 0
+    assert report.payload["checks"][0] == {
+        "name": "coded-fixed-points-agree",
+        "outcome": "pass",
+        "detail": "compared 10000 letters",
+    }
+    assert all(len(fp) < 10_000 for fp in made)
+
+
+@st.composite
+def coded_pairs(draw):
+    """(tau^a, coding, tau^b, coding) with codings onto x and y, their
+    targets in either order; a coding is sometimes on the wrong alphabet or
+    not letter-to-letter."""
+    tau = draw(small_substitutions())
+
+    def coding():
+        source = tau.alphabet if draw(st.integers(0, 4)) else Alphabet("pqr")
+        target = Alphabet(draw(st.sampled_from(["xy", "yx"])))
+        longest = draw(st.sampled_from([1, 1, 1, 1, 2]))
+        images = [target.word(draw(st.text("xy", min_size=1, max_size=longest))) for _ in range(source.size)]
+        return Morphism(source, target, images)
+
+    tau_coding = coding()
+    sigma_coding = tau_coding if draw(st.booleans()) else coding()
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return power(tau, a), tau_coding, power(tau, b), sigma_coding
+
+
+@settings(max_examples=80, deadline=None)
+@given(coded_pairs(), st.sampled_from([0, 1, 7, 600]))
+def test_coded_gate_matches_the_prefix_oracle(pair, n):
+    assert _outcome(coded_fixed_points_agree, *pair, n) == _outcome(
+        relations_oracle.coded_fixed_points_agree, *pair, n
+    )
