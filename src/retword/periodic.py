@@ -9,20 +9,19 @@ whose fixed point, read through the position coordinate, spells m forever;
 its dominant eigenvalue is the k-th power of tau's.  The caller supplies the
 primitive substitution realizing the desired dominant eigenvalue.
 
-Every invariant of a presentation is a :class:`~retword.checks.Check`.  The
-four that do not depend on a prefix length (the intertwining identity,
-primitivity of zeta, the period column under coding∘psi and the dominant
-eigenvalue certificate) are computed once per presentation and kept on it;
-only the coded prefix is checked again for each requested length.  The
+Every invariant of a presentation is a :class:`~retword.checks.Check`.  Four
+of them (the intertwining identity, primitivity of zeta, the period column
+under coding∘psi and the dominant eigenvalue certificate) are computed once
+per presentation and kept on it, and the construction guards on them.  The
 intertwining identity is checked on scan texts, with no morphism composed;
-with the period column it implies that the coded fixed point is m^omega, so
-the construction guards on the four alone and a command compares the coded
-prefix once, at its own length.  Primitivity and the dominant certificate
-rest on the factorization Z = P N of zeta's matrix Z, with P psi's 0/1
-matrix (one 1 per row, the base letter of a product letter) and N Z's rows
-at the first product letter of each base letter, and on N P = M^k, tau^k's
-matrix.  Both identities are checked on the matrices, so no characteristic
-polynomial is formed:
+with the period column and two facts about start letters it implies that
+the coded fixed point is m^omega, so the fifth check, the coded prefix, is
+decided from them and no prefix is generated.  Primitivity and the dominant
+certificate rest on the factorization Z = P N of zeta's matrix Z, with P
+psi's 0/1 matrix (one 1 per row, the base letter of a product letter) and N
+Z's rows at the first product letter of each base letter, and on N P = M^k,
+tau^k's matrix.  Both identities are checked on the matrices, so no
+characteristic polynomial is formed:
 
 - Sylvester's identity gives det(xI - Z) = x^(|A| (p - 1)) det(xI - M^k),
   and two non-negative matrices with the same non-zero characteristic
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .checks import Check
-from .errors import InternalInconsistencyError, require_nonnegative
+from .errors import InternalInconsistencyError
 from .spectrum import certify_equal_dominant
 from .substitution import (
     Alphabet,
@@ -50,7 +49,6 @@ from .substitution import (
     Morphism,
     Substitution,
     is_primitive,
-    morphic_image_prefix,
     power,
     power_lengths,
     require_composable,
@@ -81,7 +79,7 @@ class PeriodicPresentation:
 
     @cached_property
     def structural_checks(self) -> tuple[Check, ...]:
-        """The four checks independent of a prefix length, computed on first use.
+        """The four checks the coded-prefix check is derived from, computed on first use.
 
         In order: zeta∘psi = psi∘tau^k letter by letter (naming the first
         offender), compared on scan texts as psi(b) translated by zeta's
@@ -191,12 +189,10 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
     of the whole remaining tail for the last position, so images have length
     |m| except at the seam.
 
-    The structural checks are verified before returning; they imply the
-    coded-prefix check, which ``verify_presentation`` runs at the caller's
-    length.  Write x for tau's fixed point.  zeta(psi(x)) = psi(tau^k(x)) =
-    psi(x), so psi(x) is fixed by zeta; it begins with (start, 0), whose
-    image has at least 2 letters, so it is zeta's fixed point.  coding∘psi
-    spells m on every letter, so the fixed point's coding is m^omega.
+    The structural checks are verified before returning; with psi(start)
+    beginning with (start, 0), whose image has at least 2 letters (|m| of
+    them, or all of tau^k(start) when |m| = 1), they imply the coded-prefix
+    check, which ``verify_presentation`` derives from them.
     """
     if len(m) == 0:
         raise ValueError("period word must be non-empty")
@@ -237,26 +233,35 @@ def build_periodic_presentation(m: Word, tau: Substitution) -> PeriodicPresentat
     return presentation
 
 
-def verify_presentation(pres: PeriodicPresentation, check_len: int = 1000) -> tuple[Check, ...]:
+def verify_presentation(pres: PeriodicPresentation) -> tuple[Check, ...]:
     """Every invariant of a presentation as a check; failures are entries, not errors.
 
-    The coded fixed point is compared with the periodic target on its first
-    ``check_len`` letters (skipped at length 0, refused below); the other
-    four checks are the presentation's ``structural_checks``, computed once
-    per presentation.  When those pass they imply the comparison (see
-    :func:`build_periodic_presentation`), which stays as the check of a
-    hand-built presentation.  The order is: intertwining identity,
+    Four checks are the presentation's ``structural_checks``, computed once
+    per presentation.  The fifth, that the coded fixed point is m^omega, is
+    decided from them with no prefix generated.  Write a and c for tau's and
+    zeta's start letters.  It passes exactly when the intertwining identity
+    and the period column pass, psi(a) begins with c and |zeta(c)| >= 2,
+    which together imply it:
+
+    - zeta^n(psi(a)) = psi(tau^(k n)(a)) by the identity, and its coding is
+      a power of m, since coding∘psi spells m on every letter.
+    - zeta^n(c) is a prefix of zeta^n(psi(a)), so its coding is a prefix of
+      m^omega.
+    - zeta(c) begins with c and no image is empty, so |zeta^n(c)| >= n + 1
+      and the zeta^n(c) are longer and longer prefixes of zeta's fixed
+      point.  The (letter-to-letter) coding of that fixed point is m^omega.
+
+    A failed check carries no detail.  The order is: intertwining identity,
     primitivity, coded prefix, period column, dominant eigenvalue.
     """
-    require_nonnegative("check length", check_len)
-    coded_ok = True
-    detail = f"checked {check_len} letters"
-    if check_len > 0:
-        coded = morphic_image_prefix(pres.coding, pres.zeta, check_len)
-        target = pres.period * (check_len // len(pres.period) + 1)
-        coded_ok = coded == target[:check_len]
-    else:
-        detail = "prefix check skipped (length 0)"
     identity, primitive, column, dominant = pres.structural_checks
-    coded_check = Check.of("coded-fixed-point-periodic", coded_ok, detail)
+    start = pres.zeta.start
+    implied = (
+        identity.passed
+        and column.passed
+        and pres.psi.image(pres.base.start).scan_text.startswith(chr(start))
+        and len(pres.zeta.image(start)) >= 2
+    )
+    detail = "implied by zeta∘psi=psi∘tau^k and coding∘psi-spells-period" if implied else None
+    coded_check = Check.of("coded-fixed-point-periodic", implied, detail)
     return identity, primitive, coded_check, column, dominant

@@ -16,10 +16,9 @@ are kept on the matrix, so the dominant eigenvalue, the dependence search
 and its certificate share them.  Two polynomials that differ only by a
 power of x, as the two powers at a dependence witness of one matrix against
 its own powers do, share their largest positive root through that identity
-alone.  Deciding equal dominants of two non-negative
-matrices then needs no root at all (Perron-Frobenius); a certificate
-isolates the root once, or reads a matrix's kept enclosure, and forms no
-gcd.  Otherwise the comparison builds one
+alone: a certificate of equal dominants, ``certify_equal_dominant``'s
+included, isolates the root once, or reads a matrix's kept enclosure, and
+forms no gcd.  Otherwise the comparison builds one
 squarefree part and Sturm chain per distinct polynomial and narrows each
 dominant enclosure by continuing its bisection.  A spectrum, too, builds one
 chain per polynomial: that of the non-zero part q serves the rational roots
@@ -415,33 +414,22 @@ class DependenceWitness:
 def certify_equal_dominant(m1: IncidenceMatrix, m2: IncidenceMatrix) -> bool:
     """Decide exactly whether two non-negative matrices share their dominant eigenvalue.
 
-    When the characteristic polynomials have the same non-zero part q
-    (p = x^k q, q(0) != 0) of degree >= 1, the answer is True at once, with
-    no Sturm chain and no bisection:
-
-    - The two matrices have the same non-zero eigenvalues, those of q.
-    - A non-negative matrix's spectral radius rho is an eigenvalue
-      (Perron-Frobenius; Horn & Johnson, *Matrix Analysis*, Thm 8.3.1), so
-      every real eigenvalue is at most rho and rho is the dominant one.
-    - rho >= 1 for an integer matrix that is not nilpotent: its non-zero
-      eigenvalues, each of modulus at most rho, multiply to +-q(0), a
-      non-zero integer.  So rho is a non-zero eigenvalue, a root of q, and
-      the same for both matrices.
-
-    Otherwise ``_certify_equal_largest_roots`` decides: a non-constant gcd
-    of the polynomials together with a Sturm count of one inside the
-    intersection of the two dominant enclosures certifies equality, and
-    eventually disjoint enclosures inequality.  On the shortcut's inputs it
-    would give the same answer: its short path isolates rho >= 1 to a width
-    below 1, so the enclosure lies above 0 and it certifies.  A matrix with
-    a negative entry is refused before any polynomial is computed.
+    ``_certify_equal_largest_roots`` decides on the two characteristic
+    polynomials: a non-constant gcd of the polynomials together with a Sturm
+    count of one inside the intersection of the two dominant enclosures
+    certifies equality, and eventually disjoint enclosures inequality.  When
+    the polynomials share a non-zero part of degree >= 1, its short path
+    certifies with no gcd: the spectral radius rho of a non-negative matrix
+    is an eigenvalue (Perron-Frobenius; Horn & Johnson, *Matrix Analysis*,
+    Thm 8.3.1), and rho >= 1 for an integer matrix that is not nilpotent
+    (its non-zero eigenvalues multiply to a non-zero integer), so rho is the
+    shared part's largest root and its enclosure, of width below 1, lies
+    above 0.  A matrix with a negative entry is refused before any
+    polynomial is computed.
     """
     if not (m1.is_nonnegative and m2.is_nonnegative):
         raise ValueError(_NONNEGATIVE_ONLY)
     p1, p2 = _matrix_char_poly(m1), _matrix_char_poly(m2)
-    q = _nonzero_part(p1)
-    if q.degree >= 1 and q == _nonzero_part(p2):
-        return True
     return _certify_equal_largest_roots(p1, p2, DEFAULT_PRECISION) is not None
 
 

@@ -454,7 +454,8 @@ class FixedPointPrefix:
         """Refuse a request for more letters than the buffer cap allows."""
         if n > self._cap:
             raise ResourceLimitError(
-                f"requested prefix length {n} exceeds the buffer cap {self._cap}",
+                f"requested prefix length {n} exceeds the buffer cap {self._cap} "
+                f"({PREFIX_CAP_ENV})",
                 budget=self._cap,
             )
 

@@ -1,10 +1,20 @@
 """Bounded periodicity scan, kept as the oracle for the exact tower decision
-in :func:`retword.returns.nonperiodic_check`."""
+in :func:`retword.returns.nonperiodic_check`, and the coded-prefix
+comparison, kept as the oracle for the coded-prefix check that
+:func:`retword.periodic.verify_presentation` derives."""
 
 from __future__ import annotations
 
-from retword.substitution import Substitution, fixed_point_prefix
+from retword.periodic import PeriodicPresentation
+from retword.substitution import Substitution, fixed_point_prefix, morphic_image_prefix
 from retword.words import Word
+
+
+def coded_prefix_is_periodic(pres: PeriodicPresentation, n: int) -> bool:
+    """Whether the first n letters of zeta's fixed point, read through the
+    coding, are the first n letters of m^omega."""
+    coded = morphic_image_prefix(pres.coding, pres.zeta, n)
+    return coded == (pres.period * (n // len(pres.period) + 1))[:n]
 
 
 def periodic_tail_witness(host: Word, min_repetitions: int = 3) -> tuple[int, int] | None:

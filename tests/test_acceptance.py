@@ -243,7 +243,7 @@ def test_criterion_10_periodic_builder(fib, capsys):
             coded = morphic_image_prefix(pres.coding, pres.zeta, 1000)
             expected = (m * (1000 // len(m) + 1))[:1000]
             assert coded.letters == expected.letters
-            assert all(c.passed for c in verify_presentation(pres, 1000))
+            assert all(c.passed for c in verify_presentation(pres))
     with capsys.disabled():
         report(10, "periodic presentations for a, ab, aba over Fibonacci", budget)
 

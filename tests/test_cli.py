@@ -291,10 +291,19 @@ def test_cobham_gate_matches_symbol_tuples(tmp_path, coding_left, coding_right, 
 
 def test_periodic_command(files):
     status, report = run_command(
-        ["periodic", files["fib"], "--period", "01", "--check-len", "500"]
+        ["periodic", files["fib"], "--period", "01"]
     )
     assert status == EXIT_OK
     assert all(c["outcome"] == "pass" for c in report.payload["checks"])
+
+
+def test_periodic_has_no_check_len_option(files, capsys):
+    """The coded-prefix check compares no prefix, so there is no length to set."""
+    status, report = run_command(["periodic", files["fib"], "--period", "01", "--check-len", "100"])
+    assert (status, report) == (EXIT_USAGE, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("retword: error: unrecognized arguments: --check-len 100\n")
 
 
 def test_parse_error_exit_code(files, tmp_path, capsys):
@@ -351,7 +360,7 @@ def test_json_has_no_timestamp(files, capsys):
         ["relations", "{morse}", "--u", "0", "--v", "01"],
         ["circularity", "{fib}", "--sample-len", "6"],
         ["shared", "--left", "{fib}", "--right", "{fib}"],
-        ["periodic", "{fib}", "--period", "01", "--check-len", "100"],
+        ["periodic", "{fib}", "--period", "01"],
     ],
 )
 def test_every_command_emits_valid_json(files, capsys, argv):
@@ -487,7 +496,9 @@ def test_circularity_refuses_the_first_prefix_past_the_cap(tmp_path, monkeypatch
     assert status == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"budget exhausted: requested prefix length {length} exceeds the buffer cap 600\n"
+    assert captured.err == (
+        f"budget exhausted: requested prefix length {length} exceeds the buffer cap 600 (REPO_PREFIX_CAP)\n"
+    )
 
 
 LONG_RETURN = "alphabet = a b\nstart = a\na -> a" + " b" * 600 + "\nb -> a\n"
@@ -560,7 +571,6 @@ def test_spectrum_reports_a_reducible_substitution(tmp_path):
         # the coded fixed points differ, so the gate would end the command before the search
         (["cobham", "--left", "fib", "--right", "morse", "--bound", "-1"], "exponent bound"),
         (["relations", "fib", "--u", "0", "--v", "01", "--span", "-1"], "span"),
-        (["periodic", "fib", "--period", "0110", "--check-len", "-1"], "check length"),
     ],
 )
 def test_negative_search_bounds_are_refused(files, capsys, argv, message):
@@ -645,8 +655,9 @@ INT_OPTIONS = {
     "circularity": ["--inj-length", "--max-prefix", "--delay-max", "--sample-len"],
     "shared": ["--power-bound", "--budget", "--depth"],
     "cobham": ["--bound", "--prefix-check"],
-    "periodic": ["--check-len"],
 }
+# periodic's --check-len is gone: its argvs are cases of an unrecognized option
+REMOVED_OPTIONS = {"periodic": ["--check-len"]}
 
 
 def _parse_outcome(parse, argv: list[str]) -> tuple:
@@ -679,10 +690,11 @@ def _malformed_argvs() -> list[list[str]]:
             [name, *rest, "--", "--json"],
             [name, *rest, "--json", "-h", "extra"],
         ]
-        cases += [[name, *rest, option, "x"] for option in INT_OPTIONS.get(name, [])]
-        cases += [[name, *rest, option] for option in INT_OPTIONS.get(name, [])]
+        options = INT_OPTIONS.get(name, []) + REMOVED_OPTIONS.get(name, [])
+        cases += [[name, *rest, option, "x"] for option in options]
+        cases += [[name, *rest, option] for option in options]
         # a unique prefix of each long option names it
-        cases += [[name, *rest, option[:4], "3"] for option in INT_OPTIONS.get(name, [])]
+        cases += [[name, *rest, option[:4], "3"] for option in options]
         cases += [[name, *(a[:5] if a.startswith("--") else a for a in rest)]]
     return cases
 
@@ -763,17 +775,6 @@ _JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), children, max_size=4),
     max_leaves=30,
 )
-# types the renderer leaves to json.dumps: floats and non-str keys
-_FALLBACK_VALUES = st.recursive(
-    _JSON_LEAVES | st.floats(),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(
-        st.text(max_size=4) | st.integers() | st.booleans() | st.none() | st.floats(allow_nan=False),
-        children,
-        max_size=4,
-    ),
-    max_leaves=20,
-)
 
 
 def _rendered(value) -> str:
@@ -793,10 +794,14 @@ def test_render_json_is_json_dumps_indent_2(value):
     assert _rendered(value) == json.dumps(value, indent=2)
 
 
-@settings(max_examples=200, deadline=None)
-@given(_FALLBACK_VALUES)
-@example({1: "a"})
-@example({"a": [1.5, float("nan"), float("inf")]})
-@example({None: 1, True: 2, 2.5: 3})
-def test_render_json_falls_back_on_other_types(value):
-    assert _rendered(value) == json.dumps(value, indent=2)
+def test_render_json_refuses_other_types():
+    """A report holds no float and no non-str key; the one renderer refuses
+    them with ``TypeError``, naming the type, rather than writing them
+    another way."""
+    for value, message in (
+        ({"a": [1, 1.5]}, "cannot write a value of type float as JSON"),
+        ({1: "a"}, "cannot write a key of type int as JSON"),
+        ([{"a": None}, {True: 2}], "cannot write a key of type bool as JSON"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            _rendered(value)

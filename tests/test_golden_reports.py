@@ -37,7 +37,7 @@ TEMPLATES = [
     (["relations", "{s}", "--u", "0", "--v", "01"], "01"),
     (["circularity", "{s}", "--sample-len", "6"], ""),
     (["shared", "--left", "{s}", "--right", "{s}"], ""),
-    (["periodic", "{s}", "--period", "01", "--check-len", "100"], "01"),
+    (["periodic", "{s}", "--period", "01"], "01"),
 ]
 
 EXTRA = [

@@ -14,6 +14,7 @@ from retword.cli import run_command
 from retword.errors import GenerationError, ParseError, ResourceLimitError
 from retword.intpoly import LargestRootBisection, SturmCounter
 from corpus import fibonacci
+from periodic_oracle import coded_prefix_is_periodic
 from test_substitution import primitive_substitutions
 from retword.periodic import (
     PeriodicPresentation,
@@ -23,6 +24,7 @@ from retword.periodic import (
 from retword.spectrum import certify_equal_dominant
 from retword.substitution import (
     Alphabet,
+    FixedPointPrefix,
     IncidenceMatrix,
     Morphism,
     Substitution,
@@ -44,11 +46,9 @@ TARGET = Alphabet(("a", "b"))
 def test_build_and_verify(fib, period_text):
     period = TARGET.word(period_text)
     pres = build_periodic_presentation(period, fib)
-    checks = verify_presentation(pres, check_len=1000)
+    checks = verify_presentation(pres)
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
-    coded = morphic_image_prefix(pres.coding, pres.zeta, 1000)
-    expected = (period * (1000 // len(period) + 1))[:1000]
-    assert coded.letters == expected.letters
+    assert coded_prefix_is_periodic(pres, 1000)
 
 
 def test_intertwining_identity_exact(fib):
@@ -119,18 +119,26 @@ def test_tampered_presentation_detected(fib):
     bad = PeriodicPresentation(
         pres.period, pres.exponent, pres.base, bad_zeta, pres.psi, pres.coding
     )
-    checks = verify_presentation(bad, check_len=100)
+    checks = verify_presentation(bad)
     failing = {c.name: c for c in checks if not c.passed}
     assert "zeta∘psi=psi∘tau^k" in failing
     assert "letter" in failing["zeta∘psi=psi∘tau^k"].detail
+    assert failing["coded-fixed-point-periodic"] == Check("coded-fixed-point-periodic", "fail")
 
 
-def test_zero_check_len_still_structural(fib):
-    pres = build_periodic_presentation(TARGET.word("ab"), fib)
-    checks = verify_presentation(pres, check_len=0)
-    assert all(c.passed for c in checks)
-    names = [c.name for c in checks]
-    assert "zeta∘psi=psi∘tau^k" in names and "zeta-primitive" in names
+def test_coded_check_needs_psi_of_the_start_to_begin_with_zetas_start(morse):
+    """Thue-Morse's zeta also fixes (1,0), whose coded fixed point is m^omega
+    too; started there, the identity and the period column still pass, but
+    psi(0) begins with (0,0), so the derived check fails, with no detail."""
+    pres = build_periodic_presentation(TARGET.word("ab"), morse)
+    one = pres.product_alphabet.index("(1,0)")
+    hand = PeriodicPresentation(
+        pres.period, pres.exponent, morse, Substitution(pres.zeta.morphism, one), pres.psi, pres.coding
+    )
+    identity, _, coded, column, _ = verify_presentation(hand)
+    assert identity.passed and column.passed
+    assert coded == Check("coded-fixed-point-periodic", "fail")
+    assert coded_prefix_is_periodic(hand, 100)
 
 
 def test_rejects_empty_period(fib):
@@ -181,7 +189,7 @@ def test_build_under_the_cap(fib, monkeypatch):
 def test_works_for_other_bases(morse, trib):
     for base in (morse, trib):
         pres = build_periodic_presentation(TARGET.word("ab"), base)
-        assert all(c.passed for c in verify_presentation(pres, 200))
+        assert all(c.passed for c in verify_presentation(pres))
 
 
 def _counted(counts: dict, key: str, fn):
@@ -258,15 +266,15 @@ def test_hand_built_presentation_certifies_afresh(monkeypatch, fib):
     counts = _count_certificates(monkeypatch)
     pres = build_periodic_presentation(TARGET.word("ab"), fib)
     assert counts == {"factors": 1, "certify": 0, "char_poly": 0}
-    assert all(c.passed for c in verify_presentation(pres, check_len=10))
+    assert all(c.passed for c in verify_presentation(pres))
     assert counts["factors"] == 1
     copy = PeriodicPresentation(
         pres.period, pres.exponent, pres.base, pres.zeta, pres.psi, pres.coding
     )
     assert copy == pres
-    assert all(c.passed for c in verify_presentation(copy, check_len=10))
+    assert all(c.passed for c in verify_presentation(copy))
     assert counts == {"factors": 2, "certify": 0, "char_poly": 0}
-    assert verify_presentation(copy, check_len=10) == verify_presentation(pres, check_len=10)
+    assert verify_presentation(copy) == verify_presentation(pres)
     assert counts == {"factors": 2, "certify": 0, "char_poly": 0}
 
 
@@ -374,7 +382,7 @@ def test_hand_built_presentation_reuses_the_base_power(monkeypatch):
     copy = PeriodicPresentation(
         pres.period, pres.exponent, pres.base, pres.zeta, pres.psi, pres.coding
     )
-    assert verify_presentation(copy, check_len=10) == verify_presentation(pres, check_len=10)
+    assert verify_presentation(copy) == verify_presentation(pres)
     assert len(calls) == pres.exponent - 1
 
 
@@ -415,23 +423,14 @@ def _psi_factors(pres: PeriodicPresentation, z: IncidenceMatrix, mk: IncidenceMa
     return p @ n == z and n @ p == mk
 
 
-@settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(sorted(_SAMPLE_BASES)), data=st.data())
-def test_structural_checks_decide_as_the_general_paths(name, data):
-    """Every sample with a period of 1-8 letters, as built, with one letter of
-    one zeta image replaced by another product letter, or with one letter
-    of one psi image replaced (P then has a zero row): the primitivity and
-    dominant checks equal ``_least_positive_power(Z)`` and
-    ``certify_equal_dominant(Z, M^k)`` on fresh matrices, and a presentation
-    that does not factor reaches both general paths."""
-    base = _SAMPLE_BASES[name]
-    letters = st.integers(0, base.alphabet.size - 1)
-    period = Word(base.alphabet, tuple(data.draw(st.lists(letters, min_size=1, max_size=8))))
-    pres = build_periodic_presentation(period, base)
+def _tampered(pres: PeriodicPresentation, data, kinds: tuple[str, ...]) -> tuple[str, PeriodicPresentation]:
+    """A drawn kind of tampering and pres after it: as built ("none"), or
+    with one letter of one zeta, psi or coding image replaced by another
+    letter of the same alphabet (zeta's start image keeps its first letter)."""
     alphabet = pres.product_alphabet
     product_letter = st.integers(0, alphabet.size - 1)
-    zeta, psi = pres.zeta, pres.psi
-    tamper = data.draw(st.sampled_from(["none", "zeta", "psi"]))
+    zeta, psi, coding = pres.zeta, pres.psi, pres.coding
+    tamper = data.draw(st.sampled_from(kinds))
     if tamper == "zeta":
         images = [list(w) for w in zeta.images]
         i = data.draw(st.integers(0, len(images) - 1))
@@ -445,9 +444,31 @@ def test_structural_checks_decide_as_the_general_paths(name, data):
         b = data.draw(st.integers(0, len(images) - 1))
         j = data.draw(st.integers(0, len(images[b]) - 1))
         images[b][j] = data.draw(product_letter.filter(lambda c: c != images[b][j]))
-        psi = Morphism(base.alphabet, alphabet, tuple(Word(alphabet, im) for im in images))
-    hand = PeriodicPresentation(pres.period, pres.exponent, base, zeta, psi, pres.coding)
-    z = IncidenceMatrix(zeta.matrix().rows)
+        psi = Morphism(psi.source, alphabet, tuple(Word(alphabet, im) for im in images))
+    elif tamper == "coding":
+        images = [w[0] for w in coding.images]
+        b = data.draw(st.integers(0, len(images) - 1))
+        target = coding.target
+        images[b] = data.draw(st.integers(0, target.size - 1).filter(lambda c: c != images[b]))
+        coding = Morphism(alphabet, target, tuple(Word(target, (c,)) for c in images))
+    return tamper, PeriodicPresentation(pres.period, pres.exponent, pres.base, zeta, psi, coding)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_SAMPLE_BASES)), data=st.data())
+def test_structural_checks_decide_as_the_general_paths(name, data):
+    """Every sample with a period of 1-8 letters, as built, with one letter of
+    one zeta image replaced by another product letter, or with one letter
+    of one psi image replaced (P then has a zero row): the primitivity and
+    dominant checks equal ``_least_positive_power(Z)`` and
+    ``certify_equal_dominant(Z, M^k)`` on fresh matrices, and a presentation
+    that does not factor reaches both general paths."""
+    base = _SAMPLE_BASES[name]
+    letters = st.integers(0, base.alphabet.size - 1)
+    period = Word(base.alphabet, tuple(data.draw(st.lists(letters, min_size=1, max_size=8))))
+    pres = build_periodic_presentation(period, base)
+    tamper, hand = _tampered(pres, data, ("none", "zeta", "psi"))
+    z = IncidenceMatrix(hand.zeta.matrix().rows)
     mk = IncidenceMatrix(power(base, pres.exponent).matrix().rows)
     factors = _psi_factors(hand, z, mk)
     # one letter changed moves one count within one column of Z, which leaves
@@ -490,41 +511,57 @@ def test_coding_line_errors_name_the_line(body):
     assert err.value.line == 5
 
 
-def test_periodic_command_compares_the_coded_prefix_once(monkeypatch):
-    """The build guards on the structural checks alone, so one job forms the
-    coded prefix once, in ``verify_presentation``, at the command's length."""
-    periodic_module = sys.modules["retword.periodic"]
-    lengths = []
+def test_periodic_command_generates_no_coded_prefix(monkeypatch):
+    """The coded-prefix check is derived from the structural checks: one job
+    makes no ``morphic_image_prefix`` call, and the only fixed-point buffer
+    it builds is the base's, whose start image the build checks."""
+    calls, buffers = [], []
+    init = FixedPointPrefix.__init__
 
-    def counted(coding, zeta, n):
-        lengths.append(n)
-        return morphic_image_prefix(coding, zeta, n)
+    def counted_init(self, substitution, cap=None):
+        buffers.append(substitution.alphabet.size)
+        init(self, substitution, cap)
 
-    monkeypatch.setattr(periodic_module, "morphic_image_prefix", counted)
+    def counted_prefix(*args):
+        calls.append(args)
+        return morphic_image_prefix(*args)
+
+    monkeypatch.setattr(FixedPointPrefix, "__init__", counted_init)
+    for module in ("retword.periodic", "retword.substitution"):
+        monkeypatch.setattr(sys.modules[module], "morphic_image_prefix", counted_prefix, raising=False)
     sample = Path(__file__).resolve().parents[1] / "samples" / "fib.sub"
-    argv = ["periodic", str(sample), "--period", "0110", "--check-len", "300", "--json"]
+    argv = ["periodic", str(sample), "--period", "0110", "--json"]
     with contextlib.redirect_stdout(io.StringIO()):
         status, report = run_command(argv)
     assert status == 0
+    assert (calls, buffers) == ([], [2])
     assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
-    assert lengths == [300]
+    assert report.payload["checks"][2]["detail"] == (
+        "implied by zeta∘psi=psi∘tau^k and coding∘psi-spells-period"
+    )
 
 
 @settings(max_examples=80, deadline=None)
 @given(name=st.sampled_from(sorted(_SAMPLE_BASES)), data=st.data())
 def test_structural_checks_imply_the_coded_prefix(name, data):
-    """The argument of ``build_periodic_presentation``'s docstring, tested:
-    on every sample and a period of 1-8 letters, the built presentation's
-    coded fixed point is m^omega at several lengths."""
+    """The argument of ``verify_presentation``'s docstring, tested: on every
+    sample and a period of 1-8 letters, as built or with one letter of one
+    zeta, psi or coding image replaced, wherever the derived coded-prefix
+    check passes the coded fixed point is m^omega at several lengths, and a
+    built presentation passes it."""
     base = _SAMPLE_BASES[name]
     letters = st.integers(0, base.alphabet.size - 1)
     period = Word(base.alphabet, tuple(data.draw(st.lists(letters, min_size=1, max_size=8))))
     pres = build_periodic_presentation(period, base)
-    assert all(c.passed for c in pres.structural_checks)
-    p = len(period)
-    for n in sorted({1, p, p + 1, 4 * p, data.draw(st.integers(1, 2000))}):
-        coded = morphic_image_prefix(pres.coding, pres.zeta, n)
-        assert coded == (period * (n // p + 1))[:n]
+    tamper, hand = _tampered(pres, data, ("none", "zeta", "psi", "coding"))
+    coded = verify_presentation(hand)[2]
+    assert coded.name == "coded-fixed-point-periodic"
+    if tamper == "none":
+        assert coded.passed
+    if coded.passed:
+        p = len(period)
+        for n in sorted({1, p, p + 1, 4 * p, data.draw(st.integers(1, 2000))}):
+            assert coded_prefix_is_periodic(hand, n), n
 
 
 def _intertwining_by_composition(pres: PeriodicPresentation) -> Check:
@@ -547,25 +584,7 @@ def test_intertwining_check_on_scan_texts_equals_the_composed_morphisms(name, da
     letters = st.integers(0, base.alphabet.size - 1)
     period = Word(base.alphabet, tuple(data.draw(st.lists(letters, min_size=1, max_size=8))))
     pres = build_periodic_presentation(period, base)
-    alphabet = pres.product_alphabet
-    product_letter = st.integers(0, alphabet.size - 1)
-    zeta, psi = pres.zeta, pres.psi
-    tamper = data.draw(st.sampled_from(["none", "zeta", "psi"]))
-    if tamper == "zeta":
-        images = [list(w) for w in zeta.images]
-        i = data.draw(st.integers(0, len(images) - 1))
-        j = data.draw(st.integers(0 if i != zeta.start else 1, len(images[i]) - 1))
-        images[i][j] = data.draw(product_letter.filter(lambda c: c != images[i][j]))
-        zeta = Substitution(
-            Morphism(alphabet, alphabet, tuple(Word(alphabet, im) for im in images)), zeta.start
-        )
-    elif tamper == "psi":
-        images = [list(w) for w in psi.images]
-        b = data.draw(st.integers(0, len(images) - 1))
-        j = data.draw(st.integers(0, len(images[b]) - 1))
-        images[b][j] = data.draw(product_letter.filter(lambda c: c != images[b][j]))
-        psi = Morphism(base.alphabet, alphabet, tuple(Word(alphabet, im) for im in images))
-    hand = PeriodicPresentation(pres.period, pres.exponent, base, zeta, psi, pres.coding)
+    tamper, hand = _tampered(pres, data, ("none", "zeta", "psi"))
     assert hand.structural_checks[0] == _intertwining_by_composition(hand)
 
 
