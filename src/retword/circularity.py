@@ -11,7 +11,9 @@ factor sample, never derived, so results are certificates on the sample and
 lower-bound reports, not proofs.  Interpretations are kept on scan texts as
 (cut, end, core text, cut set), the cores checked against a pool of factor
 texts, and those of x·a come from those of x by one extension step, which
-places each new image boundary in the cut set it carries.  The search runs
+places each new image boundary in the cut set it carries.  The sampled
+factors come from one table, the distinct windows of the longest sampled
+length, cut to each length as a search reaches it.  The delay search runs
 that step over the sampled factors by length, one step per factor from its
 parent, reads the cut sets as the step made them, and stops at the length
 past which no factor can force more;
@@ -40,7 +42,7 @@ from itertools import accumulate
 from .errors import require_nonnegative
 from .returns import nonperiodic_check, return_substitution
 from .substitution import Substitution, fixed_point_prefix
-from .words import Word, _word, factor_spans, is_code
+from .words import Word, _word, factor_windows, factors_of_length, is_code
 
 
 @dataclass(frozen=True)
@@ -75,19 +77,17 @@ _EMPTY_WORD_THREADS: tuple[_Thread, ...] = ((0, 0, "", frozenset()),)
 class _InterpretationContext:
     """Shared pools for extending interpretations over one substitution.
 
-    ``factors`` lists the scan texts of the non-empty factors up to
-    ``max_factor`` letters of a fixed-point prefix in the trie order
-    :func:`retword.words.factor_spans` yields (a factor before its
-    extensions), sliced at its spans with no ``Word`` per factor; ``pool``
-    holds the same texts, ``suffixes`` and ``prefixes`` the margins letter
-    images allow, and ``letters_of`` maps each image text to the core texts
-    of the letters with that image.
+    ``windows`` holds the windows of ``max_factor`` letters of a fixed-point
+    prefix (see :func:`retword.words.factor_windows`); ``pool`` holds the
+    scan texts of its factors of the lengths :meth:`grow` has reached, one
+    length at a time from 1; ``suffixes`` and ``prefixes`` hold the margins
+    letter images allow, and ``letters_of`` maps each image text to the core
+    texts of the letters with that image.
     """
 
     def __init__(self, tau: Substitution, prefix_len: int, max_factor: int):
-        text = fixed_point_prefix(tau, prefix_len).scan_text
-        self.factors = [text[i:j] for i, j in factor_spans(text, range(1, max_factor + 1))]
-        self.pool = set(self.factors)
+        self.windows = factor_windows(fixed_point_prefix(tau, prefix_len).scan_text, max_factor)
+        self.pool: set[str] = set()
         self.lengths = [len(w) for w in tau.images]
         images = [w.scan_text for w in tau.images]
         self.suffixes = {t[i:] for t in images for i in range(len(t) + 1)}
@@ -95,6 +95,12 @@ class _InterpretationContext:
         self.letters_of: dict[str, list[str]] = {}
         for c, t in enumerate(images):
             self.letters_of.setdefault(t, []).append(chr(c))
+
+    def grow(self, n: int) -> dict[str, int]:
+        """The factors of ``n`` letters, each with one start, added to the pool."""
+        factors = factors_of_length(self.windows, n)
+        self.pool.update(factors)
+        return factors
 
     def extend(self, threads: Iterable[_Thread], text: str) -> list[_Thread]:
         """The interpretations of the scan text ``text`` = x·a, given
@@ -158,6 +164,8 @@ def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -
     if len(x) == 0:
         raise ValueError("factor must be non-empty")
     ctx = _InterpretationContext(tau, search_prefix_len, len(x))
+    for n in range(1, len(x) + 1):
+        ctx.grow(n)
     text = x.scan_text
     if text not in ctx.pool:
         raise ValueError("x does not occur in the generated prefix")
@@ -185,9 +193,12 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
 
     The factors are visited by length, each one extension step from its
     parent, its longest proper prefix, whose interpretations the previous
-    length keeps by text.  The search stops before length n once n > 2(R +
-    1) + L, R the forcing found so far and L the longest image: no longer
-    factor forces more.  Suppose a factor x has a forcing cut (p, c) of
+    length keeps by text.  The pool grows with the length: when the factors
+    of n letters are extended it holds every sampled factor of at most n
+    letters, and images are non-empty, so every core of an interpretation of
+    an n-letter factor is there.  The search stops before length n once
+    n > 2(R + 1) + L, R the forcing found so far and L the longest image: no
+    longer factor forces more.  Suppose a factor x has a forcing cut (p, c) of
     margin m > R: it is in one interpretation of x and missing from another.
     Take the window of R + 1 letters on each side of tau(c), or, when the
     window lies strictly inside one piece of the other interpretation (its
@@ -195,10 +206,10 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     of at most L letters.  Restrict both interpretations to it: the margins
     stay suffixes and prefixes of letter images, and the restricted cores
     are factors of pooled cores, so they are pooled too (the pool holds
-    every sampled factor of its length).  The restriction is a factor of x
-    of at most 2(R + 1) + L < n letters, so it was sampled and read, and the
-    cut is in one restricted cut set but not in the other, with margin at
-    least R + 1 > R, which cannot be.  So R is the largest forcing over the
+    every sampled factor up to the length read).  The restriction is a
+    factor of x of at most 2(R + 1) + L < n letters, so it was sampled and
+    read, and the cut is in one restricted cut set but not in the other,
+    with margin at least R + 1 > R, which cannot be.  So R is the largest forcing over the
     whole sample.
 
     No pair is formed: a cut is in one interpretation's cut set and missing
@@ -207,6 +218,7 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     intersection, and a factor with one interpretation forces nothing.  Each
     interpretation's cut set is the one the extension step carries; the image
     lengths give only the right margin of a forcing cut.
+    The order of a length's factors decides nothing: R is a maximum, and
     ``required`` only grows, so stopping at the first factor that takes it
     past ``d_max`` gives the same None.
 
@@ -221,16 +233,13 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     ctx = _InterpretationContext(tau, max(50 * sample_len, 2000), sample_len)
     lengths = ctx.lengths
     longest = max(lengths)
-    by_length: list[list[str]] = [[] for _ in range(sample_len + 1)]
-    for x in ctx.factors:
-        by_length[len(x)].append(x)
     required = 0
     parents = {"": _EMPTY_WORD_THREADS}
     for n in range(1, sample_len + 1):
         if n > 2 * (required + 1) + longest:
             break
         threads = {}
-        for x in by_length[n]:
+        for x in ctx.grow(n):
             found = threads[x] = ctx.extend(parents[x[:-1]], x)
             if len(found) < 2:
                 continue
@@ -243,32 +252,29 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     return required
 
 
-def _first_collision(
-    host: Word, sub: Substitution, length_bound: int
-) -> tuple[int, tuple[Word, Word] | None]:
-    """How many factors were read, and the first two distinct ones sharing an image.
+def _own_factors_collide(host: Word, sub: Substitution, length_bound: int) -> bool:
+    """Whether two distinct factors of ``host`` of at most ``length_bound``
+    letters share an image under ``sub``.
 
-    The factors read are the distinct factors of ``host`` of at most
-    ``length_bound`` letters, taken in the lexicographic order
-    :func:`retword.words.factor_spans` yields them in.  The host is
-    translated once through ``sub``; prefix sums of the image lengths then
-    give each factor's image as a slice at the start the walk gives for it,
-    with no per-word morphism call.  Each image is kept with the span of the
-    first factor that has it, so the first image met twice names both words
-    of the first collision.
+    The host is translated once through ``sub``; prefix sums of the image
+    lengths then give each factor's image as a slice at the start the factor
+    table gives for it, with no per-word morphism call.  The factors of each
+    length are distinct, and factors of different lengths differ, so an
+    image met twice is the image of two distinct factors.
     """
     text = host.scan_text
     image = sub(host).scan_text
     image_lengths = [len(w) for w in sub.images]
     image_at = list(accumulate(map(image_lengths.__getitem__, map(ord, text)), initial=0))
-    first: dict[str, tuple[int, int]] = {}
-    for i, j in factor_spans(text, range(1, length_bound + 1)):
-        key = image[image_at[i] : image_at[j]]
-        if key in first:
-            a, b = first[key]
-            return len(first) + 1, (host[a:b], host[i:j])
-        first[key] = (i, j)
-    return len(first), None
+    windows = factor_windows(text, length_bound)
+    seen: set[str] = set()
+    for n in range(1, length_bound + 1):
+        for i in factors_of_length(windows, n).values():
+            key = image[image_at[i] : image_at[i + n]]
+            if key in seen:
+                return True
+            seen.add(key)
+    return False
 
 
 def find_n0(
@@ -280,7 +286,7 @@ def find_n0(
     """Least prefix length n whose return substitution tau_u, on the prefix u
     of length n, is one-to-one on its own factors: those of at most
     ``length_bound`` letters of a ``derived_sample`` prefix of its fixed
-    point must have pairwise distinct images, which :func:`_first_collision`
+    point must have pairwise distinct images, which :func:`_own_factors_collide`
     checks.  That answers for the decodable factors, the words that occur in
     the fixed point and split over the return words on u; they are exactly
     the decodings c(f) of the derived factors f, the factors of tau_u's fixed
@@ -320,6 +326,6 @@ def find_n0(
         if is_code(w.scan_text for w in tau_u.images):
             return n
         host = fixed_point_prefix(tau_u, derived_sample)
-        if _first_collision(host, tau_u, length_bound)[1] is None:
+        if not _own_factors_collide(host, tau_u, length_bound):
             return n
     return None

@@ -9,7 +9,9 @@ occurrence-scan inputs (``str.find``).  Letters map to code points with
 ``chr``/``ord`` here, in :mod:`retword.substitution`, in the return closure
 of :mod:`retword.returns` and in the interpretation threads of
 :mod:`retword.circularity`.  The naive window scan stays available in the
-test suite as the oracle.  Periodicity is decided exactly from return words
+test suite as the oracle.  The distinct factors of a text are cut, one
+length at a time, from its distinct windows of the longest length read
+(:func:`factor_windows`).  Periodicity is decided exactly from return words
 by :func:`retword.returns.nonperiodic_check`.
 Whether a set of scan texts is a code is decided by the Sardinas–Patterson
 test, :func:`is_code`.
@@ -17,7 +19,6 @@ test, :func:`is_code`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, Iterator
 
 
@@ -217,37 +218,19 @@ def is_code(texts: Iterable[str]) -> bool:
     return True
 
 
-def factor_spans(text: str, lengths: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(start, end) of one occurrence of each distinct factor of the scan text
-    ``text`` with one of the given lengths, in lexicographic order of the
-    factors (a shorter word before its extensions).
-
-    Every factor of length n <= L, L the longest requested length, is a prefix
-    of the *window* ``text[i:i+L]`` at its start i (near the end of the text a
-    window is a shorter tail).  So the distinct windows are collected once,
-    each with one start, and walked in sorted order, a preorder walk of the
-    trie of their prefixes: in sorted order, a prefix a window shares with
-    any earlier window it shares with the window just before it, so the new
-    factors of a window are its prefixes longer than the common prefix with
-    that window.  That is |text| window slices and one sort of the distinct
-    windows, and no factor is built as a string.  A length below 1 is
-    refused.
-    """
-    wanted = sorted(set(lengths))
-    if wanted and wanted[0] < 1:
-        raise ValueError(f"factor lengths must be >= 1, got {wanted[0]}")
-    return _trie_spans(text, wanted)
+def factor_windows(text: str, longest: int) -> dict[str, int]:
+    """The distinct windows ``text[i:i+longest]`` of the scan text ``text``,
+    each with one start i; near the end of the text a window is a shorter
+    tail.  Every factor of n <= ``longest`` letters is the prefix w[:n] of
+    the window w at one of its starts, so these windows are a factor table:
+    :func:`factors_of_length` cuts it to any one length."""
+    return {text[i : i + longest]: i for i in range(len(text))}
 
 
-def _trie_spans(text: str, wanted: list[int]) -> Iterator[tuple[int, int]]:
-    if not wanted:
-        return
-    longest = wanted[-1]
-    previous = ""
-    for window, i in sorted({text[i : i + longest]: i for i in range(len(text))}.items()):
-        shared, limit = 0, min(len(previous), len(window))
-        while shared < limit and previous[shared] == window[shared]:
-            shared += 1
-        for n in wanted[bisect_right(wanted, shared) : bisect_right(wanted, len(window))]:
-            yield i, i + n
-        previous = window
+def factors_of_length(windows: dict[str, int], n: int) -> dict[str, int]:
+    """The distinct factors of ``n`` letters, each with one start, cut from
+    the ``windows`` of :func:`factor_windows` that have at least ``n``
+    letters.  A length below 1 is refused."""
+    if n < 1:
+        raise ValueError(f"factor lengths must be >= 1, got {n}")
+    return {w[:n]: i for w, i in windows.items() if len(w) >= n}

@@ -9,11 +9,11 @@ does not build: find_n0's lemma says that its own-factor check implies the
 certificate, and the tests check the lemma against it.
 
 The library's delay search extends the interpretations of each factor from
-those of its parent in trie order, and takes the forcing cuts of a factor as
-the union of its interpretations' cut sets minus their intersection; the
-oracle finds every factor's interpretations from scratch by a worklist walk
-over a pool of window-sliced factors, and compares the cut sets of every
-ordered pair of them.
+those of its parent, length by length, and takes the forcing cuts of a
+factor as the union of its interpretations' cut sets minus their
+intersection; the oracle finds every factor's interpretations from scratch
+by a worklist walk over a pool of window-sliced factors, and compares the
+cut sets of every ordered pair of them.
 """
 
 from __future__ import annotations

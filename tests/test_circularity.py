@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
@@ -10,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 import circularity_oracle as oracle
 from retword.circularity import (
     Interpretation,
-    _first_collision,
     _InterpretationContext,
+    _own_factors_collide,
     find_n0,
     interpretations,
     sync_delay_search,
@@ -234,24 +235,26 @@ def test_sync_delay_matches_pair_oracle(tau, sample_len, d_max):
 @settings(max_examples=60, deadline=None)
 @given(primitive_substitutions(), st.integers(1, 10), st.integers(1, 600))
 def test_extension_step_matches_worklist_walk(tau, sample_len, prefix_len):
-    """Along the trie order of the sampled factors, one extension step from a
-    factor's parent gives, each once, the interpretations the worklist walk
-    finds from scratch; and every thread carries the cut set read off its
-    core text and the image lengths."""
+    """Length by length, one extension step from the threads of a factor's
+    parent gives, each once, the interpretations the worklist walk finds from
+    scratch over the whole sample; the pool grown to a length holds the
+    sampled factors of at most that length; and every thread carries the cut
+    set read off its core text and the image lengths."""
     ctx = _InterpretationContext(tau, prefix_len, sample_len)
     host = fixed_point_prefix(tau, prefix_len)
     walk = oracle.WorklistWalk(tau, host, sample_len)
-    assert ctx.factors == [w.scan_text for w in oracle.window_factors(host, sample_len)]
+    factors = {w.scan_text for w in oracle.window_factors(host, sample_len)}
     lengths = [len(w) for w in tau.images]
-    stack = [[(0, 0, "", frozenset())]]
-    for x in ctx.factors:
-        del stack[len(x) :]
-        threads = ctx.extend(stack[-1], x)
-        stack.append(threads)
-        assert sorted(thread[:3] for thread in threads) == sorted(walk(x))
-        for cut, _, core, cuts in threads:
-            starts = accumulate((lengths[ord(c)] for c in core), initial=cut)
-            assert cuts == set(zip(starts, map(ord, core)))
+    parents = {"": [(0, 0, "", frozenset())]}
+    for n in range(1, sample_len + 1):
+        found = {x: ctx.extend(parents[x[:-1]], x) for x in ctx.grow(n)}
+        assert ctx.pool == {x for x in factors if len(x) <= n}
+        for x, threads in found.items():
+            assert sorted(thread[:3] for thread in threads) == sorted(walk(x))
+            for cut, _, core, cuts in threads:
+                starts = accumulate((lengths[ord(c)] for c in core), initial=cut)
+                assert cuts == set(zip(starts, map(ord, core)))
+        parents = found
 
 
 @pytest.mark.parametrize("sample_len", [3, 5, 10, 18, 60])
@@ -273,9 +276,29 @@ def test_sync_delay_stops_at_the_length_that_decides_it(monkeypatch, fib):
         _InterpretationContext, "extend", lambda ctx, threads, text: calls.append(text) or extend(ctx, threads, text)
     )
     assert sync_delay_search(fib, 64, 18) == 0
-    factors = _InterpretationContext(fib, 2000, 18).factors
+    factors = [w.scan_text for w in oracle.window_factors(fixed_point_prefix(fib, 2000), 18)]
     assert sorted(calls) == sorted(x for x in factors if len(x) <= 4)
     assert len(calls) < len(factors)
+
+
+def test_sync_delay_slices_only_the_lengths_it_reads(monkeypatch):
+    """On const3 (delay 1, images of 3 letters) the search at sample length
+    200 stops past 2(1 + 1) + 3 = 7 letters: the pool holds no longer factor,
+    and the search's allocations peak far below the 33 MiB that slicing every
+    factor of up to 200 letters took."""
+    tau, _ = parse_substitution((SAMPLES / "const3.sub").read_text())
+    nonperiodic_check(tau)
+    grown = []
+    grow = _InterpretationContext.grow
+    monkeypatch.setattr(_InterpretationContext, "grow", lambda ctx, n: grown.append(n) or grow(ctx, n))
+    tracemalloc.start()
+    try:
+        assert sync_delay_search(tau, 64, 200) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grown == list(range(1, 8))
+    assert peak < 4 * 2**20
 
 
 def test_sync_delay_refuses_periodic_fixed_point():
@@ -318,10 +341,10 @@ def test_find_n0_matches_word_oracle(tau, bound):
 
 def _own_factor_collision(sub, bound, sample=1000):
     """find_n0's own-factor check on a stand-in for the return substitution,
-    next to the word-by-word oracle over the same host."""
+    next to the word-by-word oracle's collision over the same host."""
     host = fixed_point_prefix(sub, sample)
-    found = _first_collision(host, sub, bound)
-    return found, oracle.first_collision(sub, oracle.window_factors(host, bound))
+    found = _own_factors_collide(host, sub, bound)
+    return found, oracle.first_collision(sub, oracle.window_factors(host, bound))[1]
 
 
 @pytest.mark.parametrize("images", COLLIDING, ids=lambda im: ",".join(im.values()))
@@ -329,17 +352,17 @@ def test_own_factor_collisions_match_word_oracle(images):
     # each of these sends two letters to one image, so every bound collides
     sub = substitution_from_strings(" ".join(images), images, "a")
     for bound in (1, 2, 5, 13, 30):
-        found, expected = _own_factor_collision(sub, bound)
-        assert found == expected
-        first, second = found[1]
+        found, collision = _own_factor_collision(sub, bound)
+        assert found is True
+        first, second = collision
         assert first != second and sub(first) == sub(second)
 
 
 @settings(max_examples=60, deadline=None)
 @given(primitive_substitutions(), st.integers(1, 30), st.integers(1, 400))
 def test_own_factor_check_matches_word_oracle(sub, bound, sample):
-    found, expected = _own_factor_collision(sub, bound, sample)
-    assert found == expected
+    found, collision = _own_factor_collision(sub, bound, sample)
+    assert found == (collision is not None)
 
 
 def _colliding_substitution(images):
@@ -363,7 +386,7 @@ def test_own_factor_check_implies_injectivity_certificate(tau, prefix_len, bound
     u = fixed_point_prefix(tau, prefix_len)
     _, tau_u = return_substitution(tau, u)
     host = fixed_point_prefix(tau_u, 1000)
-    if _first_collision(host, tau_u, bound)[1] is None:
+    if not _own_factors_collide(host, tau_u, bound):
         assert oracle.check_injectivity(tau, u, bound, derived_sample=1000).passed
 
 
@@ -385,7 +408,7 @@ def test_code_images_leave_the_own_factor_walk_no_collision(tau, prefix_len, bou
     """find_n0's short-cut: when the images form a code, the walk it skips
     finds no collision, on tau_u's host and on tau's own fixed point."""
     if is_code(w.scan_text for w in tau.images):
-        assert _first_collision(fixed_point_prefix(tau, 1000), tau, bound)[1] is None
+        assert not _own_factors_collide(fixed_point_prefix(tau, 1000), tau, bound)
     try:
         nonperiodic_check(tau)
     except ValueError:
@@ -393,7 +416,7 @@ def test_code_images_leave_the_own_factor_walk_no_collision(tau, prefix_len, bou
     _, tau_u = return_substitution(tau, fixed_point_prefix(tau, prefix_len))
     if is_code(w.scan_text for w in tau_u.images):
         host = fixed_point_prefix(tau_u, 1000)
-        assert _first_collision(host, tau_u, bound)[1] is None
+        assert not _own_factors_collide(host, tau_u, bound)
 
 
 def test_find_n0_on_samples_is_decided_by_the_code_test(monkeypatch):
@@ -404,7 +427,7 @@ def test_find_n0_on_samples_is_decided_by_the_code_test(monkeypatch):
 
     cases = [parse_substitution(p.read_text(encoding="utf-8"))[0] for p in sorted(SAMPLES.glob("*.sub"))]
     expected = [[oracle.find_n0(tau, bound) for bound in (1, 8, 30)] for tau in cases]
-    monkeypatch.setattr("retword.circularity._first_collision", refuse)
+    monkeypatch.setattr("retword.circularity._own_factors_collide", refuse)
     assert [[find_n0(tau, bound) for bound in (1, 8, 30)] for tau in cases] == expected
 
 
@@ -425,8 +448,8 @@ def test_find_n0_walks_where_the_images_are_no_code(monkeypatch, images, bound, 
     _, tau_u = return_substitution(tau, fixed_point_prefix(tau, 1))
     assert not is_code(w.scan_text for w in tau_u.images)
     calls = []
-    walk = _first_collision
-    monkeypatch.setattr("retword.circularity._first_collision", lambda *a: calls.append(1) or walk(*a))
+    walk = _own_factors_collide
+    monkeypatch.setattr("retword.circularity._own_factors_collide", lambda *a: calls.append(1) or walk(*a))
     assert find_n0(tau, bound, max_prefix=6) == n0 == oracle.find_n0(tau, bound, max_prefix=6)
     assert len(calls) == walks
 

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circularity_oracle import window_factors
 from periodic_oracle import periodic_tail_witness
 from retword.substitution import fixed_point_prefix
-from retword.words import Alphabet, Word, factor_spans, find_all, is_code, same_symbols
+from retword.words import Alphabet, Word, factor_windows, factors_of_length, find_all, is_code, same_symbols
 
 AB = Alphabet(("a", "b", "c"))
 BIN = Alphabet(("0", "1"))
@@ -50,10 +51,11 @@ def test_occurrences_matches_oracle_random():
 
 
 def factor_texts(host: Word, lengths) -> list[str]:
-    """The scan texts of the distinct factors of ``host`` with the given lengths,
-    in the order :func:`factor_spans` yields them."""
-    text = host.scan_text
-    return [text[i:j] for i, j in factor_spans(text, lengths)]
+    """The scan texts of the distinct factors of ``host`` with the given
+    lengths, cut from the windows of the longest one, sorted."""
+    lengths = set(lengths)
+    windows = factor_windows(host.scan_text, max(lengths, default=0))
+    return sorted(x for n in lengths for x in factors_of_length(windows, n))
 
 
 def test_factor_set_binary_example():
@@ -72,7 +74,7 @@ def test_factor_set_unary_host():
 def test_factor_set_bad_length():
     assert factor_texts(AB.word("ab"), (3,)) == []
     with pytest.raises(ValueError):
-        factor_spans(AB.word("ab").scan_text, (0,))
+        factor_texts(AB.word("ab"), (0,))
 
 
 def slice_factors(host: Word, lengths) -> list[str]:
@@ -90,7 +92,6 @@ def test_factors_match_slice_oracle(letters, lengths):
     """Random hosts, non-contiguous length sets and lengths past the host."""
     host = Word(AB, letters)
     assert factor_texts(host, lengths) == slice_factors(host, lengths)
-    assert all(j - i in lengths for i, j in factor_spans(host.scan_text, lengths))
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,9 +115,25 @@ def test_factors_without_lengths_and_past_the_host():
 
 def test_factors_refuse_lengths_below_one():
     with pytest.raises(ValueError):
-        factor_spans(AB.word("abca").scan_text, (0, 2))
+        factor_texts(AB.word("abca"), (0, 2))
     with pytest.raises(ValueError):
-        factor_spans(AB.word("abca").scan_text, (-1,))
+        factor_texts(AB.word("abca"), (-1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(letters=st.lists(st.integers(0, 2), max_size=60), longest=st.integers(1, 70))
+def test_factor_table_matches_window_oracle(letters, longest):
+    """For every n up to the window length S, the factors of n letters cut
+    from the windows of S letters are those of the window oracle, each with a
+    start where it occurs; S runs past the host and windows past its end."""
+    host = Word(AB, letters)
+    text = host.scan_text
+    windows = factor_windows(text, longest)
+    expected = [w.scan_text for w in window_factors(host, longest)]
+    for n in range(1, longest + 1):
+        factors = factors_of_length(windows, n)
+        assert set(factors) == {x for x in expected if len(x) == n}
+        assert all(text[i : i + n] == x for x, i in factors.items())
 
 
 def test_fibonacci_factor_complexity_is_n_plus_one(fib):
@@ -132,21 +149,6 @@ def test_thue_morse_factor_complexity(morse):
     found = factor_texts(host, range(1, 9))
     counts = [sum(1 for w in found if len(w) == n) for n in range(1, 9)]
     assert counts == [2, 4, 6, 10, 12, 16, 20, 22]
-
-
-def test_factors_order_puts_a_word_before_its_extensions(trib):
-    host = fixed_point_prefix(trib, 3000)
-    found = factor_texts(host, (2, 5, 6, 11))
-    assert found == sorted(found)
-    assert len(set(found)) == len(found)
-    position = {t: i for i, t in enumerate(found)}
-    extended = 0
-    for t, i in position.items():
-        for n in (2, 5, 6):
-            if len(t) > n:
-                assert position[t[:n]] < i
-                extended += 1
-    assert extended > 0
 
 
 def test_seam_occurrence_inequality():
