@@ -13,15 +13,16 @@ Every invariant of a presentation is a :class:`~retword.checks.Check`.  Four
 of them (the intertwining identity, primitivity of zeta, the period column
 under coding∘psi and the dominant eigenvalue certificate) are computed once
 per presentation and kept on it, and the construction guards on them.  The
-intertwining identity is checked on scan texts, with no morphism composed;
-with the period column and two facts about start letters it implies that
-the coded fixed point is m^omega, so the fifth check, the coded prefix, is
-decided from them and no prefix is generated.  Primitivity and the dominant
-certificate rest on the factorization Z = P N of zeta's matrix Z, with P
-psi's 0/1 matrix (one 1 per row, the base letter of a product letter) and N
-Z's rows at the first product letter of each base letter, and on N P = M^k,
-tau^k's matrix.  Both identities are checked on the matrices, so no
-characteristic polynomial is formed:
+intertwining identity is decided by ``first_mismatch``, with no morphism
+composed; with the period column and two facts about start letters it
+implies that the coded fixed point is m^omega, so the fifth check, the coded
+prefix, is decided from them and no prefix is generated.  Primitivity and
+the dominant certificate rest on the factorization Z = P N of zeta's matrix
+Z, with P psi's 0/1 matrix (one 1 per row, the base letter of a product
+letter) and N Z's rows at the first product letter of each base letter, and
+on N P = M^k, tau^k's matrix.  Z = P N is checked on the matrices, and
+N P = M^k follows from it and the intertwining identity, so M^k is not
+counted and no characteristic polynomial is formed:
 
 - Sylvester's identity gives det(xI - Z) = x^(|A| (p - 1)) det(xI - M^k),
   and two non-negative matrices with the same non-zero characteristic
@@ -31,8 +32,8 @@ characteristic polynomial is formed:
   empty; so zeta is primitive with least exponent 1 when Z > 0 and 2
   otherwise.
 
-A presentation where either identity fails takes the general paths,
-``certify_equal_dominant`` and ``is_primitive``.
+A presentation where the intertwining identity or the factorization fails
+takes the general paths, ``certify_equal_dominant`` and ``is_primitive``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ from .substitution import (
     IncidenceMatrix,
     Morphism,
     Substitution,
+    first_mismatch,
     is_primitive,
     power,
     power_lengths,
-    require_composable,
 )
 from .words import Word, _word
 
@@ -82,15 +83,15 @@ class PeriodicPresentation:
         """The four checks the coded-prefix check is derived from, computed on first use.
 
         In order: zeta∘psi = psi∘tau^k letter by letter (naming the first
-        offender), compared on scan texts as psi(b) translated by zeta's
-        table against tau^k(b) translated by psi's, with no morphism
-        composed; primitivity of zeta, the period spelled by coding∘psi on
-        every base letter, and exact equality of zeta's dominant eigenvalue
-        with the k-th power of the base's (tau^k's matrix is M^k).
+        offender), decided by ``first_mismatch`` with no morphism composed;
+        primitivity of zeta, the period spelled by coding∘psi on every base
+        letter, and exact equality of zeta's dominant eigenvalue with the
+        k-th power of the base's (tau^k's matrix is M^k).
 
         Primitivity and the dominant check are read off the factorization
         of zeta's matrix Z (see ``_factors``): Z = P N for psi's |A| p x |A|
-        matrix P, with one 1 per row, and N P = M^k.  Then:
+        matrix P, with one 1 per row, and then N P = M^k by the intertwining
+        identity, so M^k is read off N P and not counted.  Then:
 
         - det(xI - P N) = x^(|A| (p - 1)) det(xI - N P) (Sylvester), so Z and
           M^k share their non-zero characteristic factor, whose degree is at
@@ -105,34 +106,24 @@ class PeriodicPresentation:
           empty.  So Z's least positive power is 1 when Z > 0 and 2
           otherwise, the answer of ``is_primitive``.
 
-        Where the factorization fails (a hand-built or tampered
-        presentation), ``certify_equal_dominant`` and ``is_primitive`` decide,
-        and so does ``is_primitive`` where M^k is not positive.  A failed
+        Where the identity or the factorization fails (a hand-built or
+        tampered presentation), ``certify_equal_dominant`` and
+        ``is_primitive`` decide, on M^k counted from tau^k's images, and so
+        does ``is_primitive`` where M^k is not positive.  A failed
         check carries no detail.  The cache is not a field, so a hand-built
         presentation computes its own checks.
         """
         rho = power(self.base, self.exponent)
-        base, psi = self.base.alphabet, self.psi
-        require_composable(self.zeta.morphism, psi)
-        require_composable(psi, rho.morphism)
-        zeta_table, psi_table = self.zeta.morphism._table, psi._table
-        bad = next(
-            (
-                base.symbol(b)
-                for b, (column, image) in enumerate(zip(psi_table, rho.morphism._table))
-                if column.translate(zeta_table) != image.translate(psi_table)
-            ),
-            None,
-        )
-        z, mk = self.zeta.matrix(), rho.matrix()
-        factored = _factors(z, self.psi, mk)
-        equal = factored or certify_equal_dominant(z, mk)
-        if factored and mk.all_positive():
+        base, psi, z = self.base.alphabet, self.psi, self.zeta.matrix()
+        bad = first_mismatch((self.zeta.morphism, psi), (psi, rho.morphism))
+        mk = _factors(z, psi) if bad is None else None
+        equal = mk is not None or certify_equal_dominant(z, rho.matrix())
+        if mk is not None and mk.all_positive():
             primitive, witness = True, 1 if z.all_positive() else 2
         else:
             primitive, witness = is_primitive(z)
         column_ok = all(self.coding(self.psi.image(b)) == self.period for b in range(base.size))
-        offender = None if bad is None else f"fails at letter {bad!r}"
+        offender = None if bad is None else f"fails at letter {base.symbol(bad)!r}"
         return (
             Check.of("zeta∘psi=psi∘tau^k", bad is None, offender),
             Check.of(
@@ -147,30 +138,33 @@ class PeriodicPresentation:
         )
 
 
-def _factors(z: IncidenceMatrix, psi: Morphism, m: IncidenceMatrix) -> bool:
-    """Whether z = P N and N P = m, for P psi's incidence matrix with one 1
-    per row and N z's rows at the first letter of each psi image.
+def _factors(z: IncidenceMatrix, psi: Morphism) -> IncidenceMatrix | None:
+    """N P when z = P N, for P psi's incidence matrix with one 1 per row and
+    N z's rows at the first letter of each psi image; None when z does not
+    factor so.
 
     P is read off psi's images: it has one 1 per row exactly when every
     letter of psi's target occurs once among them, and row r's 1 is then in
     the column of the image holding r.  z = P N says that z's row at each
     letter equals N's row at its image, and (N P)[b, c] sums row b of N over
-    the letters of psi(c).  psi's target is z's alphabet and its source m's,
-    as the intertwining check requires.
+    the letters of psi(c).  Once the intertwining identity has passed, N P
+    is tau^k's matrix M^k: z P = P M^k gives P (N P - M^k) = 0, whose row r
+    is row b of N P - M^k for the psi(b) holding r, and no psi(b) is empty.
     """
     texts = [w.scan_text for w in psi.images]
     if "" in texts or sum(map(len, texts)) != z.nrows:
-        return False
+        return None
     block: list[int | None] = [None] * z.nrows
     for b, text in enumerate(texts):
         for c in text:
             block[ord(c)] = b
     if None in block:  # a letter met twice, so another never
-        return False
+        return None
     n = tuple(z.rows[ord(text[0])] for text in texts)
-    return z.rows == tuple(map(n.__getitem__, block)) and all(
-        tuple(sum(map(row.__getitem__, map(ord, text))) for text in texts) == target
-        for row, target in zip(n, m.rows)
+    if z.rows != tuple(map(n.__getitem__, block)):
+        return None
+    return IncidenceMatrix(
+        tuple(sum(map(row.__getitem__, map(ord, text))) for text in texts) for row in n
     )
 
 

@@ -8,6 +8,8 @@ is what transfers eigenvalues.  The same decomposition idea at the matrix
 level splits powers of the incidence matrix along the coding matrix with
 uniformly bounded residuals, for a span of exponents at once: the least
 exponent, the coding matrix and the residual bounds depend on u alone.
+Every identity between composed morphisms is decided letter by letter by
+:func:`~retword.substitution.first_mismatch`, which composes no morphism.
 
 The second half of the module handles substitutions that equal their own
 return substitution on some prefix: for these, iterated codings commute with
@@ -43,7 +45,7 @@ from .substitution import (
     Morphism,
     Substitution,
     commute,
-    compose,
+    first_mismatch,
     fixed_point_generator,
     fixed_point_prefix,
     incidence_matrix,
@@ -141,36 +143,25 @@ class RelationReport:
         return all(c.passed for c in self.checks)
 
 
-def _morphisms_equal_check(name: str, f: Morphism, g: Morphism) -> Check:
-    if f.source != g.source or f.target != g.target:
-        return Check.of(name, False, "alphabet mismatch")
-    for b in range(f.source.size):
-        if f.image(b) != g.image(b):
-            return Check.of(name, False, f.source.symbol(b))
-    return Check.of(name, True)
-
-
 def verify_propprec(tau: Substitution, u: Word, v: Word) -> RelationReport:
-    """Build both bridge morphisms and check all four intertwining identities."""
-    sys_u, tau_u = return_substitution(tau, u)
-    sys_v, tau_v = return_substitution(tau, v)
+    """Build both bridge morphisms and check all four intertwining identities,
+    each by :func:`first_mismatch`."""
+    _, tau_u = return_substitution(tau, u)
+    _, tau_v = return_substitution(tau, v)
     lam = lambda_morphism(tau, u, v)
     k, kap = kappa_morphism(tau, u, v)
-    checks = (
-        _morphisms_equal_check(
-            "tau_v∘kappa=kappa∘tau_u", compose(tau_v.morphism, kap), compose(kap, tau_u.morphism)
-        ),
-        _morphisms_equal_check(
-            "tau_u∘lambda=lambda∘tau_v", compose(tau_u.morphism, lam), compose(lam, tau_v.morphism)
-        ),
-        _morphisms_equal_check(
-            "kappa∘lambda=tau_v^k", compose(kap, lam), power(tau_v, k).morphism
-        ),
-        _morphisms_equal_check(
-            "lambda∘kappa=tau_u^k", compose(lam, kap), power(tau_u, k).morphism
-        ),
+    identities = (
+        ("tau_v∘kappa=kappa∘tau_u", (tau_v.morphism, kap), (kap, tau_u.morphism)),
+        ("tau_u∘lambda=lambda∘tau_v", (tau_u.morphism, lam), (lam, tau_v.morphism)),
+        ("kappa∘lambda=tau_v^k", (kap, lam), (power(tau_v, k).morphism,)),
+        ("lambda∘kappa=tau_u^k", (lam, kap), (power(tau_u, k).morphism,)),
     )
-    return RelationReport(u, v, k, lam, kap, tau_u, tau_v, checks)
+    checks = []
+    for name, left, right in identities:
+        bad = first_mismatch(left, right)
+        detail = None if bad is None else left[-1].source.symbol(bad)
+        checks.append(Check.of(name, bad is None, detail))
+    return RelationReport(u, v, k, lam, kap, tau_u, tau_v, tuple(checks))
 
 
 def two_occurrence_exponent(tau: Substitution, u: Word) -> int:
@@ -414,10 +405,10 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     gamma = best[0][2]
     verified = True
     for p, l_p, _ in best:
-        theta_l = power(theta, l_p).morphism
-        tau_p = power(tau, p).morphism
-        if not compose(theta_l, gamma) == tau_p == compose(gamma, theta_l):
-            verified = False
+        theta_l, tau_p = power(theta, l_p).morphism, (power(tau, p).morphism,)
+        for left in ((theta_l, gamma), (gamma, theta_l)):
+            if first_mismatch(left, tau_p) is not None:
+                verified = False
     return SteponeResult(
         hypotheses=hyp,
         k0=k0,
@@ -527,9 +518,9 @@ def shared_fixed_point_analysis(
     Walks levels 1..depth of tau's cached tower, past its repetition if need
     be; at each level both return substitutions live on the same return
     alphabet (the return words depend only on the fixed point), so exact
-    equality of powers is a direct comparison.  Equal powers have equal image
-    lengths, so a pair whose :func:`power_lengths` differ is passed by with
-    no power formed.  Returns the first witness in (level, i+j, i) order or
+    equality of powers is one :func:`first_mismatch` call.  Equal powers
+    have equal image lengths, so a pair whose :func:`power_lengths` differ
+    is passed by with no power formed.  Returns the first witness in (level, i+j, i) order or
     None once depth and budget are exhausted; a pair of equal lengths whose
     powers would pass the buffer cap raises ``ResourceLimitError``.  A
     negative depth or budget is refused, and so are fixed points that pass
@@ -558,6 +549,6 @@ def shared_fixed_point_analysis(
         for i, j in exponent_pairs(budget):
             if lengths_t[i - 1] != lengths_s[j - 1]:
                 continue
-            if spelling(power(tau_u, i).images) == spelling(power(sigma_u, j).images):
+            if first_mismatch((power(tau_u, i).morphism,), (power(sigma_u, j).morphism,)) is None:
                 return SharedWitness(u, i, j, level)
     return None

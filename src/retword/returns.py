@@ -28,9 +28,10 @@ from itertools import count
 from .checks import Check
 from .errors import DecompositionError, InternalInconsistencyError, ResourceLimitError
 from .substitution import (
-    PREFIX_CAP_ENV,
     Morphism,
     Substitution,
+    buffer_cap_error,
+    first_mismatch,
     fixed_point_prefix,
     is_primitive,
 )
@@ -140,10 +141,7 @@ def _first_return_text(tau: Substitution, u: Word) -> str:
     growing the buffer as needed."""
     fp = tau.fixed_point()
     if fp.cap <= len(u):
-        raise ResourceLimitError(
-            f"prefix of length {len(u)} cannot recur within the buffer cap {fp.cap}",
-            budget=fp.cap,
-        )
+        raise buffer_cap_error(f"prefix of length {len(u)} cannot recur within", fp.cap)
     length = min(max(4 * len(u), 64), fp.cap)
     while True:
         text = fp.text(length)
@@ -153,10 +151,7 @@ def _first_return_text(tau: Substitution, u: Word) -> str:
         if second != -1:
             return text[:second]
         if length == fp.cap:
-            raise ResourceLimitError(
-                f"no second occurrence of the prefix within the buffer cap {fp.cap}",
-                budget=fp.cap,
-            )
+            raise buffer_cap_error("no second occurrence of the prefix within", fp.cap)
         length = min(length * 2, fp.cap)
 
 
@@ -216,10 +211,8 @@ def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitut
         if held + len(r) * longest > cap:
             total = held + sum(len(table[ord(c)]) for c in r)
             if total > cap:
-                raise ResourceLimitError(
-                    f"the return-word closure would hold {total} letters, "
-                    f"over the buffer cap {cap} ({PREFIX_CAP_ENV})",
-                    budget=cap,
+                raise buffer_cap_error(
+                    f"the return-word closure would hold {total} letters, over", cap
                 )
         text = r.translate(table)
         cuts = _chunk_positions(text, ut)
@@ -326,9 +319,8 @@ def nested_derivation(
     sys_w, tau_w = return_substitution(tau, w)
     sys_v, tau_uv = return_substitution(tau_u, v)
     same_count = sys_w.count == sys_v.count
-    composed_ok = same_count and all(
-        sys_u.coding()(sys_v.word_for(b)) == sys_w.word_for(b)
-        for b in range(sys_w.count)
+    composed_ok = same_count and (
+        first_mismatch((sys_u.coding(), sys_v.coding()), (sys_w.coding(),)) is None
     )
     checks.append(
         Check.of(

@@ -4,13 +4,18 @@ A substitution here is a non-erasing morphism of an alphabet into itself with
 a designated start letter whose image begins with that letter; iterating the
 morphism on the start letter generates an arbitrarily long prefix of the
 unique fixed point.
+
+:func:`first_mismatch` decides every identity between composed morphisms,
+composing none; only :func:`power` composes.  Every refusal past the buffer
+cap names the cap and the variable that sets it (:func:`buffer_cap_error`).
 """
 
 from __future__ import annotations
 
 import os
+from functools import reduce
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GenerationError, ParseError, ResourceLimitError
 from .words import Alphabet, Word, _word
@@ -31,6 +36,11 @@ def prefix_cap() -> int:
     if value <= 0:
         raise ValueError(f"{PREFIX_CAP_ENV} must be positive, got {value}")
     return value
+
+
+def buffer_cap_error(what: str, cap: int) -> ResourceLimitError:
+    """The refusal of work past the buffer cap: ``what``, the cap and REPO_PREFIX_CAP."""
+    return ResourceLimitError(f"{what} the buffer cap {cap} ({PREFIX_CAP_ENV})", budget=cap)
 
 
 class IncidenceMatrix:
@@ -205,28 +215,45 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(g.source, f.target, tuple(f(g.image(b)) for b in range(g.source.size)))
 
 
+def first_mismatch(left: Sequence[Morphism], right: Sequence[Morphism]) -> int | None:
+    """The first source letter on which the composites of ``left`` and
+    ``right`` differ, or None when they are equal.
+
+    Each sequence is composed right to left, ``(f, g, h)`` standing for
+    f∘g∘h.  A composite image is the last morphism's image text translated
+    through the other tables in turn, so no morphism is composed.  The guard
+    of :func:`compose` applies along each sequence, and two composites with
+    different source or target alphabets are refused with ``ValueError``.
+    """
+    for chain in (left, right):
+        for f, g in zip(chain, chain[1:]):
+            require_composable(f, g)
+    if left[-1].source != right[-1].source or left[0].target != right[0].target:
+        raise ValueError("composites map between different alphabets")
+    left_tables = [m._table for m in reversed(left[:-1])]
+    right_tables = [m._table for m in reversed(right[:-1])]
+    for b, (x, y) in enumerate(zip(left[-1]._table, right[-1]._table)):
+        if reduce(str.translate, left_tables, x) != reduce(str.translate, right_tables, y):
+            return b
+    return None
+
+
 def commute(f: Morphism, g: Morphism, budget: int) -> bool:
-    """Whether f and g are self-morphisms of one alphabet with f∘g = g∘f,
-    compared letter by letter on scan texts.  The image lengths are compared
-    first, and the images themselves only when f(g(b)) over every letter b
-    holds at most ``budget`` letters together; past it the answer is False,
-    so the test never builds more than ``budget`` letters."""
+    """Whether f and g are self-morphisms of one alphabet with f∘g = g∘f.
+    The image lengths are compared first, and the images themselves, by
+    :func:`first_mismatch`, only when f(g(b)) over every letter b holds at
+    most ``budget`` letters together; past it the answer is False, so the
+    test never builds more than ``budget`` letters."""
     if not f.source == f.target == g.source == g.target:
         return False
-    f_table, g_table = f._table, g._table
-    f_lengths, g_lengths = [len(t) for t in f_table], [len(t) for t in g_table]
+    f_lengths, g_lengths = [len(t) for t in f._table], [len(t) for t in g._table]
     total = 0
-    for f_image, g_image in zip(f_table, g_table):
+    for f_image, g_image in zip(f._table, g._table):
         composed = sum(f_lengths[ord(c)] for c in g_image)
         if composed != sum(g_lengths[ord(c)] for c in f_image):
             return False
         total += composed
-    if total > budget:
-        return False
-    return all(
-        g_image.translate(f_table) == f_image.translate(g_table)
-        for f_image, g_image in zip(f_table, g_table)
-    )
+    return total <= budget and first_mismatch((f, g), (g, f)) is None
 
 
 def incidence_matrix(m: Morphism) -> IncidenceMatrix:
@@ -400,11 +427,7 @@ def power(s: Substitution, n: int) -> Substitution:
     if n not in table:
         total, cap = sum(power_lengths(s, n)[-1]), prefix_cap()
         if total > cap:
-            raise ResourceLimitError(
-                f"the images of power {n} hold {total} letters, "
-                f"over the buffer cap {cap} ({PREFIX_CAP_ENV})",
-                budget=cap,
-            )
+            raise buffer_cap_error(f"the images of power {n} hold {total} letters, over", cap)
         # the table holds exactly the exponents 2 .. top
         top = len(table) + 1
         m = table[top].morphism if table else s.morphism
@@ -428,7 +451,7 @@ class FixedPointPrefix:
 
     __slots__ = ("alphabet", "_table", "_longest", "_text", "_next", "_cap")
 
-    def __init__(self, substitution: Substitution, cap: int | None = None):
+    def __init__(self, substitution: Substitution):
         # no reference back to the substitution, which holds this generator:
         # without a cycle the buffer is freed with the substitution
         self.alphabet = substitution.alphabet
@@ -441,7 +464,7 @@ class FixedPointPrefix:
             )
         self._text = start_image.scan_text
         self._next = 1
-        self._cap = prefix_cap() if cap is None else cap
+        self._cap = prefix_cap()
 
     def __len__(self) -> int:
         return len(self._text)
@@ -453,11 +476,7 @@ class FixedPointPrefix:
     def _check_cap(self, n: int) -> None:
         """Refuse a request for more letters than the buffer cap allows."""
         if n > self._cap:
-            raise ResourceLimitError(
-                f"requested prefix length {n} exceeds the buffer cap {self._cap} "
-                f"({PREFIX_CAP_ENV})",
-                budget=self._cap,
-            )
+            raise buffer_cap_error(f"requested prefix length {n} exceeds", self._cap)
 
     def ensure(self, n: int) -> None:
         self._check_cap(n)

@@ -381,6 +381,41 @@ def test_prefix_cap_env(files, monkeypatch):
     assert status == EXIT_BUDGET
 
 
+SEVEN = "alphabet = a b\nstart = a\na -> a b b b b b b\nb -> a\n"
+
+
+@pytest.mark.parametrize(
+    "cap, argv, message",
+    [
+        # the fixed-point buffer
+        ("100", ["fixed-point", "fib", "--length", "200"], "requested prefix length 200 exceeds"),
+        # power: k = 4 for a 4-letter period, and fib^4's images hold 8 + 5 letters
+        ("10", ["periodic", "fib", "--period", "0110"], "the images of power 4 hold 13 letters, over"),
+        # the return closure: the return word a b^6 and its image hold 7 + 13 letters
+        (
+            "10",
+            ["return-words", "seven", "--prefix", "a"],
+            "the return-word closure would hold 20 letters, over",
+        ),
+        ("5", ["return-words", "fib", "--prefix", "010010"], "prefix of length 6 cannot recur within"),
+        ("10", ["return-words", "fib", "--prefix", "01001010"], "no second occurrence of the prefix within"),
+    ],
+)
+def test_every_buffer_cap_refusal_names_the_variable(
+    files, tmp_path, monkeypatch, capsys, cap, argv, message
+):
+    """Each of the five refusals past the buffer cap exits 3 with one line
+    naming the cap and REPO_PREFIX_CAP, and prints no report."""
+    (tmp_path / "seven.sub").write_text(SEVEN)
+    paths = {**files, "seven": str(tmp_path / "seven.sub")}
+    monkeypatch.setenv("REPO_PREFIX_CAP", cap)
+    status, _ = run_command([argv[0], paths[argv[1]], *argv[2:], "--json"])
+    assert status == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exhausted: {message} the buffer cap {cap} (REPO_PREFIX_CAP)\n"
+
+
 def test_generation_error_exit_code(tmp_path, capsys):
     path = tmp_path / "stuck.sub"
     path.write_text("alphabet = a b\nstart = a\na -> a\nb -> b a\n")

@@ -309,6 +309,28 @@ def test_periodic_command_checks_structure_once(monkeypatch):
     assert [args for args in compositions if any(m.target.size == 8 for m in args)] == []
 
 
+def test_periodic_command_counts_no_power_matrix(monkeypatch):
+    """tau^k's matrix M^k is N P, read off zeta's factorization once the
+    intertwining identity has passed: a job counts tau's matrix and zeta's,
+    and not M^k."""
+    sizes = []
+    substitution_module = sys.modules["retword.substitution"]
+    incidence_matrix = substitution_module.incidence_matrix
+
+    def counted_incidence_matrix(m):
+        sizes.append(m.target.size)
+        return incidence_matrix(m)
+
+    monkeypatch.setattr(substitution_module, "incidence_matrix", counted_incidence_matrix)
+    sample = Path(__file__).resolve().parents[1] / "samples" / "morse.sub"
+    argv = ["periodic", str(sample), "--period", "01101001", "--json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(argv)
+    assert status == 0
+    assert [c["outcome"] for c in report.payload["checks"]] == ["pass"] * 5
+    assert sizes == [2, 16]
+
+
 def test_failed_primitivity_check_carries_no_detail():
     """zeta sending (a,0) to (a,0)(a,0) and every other letter to (a,0) is
     not primitive: the check fails with no witness exponent in its detail."""
@@ -518,9 +540,9 @@ def test_periodic_command_generates_no_coded_prefix(monkeypatch):
     calls, buffers = [], []
     init = FixedPointPrefix.__init__
 
-    def counted_init(self, substitution, cap=None):
+    def counted_init(self, substitution):
         buffers.append(substitution.alphabet.size)
-        init(self, substitution, cap)
+        init(self, substitution)
 
     def counted_prefix(*args):
         calls.append(args)

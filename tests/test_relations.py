@@ -106,6 +106,52 @@ def test_verify_propprec_suite(corpus, name, u_text, v_text):
     assert report.k >= 1
 
 
+def test_relations_command_composes_only_inside_power(monkeypatch):
+    """The four bridge identities compose no morphism: ``relations`` on
+    Fibonacci with u = 0, v = 01 makes 6 compositions, each one step of a
+    power built by ``power``."""
+    callers = []
+
+    def counted_compose(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return compose(*args)
+
+    for module in ("retword.substitution", "retword.relations"):
+        monkeypatch.setattr(sys.modules[module], "compose", counted_compose, raising=False)
+    argv = ["relations", str(ROOT / "samples" / "fib.sub"), "--u", "0", "--v", "01", "--json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        status, report = run_command(argv)
+    assert status == 0
+    assert all(c["outcome"] == "pass" for c in report.payload["checks"])
+    assert callers == ["power"] * 6
+
+
+def test_failed_bridge_identity_names_the_first_offending_letter(monkeypatch, fib):
+    """kappa with one image redrawn: each identity through kappa fails, and
+    its detail is the first return letter on which the composites built by
+    ``compose`` differ."""
+    u, v = fib.alphabet.word("0"), fib.alphabet.word("01")
+    k, kap = kappa_morphism(fib, u, v)
+    last = kap.source.size - 1
+    images = kap.images[:last] + (kap.images[last] + kap.images[0],)
+    bad = Morphism(kap.source, kap.target, images)
+    monkeypatch.setattr(sys.modules["retword.relations"], "kappa_morphism", lambda *args: (k, bad))
+    report = verify_propprec(fib, u, v)
+    lam, tau_u, tau_v = report.lam, report.tau_u.morphism, report.tau_v.morphism
+    sides = (
+        (compose(tau_v, bad), compose(bad, tau_u)),
+        (compose(tau_u, lam), compose(lam, tau_v)),
+        (compose(bad, lam), power(report.tau_v, k).morphism),
+        (compose(lam, bad), power(report.tau_u, k).morphism),
+    )
+    expected = [
+        next((f.source.symbol(b) for b in range(f.source.size) if f.image(b) != g.image(b)), None)
+        for f, g in sides
+    ]
+    assert [c.detail for c in report.checks] == expected
+    assert [c.passed for c in report.checks] == [False, True, False, False]
+
+
 def test_propprec_matrix_consequences(fib):
     u, v = fib.alphabet.word("0"), fib.alphabet.word("01")
     report = verify_propprec(fib, u, v)

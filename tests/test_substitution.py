@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import sys
@@ -18,6 +19,7 @@ from retword.substitution import (
     Substitution,
     Word,
     compose,
+    first_mismatch,
     fixed_point_prefix,
     identity_matrix,
     identity_morphism,
@@ -265,8 +267,9 @@ def test_generated_prefix_freed_without_cycle_collection():
         gc.enable()
 
 
-def test_fixed_point_cap_enforced(fib):
-    fp = FixedPointPrefix(fib, cap=32)
+def test_fixed_point_cap_enforced(fib, monkeypatch):
+    monkeypatch.setenv("REPO_PREFIX_CAP", "32")
+    fp = FixedPointPrefix(fib)
     with pytest.raises(ResourceLimitError):
         fp.prefix(33)
     assert fp.prefix(32).text().startswith("01001")
@@ -502,7 +505,9 @@ def test_morphism_call_and_incidence_match_letterwise(m, data):
 @given(primitive_substitutions(), st.integers(1, 400), st.data())
 def test_fixed_point_prefix_matches_letterwise(sub, cap, data):
     longest = sub.max_image_length()
-    fp = FixedPointPrefix(sub, cap=cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPO_PREFIX_CAP", str(cap))
+        fp = FixedPointPrefix(sub)
     lengths = sorted(data.draw(st.lists(st.integers(1, cap), min_size=1, max_size=4)))
     for n in lengths + [cap]:
         before = len(fp)
@@ -528,6 +533,82 @@ def test_power_is_nested_composition_and_kept(sub, exponents):
         assert power(sub, n).start == sub.start
         assert power(sub, n) is power(sub, n)
     assert power(sub, 1) is sub
+
+
+def _named_alphabet(name: str, size: int) -> Alphabet:
+    return Alphabet(tuple(f"{name}{i}" for i in range(size)))
+
+
+@st.composite
+def morphism_chains(draw, source: Alphabet, target: Alphabet):
+    """1-3 composable morphisms from ``source`` to ``target``, last applied
+    first, through middle alphabets of 1-4 letters, with images of 0-4 letters."""
+    length = draw(st.integers(1, 3))
+    middles = [_named_alphabet(f"m{i}", draw(st.integers(1, 4))) for i in range(length - 1)]
+    alphabets = [target, *middles, source]
+    chain = []
+    for f_target, f_source in zip(alphabets, alphabets[1:]):
+        images = [
+            draw(st.lists(st.integers(0, f_target.size - 1), max_size=4))
+            for _ in range(f_source.size)
+        ]
+        chain.append(Morphism(f_source, f_target, tuple(Word(f_target, tuple(im)) for im in images)))
+    return tuple(chain)
+
+
+def _tampered(chain, data):
+    """The chain with one image of one morphism redrawn."""
+    i = data.draw(st.integers(0, len(chain) - 1))
+    m = chain[i]
+    b = data.draw(st.integers(0, m.source.size - 1))
+    image = Word(m.target, tuple(data.draw(st.lists(st.integers(0, m.target.size - 1), max_size=4))))
+    images = m.images[:b] + (image,) + m.images[b + 1 :]
+    return chain[:i] + (Morphism(m.source, m.target, images),) + chain[i + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_first_mismatch_is_the_first_letter_the_composed_morphisms_differ_on(
+    source_size, target_size, data
+):
+    """Against ``functools.reduce(compose, chain)``: the right side is a
+    fresh chain, the left one, or the left one's composite, each possibly
+    with one image redrawn."""
+    source, target = _named_alphabet("s", source_size), _named_alphabet("t", target_size)
+    left = data.draw(morphism_chains(source, target))
+    composed = functools.reduce(compose, left)
+    kind = data.draw(st.sampled_from(("fresh", "same", "composite")))
+    right = {"same": left, "composite": (composed,)}.get(kind) or data.draw(
+        morphism_chains(source, target)
+    )
+    if data.draw(st.booleans()):
+        right = _tampered(right, data)
+    oracle = functools.reduce(compose, right)
+    expected = next((b for b in range(source.size) if composed.image(b) != oracle.image(b)), None)
+    assert first_mismatch(left, right) == expected
+    assert first_mismatch(right, left) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+def test_first_mismatch_refuses_what_compose_refuses(source_size, target_size, other_end, data):
+    """Composites over different source or target alphabets are refused, and
+    so is a sequence that ``compose`` could not fold."""
+    source, target = _named_alphabet("s", source_size), _named_alphabet("t", target_size)
+    left = data.draw(morphism_chains(source, target))
+    other = _named_alphabet("o", data.draw(st.integers(1, 4)))
+    right = data.draw(
+        morphism_chains(other, target) if other_end else morphism_chains(source, other)
+    )
+    with pytest.raises(ValueError):
+        first_mismatch(left, right)
+    if len(left) > 1:
+        # the appended chain maps into ``other``, which no morphism of ``left`` reads
+        broken = left[:-1] + data.draw(morphism_chains(source, other))
+        with pytest.raises(ValueError):
+            functools.reduce(compose, broken)
+        with pytest.raises(ValueError):
+            first_mismatch(broken, broken)
 
 
 @settings(max_examples=100, deadline=None)
