@@ -15,7 +15,10 @@ stdout, except the part of a report that an output error cut short.
 A ``--json`` report is ``json.dumps(payload, indent=2)`` byte for byte.
 :meth:`Report.render_json` writes the only types a report holds, dicts with
 str keys, lists, tuples, str, int, bool and None, as one list of chunks
-joined once, and refuses any other type with ``TypeError``.
+joined once, and refuses any other type with ``TypeError``.  A long string
+with nothing to escape, such as a fixed-point prefix, is found so in one
+C-level pass over bounded slices and goes into the chunks as itself, so
+the only copy of it the renderer makes is the joined report.
 
 Dispatch parses once: when ``argv[0]`` names a subcommand, that
 subcommand's own parser reads the rest, and any usage error or help it
@@ -156,17 +159,44 @@ class Report:
         return "".join(chunks)
 
 
+# Strings longer than this are tested by _plain before any escape; shorter
+# ones are escaped at once, which costs less than the test.
+_PLAIN_MIN = 64
+# _plain reads a string in slices of this many characters, so no copy of
+# more than that lives beside the string.
+_PLAIN_SLICE = 1 << 16
+# The bytes that encode_basestring_ascii writes as themselves.
+_PLAIN_BYTES = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
+
+
+def _plain(s: str) -> bool:
+    """Whether ``encode_basestring_ascii(s)`` is ``s`` between two quotes:
+    ``s`` is ASCII and holds no control character, DEL, ``"`` or ``\\``.
+    Each slice is tested in one C-level pass, an encode and a translate
+    that deletes every plain byte and so leaves nothing of a plain slice."""
+    return s.isascii() and not any(
+        s[i : i + _PLAIN_SLICE].encode().translate(None, _PLAIN_BYTES)
+        for i in range(0, len(s), _PLAIN_SLICE)
+    )
+
+
 def _render_json(value: Any, newline: str, chunks: list[str]) -> None:
     """Append ``value``'s ``indent=2`` JSON to ``chunks``; ``newline`` is the
     line break and indent of the line ``value`` starts on.
 
     Exact types only, bool before int: a float, a non-str key or any
-    subclass raises ``TypeError``.  A string is escaped once, straight
-    into ``chunks``, so no more copies of it live than under ``json.dumps``.
+    subclass raises ``TypeError``.  A string of more than ``_PLAIN_MIN``
+    characters that :func:`_plain` finds needs no escape goes into
+    ``chunks`` itself, between two quotes; any other is escaped once,
+    straight into ``chunks``, so no more copies of it live than under
+    ``json.dumps``.
     """
     kind = type(value)
     if kind is str:
-        chunks.append(encode_basestring_ascii(value))
+        if len(value) > _PLAIN_MIN and _plain(value):
+            chunks += ('"', value, '"')
+        else:
+            chunks.append(encode_basestring_ascii(value))
     elif value is None:
         chunks.append("null")
     elif kind is bool:

@@ -311,12 +311,21 @@ def _least_positive_power(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
 class Substitution:
     """A self-morphism with non-empty images and a start letter fixing its first letter.
 
-    It owns four caches, filled on first use and never referring back to it:
+    It owns five caches, filled on first use and never referring back to it:
     its fixed point, the return systems on recent prefixes and the tower
-    levels (both filled by :mod:`retword.returns`), and its powers.
+    levels (both filled by :mod:`retword.returns`), its powers and the image
+    lengths of its powers.
     """
 
-    __slots__ = ("morphism", "start", "_fixed_point", "_return_systems", "_tower", "_powers")
+    __slots__ = (
+        "morphism",
+        "start",
+        "_fixed_point",
+        "_return_systems",
+        "_tower",
+        "_powers",
+        "_power_lengths",
+    )
 
     def __init__(self, morphism: Morphism, start: int):
         if morphism.source != morphism.target:
@@ -335,6 +344,7 @@ class Substitution:
         self._return_systems: dict = {}
         self._tower: list = []
         self._powers: dict[int, Substitution] = {}
+        self._power_lengths: list[tuple[int, ...]] = []
 
     @property
     def alphabet(self) -> Alphabet:
@@ -386,14 +396,16 @@ def substitution_from_strings(symbols: str | Iterable[str], images: dict[str, st
 def power_lengths(s: Substitution, n: int) -> list[tuple[int, ...]]:
     """The image lengths of s, s^2, ..., s^n, letter by letter, read off the
     images of s with no composition: l_0(b) = 1 and l_e(b) is the sum of
-    l_(e-1)(c) over the letters c of s(b)."""
-    texts = [w.scan_text for w in s.images]
-    lengths = []
-    current = (1,) * len(texts)
-    for _ in range(n):
-        current = tuple(sum(map(current.__getitem__, map(ord, t))) for t in texts)
-        lengths.append(current)
-    return lengths
+    l_(e-1)(c) over the letters c of s(b).  The rows are kept on s, so each
+    exponent's row is computed once, whoever asks for it."""
+    lengths = s._power_lengths
+    if len(lengths) < n:
+        texts = [w.scan_text for w in s.images]
+        current = lengths[-1] if lengths else (1,) * len(texts)
+        for _ in range(n - len(lengths)):
+            current = tuple(sum(map(current.__getitem__, map(ord, t))) for t in texts)
+            lengths.append(current)
+    return lengths[:n]
 
 
 def power_matrix(s: Substitution, n: int) -> IncidenceMatrix:

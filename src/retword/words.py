@@ -2,17 +2,20 @@
 
 Letters are dense integer indices into an alphabet's symbol table.  A word is
 stored as one ``str``, its *scan text*, holding one code point per letter
-(letter index i is ``chr(i)``).  Slicing, concatenation, equality, hashing and
-ordering of scan texts are those of the letter sequences they encode, so the
-other modules use scan texts directly as dict keys, set members and
-occurrence-scan inputs (``str.find``).  Letters map to code points with
-``chr``/``ord`` here, in :mod:`retword.substitution`, in the return closure
-of :mod:`retword.returns` and in the interpretation threads of
-:mod:`retword.circularity`.  The naive window scan stays available in the
-test suite as the oracle.  The distinct factors of a text are cut, one
-length at a time, from its distinct windows of the longest length read
-(:func:`factor_windows`).  Periodicity is decided exactly from return words
-by :func:`retword.returns.nonperiodic_check`.
+(letter index i is ``chr(i)``).  A compact string of single-character
+symbols, such as a long ``--prefix`` argument, becomes a scan text in one
+``str.translate`` through a table its :class:`Alphabet` builds on the first
+string it reads; any other input is read symbol by symbol.  Slicing,
+concatenation, equality, hashing and ordering of scan texts are those of the
+letter sequences they encode, so the other modules use scan texts directly
+as dict keys, set members and occurrence-scan inputs (``str.find``).
+Letters map to code points with ``chr``/``ord`` here, in
+:mod:`retword.substitution`, in the return closure of :mod:`retword.returns`
+and in the interpretation threads of :mod:`retword.circularity`.  The naive
+window scan stays available in the test suite as the oracle.  The distinct
+factors of a text are cut, one length at a time, from its distinct windows
+of the longest length read (:func:`factor_windows`).  Periodicity is decided
+exactly from return words by :func:`retword.returns.nonperiodic_check`.
 Whether a set of scan texts is a code is decided by the Sardinas–Patterson
 test, :func:`is_code`.
 """
@@ -25,7 +28,7 @@ from typing import Iterable, Iterator
 class Alphabet:
     """An ordered table of distinct display symbols; letters are 0-based indices."""
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("symbols", "_index", "_compact")
 
     def __init__(self, symbols: Iterable[str]):
         self.symbols: tuple[str, ...] = tuple(symbols)
@@ -34,6 +37,10 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be pairwise distinct")
         self._index = {s: i for i, s in enumerate(self.symbols)}
+        # the symbols a compact string spells letter by letter, with the
+        # str.translate table taking each to its scan-text code point; built
+        # on the first string read, since most alphabets never read one
+        self._compact: tuple[frozenset[str], dict[int, str]] | None = None
 
     @property
     def size(self) -> int:
@@ -53,9 +60,20 @@ class Alphabet:
 
         A plain string is split on whitespace when it contains any, otherwise
         read character by character (which requires single-character symbols).
+        A string whose characters are all single-character symbols, and so
+        holds no whitespace, maps in one ``str.translate``; any other input
+        is read symbol by symbol, and an unknown symbol raises ``ValueError``
+        naming it.
         """
-        if isinstance(source, str) and any(c.isspace() for c in source):
-            source = source.split()
+        if isinstance(source, str):
+            if self._compact is None:
+                compact = {s: chr(i) for s, i in self._index.items() if len(s) == 1 and not s.isspace()}
+                self._compact = (frozenset(compact), str.maketrans(compact))
+            symbols, table = self._compact
+            if set(source) <= symbols:
+                return _word(self, source.translate(table))
+            if any(c.isspace() for c in source):
+                source = source.split()
         return _word(self, "".join(chr(self.index(p)) for p in source))
 
     def __eq__(self, other) -> bool:

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -840,3 +842,65 @@ def test_render_json_refuses_other_types():
     ):
         with pytest.raises(TypeError, match=message):
             _rendered(value)
+
+
+_MIN, _SLICE = retword.cli._PLAIN_MIN, retword.cli._PLAIN_SLICE
+# lengths at the plain-string threshold and at the slice boundaries of its test
+_EDGE_LENGTHS = sorted(
+    {0, 1, _MIN - 1, _MIN, _MIN + 1, 200_000}
+    | {k * _SLICE + d for k in (1, 2, 3) for d in (-1, 0, 1)}
+)
+
+
+@st.composite
+def _long_strings(draw):
+    """A string of 0-200 000 characters: a repeated plain ASCII pattern with
+    up to four characters of any kind (every ASCII one, control characters,
+    DEL, ``"`` and ``\\`` included, or non-ASCII) written over it, often at
+    the ends of a slice of the plain-string test."""
+    n = draw(st.sampled_from(_EDGE_LENGTHS) | st.integers(0, 200_000))
+    pattern = draw(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), min_size=1, max_size=8))
+    chars = list((pattern * (n // len(pattern) + 1))[:n])
+    if n:
+        edges = sorted({0, n - 1} | {i for k in (1, 2, 3) for i in (k * _SLICE - 1, k * _SLICE) if i < n})
+        for _ in range(draw(st.integers(0, 4))):
+            at = draw(st.sampled_from(edges) | st.integers(0, n - 1))
+            chars[at] = draw(st.characters(max_codepoint=0x7F) | st.characters(min_codepoint=0x80))
+    return "".join(chars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_strings())
+@example("")
+@example("0" * (_MIN + 1))
+@example("0" * _SLICE + '"')
+@example("0" * (2 * _SLICE - 1) + "\x7f" + "0" * 5)
+@example("\x00" + "0" * 200_000)
+def test_render_json_writes_long_strings_as_json_dumps(text):
+    """A long string with nothing to escape is written as itself between
+    quotes, any other as ``encode_basestring_ascii`` writes it: both as
+    ``json.dumps(indent=2)`` writes them, as a value and in a list."""
+    value = {"data": {"prefix": text, "return_words": [text, "01"]}}
+    assert _rendered(value) == json.dumps(value, indent=2)
+
+
+def test_render_json_keeps_no_escaped_copy_of_a_plain_string():
+    """Rendering a payload with a 10^6-letter plain string peaks at most
+    where escaping it once and joining did, and in fact near one copy of the
+    string, the rendered output: the string goes into the output as itself,
+    and its test reads it in slices."""
+    text = "01" * 500_000
+    value = {"command": "fixed-point", "data": {"prefix": text}}
+
+    def peak(render):
+        tracemalloc.start()
+        try:
+            render()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    escaped_then_joined = peak(lambda: "".join(["{", encode_basestring_ascii(text), "}"]))
+    rendered = peak(lambda: _rendered(value))
+    assert rendered <= escaped_then_joined
+    assert rendered < len(text) + 4 * _SLICE

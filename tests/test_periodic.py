@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import retword
+import retword.periodic
+import retword.substitution
 from retword.checks import Check
 from retword.cli import run_command
 from retword.errors import GenerationError, ParseError, ResourceLimitError
@@ -624,3 +626,24 @@ def test_intertwining_check_keeps_the_alphabet_guards(fib):
         hand = PeriodicPresentation(pres.period, pres.exponent, fib, pres.zeta, psi, pres.coding)
         with pytest.raises(ValueError, match="composition alphabet mismatch"):
             hand.structural_checks
+
+
+def test_a_periodic_build_computes_each_power_length_row_once(monkeypatch):
+    """The build reads the image lengths of tau .. tau^(e+p), and power(tau, k)
+    reads those of tau .. tau^k, k <= e + p, for its cap check: both reads
+    hand out the rows of one table kept on tau, e + p rows in all."""
+    tau = substitution_from_strings("0 1", {"0": "01", "1": "0"}, "0")
+    period = TARGET.word("abba")
+    real = retword.substitution.power_lengths
+    reads = []
+
+    def counted(s, n):
+        reads.append(real(s, n))
+        return reads[-1]
+
+    for module in (retword.periodic, retword.substitution):
+        monkeypatch.setattr(module, "power_lengths", counted)
+    pres = build_periodic_presentation(period, tau)
+    e = is_primitive(tau.matrix())[1]
+    assert [len(rows) for rows in reads] == [e + len(period), pres.exponent]
+    assert len({id(row) for rows in reads for row in rows}) == e + len(period)

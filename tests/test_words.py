@@ -234,6 +234,59 @@ def test_derived_words_match_tuple_operations(xs, ys, data):
     assert (a.scan_text < b.scan_text) == (tuple(xs) < tuple(ys))
 
 
+def word_by_symbols(alphabet: Alphabet, source) -> Word:
+    """Oracle for ``Alphabet.word``: a string holding whitespace is split on
+    it, any other source is read one symbol (or character) at a time and
+    each is looked up on its own."""
+    if isinstance(source, str) and any(c.isspace() for c in source):
+        source = source.split()
+    return Word(alphabet, [alphabet.index(p) for p in source])
+
+
+@st.composite
+def alphabet_sources(draw):
+    """An alphabet of single-character, multi-character or mixed symbols (a
+    whitespace symbol and a non-ASCII one among them) with a source to read:
+    a compact string, a whitespace-separated one or a list of symbols, each
+    often holding an unknown symbol or character."""
+    pool = ("a", "b", "c", "é", "1", "ab", "bc", "a1", "11", " ")
+    kind = draw(st.sampled_from(("single", "multi", "mixed")))
+    if kind == "single":
+        pool = tuple(s for s in pool if len(s) == 1)
+    elif kind == "multi":
+        pool = tuple(s for s in pool if len(s) > 1)
+    alphabet = Alphabet(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True)))
+    spelled = draw(st.lists(st.sampled_from(alphabet.symbols) | st.sampled_from(("z", "b", "\t", "ab")), max_size=20))
+    form = draw(st.sampled_from(("compact", "spaced", "list")))
+    if form == "compact":
+        return alphabet, "".join(spelled)
+    if form == "spaced":
+        return alphabet, draw(st.sampled_from((" ", "  ", "\n", " \t"))).join(spelled)
+    return alphabet, spelled
+
+
+@settings(max_examples=400, deadline=None)
+@given(alphabet_sources())
+def test_alphabet_word_matches_the_symbol_by_symbol_oracle(pair):
+    alphabet, source = pair
+    try:
+        expected = word_by_symbols(alphabet, source)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            alphabet.word(source)
+        assert str(raised.value) == str(exc)
+    else:
+        assert alphabet.word(source) == expected
+
+
+def test_alphabet_word_reads_long_compact_strings_and_names_an_unknown_symbol():
+    text = "0110" * 2_500 + "1"
+    assert BIN.word(text) == word_by_symbols(BIN, text)
+    assert BIN.word(text).scan_text == text.translate({48: 0, 49: 1})
+    with pytest.raises(ValueError, match=r"^symbol '2' not in alphabet \('0', '1'\)$"):
+        BIN.word(text + "2")
+
+
 # single- and multi-character symbols, some of them concatenations of others
 SYMBOL_POOL = ("a", "b", "c", "ab", "bc", "a1", "1", "11")
 
