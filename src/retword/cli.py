@@ -316,7 +316,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--right", required=True)
     p.add_argument("--power-bound", type=int, default=6)
     p.add_argument("--budget", type=int, default=6)
-    p.add_argument("--depth", type=int, default=8)
     _add_common(p)
 
     p = sub.add_parser("cobham", help="gate two coded fixed points, then test dependence")
@@ -460,11 +459,9 @@ def _cmd_shared(args, report: Report) -> None:
     pair = power_coincidence(left, right, args.power_bound)
     pair = None if pair is None else list(pair)
     report.add(Check.search("power-coincidence", pair, f"no pair <= {args.power_bound}"))
-    witness = shared_fixed_point_analysis(left, right, depth=args.depth, budget=args.budget)
-    found = None
-    if witness is not None:
-        found = {"prefix": witness.prefix.text(), "i": witness.i, "j": witness.j}
-    note = f"no witness with depth {args.depth}, exponent budget {args.budget}"
+    witness = shared_fixed_point_analysis(left, right, budget=args.budget)
+    found = None if witness is None else {"prefix": witness.prefix.text(), "i": witness.i, "j": witness.j}
+    note = f"no witness at any tower level, exponent budget {args.budget}"
     report.add(Check.search("shared-prefix-power-equality", found, note))
     if witness is not None:
         # A witness is returned only when its powers compared equal letter for letter.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .checks import Check
 from .errors import (
@@ -88,6 +89,18 @@ def lambda_morphism(tau: Substitution, u: Word, v: Word) -> Morphism:
     return Morphism(sys_v.return_alphabet, sys_u.return_alphabet, images)
 
 
+def _least_exponent(tau: Substitution, start: int, test, refusal: str):
+    """The least k >= start whose power tau^k passes ``test``, with the
+    test's value there; past ``EXPONENT_BUDGET``, read at call time,
+    ``ResourceLimitError`` says that no exponent up to it ``refusal``."""
+    budget = EXPONENT_BUDGET
+    for k in range(start, budget + 1):
+        value = test(power(tau, k))
+        if value:
+            return k, value
+    raise ResourceLimitError(f"no exponent <= {budget} {refusal}", budget=budget)
+
+
 def kappa_morphism(tau: Substitution, u: Word, v: Word) -> tuple[int, Morphism]:
     """Least exponent k and the morphism with coding_v ∘ kappa = tau^k ∘ coding_u.
 
@@ -98,25 +111,16 @@ def kappa_morphism(tau: Substitution, u: Word, v: Word) -> tuple[int, Morphism]:
     _check_prefix_pair(tau, u, v)
     sys_u, _ = return_substitution(tau, u)
     sys_v, _ = return_substitution(tau, v)
-    budget = EXPONENT_BUDGET
-    k = 1
-    while len(power(tau, k)(u)) <= len(v):
-        k += 1
-        if k > budget:
-            raise ResourceLimitError(f"no exponent <= {budget} outgrows v", budget=budget)
-    while k <= budget:
-        tau_k = power(tau, k)
+
+    def kappa(tau_k: Substitution) -> Morphism | None:
         try:
-            images = tuple(
-                decompose(sys_v, tau_k(sys_u.word_for(b))) for b in range(sys_u.count)
-            )
+            images = tuple(decompose(sys_v, tau_k(sys_u.word_for(b))) for b in range(sys_u.count))
         except DecompositionError:
-            k += 1
-            continue
-        return k, Morphism(sys_u.return_alphabet, sys_v.return_alphabet, images)
-    raise ResourceLimitError(
-        f"no exponent <= {budget} makes all images decomposable", budget=budget
-    )
+            return None
+        return Morphism(sys_u.return_alphabet, sys_v.return_alphabet, images)
+
+    k, _ = _least_exponent(tau, 1, lambda tau_k: len(tau_k(u)) > len(v), "outgrows v")
+    return _least_exponent(tau, k, kappa, "makes all images decomposable")
 
 
 @dataclass(frozen=True)
@@ -166,15 +170,8 @@ def verify_propprec(tau: Substitution, u: Word, v: Word) -> RelationReport:
 
 def two_occurrence_exponent(tau: Substitution, u: Word) -> int:
     """Least n such that every n-th image of a letter contains u at least twice."""
-    budget = EXPONENT_BUDGET
-    for n in range(1, budget + 1):
-        if all(_count_occurrences(w, u) >= 2 for w in power(tau, n).images):
-            return n
-    raise ResourceLimitError(f"no exponent <= {budget} gives two occurrences", budget=budget)
-
-
-def _count_occurrences(host: Word, pattern: Word) -> int:
-    return len(find_all(host.scan_text, pattern.scan_text))
+    twice = lambda tau_n: all(len(find_all(w.scan_text, u.scan_text)) >= 2 for w in tau_n.images)
+    return _least_exponent(tau, 1, twice, "gives two occurrences")[0]
 
 
 @dataclass(frozen=True)
@@ -366,16 +363,8 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     sys_u, _ = return_substitution(tau, u)
     theta = coding_substitution(sys_u)
 
-    # least exponent whose images all start with u
-    budget = EXPONENT_BUDGET
-    k0 = next(
-        (k for k in range(1, budget + 1) if all(w.startswith(u) for w in power(tau, k).images)),
-        None,
-    )
-    if k0 is None:
-        raise ResourceLimitError(
-            f"no exponent <= {budget} makes u a prefix of every image", budget=budget
-        )
+    starts = lambda tau_k: all(w.startswith(u) for w in tau_k.images)
+    k0, _ = _least_exponent(tau, 1, starts, "makes u a prefix of every image")
 
     # nested prefixes w_1 = u, w_{n+1} = theta^n(u) · w_n; each target extends
     # the last and starts with u (p > k0), so all w_n kept are prefixes of it
@@ -399,8 +388,9 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
         candidates.setdefault(spelling(gamma_images), []).append((p, l_p, gamma_p))
 
     best = max(candidates.values(), key=len, default=[])
+    exponents, l_values = tuple(p for p, _, _ in best), tuple(l for _, l, _ in best)
     if len(best) < 2:
-        return SteponeResult(hyp, k0, tuple(p for p, _, _ in best), tuple(l for _, l, _ in best), None, False, 0)
+        return SteponeResult(hyp, k0, exponents, l_values, None, False, 0)
 
     gamma = best[0][2]
     verified = True
@@ -409,15 +399,7 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
         for left in ((theta_l, gamma), (gamma, theta_l)):
             if first_mismatch(left, tau_p) is not None:
                 verified = False
-    return SteponeResult(
-        hypotheses=hyp,
-        k0=k0,
-        exponents=tuple(p for p, _, _ in best),
-        l_values=tuple(l for _, l, _ in best),
-        gamma=gamma,
-        identities_verified=verified,
-        max_gamma_image=max(len(w) for w in gamma.images),
-    )
+    return SteponeResult(hyp, k0, exponents, l_values, gamma, verified, max(len(w) for w in gamma.images))
 
 
 def _commuting_fixed_points(tau: Substitution, sigma: Substitution, budget: int) -> bool:
@@ -508,47 +490,63 @@ class SharedWitness:
 
 
 def shared_fixed_point_analysis(
-    tau: Substitution,
-    sigma: Substitution,
-    depth: int = 8,
-    budget: int = 6,
+    tau: Substitution, sigma: Substitution, budget: int = 6
 ) -> SharedWitness | None:
     """Find a prefix u and exponents with tau_u^i = sigma_u^j exactly.
 
-    Walks levels 1..depth of tau's cached tower, past its repetition if need
-    be; at each level both return substitutions live on the same return
-    alphabet (the return words depend only on the fixed point), so exact
-    equality of powers is one :func:`first_mismatch` call.  Equal powers
-    have equal image lengths, so a pair whose :func:`power_lengths` differ
-    is passed by with no power formed.  Returns the first witness in (level, i+j, i) order or
-    None once depth and budget are exhausted; a pair of equal lengths whose
-    powers would pass the buffer cap raises ``ResourceLimitError``.  A
-    negative depth or budget is refused, and so are fixed points that pass
-    the gate's prefix but differ later: their return words differ at some
-    level, and the ``ValueError`` names its prefix length and tower level.
+    Walks tau's cached tower; at level k, once the return words on u_k agree
+    in order, both return substitutions live on one return alphabet and
+    equal powers are one :func:`first_mismatch` call, made only for equal
+    :func:`power_lengths`.  Returns the first witness in (level, i+j, i)
+    order, or None at the first level whose pair (tau_{u_k}, sigma_{u_k})
+    repeats an earlier pair.  Powers past the buffer cap raise
+    ``ResourceLimitError``; a negative budget is refused.
+
+    Why it decides: when the return words on u_k agree, u_{k+1} is sigma's
+    next tower prefix too, and both level-(k+1) return substitutions are
+    those of the level-k pair on letter 0 (see
+    :func:`~retword.returns.nonperiodic_check`), so the next pair and its
+    comparison are functions of the current pair.  Past a repeated pair
+    every level repeats an earlier one, and no new witness can appear; the
+    pairs take finitely many values (Durand, Discrete Math. 179, 1998), so
+    the walk ends.  It also decides equality of the fixed points with no
+    prefix compared: a witness makes both derived sequences the fixed point
+    of the common power on letter 0, decoded through the common coding, and
+    a repeat leaves the fixed points agreeing on prefixes u_k of unbounded
+    length.  Different fixed points show different return words (or
+    different first letters) at a level before any repeat, and the
+    ``ValueError`` names it.  Different alphabets, a non-primitive side and
+    a periodic tau are refused first.
     """
-    require_nonnegative("depth bound", depth)
     require_nonnegative("exponent budget", budget)
-    compared = same_fixed_point_gate(tau, sigma)
+    if tau.alphabet != sigma.alphabet:
+        raise ValueError("substitutions are over different alphabets")
     for sub in (tau, sigma):
         primitive, _ = is_primitive(sub.matrix())
         if not primitive:
             raise ValueError("shared-fixed-point analysis needs primitive substitutions")
     nonperiodic_check(tau)
 
-    for level in range(1, depth + 1):
+    seen = set()
+    for level in count(1):
         tower_level = _tower_level(tau, level)
         u, sys_t, tau_u = tower_level.prefix, tower_level.system, tower_level.substitution
-        sys_s, sigma_u = return_substitution(sigma, u)
-        if spelling(sys_t.return_words) != spelling(sys_s.return_words):
+        # u_1 must start sigma's fixed point; later prefixes do once the return words agreed
+        same = level > 1 or sigma.start == tau.start
+        if same:
+            sys_s, sigma_u = return_substitution(sigma, u)
+            same = spelling(sys_t.return_words) == spelling(sys_s.return_words)
+        if not same:
             raise ValueError(
-                f"fixed points agree on {compared} letters but differ later: the return "
-                f"words on the prefix of length {len(u)} differ at tower level {level}"
+                f"fixed points differ: the return words on the prefix of length "
+                f"{len(u)} differ at tower level {level}"
             )
+        if (tau_u, sigma_u) in seen:
+            return None
+        seen.add((tau_u, sigma_u))
         lengths_t, lengths_s = power_lengths(tau_u, budget), power_lengths(sigma_u, budget)
         for i, j in exponent_pairs(budget):
             if lengths_t[i - 1] != lengths_s[j - 1]:
                 continue
             if first_mismatch((power(tau_u, i).morphism,), (power(sigma_u, j).morphism,)) is None:
                 return SharedWitness(u, i, j, level)
-    return None

@@ -3,14 +3,15 @@
 The library generates a derived sequence as the fixed point of the return
 substitution; the oracle instead scans the fixed point for occurrences of the
 prefix and names each chunk between them, an independent route to the same
-letters.
+letters.  Whether two derivations agree, which the library decides from the
+return substitutions, the oracle reads off generated prefixes.
 """
 
 from __future__ import annotations
 
 from retword.errors import InternalInconsistencyError
 from retword.returns import return_substitution
-from retword.substitution import Substitution
+from retword.substitution import Substitution, fixed_point_prefix
 from retword.words import Word, find_all
 
 
@@ -52,3 +53,13 @@ def tower_prefixes_by_scan(tau: Substitution, depth: int) -> list[str]:
             text = fp.text(2 * len(text))
         u = text[:second] + u
     return prefixes
+
+
+def derived_sequences_agree_by_prefix(tau: Substitution, u: Word, v: Word, check_len: int = 10_000) -> bool:
+    """Whether deriving on u and then on v, and deriving once on the decoding
+    of v followed by u, give derived sequences whose first ``check_len``
+    letters agree."""
+    sys_u, tau_u = return_substitution(tau, u)
+    _, tau_uv = return_substitution(tau_u, v)
+    _, tau_w = return_substitution(tau, sys_u.coding()(v) + u)
+    return fixed_point_prefix(tau_uv, check_len) == fixed_point_prefix(tau_w, check_len)

@@ -308,6 +308,16 @@ def test_periodic_has_no_check_len_option(files, capsys):
     assert captured.err.endswith("retword: error: unrecognized arguments: --check-len 100\n")
 
 
+def test_shared_has_no_depth_option(files, capsys):
+    """The shared-prefix search stops at its first repeated pair of return
+    substitutions, so there is no depth to set."""
+    status, report = run_command(["shared", "--left", files["fib"], "--right", files["fib"], "--depth", "8"])
+    assert (status, report) == (EXIT_USAGE, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("retword: error: unrecognized arguments: --depth 8\n")
+
+
 def test_parse_error_exit_code(files, tmp_path, capsys):
     bad = tmp_path / "bad.sub"
     bad.write_text("alphabet = a b\nstart = a\na -> b a\nb -> a\n")
@@ -603,11 +613,10 @@ def test_spectrum_reports_a_reducible_substitution(tmp_path):
     [
         (["shared", "--left", "fib", "--right", "fib", "--power-bound", "-1"], "exponent bound"),
         (["shared", "--left", "fib", "--right", "fib", "--budget", "-1"], "exponent budget"),
-        (["shared", "--left", "fib", "--right", "fib", "--depth", "-1"], "depth bound"),
+        (["relations", "fib", "--u", "0", "--v", "01", "--span", "-1"], "span"),
         (["cobham", "--left", "tau4", "--right", "sigma4", "--coding-right", "phi", "--bound", "-1"], "exponent bound"),
         # the coded fixed points differ, so the gate would end the command before the search
         (["cobham", "--left", "fib", "--right", "morse", "--bound", "-1"], "exponent bound"),
-        (["relations", "fib", "--u", "0", "--v", "01", "--span", "-1"], "span"),
     ],
 )
 def test_negative_search_bounds_are_refused(files, capsys, argv, message):
@@ -690,11 +699,12 @@ INT_OPTIONS = {
     "tower": ["--depth"],
     "relations": ["--span"],
     "circularity": ["--inj-length", "--max-prefix", "--delay-max", "--sample-len"],
-    "shared": ["--power-bound", "--budget", "--depth"],
+    "shared": ["--power-bound", "--budget"],
     "cobham": ["--bound", "--prefix-check"],
 }
-# periodic's --check-len is gone: its argvs are cases of an unrecognized option
-REMOVED_OPTIONS = {"periodic": ["--check-len"]}
+# periodic's --check-len and shared's --depth are gone: their argvs are cases
+# of an unrecognized option
+REMOVED_OPTIONS = {"periodic": ["--check-len"], "shared": ["--depth"]}
 
 
 def _parse_outcome(parse, argv: list[str]) -> tuple:

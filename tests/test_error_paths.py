@@ -138,6 +138,37 @@ def test_kappa_budget_exhaustion(fib, monkeypatch):
         kappa_morphism(fib, fib.alphabet.word("0"), fib.alphabet.word("01"))
 
 
+@pytest.mark.parametrize(
+    "budget, search, prefixes, message",
+    [
+        # Fibonacci's images first show 0 twice each in its cube
+        (2, relations.two_occurrence_exponent, ("0",), "no exponent <= 2 gives two occurrences"),
+        # the image of 0 under the square holds 3 letters, as many as v
+        (2, kappa_morphism, ("0", "010"), "no exponent <= 2 outgrows v"),
+        # once tau^k(u) outgrows v every image splits, so only a broken
+        # decomposition reaches this refusal
+        (2, kappa_morphism, ("0", "01"), "no exponent <= 2 makes all images decomposable"),
+        # Fibonacci's image 1 -> 0 does not start with u = 01, so k0 is 2
+        (1, relations.find_gamma, ("01",), "no exponent <= 1 makes u a prefix of every image"),
+    ],
+)
+def test_exponent_searches_refuse_past_the_budget(fib, monkeypatch, budget, search, prefixes, message):
+    """Each least-exponent search of ``relations`` reads EXPONENT_BUDGET when
+    called and names what no exponent up to it achieved."""
+    from retword.errors import ResourceLimitError
+
+    def broken(system, word):
+        raise DecompositionError("not split", position=0)
+
+    monkeypatch.setattr(relations, "EXPONENT_BUDGET", budget)
+    if "decomposable" in message:
+        monkeypatch.setattr(relations, "decompose", broken)
+    with pytest.raises(ResourceLimitError) as err:
+        search(fib, *map(fib.alphabet.word, prefixes))
+    assert str(err.value) == message
+    assert err.value.budget == budget
+
+
 def test_coding_substitution_needs_matching_alphabet(morse):
     system, _ = return_substitution(morse, morse.alphabet.word("0"))
     # three return words over a two-letter base alphabet

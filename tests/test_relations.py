@@ -400,14 +400,21 @@ def test_shared_fixed_point_non_power_fixture(morse):
     )
 
 
-def test_shared_fixed_point_gate(fib, morse):
-    with pytest.raises(ValueError):
+def test_shared_fixed_point_gate(fib, morse, trib):
+    """Different fixed points are refused by the walk itself: different
+    return words, different first letters, or different alphabets."""
+    with pytest.raises(ValueError, match="prefix of length 1 differ at tower level 1"):
         shared_fixed_point_analysis(fib, morse)
+    swapped = substitution_from_strings("0 1", {"0": "1", "1": "10"}, "1")
+    with pytest.raises(ValueError, match="prefix of length 1 differ at tower level 1"):
+        shared_fixed_point_analysis(fib, swapped)
+    with pytest.raises(ValueError, match="^substitutions are over different alphabets$"):
+        shared_fixed_point_analysis(fib, trib)
 
 
 # `shared --left samples/fib.sub --right <fib squared> --budget 1 --json`,
 # "{right}" standing for the second file's path
-SHARED_PAST_REPETITION = """{
+SHARED_AT_REPETITION = """{
   "command": "shared",
   "argv": [
     "shared",
@@ -421,7 +428,6 @@ SHARED_PAST_REPETITION = """{
   ],
   "config": {
     "budget": 1,
-    "depth": 8,
     "left": "samples/fib.sub",
     "power_bound": 6,
     "right": "{right}",
@@ -439,7 +445,7 @@ SHARED_PAST_REPETITION = """{
     {
       "name": "shared-prefix-power-equality",
       "outcome": "absent",
-      "detail": "no witness with depth 8, exponent budget 1"
+      "detail": "no witness at any tower level, exponent budget 1"
     }
   ],
   "data": {}
@@ -447,10 +453,11 @@ SHARED_PAST_REPETITION = """{
 """
 
 
-def test_shared_walks_the_tower_past_its_repetition(tmp_path, monkeypatch):
-    """Fibonacci's tower repeats at depth 2; a shared search of depth 8 goes on
-    along the same walk, the oracle's prefixes, and a later tower on the same
-    substitution still stops at the repetition without a new closure."""
+def test_shared_stops_at_the_first_repeated_pair(tmp_path, monkeypatch):
+    """The pair of return substitutions of Fibonacci and its square at tower
+    level 2 is the pair at level 1, so the search visits the oracle's
+    prefixes of levels 1 and 2 only and reports absence with no depth; a
+    later tower on the same substitution forms no new closure."""
     right = tmp_path / "fib2.sub"
     right.write_text(format_substitution(power(fibonacci(), 2)))
     visited = []
@@ -466,11 +473,11 @@ def test_shared_walks_the_tower_past_its_repetition(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         status, _ = run_command(argv + ["--json"])
     assert status == 3
-    assert out.getvalue() == SHARED_PAST_REPETITION.replace("{right}", str(right))
-    assert visited == tower_prefixes_by_scan(fibonacci(), 8)
+    assert out.getvalue() == SHARED_AT_REPETITION.replace("{right}", str(right))
+    assert visited == tower_prefixes_by_scan(fibonacci(), 2)
 
     tau = fibonacci()
-    assert shared_fixed_point_analysis(tau, power(tau, 2), depth=8, budget=1) is None
+    assert shared_fixed_point_analysis(tau, power(tau, 2), budget=1) is None
     closures = []
     returns_module = sys.modules["retword.returns"]
     closure = returns_module._return_closure
@@ -481,6 +488,13 @@ def test_shared_walks_the_tower_past_its_repetition(tmp_path, monkeypatch):
     assert tower.repetition == (1, 2)
     assert [level.prefix.scan_text for level in tower.levels] == visited[:2]
     assert closures == []
+
+
+def test_shared_decides_absence_on_powers_of_const3(const3):
+    """const3's square and cube agree at no exponent pair of budget 1; their
+    pair of return substitutions repeats at level 4, where a search to depth
+    8 hit the buffer cap."""
+    assert shared_fixed_point_analysis(power(const3, 2), power(const3, 3), budget=1) is None
 
 
 # a -> a^9 b, b -> c, c -> a: the cube of its return substitution on a has
@@ -518,7 +532,8 @@ def test_shared_refuses_a_witness_past_the_cap(monkeypatch, tmp_path, capsys):
 
 
 def shared_without_screen(tau, sigma, depth, budget):
-    """The first (level, i, j) whose powers agree, every pair's powers formed."""
+    """The first (level, i, j) up to ``depth`` whose powers agree, every
+    pair's powers formed on every level."""
     for level in range(1, depth + 1):
         u = _tower_level(tau, level).prefix
         _, tau_u = return_substitution(tau, u)
@@ -541,16 +556,21 @@ def small_primitive_substitutions(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_primitive_substitutions(), st.integers(1, 2), st.integers(1, 2))
-def test_the_length_screen_skips_no_equal_pair(tau, a, b):
-    """shared passes by pairs of unequal image lengths only: its answer on
-    (tau^a, tau^b) is the one found by forming every pair's powers."""
+@given(small_primitive_substitutions(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_the_length_screen_skips_no_equal_pair(tau, a, b, budget):
+    """shared passes by pairs of unequal image lengths only, and stops at the
+    first repeated pair of return substitutions: its answer on (tau^a, tau^b)
+    is the one found by forming every pair's powers on tower levels 1..8,
+    wherever that search stays under the buffer cap."""
     try:
         nonperiodic_check(tau)
     except ValueError:  # a periodic fixed point is refused
         assume(False)
-    expected = shared_without_screen(power(tau, a), power(tau, b), 2, 3)
-    assert shared_fixed_point_analysis(power(tau, a), power(tau, b), depth=2, budget=3) == expected
+    try:
+        expected = shared_without_screen(power(tau, a), power(tau, b), 8, budget)
+    except ResourceLimitError:
+        assume(False)
+    assert shared_fixed_point_analysis(power(tau, a), power(tau, b), budget=budget) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -587,13 +607,20 @@ def test_matrix_decomposition_identities_on_drawn_substitutions(tau, n):
 HUNDRED_AB = {"a": "a" * 100 + "b", "b": "c"}
 
 
-def test_shared_refuses_fixed_points_that_differ_past_the_gate(tmp_path, capsys):
+def test_shared_refuses_fixed_points_that_differ_past_the_gate(tmp_path, monkeypatch, capsys):
     """Fixed points that differ past the gate are an input fault, exit 2,
-    named by the tower level where their return words first differ."""
+    named by the tower level where their return words first differ; the
+    analysis decides it on its own walk, with no gate."""
     tau = substitution_from_strings("a b c", {**HUNDRED_AB, "c": "a"}, "a")
     sigma = substitution_from_strings("a b c", {**HUNDRED_AB, "c": "ab"}, "a")
-    with pytest.raises(ValueError, match="prefix of length 2 differ at tower level 2"):
-        shared_fixed_point_analysis(tau, sigma)
+
+    def no_gate(*args):
+        raise AssertionError("the analysis ran the prefix gate")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sys.modules["retword.relations"], "same_fixed_point_gate", no_gate)
+        with pytest.raises(ValueError, match="prefix of length 2 differ at tower level 2"):
+            shared_fixed_point_analysis(tau, sigma)
     (tmp_path / "tau.sub").write_text(format_substitution(tau))
     (tmp_path / "sigma.sub").write_text(format_substitution(sigma))
     argv = ["shared", "--left", str(tmp_path / "tau.sub"), "--right", str(tmp_path / "sigma.sub")]
@@ -602,8 +629,8 @@ def test_shared_refuses_fixed_points_that_differ_past_the_gate(tmp_path, capsys)
     assert status == 2
     assert captured.out == ""
     assert captured.err == (
-        "error: fixed points agree on 10000 letters but differ later: the return "
-        "words on the prefix of length 2 differ at tower level 2\n"
+        "error: fixed points differ: the return words on the prefix of length 2 "
+        "differ at tower level 2\n"
     )
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from periodic_oracle import looks_periodic, periodic_tail_witness
-from returns_oracle import derived_prefix_by_scan
+from returns_oracle import derived_prefix_by_scan, derived_sequences_agree_by_prefix
 from corpus import fibonacci, thue_morse
 from retword.errors import DecompositionError, ResourceLimitError
 from retword.returns import (
@@ -330,7 +330,7 @@ def test_nested_derivation_fibonacci(fib):
     u = fib.alphabet.word("0")
     _, fib_0 = return_substitution(fib, u)
     v = fixed_point_prefix(fib_0, 1)
-    report = nested_derivation(fib, u, v, check_len=10_000)
+    report = nested_derivation(fib, u, v)
     assert report.passed
     assert report.composed_prefix_w.text() == "010"
 
@@ -347,7 +347,44 @@ def test_nested_derivation_morse(morse):
     u = morse.alphabet.word("0")
     _, m0 = return_substitution(morse, u)
     v = fixed_point_prefix(m0, 2)
-    report = nested_derivation(morse, u, v, check_len=5_000)
+    report = nested_derivation(morse, u, v)
+    assert report.passed
+
+
+def test_nested_derivation_generates_no_derived_prefix():
+    """derived-sequences-agree compares the return substitutions: neither
+    tau_uv's nor tau_w's fixed point gets a buffer."""
+    tau = fibonacci()
+    u = tau.alphabet.word("01")
+    _, tau_u = return_substitution(tau, u)
+    v = fixed_point_prefix(tau_u, 3)
+    report = nested_derivation(tau, u, v)
+    assert report.checks[-1].as_json() == {
+        "name": "derived-sequences-agree",
+        "outcome": "pass",
+        "detail": "identical return substitutions",
+    }
+    _, tau_uv = return_substitution(tau_u, v)
+    _, tau_w = return_substitution(tau, report.composed_prefix_w)
+    assert tau_uv._fixed_point is None and tau_w._fixed_point is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nested_derivation_matches_the_prefix_oracle(data):
+    """On drawn substitutions, u and v, every check passes, and
+    derived-sequences-agree passes exactly when 10 000 letters of the two
+    derived sequences agree."""
+    tau = data.draw(drawn_substitutions())
+    try:
+        nonperiodic_check(tau)
+    except ValueError:  # a periodic fixed point may have one return word
+        assume(False)
+    u = fixed_point_prefix(tau, data.draw(st.sampled_from([1, 2, 3, 5])))
+    _, tau_u = return_substitution(tau, u)
+    v = fixed_point_prefix(tau_u, data.draw(st.integers(1, 4)))
+    report = nested_derivation(tau, u, v)
+    assert report.checks[-1].passed == derived_sequences_agree_by_prefix(tau, u, v)
     assert report.passed
 
 
