@@ -293,7 +293,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("tower", help="derivation tower with repetition detection")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, default=8, help="how many levels to print")
     _add_common(p)
 
     p = sub.add_parser("relations", help="bridge-morphism identities and matrix splits")
@@ -402,7 +402,9 @@ def _cmd_derived(args, report: Report) -> None:
 
 def _cmd_tower(args, report: Report) -> None:
     sub, _ = _load(args.file)
-    tower = derivation_tower(sub, args.depth)
+    if args.depth < 1:
+        raise ValueError("tower depth must be >= 1")
+    tower = derivation_tower(sub)
     report.data(
         "levels",
         [
@@ -411,11 +413,10 @@ def _cmd_tower(args, report: Report) -> None:
                 "prefix_length": len(lvl.prefix),
                 "return_letters": lvl.system.count,
             }
-            for lvl in tower.levels
+            for lvl in tower.levels[: args.depth]
         ],
     )
-    repetition = None if tower.repetition is None else list(tower.repetition)
-    report.add(Check.search("tower-repetition", repetition, f"no repetition <= depth {args.depth}"))
+    report.add(Check("tower-repetition", "found", witness=list(tower.repetition)))
 
 
 def _cmd_relations(args, report: Report) -> None:
@@ -456,10 +457,12 @@ def _cmd_circularity(args, report: Report) -> None:
 def _cmd_shared(args, report: Report) -> None:
     left, _ = _load(args.left)
     right, _ = _load(args.right)
+    # refused before the fixed-point decision, which can end the command
+    require_nonnegative("exponent bound", args.power_bound)
+    witness = shared_fixed_point_analysis(left, right, budget=args.budget)
     pair = power_coincidence(left, right, args.power_bound)
     pair = None if pair is None else list(pair)
     report.add(Check.search("power-coincidence", pair, f"no pair <= {args.power_bound}"))
-    witness = shared_fixed_point_analysis(left, right, budget=args.budget)
     found = None if witness is None else {"prefix": witness.prefix.text(), "i": witness.i, "j": witness.j}
     note = f"no witness at any tower level, exponent budget {args.budget}"
     report.add(Check.search("shared-prefix-power-equality", found, note))

@@ -104,23 +104,25 @@ def _least_exponent(tau: Substitution, start: int, test, refusal: str):
 def kappa_morphism(tau: Substitution, u: Word, v: Word) -> tuple[int, Morphism]:
     """Least exponent k and the morphism with coding_v ∘ kappa = tau^k ∘ coding_u.
 
-    k starts at the first exponent for which the k-th image of u outgrows v
-    and grows until every k-th image of a return word on u splits over the
-    return words on v.
+    k is the first exponent for which the k-th image of u outgrows v.  Every
+    k-th image of a return word r on u then splits over the return words on
+    v: tau^k(u) is a prefix of the fixed point longer than v, so it begins
+    with v, and tau^k(r·u) is a factor of the fixed point, so tau^k(r)·v is
+    one that begins and ends with v.  A decomposition failure here means a
+    broken invariant upstream, not bad input.
     """
     _check_prefix_pair(tau, u, v)
     sys_u, _ = return_substitution(tau, u)
     sys_v, _ = return_substitution(tau, v)
-
-    def kappa(tau_k: Substitution) -> Morphism | None:
-        try:
-            images = tuple(decompose(sys_v, tau_k(sys_u.word_for(b))) for b in range(sys_u.count))
-        except DecompositionError:
-            return None
-        return Morphism(sys_u.return_alphabet, sys_v.return_alphabet, images)
-
     k, _ = _least_exponent(tau, 1, lambda tau_k: len(tau_k(u)) > len(v), "outgrows v")
-    return _least_exponent(tau, k, kappa, "makes all images decomposable")
+    tau_k = power(tau, k)
+    try:
+        images = tuple(decompose(sys_v, tau_k(sys_u.word_for(b))) for b in range(sys_u.count))
+    except DecompositionError as exc:
+        raise InternalInconsistencyError(
+            f"no split of the images of tau^{k} over the return words on v: {exc}"
+        ) from exc
+    return k, Morphism(sys_u.return_alphabet, sys_v.return_alphabet, images)
 
 
 @dataclass(frozen=True)
@@ -402,47 +404,6 @@ def find_gamma(tau: Substitution, u: Word, p_max: int = 9) -> SteponeResult:
     return SteponeResult(hyp, k0, exponents, l_values, gamma, verified, max(len(w) for w in gamma.images))
 
 
-def _commuting_fixed_points(tau: Substitution, sigma: Substitution, budget: int) -> bool:
-    """Whether tau and sigma share their start letter and commute, which
-    makes their fixed points equal (see :func:`same_fixed_point_gate`);
-    decided by :func:`commute` within ``budget`` composed letters."""
-    return tau.start == sigma.start and commute(tau.morphism, sigma.morphism, budget)
-
-
-def same_fixed_point_gate(tau: Substitution, sigma: Substitution) -> int:
-    """Compare fixed-point prefixes of max(10 000, 20 · the longest image)
-    letters; returns the compared length or raises with the first differing
-    index.
-
-    Substitutions over one alphabet with one start letter a that commute,
-    σ∘τ = τ∘σ, pass with no prefix generated.  Then σ(x_τ) = σ(τ(x_τ)) =
-    τ(σ(x_τ)), so σ(x_τ) is a fixed point of τ; it begins with σ(a), which
-    begins with a.  Images are non-empty and |τ(a)| >= 2, so τ^n(a) grows
-    without bound and τ has one fixed point beginning with a: σ(x_τ) = x_τ.
-    So x_τ is a fixed point of σ beginning with a, and by the same argument
-    for σ, x_σ = x_τ: the prefixes would compare equal.  The commutation is
-    tested only when the composed images hold at most the compared length
-    together, so the test never costs more than the comparison.
-
-    The refusals come first, in the comparison's order: τ's start image that
-    cannot grow (``GenerationError``) and its buffer cap
-    (``ResourceLimitError``), then σ's.
-    """
-    check_len = max(10_000, 20 * max(tau.max_image_length(), sigma.max_image_length()))
-    for sub in (tau, sigma):
-        fixed_point_generator(sub, check_len)
-    if _commuting_fixed_points(tau, sigma, check_len):
-        return check_len
-    a = fixed_point_prefix(tau, check_len)
-    b = fixed_point_prefix(sigma, check_len)
-    if a.alphabet != b.alphabet:
-        raise ValueError("substitutions are over different alphabets")
-    if a != b:
-        first = next(i for i, (x, y) in enumerate(zip(a.scan_text, b.scan_text)) if x != y)
-        raise ValueError(f"fixed points differ at index {first}")
-    return check_len
-
-
 def coded_fixed_points_agree(
     tau: Substitution, tau_coding: Morphism, sigma: Substitution, sigma_coding: Morphism, n: int
 ) -> bool:
@@ -451,16 +412,21 @@ def coded_fixed_points_agree(
 
     The refusals of :func:`retword.substitution.morphic_image_prefix` come
     first, τ's side and then σ's, in its order.  When the codings give the
-    same display symbol for every letter and the substitutions commute
-    within n composed letters, the fixed points are equal (see
-    :func:`same_fixed_point_gate`), and so are their codings: no prefix is
-    generated.  Every other pair compares the two coded prefixes.
+    same display symbol for every letter, the substitutions share their
+    start letter a and they commute within n composed letters (decided by
+    :func:`commute`), the fixed points are equal, and so are their codings:
+    no prefix is generated.  For σ∘τ = τ∘σ gives σ(x_τ) = σ(τ(x_τ)) =
+    τ(σ(x_τ)), so σ(x_τ) is a fixed point of τ; it begins with σ(a), which
+    begins with a.  Images are non-empty and |τ(a)| >= 2, so τ^n(a) grows
+    without bound and τ has one fixed point beginning with a: σ(x_τ) = x_τ.
+    So x_τ is a fixed point of σ beginning with a, and by the same argument
+    for σ, x_σ = x_τ.  Every other pair compares the two coded prefixes.
     """
     for coding, sub in ((tau_coding, tau), (sigma_coding, sigma)):
         require_coding(coding, sub)
         fixed_point_generator(sub, n)
     same_display = [w.symbols() for w in tau_coding.images] == [w.symbols() for w in sigma_coding.images]
-    if same_display and _commuting_fixed_points(tau, sigma, n):
+    if same_display and tau.start == sigma.start and commute(tau.morphism, sigma.morphism, n):
         return True
     return same_symbols(morphic_image_prefix(tau_coding, tau, n), morphic_image_prefix(sigma_coding, sigma, n))
 
@@ -469,9 +435,11 @@ def power_coincidence(tau: Substitution, sigma: Substitution, bound: int = 6) ->
     """Least exponents (i, j) in ``exponent_pairs`` order whose matrix powers
     carry the same spectrum up to zeros and roots of unity; None means no pair
     up to the bound.  The powers' characteristic polynomials come from the
-    matrices' own, with no matrix power formed.  A negative bound is refused."""
+    matrices' own, with no matrix power formed.  A negative bound is refused.
+    The search reads the two incidence matrices only, so it claims nothing
+    about the fixed points: :func:`shared_fixed_point_analysis` decides
+    whether they are equal."""
     require_nonnegative("exponent bound", bound)
-    same_fixed_point_gate(tau, sigma)
     m1, m2 = tau.matrix(), sigma.matrix()
     for i, j in exponent_pairs(bound):
         if spectra_equal_mod_trivial(m1, m2, i, j):

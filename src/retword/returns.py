@@ -356,7 +356,7 @@ class TowerLevel:
 @dataclass(frozen=True)
 class TowerResult:
     levels: tuple[TowerLevel, ...]
-    repetition: tuple[int, int] | None
+    repetition: tuple[int, int]
 
 
 def _tower_level(tau: Substitution, depth: int) -> TowerLevel:
@@ -416,18 +416,15 @@ def nonperiodic_check(tau: Substitution) -> int:
             return depth
 
 
-def derivation_tower(tau: Substitution, depth: int) -> TowerResult:
-    """The first ``depth`` levels of the tower, u_1 the first letter and
-    u_{k+1} = (first return word on u_k)·u_k, with the first pair (p, q),
-    p < q, of levels whose return substitutions are identical, if q <= depth.
-    The levels stop at q, however deep the walk cached on tau has gone.
+def derivation_tower(tau: Substitution) -> TowerResult:
+    """The levels of the tower, u_1 the first letter and u_{k+1} = (first
+    return word on u_k)·u_k, up to the first level q whose return
+    substitution repeats that of an earlier level p, with (p, q).  The
+    levels stop at q, however deep the walk cached on tau has gone.
     Raises ValueError when the fixed point is periodic."""
-    if depth < 1:
-        raise ValueError("tower depth must be >= 1")
     q = nonperiodic_check(tau)
-    levels = tuple(tau._tower[: min(depth, q)])
-    repetition = (levels[-1].repeats, q) if q <= depth else None
-    return TowerResult(levels, repetition)
+    levels = tuple(tau._tower[:q])
+    return TowerResult(levels, (levels[-1].repeats, q))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
-"""Fixed-point equality gates decided by generated prefixes, as test oracles.
+"""Fixed-point equality decided by generated prefixes, as test oracles.
 
-The library passes substitutions that share a start letter and commute with
-no prefix generated, since their fixed points are equal; the oracle
-generates both prefixes in full and compares them letter by letter, for
-every pair.
+``shared`` decides equality of two fixed points on its tower walk, and
+``cobham``'s gate passes substitutions that share a start letter and
+commute with no prefix generated, since their fixed points are equal; the
+oracles generate both prefixes in full and compare them letter by letter,
+for every pair.
 """
 
 from __future__ import annotations

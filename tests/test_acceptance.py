@@ -182,9 +182,9 @@ def test_criterion_06_bridge_identities(corpus, capsys):
 def test_criterion_07_tower_repetition(corpus, capsys):
     with Budget(60.0) as budget:
         for name, sub in corpus.items():
-            tower = derivation_tower(sub, 8)
-            assert tower.repetition is not None, name
+            tower = derivation_tower(sub)
             p, q = tower.repetition
+            assert q <= 8, name
             a = tower.levels[p - 1].substitution
             b = tower.levels[q - 1].substitution
             assert tuple(w.letters for w in a.images) == tuple(w.letters for w in b.images)

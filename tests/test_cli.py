@@ -122,10 +122,13 @@ def test_tower_command(files):
     assert found and found[0]["witness"] == [2, 3]
 
 
-def test_tower_budget_exhausted(files):
-    status, report = run_command(["tower", files["morse"], "--depth", "1"])
-    assert status == EXIT_BUDGET
-    assert any(c["outcome"] == "absent" for c in report.payload["checks"])
+def test_tower_depth_limits_only_the_levels_printed(files):
+    """Thue-Morse repeats at levels (2, 3): ``--depth 2`` prints two levels
+    and reports the repetition found, with exit 0."""
+    status, report = run_command(["tower", files["morse"], "--depth", "2", "--json"])
+    assert status == EXIT_OK
+    assert [level["depth"] for level in report.payload["data"]["levels"]] == [1, 2]
+    assert report.payload["checks"] == [{"name": "tower-repetition", "outcome": "found", "witness": [2, 3]}]
 
 
 def test_relations_command(files):

@@ -1,12 +1,14 @@
 """Guard-rail checks: every documented error branch raises what it promises."""
 
+from pathlib import Path
+
 import pytest
 
-from retword.errors import DecompositionError
+from retword.cli import run_command
+from retword.errors import DecompositionError, InternalInconsistencyError
 from retword.intpoly import IntPolynomial, cyclotomic, isolate_largest_real_root
 from retword.returns import (
     decompose,
-    derivation_tower,
     estimate_constants,
     return_substitution,
 )
@@ -28,6 +30,7 @@ from retword.circularity import interpretations, sync_delay_search
 
 P = IntPolynomial
 AB = Alphabet(("a", "b"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_word_letter_out_of_range():
@@ -123,9 +126,13 @@ def test_decompose_wrong_alphabet(fib, trib):
         decompose(system, trib.alphabet.word("ab"))
 
 
-def test_tower_and_sampling_guards(fib):
-    with pytest.raises(ValueError):
-        derivation_tower(fib, 0)
+def test_tower_and_sampling_guards(fib, capsys):
+    """``tower --depth 0`` prints no level at all: exit 2 with one line."""
+    status, _ = run_command(["tower", str(ROOT / "samples" / "fib.sub"), "--depth", "0"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == "error: tower depth must be >= 1\n"
     with pytest.raises(ValueError):
         estimate_constants(fib, [])
 
@@ -145,28 +152,32 @@ def test_kappa_budget_exhaustion(fib, monkeypatch):
         (2, relations.two_occurrence_exponent, ("0",), "no exponent <= 2 gives two occurrences"),
         # the image of 0 under the square holds 3 letters, as many as v
         (2, kappa_morphism, ("0", "010"), "no exponent <= 2 outgrows v"),
-        # once tau^k(u) outgrows v every image splits, so only a broken
-        # decomposition reaches this refusal
-        (2, kappa_morphism, ("0", "01"), "no exponent <= 2 makes all images decomposable"),
+        # once tau^k(u) outgrows v every image splits, so a broken
+        # decomposition is an internal inconsistency, not a refusal
+        (2, kappa_morphism, ("0", "01"), "no split of the images of tau^2 over the return words on v: not split"),
         # Fibonacci's image 1 -> 0 does not start with u = 01, so k0 is 2
         (1, relations.find_gamma, ("01",), "no exponent <= 1 makes u a prefix of every image"),
     ],
 )
 def test_exponent_searches_refuse_past_the_budget(fib, monkeypatch, budget, search, prefixes, message):
     """Each least-exponent search of ``relations`` reads EXPONENT_BUDGET when
-    called and names what no exponent up to it achieved."""
+    called and names what no exponent up to it achieved; ``kappa_morphism``
+    decomposes once, at its least exponent, and a failure there is a broken
+    invariant."""
     from retword.errors import ResourceLimitError
 
     def broken(system, word):
         raise DecompositionError("not split", position=0)
 
     monkeypatch.setattr(relations, "EXPONENT_BUDGET", budget)
-    if "decomposable" in message:
+    broken_split = "split" in message
+    if broken_split:
         monkeypatch.setattr(relations, "decompose", broken)
-    with pytest.raises(ResourceLimitError) as err:
+    with pytest.raises(InternalInconsistencyError if broken_split else ResourceLimitError) as err:
         search(fib, *map(fib.alphabet.word, prefixes))
     assert str(err.value) == message
-    assert err.value.budget == budget
+    if not broken_split:
+        assert err.value.budget == budget
 
 
 def test_coding_substitution_needs_matching_alphabet(morse):

@@ -25,7 +25,6 @@ from retword.relations import (
     SharedWitness,
     coded_fixed_points_agree,
     power_coincidence,
-    same_fixed_point_gate,
     shared_fixed_point_analysis,
     two_occurrence_exponent,
     verify_propprec,
@@ -44,6 +43,7 @@ from retword.substitution import (
     compose,
     fixed_point_prefix,
     format_substitution,
+    identity_morphism,
     parse_substitution,
     incidence_matrix,
     is_primitive,
@@ -345,10 +345,19 @@ def test_power_coincidence_powers(fib, morse):
     assert power_coincidence(morse, power(morse, 3)) == (3, 1)
 
 
-def test_power_coincidence_gate(fib, morse):
-    with pytest.raises(ValueError) as err:
-        power_coincidence(fib, morse)
-    assert "differ at index" in str(err.value)
+def test_power_coincidence_gate(fib, morse, capsys):
+    """The spectral search claims nothing about fixed points: on Fibonacci
+    and Thue-Morse it answers from the matrices, and ``shared`` refuses the
+    pair in its walk, naming the tower level where the return words differ."""
+    assert power_coincidence(fib, morse) is None
+    argv = ["shared", "--left", str(ROOT / "samples" / "fib.sub"), "--right", str(ROOT / "samples" / "morse.sub")]
+    status, _ = run_command(argv + ["--json"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: fixed points differ: the return words on the prefix of length 1 differ at tower level 1\n"
+    )
 
 
 def test_power_coincidence_all_corpus(corpus):
@@ -376,9 +385,7 @@ def test_shared_fixed_point_analysis_squares(corpus):
 
 def test_shared_fixed_point_non_power_fixture(morse):
     """Pair a repeated tower substitution with its own self-derivation coding."""
-    from retword.returns import derivation_tower
-
-    tower = derivation_tower(morse, 8)
+    tower = derivation_tower(morse)
     p, q = tower.repetition
     base = tower.levels[p - 1].substitution
     # nested prefix carrying level p to level q: decode level-q prefix minus tail
@@ -484,7 +491,7 @@ def test_shared_stops_at_the_first_repeated_pair(tmp_path, monkeypatch):
     monkeypatch.setattr(
         returns_module, "_return_closure", lambda *args: closures.append(args) or closure(*args)
     )
-    tower = derivation_tower(tau, 30)
+    tower = derivation_tower(tau)
     assert tower.repetition == (1, 2)
     assert [level.prefix.scan_text for level in tower.levels] == visited[:2]
     assert closures == []
@@ -574,6 +581,31 @@ def test_the_length_screen_skips_no_equal_pair(tau, a, b, budget):
 
 
 @settings(max_examples=60, deadline=None)
+@given(small_primitive_substitutions(), st.data())
+def test_kappa_decomposes_at_the_first_exponent_that_outgrows_v(tau, data):
+    """On drawn aperiodic substitutions and prefixes |u| < |v| of the fixed
+    point, kappa's exponent is the least k with |tau^k(u)| > |v|, found by
+    applying tau to u until it outgrows v, and coding_v ∘ kappa = tau^k ∘
+    coding_u holds on every return letter."""
+    try:
+        nonperiodic_check(tau)
+    except ValueError:  # a periodic fixed point may have one return word
+        assume(False)
+    m = data.draw(st.integers(1, 4))
+    u, v = fixed_point_prefix(tau, m), fixed_point_prefix(tau, data.draw(st.integers(m + 1, 8)))
+    k, kap = kappa_morphism(tau, u, v)
+    first, image = 1, tau(u)
+    while len(image) <= len(v):
+        first, image = first + 1, tau(image)
+    assert k == first
+    sys_u, _ = return_substitution(tau, u)
+    sys_v, _ = return_substitution(tau, v)
+    tau_k = power(tau, k)
+    for b in range(sys_u.count):
+        assert sys_v.coding()(kap.image(b)).letters == tau_k(sys_u.word_for(b)).letters
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_primitive_substitutions(), st.integers(1, 3))
 def test_matrix_decomposition_identities_on_drawn_substitutions(tau, n):
     """M^l = C K + Q and M_u^l = K C + P at l = n0, n0+1, n0+2, against the
@@ -603,24 +635,18 @@ def test_matrix_decomposition_identities_on_drawn_substitutions(tau, n):
 
 
 # a -> a^100 b, b -> c: with c -> a and with c -> a b the fixed points agree
-# up to the first c, past the gate's 10 000 letters
+# up to the first c, at index 1 010 101
 HUNDRED_AB = {"a": "a" * 100 + "b", "b": "c"}
 
 
-def test_shared_refuses_fixed_points_that_differ_past_the_gate(tmp_path, monkeypatch, capsys):
-    """Fixed points that differ past the gate are an input fault, exit 2,
-    named by the tower level where their return words first differ; the
-    analysis decides it on its own walk, with no gate."""
+def test_shared_refuses_fixed_points_that_differ_past_the_gate(tmp_path, capsys):
+    """Fixed points that first differ past a million letters are an input
+    fault, exit 2, named by the tower level where their return words first
+    differ; the analysis decides it on its own walk."""
     tau = substitution_from_strings("a b c", {**HUNDRED_AB, "c": "a"}, "a")
     sigma = substitution_from_strings("a b c", {**HUNDRED_AB, "c": "ab"}, "a")
-
-    def no_gate(*args):
-        raise AssertionError("the analysis ran the prefix gate")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(sys.modules["retword.relations"], "same_fixed_point_gate", no_gate)
-        with pytest.raises(ValueError, match="prefix of length 2 differ at tower level 2"):
-            shared_fixed_point_analysis(tau, sigma)
+    with pytest.raises(ValueError, match="prefix of length 2 differ at tower level 2"):
+        shared_fixed_point_analysis(tau, sigma)
     (tmp_path / "tau.sub").write_text(format_substitution(tau))
     (tmp_path / "sigma.sub").write_text(format_substitution(sigma))
     argv = ["shared", "--left", str(tmp_path / "tau.sub"), "--right", str(tmp_path / "sigma.sub")]
@@ -692,35 +718,73 @@ def _outcome(gate, *args):
         return type(exc), str(exc)
 
 
+@st.composite
+def pairs_with_an_aperiodic_left(draw, kinds):
+    """Primitive (τ, σ) on one alphabet, τ's fixed point aperiodic, of one of
+    ``kinds``: two powers of one substitution ("powers"), a substitution and
+    its images rearranged with the start letter kept first ("rearranged":
+    every composed length agrees, so only the images tell the pairs apart),
+    or σ drawn on its own ("independent").  A σ drawn on its own is
+    primitive by construction, with no draw filtered out: a's image holds
+    every letter and every image holds a."""
+    base = draw(small_primitive_substitutions())
+    try:
+        nonperiodic_check(base)
+    except ValueError:
+        assume(False)
+    symbols = "".join(base.alphabet.symbols)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "powers":
+        return power(base, draw(st.integers(1, 3))), power(base, draw(st.integers(1, 3)))
+    images = {}
+    if kind == "independent":
+        images["a"] = "a" + "".join(draw(st.permutations(symbols[1:]))) + draw(st.text(symbols, max_size=1))
+        for letter in symbols[1:]:
+            text = draw(st.text(symbols, max_size=2))
+            cut = draw(st.integers(0, len(text)))
+            images[letter] = text[:cut] + "a" + text[cut:]
+    else:
+        for letter, image in zip(symbols, base.images):
+            keep = 1 if letter == "a" else 0
+            text = image.text()
+            images[letter] = text[:keep] + "".join(draw(st.permutations(text[keep:])))
+    return base, substitution_from_strings(" ".join(symbols), images, "a")
+
+
+def _walk_matches_the_prefix_oracle(tau, sigma, budget):
+    """The shared-fixed-point walk refuses (τ, σ) as having different fixed
+    points exactly when the oracle's comparison of max(10 000, 20 · the
+    longest image) letters finds a differing index."""
+    try:
+        shared_fixed_point_analysis(tau, sigma, budget=budget)
+    except ValueError as exc:
+        assert str(exc).startswith("fixed points differ: ")
+        walk_differs = True
+    else:
+        walk_differs = False
+    oracle = _outcome(relations_oracle.same_fixed_point_gate, tau, sigma)
+    oracle_differs = isinstance(oracle, tuple)
+    if oracle_differs:
+        assert oracle[0] is ValueError and oracle[1].startswith("fixed points differ at index ")
+    assert walk_differs == oracle_differs
+
+
 @settings(max_examples=60, deadline=None)
-@given(small_substitutions(), st.integers(1, 3), st.integers(1, 3))
-def test_gate_matches_the_prefix_oracle_on_powers(tau, a, b):
-    """Powers of one substitution commute, so the gate passes them with no
-    prefix generated, with the value or the refusal of the comparison."""
-    left, right = power(tau, a), power(tau, b)
-    assert _outcome(same_fixed_point_gate, left, right) == _outcome(
-        relations_oracle.same_fixed_point_gate, left, right
-    )
+@given(pairs_with_an_aperiodic_left(["powers"]), st.integers(0, 2))
+def test_gate_matches_the_prefix_oracle_on_powers(pair, budget):
+    """Powers of one substitution share their fixed point: the walk, the one
+    gate on fixed-point equality, passes them as the prefix oracle does."""
+    _walk_matches_the_prefix_oracle(*pair, budget)
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_substitutions(), st.data())
-def test_gate_matches_the_prefix_oracle_on_drawn_pairs(tau, data):
+@given(pairs_with_an_aperiodic_left(["rearranged", "independent"]), st.integers(0, 2))
+def test_gate_matches_the_prefix_oracle_on_drawn_pairs(pair, budget):
     """σ is drawn on its own, or rearranges each of τ's images (the start
     letter kept first), so that every composed length agrees and only the
-    images tell a commuting pair from the others."""
-    if data.draw(st.booleans()):
-        sigma = data.draw(small_substitutions())
-    else:
-        images = {}
-        for letter, image in zip(tau.alphabet.symbols, tau.images):
-            keep = 1 if letter == "a" else 0
-            text = image.text()
-            images[letter] = text[:keep] + "".join(data.draw(st.permutations(text[keep:])))
-        sigma = substitution_from_strings(" ".join(tau.alphabet.symbols), images, "a")
-    assert _outcome(same_fixed_point_gate, tau, sigma) == _outcome(
-        relations_oracle.same_fixed_point_gate, tau, sigma
-    )
+    images tell a pair with one fixed point from the others: the walk
+    refuses exactly the pairs the prefix oracle refuses."""
+    _walk_matches_the_prefix_oracle(*pair, budget)
 
 
 def _short_start():
@@ -742,15 +806,21 @@ def _short_start():
     ],
 )
 def test_gate_refuses_in_the_comparison_order(monkeypatch, left, right, cap, refusal):
-    """τ's start image, then τ's cap, then σ's, then σ's cap: a start image
-    of one letter on either side, and a cap below the compared length, are
-    refused as the comparison refuses them, commuting pairs included."""
+    """``cobham``'s gate on 10 000 letters coded by the identity refuses as
+    its comparison does: τ's start image, then τ's cap, then σ's, then σ's
+    cap.  A start image of one letter on either side, and a cap below the
+    compared length, are refused, commuting pairs included."""
     if cap is not None:
         monkeypatch.setenv("REPO_PREFIX_CAP", str(cap))
     make = {"short": _short_start, "fib": fibonacci, "fib2": lambda: power(fibonacci(), 2)}
-    found = _outcome(same_fixed_point_gate, make[left](), make[right]())
-    assert found == _outcome(relations_oracle.same_fixed_point_gate, make[left](), make[right]())
-    assert found == 10_000 if refusal is None else found[0] is refusal
+
+    def gate_args():
+        tau, sigma = make[left](), make[right]()
+        return tau, identity_morphism(tau.alphabet), sigma, identity_morphism(sigma.alphabet), 10_000
+
+    found = _outcome(coded_fixed_points_agree, *gate_args())
+    assert found == _outcome(relations_oracle.coded_fixed_points_agree, *gate_args())
+    assert found is True if refusal is None else found[0] is refusal
 
 
 def _buffers(monkeypatch) -> list:
@@ -762,17 +832,20 @@ def _buffers(monkeypatch) -> list:
 
 
 def test_shared_on_fibonacci_and_its_square_generates_no_gate_prefix(monkeypatch, tmp_path):
-    """Fibonacci commutes with its square, so the gate generates none of its
-    10 000 letters: every buffer the command fills stays shorter."""
+    """``shared`` compares no fixed-point prefix: under a buffer cap of 5000
+    letters, half of what a 10 000-letter comparison needs, Fibonacci and
+    its square answer all three checks."""
+    monkeypatch.setenv("REPO_PREFIX_CAP", "5000")
     (tmp_path / "fib2.sub").write_text(format_substitution(power(fibonacci(), 2)))
-    made = _buffers(monkeypatch)
     argv = ["shared", "--left", str(ROOT / "samples" / "fib.sub"), "--right", str(tmp_path / "fib2.sub")]
     with contextlib.redirect_stdout(io.StringIO()):
         status, report = run_command(argv + ["--json"])
     assert status == 0
-    assert report.payload["checks"][0] == {"name": "power-coincidence", "outcome": "found", "witness": [2, 1]}
-    assert len(made) >= 2
-    assert max(map(len, made)) < 10_000
+    assert report.payload["checks"] == [
+        {"name": "power-coincidence", "outcome": "found", "witness": [2, 1]},
+        {"name": "shared-prefix-power-equality", "outcome": "found", "witness": {"prefix": "0", "i": 2, "j": 1}},
+        {"name": "witness-identity-exact", "outcome": "pass"},
+    ]
 
 
 def test_cobham_on_powers_of_fibonacci_generates_no_gate_prefix(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from periodic_oracle import looks_periodic, periodic_tail_witness
 from returns_oracle import derived_prefix_by_scan, derived_sequences_agree_by_prefix
 from corpus import fibonacci, thue_morse
+from retword.cli import run_command
 from retword.errors import DecompositionError, ResourceLimitError
 from retword.returns import (
     RETURN_CACHE_SIZE,
@@ -29,6 +31,8 @@ from retword.substitution import (
     substitution_from_strings,
 )
 from retword.words import Alphabet, Word, find_all, spelling
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ABC = Alphabet(("a", "b", "c"))
 
@@ -389,22 +393,26 @@ def test_nested_derivation_matches_the_prefix_oracle(data):
 
 
 def test_derivation_tower_fibonacci(fib):
-    tower = derivation_tower(fib, 8)
+    tower = derivation_tower(fib)
     assert tower.repetition == (1, 2)
     # the repeated return substitution is the original one
     first = tower.levels[0].substitution
     assert tuple(w.letters for w in first.images) == tuple(w.letters for w in fib.images)
 
 
-def test_derivation_tower_depth_one(fib):
-    tower = derivation_tower(fib, 1)
-    assert tower.repetition is None
-    assert len(tower.levels) == 1
+def test_derivation_tower_depth_one(fib, capsys):
+    """``tower --depth 1`` prints the first level alone and still reports
+    the repetition the walk decided, at levels (1, 2)."""
+    assert len(derivation_tower(fib).levels) == 2
+    status, report = run_command(["tower", str(ROOT / "samples" / "fib.sub"), "--depth", "1"])
+    capsys.readouterr()
+    assert status == 0
+    assert report.payload["data"]["levels"] == [{"depth": 1, "prefix_length": 1, "return_letters": 2}]
+    assert report.payload["checks"] == [{"name": "tower-repetition", "outcome": "found", "witness": [1, 2]}]
 
 
 def test_derivation_tower_morse_with_recomputation(morse):
-    tower = derivation_tower(morse, 8)
-    assert tower.repetition is not None
+    tower = derivation_tower(morse)
     p, q = tower.repetition
     assert 1 <= p < q <= 8
     # oracle: recompute each level's return substitution from scratch, on a
@@ -426,8 +434,8 @@ def test_derivation_tower_morse_with_recomputation(morse):
 
 def test_derivation_tower_all_corpus(corpus):
     for sub in corpus.values():
-        tower = derivation_tower(sub, 8)
-        assert tower.repetition is not None
+        p, q = derivation_tower(sub).repetition
+        assert 1 <= p < q <= 8
 
 
 def test_estimate_constants_fibonacci(fib):
@@ -505,7 +513,7 @@ def test_nonperiodic_check_passes_corpus(corpus):
         depth = nonperiodic_check(sub)
         assert depth == depths[name], name
         # the deciding depth is the level that repeats an earlier one
-        assert derivation_tower(sub, depth).repetition[1] == depth
+        assert derivation_tower(sub).repetition[1] == depth
 
 
 def _tower_counts(sub) -> list[int]:
@@ -555,5 +563,5 @@ def test_nonperiodic_check_matches_bounded_oracle():
         else:
             nonperiodic += 1
             depth = nonperiodic_check(sub)
-            assert depth == len(derivation_tower(sub, depth).levels)
+            assert depth == len(derivation_tower(sub).levels)
     assert periodic >= 20 and nonperiodic >= 20

@@ -656,8 +656,8 @@ def test_powered_substitution_leaves_no_cycle():
         square = power(sub, 2)
         power(power(sub, 5), 2)
         fixed_point_prefix(square, 1000)
-        derivation_tower(square, 8)
-        power(derivation_tower(sub, 8).levels[0].substitution, 3)
+        derivation_tower(square)
+        power(derivation_tower(sub).levels[0].substitution, 3)
         del sub, square
         gc.collect()
         assert gc.garbage == []
