@@ -410,7 +410,7 @@ def _cmd_tower(args, report: Report) -> None:
         [
             {
                 "depth": lvl.depth,
-                "prefix_length": len(lvl.prefix),
+                "prefix_length": lvl.prefix_length,
                 "return_letters": lvl.system.count,
             }
             for lvl in tower.levels[: args.depth]

@@ -50,7 +50,6 @@ from .substitution import (
     fixed_point_generator,
     fixed_point_prefix,
     incidence_matrix,
-    is_primitive,
     morphic_image_prefix,
     power,
     power_lengths,
@@ -462,53 +461,45 @@ def shared_fixed_point_analysis(
 ) -> SharedWitness | None:
     """Find a prefix u and exponents with tau_u^i = sigma_u^j exactly.
 
-    Walks tau's cached tower; at level k, once the return words on u_k agree
-    in order, both return substitutions live on one return alphabet and
-    equal powers are one :func:`first_mismatch` call, made only for equal
-    :func:`power_lengths`.  Returns the first witness in (level, i+j, i)
-    order, or None at the first level whose pair (tau_{u_k}, sigma_{u_k})
-    repeats an earlier pair.  Powers past the buffer cap raise
-    ``ResourceLimitError``; a negative budget is refused.
+    Walks the towers of tau and sigma, both cached, in lockstep; at level k,
+    once the return systems agree, both return substitutions live on one
+    return alphabet and equal powers are one :func:`first_mismatch` call,
+    made only for equal :func:`power_lengths`.  Returns the first witness in
+    (level, i+j, i) order, its prefix u_k read off tau's fixed point, or None
+    at the first level whose pair (tau_{u_k}, sigma_{u_k}) repeats an earlier
+    pair.  Powers past the buffer cap raise ``ResourceLimitError``; a
+    negative budget is refused.
 
-    Why it decides: when the return words on u_k agree, u_{k+1} is sigma's
-    next tower prefix too, and both level-(k+1) return substitutions are
-    those of the level-k pair on letter 0 (see
-    :func:`~retword.returns.nonperiodic_check`), so the next pair and its
-    comparison are functions of the current pair.  Past a repeated pair
-    every level repeats an earlier one, and no new witness can appear; the
-    pairs take finitely many values (Durand, Discrete Math. 179, 1998), so
-    the walk ends.  It also decides equality of the fixed points with no
-    prefix compared: a witness makes both derived sequences the fixed point
-    of the common power on letter 0, decoded through the common coding, and
-    a repeat leaves the fixed points agreeing on prefixes u_k of unbounded
+    Why it decides: level 1 holds the return words on the first letter, and
+    level k+1 those of level k on its letter 0 (see
+    :func:`~retword.returns.nonperiodic_check`), so equal systems up to level
+    k are equal return words on u_k, and the next pair and its comparison
+    are functions of the current pair.  Past a repeated pair every level
+    repeats an earlier one, and no new witness can appear; the pairs take
+    finitely many values (Durand, Discrete Math. 179, 1998), so the walk
+    ends.  It also decides equality of the fixed points with no prefix
+    compared: a witness makes both derived sequences the fixed point of the
+    common power on letter 0, decoded through the common coding, and a
+    repeat leaves the fixed points agreeing on prefixes u_k of unbounded
     length.  Different fixed points show different return words (or
     different first letters) at a level before any repeat, and the
-    ``ValueError`` names it.  Different alphabets, a non-primitive side and
-    a periodic tau are refused first.
+    ``ValueError`` names it.  Different alphabets and a periodic tau are
+    refused first, and a non-primitive side by its first level.
     """
     require_nonnegative("exponent budget", budget)
     if tau.alphabet != sigma.alphabet:
         raise ValueError("substitutions are over different alphabets")
-    for sub in (tau, sigma):
-        primitive, _ = is_primitive(sub.matrix())
-        if not primitive:
-            raise ValueError("shared-fixed-point analysis needs primitive substitutions")
     nonperiodic_check(tau)
 
     seen = set()
     for level in count(1):
-        tower_level = _tower_level(tau, level)
-        u, sys_t, tau_u = tower_level.prefix, tower_level.system, tower_level.substitution
-        # u_1 must start sigma's fixed point; later prefixes do once the return words agreed
-        same = level > 1 or sigma.start == tau.start
-        if same:
-            sys_s, sigma_u = return_substitution(sigma, u)
-            same = spelling(sys_t.return_words) == spelling(sys_s.return_words)
-        if not same:
+        left, right = _tower_level(tau, level), _tower_level(sigma, level)
+        if left.system != right.system:
             raise ValueError(
                 f"fixed points differ: the return words on the prefix of length "
-                f"{len(u)} differ at tower level {level}"
+                f"{left.prefix_length} differ at tower level {level}"
             )
+        tau_u, sigma_u = left.substitution, right.substitution
         if (tau_u, sigma_u) in seen:
             return None
         seen.add((tau_u, sigma_u))
@@ -517,4 +508,4 @@ def shared_fixed_point_analysis(
             if lengths_t[i - 1] != lengths_s[j - 1]:
                 continue
             if first_mismatch((power(tau_u, i).morphism,), (power(sigma_u, j).morphism,)) is None:
-                return SharedWitness(u, i, j, level)
+                return SharedWitness(fixed_point_prefix(tau, left.prefix_length), i, j, level)

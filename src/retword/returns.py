@@ -12,7 +12,7 @@ by decomposing the image of each known return word, and every chunk cut
 between successive occurrences of u inside such an image is itself a genuine
 return word, so the closure terminates exactly on the full return alphabet.
 Only the initial search for a second occurrence of u consumes fixed-point
-buffer, under the configured cap.
+buffer, under the configured cap; the derivation tower searches x at level 1 only.
 
 The derivation tower decides exactly whether the fixed point is periodic
 (:func:`nonperiodic_check`).  The caches are the substitution's, none this
@@ -142,7 +142,7 @@ def _first_return_text(tau: Substitution, u: Word) -> str:
     fp = tau.fixed_point()
     if fp.cap <= len(u):
         raise buffer_cap_error(f"prefix of length {len(u)} cannot recur within", fp.cap)
-    length = min(max(4 * len(u), 64), fp.cap)
+    length = min(max(4 * len(u), 16), fp.cap)
     while True:
         text = fp.text(length)
         if not text.startswith(u.scan_text):
@@ -176,6 +176,9 @@ def return_substitution(tau: Substitution, u: Word) -> tuple[ReturnSystem, Subst
     cache = tau._return_systems
     result = cache.pop(u.scan_text, None)
     if result is None:
+        primitive, _ = is_primitive(tau.matrix())
+        if not primitive:
+            raise ValueError("return substitutions are defined for primitive substitutions")
         result = _return_closure(tau, u)
     cache[u.scan_text] = result
     if len(cache) > RETURN_CACHE_SIZE:
@@ -196,12 +199,8 @@ def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitut
     pass it is refused with ``ResourceLimitError``.  The image of a return
     word r holds at most |r| times the longest letter image; its letters
     are counted exactly only when that bound passes the cap."""
-    primitive, _ = is_primitive(tau.matrix())
-    if not primitive:
-        raise ValueError("return substitutions are defined for primitive substitutions")
-
-    table, ut = tau.morphism._table, u.scan_text
-    longest, cap = tau.max_image_length(), tau.fixed_point().cap
+    table, ut, fp = tau.morphism._table, u.scan_text, tau.fixed_point()
+    longest, cap = fp._longest, fp.cap
     texts = [_first_return_text(tau, u)]
     held = len(texts[0])
     index: dict[str, str] = {texts[0]: chr(0)}
@@ -343,11 +342,14 @@ def nested_derivation(tau: Substitution, u: Word, v: Word) -> NestedDerivationRe
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """``repeats`` is the depth of the first earlier level with the same
-    return substitution, or None."""
+    """The return system on the tower prefix u_depth of ``prefix_length`` letters,
+    over the last level's return letters (tau's at level 1), with ``lengths``
+    letters of tau in its return words.  ``repeats`` is the depth of the first
+    earlier level with the same return substitution, or None."""
 
     depth: int
-    prefix: Word
+    prefix_length: int
+    lengths: tuple[int, ...]
     system: ReturnSystem
     substitution: Substitution
     repeats: int | None
@@ -361,17 +363,25 @@ class TowerResult:
 
 def _tower_level(tau: Substitution, depth: int) -> TowerLevel:
     """Level ``depth`` of the tower of tau, from the one walk kept on tau and
-    grown on demand: u_1 the first letter, u_{k+1} = (first return word on u_k)·u_k."""
+    grown on demand: level 1 is tau's return substitution on its first letter,
+    level k+1 level k's on its letter 0 (see :func:`nonperiodic_check`).  Only
+    level 1 decides primitivity: a return substitution of a primitive
+    substitution is primitive (Durand, Discrete Math. 179, 1998)."""
     levels = tau._tower
     while len(levels) < depth:
         if levels:
             last = levels[-1]
-            u = last.system.return_words[0] + last.prefix
+            n, cap = last.lengths[0] + last.prefix_length, tau.fixed_point().cap
+            if cap <= n:
+                raise buffer_cap_error(f"prefix of length {n} cannot recur within", cap)
+            system, sub = _return_closure(last.substitution, _word(last.substitution.alphabet, chr(0)))
+            lengths = tuple(sum([last.lengths[ord(c)] for c in w.scan_text]) for w in system.return_words)
         else:
-            u = fixed_point_prefix(tau, 1)
-        system, sub = return_substitution(tau, u)
+            n = 1
+            system, sub = return_substitution(tau, fixed_point_prefix(tau, 1))
+            lengths = tuple(map(len, system.return_words))
         repeats = next((level.depth for level in levels if level.substitution == sub), None)
-        levels.append(TowerLevel(len(levels) + 1, u, system, sub, repeats))
+        levels.append(TowerLevel(len(levels) + 1, n, lengths, system, sub, repeats))
     return levels[depth - 1]
 
 
@@ -400,28 +410,26 @@ def nonperiodic_check(tau: Substitution) -> int:
     finitely many derived sequences (Durand, Discrete Math. 179, 1998), so
     some return substitution repeats; a periodic x reaches a single return
     word once |u_k| is at least its period.  Independently of that theorem,
-    each level's prefix is strictly longer than the last and the search for
-    a first return word raises ResourceLimitError at the fixed-point buffer
-    cap, so the walk cannot run forever.
+    each level's prefix is strictly longer than the last and the walk raises
+    ResourceLimitError once it reaches the fixed-point buffer cap, so it
+    cannot run forever.
     """
     for depth in count(1):
         level = _tower_level(tau, depth)
         if level.system.count == 1:
-            only = level.system.return_words[0]
+            only = fixed_point_prefix(tau, level.lengths[0])
             raise ValueError(
                 f"fixed point is periodic: one return word {only.text()!r} "
-                f"on the prefix of length {len(level.prefix)}, tower depth {depth}"
+                f"on the prefix of length {level.prefix_length}, tower depth {depth}"
             )
         if level.repeats is not None:
             return depth
 
 
 def derivation_tower(tau: Substitution) -> TowerResult:
-    """The levels of the tower, u_1 the first letter and u_{k+1} = (first
-    return word on u_k)·u_k, up to the first level q whose return
-    substitution repeats that of an earlier level p, with (p, q).  The
-    levels stop at q, however deep the walk cached on tau has gone.
-    Raises ValueError when the fixed point is periodic."""
+    """The tower's levels up to the first level q whose return substitution
+    repeats that of an earlier level p, with (p, q), however deep the walk
+    cached on tau has gone.  Raises ValueError when the fixed point is periodic."""
     q = nonperiodic_check(tau)
     levels = tuple(tau._tower[:q])
     return TowerResult(levels, (levels[-1].repeats, q))

@@ -9,8 +9,10 @@ return substitutions, the oracle reads off generated prefixes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from retword.errors import InternalInconsistencyError
-from retword.returns import return_substitution
+from retword.returns import ReturnSystem, return_substitution
 from retword.substitution import Substitution, fixed_point_prefix
 from retword.words import Word, find_all
 
@@ -63,3 +65,31 @@ def derived_sequences_agree_by_prefix(tau: Substitution, u: Word, v: Word, check
     _, tau_uv = return_substitution(tau_u, v)
     _, tau_w = return_substitution(tau, sys_u.coding()(v) + u)
     return fixed_point_prefix(tau_uv, check_len) == fixed_point_prefix(tau_w, check_len)
+
+
+@dataclass(frozen=True)
+class TauWordLevel:
+    """A tower level computed on tau itself: its prefix u_k of the fixed
+    point, tau's return system on u_k, with return words of the fixed point,
+    and the return substitution."""
+
+    prefix: Word
+    system: ReturnSystem
+    substitution: Substitution
+    repeats: int | None
+
+
+def tower_by_tau_words(tau: Substitution) -> list[TauWordLevel]:
+    """The tower walked on words of the fixed point: u_1 its first letter and
+    u_{k+1} = (first return word on u_k)·u_k, each level tau's return
+    substitution on u_k, up to the first level whose return substitution
+    repeats an earlier one or that has a single return word."""
+    levels: list[TauWordLevel] = []
+    u = fixed_point_prefix(tau, 1)
+    while True:
+        system, sub = return_substitution(tau, u)
+        repeats = next((i + 1 for i, level in enumerate(levels) if level.substitution == sub), None)
+        levels.append(TauWordLevel(u, system, sub, repeats))
+        if repeats is not None or system.count == 1:
+            return levels
+        u = system.return_words[0] + u

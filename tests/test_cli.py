@@ -584,7 +584,7 @@ REDUCIBLE_REFUSALS = [
     (["tower", "{red}"], NOT_PRIMITIVE),
     (["relations", "{red}", "--u", "a", "--v", "ab"], NOT_PRIMITIVE),
     (["circularity", "{red}"], NOT_PRIMITIVE),
-    (["shared", "--left", "{red}", "--right", "{red}"], "shared-fixed-point analysis needs primitive substitutions"),
+    (["shared", "--left", "{red}", "--right", "{red}"], NOT_PRIMITIVE),
     (["cobham", "--left", "{red}", "--right", "{red}"], "multiplicative dependence check needs primitive matrices"),
     (["periodic", "{red}", "--period", "ab"], "periodic presentation needs a primitive substitution"),
 ]

@@ -389,11 +389,11 @@ def test_shared_fixed_point_non_power_fixture(morse):
     p, q = tower.repetition
     base = tower.levels[p - 1].substitution
     # nested prefix carrying level p to level q: decode level-q prefix minus tail
-    u_p, u_q = tower.levels[p - 1].prefix, tower.levels[q - 1].prefix
+    u_p, u_q = (fixed_point_prefix(morse, tower.levels[d - 1].prefix_length) for d in (p, q))
     head = u_q[: len(u_q) - len(u_p)]
     from retword.returns import decompose
 
-    v = decompose(tower.levels[p - 1].system, head)
+    v = decompose(return_substitution(morse, u_p)[0], head)
     v = Word(base.alphabet, v.letters)
     sys_v, base_v = return_substitution(base, v)
     assert tuple(w.letters for w in base_v.images) == tuple(w.letters for w in base.images)
@@ -464,16 +464,17 @@ def test_shared_stops_at_the_first_repeated_pair(tmp_path, monkeypatch):
     """The pair of return substitutions of Fibonacci and its square at tower
     level 2 is the pair at level 1, so the search visits the oracle's
     prefixes of levels 1 and 2 only and reports absence with no depth; a
-    later tower on the same substitution forms no new closure."""
+    later tower on either substitution forms no new closure."""
     right = tmp_path / "fib2.sub"
     right.write_text(format_substitution(power(fibonacci(), 2)))
     visited = []
 
-    def recorded(tau, u):
-        visited.append(u.scan_text)
-        return return_substitution(tau, u)
+    def recorded(sub, depth):
+        level = _tower_level(sub, depth)
+        visited.append(fixed_point_prefix(sub, level.prefix_length).scan_text)
+        return level
 
-    monkeypatch.setattr(sys.modules["retword.relations"], "return_substitution", recorded)
+    monkeypatch.setattr(sys.modules["retword.relations"], "_tower_level", recorded)
     monkeypatch.chdir(ROOT)
     argv = ["shared", "--left", "samples/fib.sub", "--right", str(right), "--budget", "1"]
     out = io.StringIO()
@@ -481,10 +482,12 @@ def test_shared_stops_at_the_first_repeated_pair(tmp_path, monkeypatch):
         status, _ = run_command(argv + ["--json"])
     assert status == 3
     assert out.getvalue() == SHARED_AT_REPETITION.replace("{right}", str(right))
-    assert visited == tower_prefixes_by_scan(fibonacci(), 2)
+    # each level is visited on both sides
+    assert visited == [u for u in tower_prefixes_by_scan(fibonacci(), 2) for _ in range(2)]
 
     tau = fibonacci()
-    assert shared_fixed_point_analysis(tau, power(tau, 2), budget=1) is None
+    sigma = power(tau, 2)
+    assert shared_fixed_point_analysis(tau, sigma, budget=1) is None
     closures = []
     returns_module = sys.modules["retword.returns"]
     closure = returns_module._return_closure
@@ -493,7 +496,9 @@ def test_shared_stops_at_the_first_repeated_pair(tmp_path, monkeypatch):
     )
     tower = derivation_tower(tau)
     assert tower.repetition == (1, 2)
-    assert [level.prefix.scan_text for level in tower.levels] == visited[:2]
+    prefixes = [fixed_point_prefix(tau, level.prefix_length).scan_text for level in tower.levels]
+    assert prefixes == tower_prefixes_by_scan(tau, 2)
+    assert derivation_tower(sigma).repetition == (1, 2)
     assert closures == []
 
 
@@ -542,7 +547,7 @@ def shared_without_screen(tau, sigma, depth, budget):
     """The first (level, i, j) up to ``depth`` whose powers agree, every
     pair's powers formed on every level."""
     for level in range(1, depth + 1):
-        u = _tower_level(tau, level).prefix
+        u = fixed_point_prefix(tau, _tower_level(tau, level).prefix_length)
         _, tau_u = return_substitution(tau, u)
         _, sigma_u = return_substitution(sigma, u)
         for i, j in exponent_pairs(budget):

@@ -1,16 +1,19 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from periodic_oracle import looks_periodic, periodic_tail_witness
-from returns_oracle import derived_prefix_by_scan, derived_sequences_agree_by_prefix
+from returns_oracle import derived_prefix_by_scan, derived_sequences_agree_by_prefix, tower_by_tau_words
 from corpus import fibonacci, thue_morse
 from retword.cli import run_command
 from retword.errors import DecompositionError, ResourceLimitError
+import retword.substitution as substitution_module
 from retword.returns import (
     RETURN_CACHE_SIZE,
+    _tower_level,
     decompose,
     derivation_tower,
     derived_prefix,
@@ -25,7 +28,9 @@ from retword.substitution import (
     Morphism,
     Substitution,
     fixed_point_prefix,
+    format_substitution,
     is_primitive,
+    parse_substitution,
     power,
     power_lengths,
     substitution_from_strings,
@@ -411,25 +416,125 @@ def test_derivation_tower_depth_one(fib, capsys):
     assert report.payload["checks"] == [{"name": "tower-repetition", "outcome": "found", "witness": [1, 2]}]
 
 
+def _assert_walk_matches_tau_words(tau):
+    """The tower walked on the return substitutions agrees with the oracle's
+    walk on words of the fixed point, run on a fresh substitution so that no
+    cached system is reused: level by level the same return-word counts,
+    return substitutions and repeats, prefix lengths |u_k|, the oracle's
+    u_k read off the fixed point, the lengths of its return words and, decoded
+    through the levels above, its return words; then the same (p, q), or the
+    same refusal of a periodic fixed point at the oracle's last level."""
+    oracle = tower_by_tau_words(Substitution(tau.morphism, tau.start))
+    words: list[str] = []
+    for depth, expected in enumerate(oracle, 1):
+        level = _tower_level(tau, depth)
+        assert level.system.count == expected.system.count
+        assert level.substitution == expected.substitution
+        assert level.repeats == expected.repeats
+        assert level.prefix_length == len(expected.prefix)
+        assert fixed_point_prefix(tau, level.prefix_length) == expected.prefix
+        assert level.lengths == tuple(map(len, expected.system.return_words))
+        if depth == 1:
+            words = list(spelling(level.system.return_words))
+        else:
+            words = ["".join(words[b] for b in w.letters) for w in level.system.return_words]
+        assert tuple(words) == spelling(expected.system.return_words)
+    last = oracle[-1]
+    if last.repeats is None:
+        message = (
+            f"fixed point is periodic: one return word {last.system.return_words[0].text()!r} "
+            f"on the prefix of length {len(last.prefix)}, tower depth {len(oracle)}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nonperiodic_check(tau)
+    else:
+        assert derivation_tower(tau).repetition == (last.repeats, len(oracle))
+
+
 def test_derivation_tower_morse_with_recomputation(morse):
     tower = derivation_tower(morse)
     p, q = tower.repetition
     assert 1 <= p < q <= 8
-    # oracle: recompute each level's return substitution from scratch, on a
-    # fresh substitution so that no cached system is reused
-    fresh = thue_morse()
-    u = fixed_point_prefix(morse, 1)
-    for level in tower.levels:
-        system, sub = return_substitution(fresh, u)
-        assert [w.letters for w in system.return_words] == [
-            w.letters for w in level.system.return_words
-        ]
-        assert tuple(w.letters for w in sub.images) == tuple(
-            w.letters for w in level.substitution.images
-        )
-        u = system.return_words[0] + u
+    _assert_walk_matches_tau_words(morse)
     a, b = tower.levels[p - 1].substitution, tower.levels[q - 1].substitution
     assert tuple(w.letters for w in a.images) == tuple(w.letters for w in b.images)
+
+
+@st.composite
+def primitive_substitutions_2_to_5(draw):
+    """Primitive substitutions on 2-5 letters, start letter a, images of 1-3
+    letters.  Each letter's image holds the next letter, cyclically, and a's
+    begins with a, so the matrix is irreducible with a loop: primitive."""
+    symbols = "abcde"[: draw(st.integers(2, 5))]
+    images = {}
+    for i, letter in enumerate(symbols):
+        text = draw(st.text(symbols, max_size=1 if letter == "a" else 2))
+        cut = draw(st.integers(0, len(text)))
+        images[letter] = text[:cut] + symbols[(i + 1) % len(symbols)] + text[cut:]
+    images["a"] = "a" + images["a"]
+    tau = substitution_from_strings(" ".join(symbols), images, "a")
+    assert is_primitive(tau.matrix())[0]
+    return tau
+
+
+@settings(max_examples=80, deadline=None)
+@given(primitive_substitutions_2_to_5())
+def test_tower_walk_matches_the_walk_on_words_of_the_fixed_point(tau):
+    """On drawn substitutions, periodic fixed points included, each level
+    derived from the last is the level computed on words of the fixed point."""
+    _assert_walk_matches_tau_words(tau)
+
+
+def test_tower_walk_matches_the_walk_on_words_of_the_fixed_point_on_samples():
+    for path in sorted((ROOT / "samples").glob("*.sub")):
+        _assert_walk_matches_tau_words(parse_substitution(path.read_text())[0])
+
+
+def test_a_fresh_tower_decides_primitivity_once(monkeypatch):
+    """Primitivity is decided at level 1 only: a return substitution of a
+    primitive substitution is primitive, and the later levels' closures do
+    not decide it again."""
+    searched = []
+    search = substitution_module._least_positive_power
+    monkeypatch.setattr(
+        substitution_module, "_least_positive_power", lambda m: searched.append(m) or search(m)
+    )
+    morse = thue_morse()
+    assert derivation_tower(morse).repetition == (2, 3)
+    assert searched == [morse.matrix()]
+
+
+# A primitive substitution on 18 letters, kept out of samples/, which the
+# benchmark generator reads.  Its tower prefix u_2 has 87 letters, and tau's
+# return closure on u_2 would hold 10 033 470 letters, over the default buffer
+# cap; derived from level 1 on its letter 0, level 2 is a closure on 144 letters.
+DRAW_18 = {
+    "a": "ak", "b": "m", "c": "fh", "d": "mgpfgbmqfm", "e": "dehgbr", "f": "bkdmorjnjhn",
+    "g": "loqofaa", "h": "pohoofpmdc", "i": "lnl", "j": "oq", "k": "bbeckqcbq",
+    "l": "eacdgep", "m": "fhcli", "n": "kio", "o": "iqp", "p": "iqhk", "q": "bgfmfi",
+    "r": "kmfidqblorq",
+}
+
+
+def test_every_command_deciding_periodicity_answers_the_18_letter_draw(tmp_path, capsys):
+    tau = substitution_from_strings(" ".join(DRAW_18), DRAW_18, "a")
+    left, right = tmp_path / "draw.sub", tmp_path / "square.sub"
+    left.write_text(format_substitution(tau))
+    right.write_text(format_substitution(power(tau, 2)))
+    status, report = run_command(["tower", str(left), "--depth", "30", "--json"])
+    assert status == 0
+    assert report.payload["data"]["levels"] == [
+        {"depth": 1, "prefix_length": 1, "return_letters": 144},
+        {"depth": 2, "prefix_length": 87, "return_letters": 144},
+    ]
+    assert report.payload["checks"] == [{"name": "tower-repetition", "outcome": "found", "witness": [1, 2]}]
+    for argv in (
+        ["circularity", str(left)],
+        ["shared", "--left", str(left), "--right", str(right)],
+        ["relations", str(left), "--u", "a", "--v", "ak"],
+    ):
+        assert run_command(argv + ["--json"])[0] == 0, argv
+    capsys.readouterr()
 
 
 def test_derivation_tower_all_corpus(corpus):
