@@ -80,6 +80,7 @@ from .substitution import (
     identity_morphism,
     incidence_matrix,
     is_primitive,
+    language,
     morphic_image_prefix,
     parse_substitution,
     power,

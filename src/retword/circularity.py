@@ -6,43 +6,42 @@ letter image and the right piece a prefix of some letter image.  Two
 interpretations synchronize at a cut when they place an image boundary at the
 same position with the same core letter beneath it.  The synchronization
 delay of a substitution is the margin beyond which every pair of
-interpretations of every factor synchronizes; here it is searched over a
-factor sample, never derived, so results are certificates on the sample and
-lower-bound reports, not proofs.  Interpretations are kept on scan texts as
-(cut, end, core text, cut set), the cores checked against a pool of factor
-texts, and those of x·a come from those of x by one extension step, which
-places each new image boundary in the cut set it carries.  The sampled
-factors come from one table, the distinct windows of the longest sampled
-length, cut to each length as a search reaches it.  The delay search runs
-that step over the sampled factors by length, one step per factor from its
-parent, reads the cut sets as the step made them, and stops at the length
-past which no factor can force more;
+interpretations of every factor synchronizes; here it is searched over every
+factor of at most a given length S, never derived, so a result is the
+largest forcing over those factors and a lower bound on the delay, not a
+proof of it.  Interpretations are kept on scan texts as (cut, end, core
+text, cut set), the cores checked against a pool of factor texts, and those
+of x·a come from those of x by one extension step, which places each new
+image boundary in the cut set it carries.  The factors of each length are
+the fixed point's exact language of that length
+(:func:`retword.substitution.language`), read as a search reaches it.  The
+delay search runs that step over the factors by length, one step per factor
+from its parent, reads the cut sets as the step made them, and stops at the
+length past which no factor can force more;
 :func:`interpretations` folds the step over the letters of one factor.
 ``Word`` and ``Interpretation`` objects are built only for what
 :func:`interpretations` returns.
 
 Injectivity is asked of the return substitution tau_u on its own factors,
-the distinct factors of a prefix of its fixed point: the prefix is translated
-once, through tau_u, and each factor's image is read off that translation at
-one of its start positions, with no morphism applied word by word.  That
+the language of its fixed point: each factor's image is one translation
+through tau_u's images, with no morphism applied word by word.  That
 answers for the decodable factors too, the words of the fixed point that
 split over the return words on u: when tau_u is one-to-one on its own
 factors of at most L letters, no two decodable factors of at most L letters
 share an image under tau (see :func:`find_n0`).  The least injective prefix
-is decided by the code test when tau_u's images form a code, and sampled
-otherwise by that walk.
+is decided by the code test when tau_u's images form a code, and by that
+walk over the language otherwise.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import require_nonnegative
 from .returns import nonperiodic_check, return_substitution
-from .substitution import Substitution, fixed_point_prefix
-from .words import Word, _word, factor_windows, factors_of_length, is_code
+from .substitution import Substitution, fixed_point_prefix, language
+from .words import Word, _word, is_code
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,14 @@ _EMPTY_WORD_THREADS: tuple[_Thread, ...] = ((0, 0, "", frozenset()),)
 class _InterpretationContext:
     """Shared pools for extending interpretations over one substitution.
 
-    ``windows`` holds the windows of ``max_factor`` letters of a fixed-point
-    prefix (see :func:`retword.words.factor_windows`); ``pool`` holds the
-    scan texts of its factors of the lengths :meth:`grow` has reached, one
-    length at a time from 1; ``suffixes`` and ``prefixes`` hold the margins
-    letter images allow, and ``letters_of`` maps each image text to the core
-    texts of the letters with that image.
+    ``pool`` holds the scan texts of the fixed point's factors of the lengths
+    :meth:`grow` has reached, one length at a time from 1; ``suffixes`` and
+    ``prefixes`` hold the margins letter images allow, and ``letters_of``
+    maps each image text to the core texts of the letters with that image.
     """
 
-    def __init__(self, tau: Substitution, prefix_len: int, max_factor: int):
-        self.windows = factor_windows(fixed_point_prefix(tau, prefix_len).scan_text, max_factor)
+    def __init__(self, tau: Substitution):
+        self.tau = tau
         self.pool: set[str] = set()
         self.lengths = [len(w) for w in tau.images]
         images = [w.scan_text for w in tau.images]
@@ -96,9 +93,9 @@ class _InterpretationContext:
         for c, t in enumerate(images):
             self.letters_of.setdefault(t, []).append(chr(c))
 
-    def grow(self, n: int) -> dict[str, int]:
-        """The factors of ``n`` letters, each with one start, added to the pool."""
-        factors = factors_of_length(self.windows, n)
+    def grow(self, n: int) -> frozenset[str]:
+        """The factors of ``n`` letters, added to the pool."""
+        factors = language(self.tau, n)
         self.pool.update(factors)
         return factors
 
@@ -156,19 +153,20 @@ class _InterpretationContext:
         return found
 
 
-def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -> list[Interpretation]:
+def interpretations(tau: Substitution, x: Word) -> list[Interpretation]:
     """All cuts of x as left · tau(core) · right with the core a factor of the
-    fixed point observed in the generated prefix, sorted by (left, core,
-    right) scan texts.  The extension step of the delay search is folded over
-    the letters of x, from the one interpretation of the empty word."""
+    fixed point, sorted by (left, core, right) scan texts.  The extension
+    step of the delay search is folded over the letters of x, from the one
+    interpretation of the empty word.  An x that is empty or no factor of the
+    fixed point is refused."""
     if len(x) == 0:
         raise ValueError("factor must be non-empty")
-    ctx = _InterpretationContext(tau, search_prefix_len, len(x))
-    for n in range(1, len(x) + 1):
-        ctx.grow(n)
     text = x.scan_text
-    if text not in ctx.pool:
-        raise ValueError("x does not occur in the generated prefix")
+    if text not in language(tau, len(text)):
+        raise ValueError("x is not a factor of the fixed point")
+    ctx = _InterpretationContext(tau)
+    for n in range(1, len(text) + 1):
+        ctx.grow(n)
     threads = _EMPTY_WORD_THREADS
     for n in range(1, len(text) + 1):
         threads = ctx.extend(threads, text[:n])
@@ -180,23 +178,24 @@ def interpretations(tau: Substitution, x: Word, search_prefix_len: int = 4000) -
 
 
 def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) -> int | None:
-    """Least delay D making every sampled interpretation pair synchronize.
+    """Least delay D making every interpretation pair of every factor of at
+    most ``sample_len`` letters synchronize.
 
-    For every distinct factor up to ``sample_len`` (collected from a prefix of
-    max(50 · ``sample_len``, 2000) letters) and every ordered pair of its
-    interpretations, a cut (position, letter) of one missing from the other
-    forces D to at least the smaller of the two margins around the cut.  The
-    returned D is exactly the largest such forcing, or None when it exceeds
-    ``d_max``; boundary cuts (first and last) participate like any other.
-    Absence is a lower-bound report on the sample, not a refutation of
-    circularity.
+    For every factor of the fixed point of at most ``sample_len`` letters
+    (the exact languages of :func:`retword.substitution.language`) and every
+    ordered pair of its interpretations, a cut (position, letter) of one
+    missing from the other forces D to at least the smaller of the two
+    margins around the cut.  The returned D is exactly the largest such
+    forcing, or None when it exceeds ``d_max``; boundary cuts (first and
+    last) participate like any other.  Longer factors are not read, so D is
+    a lower bound on the true delay and None no refutation of circularity.
 
     The factors are visited by length, each one extension step from its
     parent, its longest proper prefix, whose interpretations the previous
     length keeps by text.  The pool grows with the length: when the factors
-    of n letters are extended it holds every sampled factor of at most n
-    letters, and images are non-empty, so every core of an interpretation of
-    an n-letter factor is there.  The search stops before length n once
+    of n letters are extended it holds every factor of at most n letters,
+    and images are non-empty, so every core of an interpretation of an
+    n-letter factor is there.  The search stops before length n once
     n > 2(R + 1) + L, R the forcing found so far and L the longest image: no
     longer factor forces more.  Suppose a factor x has a forcing cut (p, c) of
     margin m > R: it is in one interpretation of x and missing from another.
@@ -206,11 +205,11 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     of at most L letters.  Restrict both interpretations to it: the margins
     stay suffixes and prefixes of letter images, and the restricted cores
     are factors of pooled cores, so they are pooled too (the pool holds
-    every sampled factor up to the length read).  The restriction is a
-    factor of x of at most 2(R + 1) + L < n letters, so it was sampled and
-    read, and the cut is in one restricted cut set but not in the other,
-    with margin at least R + 1 > R, which cannot be.  So R is the largest forcing over the
-    whole sample.
+    every factor up to the length read).  The restriction is a factor of x
+    of at most 2(R + 1) + L < n letters, so it was read, and the cut is in
+    one restricted cut set but not in the other, with margin at least
+    R + 1 > R, which cannot be.  So R is the largest forcing over every
+    factor of at most ``sample_len`` letters.
 
     No pair is formed: a cut is in one interpretation's cut set and missing
     from another's exactly when it is in some cut set but not in all of them,
@@ -222,7 +221,7 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     ``required`` only grows, so stopping at the first factor that takes it
     past ``d_max`` gives the same None.
 
-    A sample length below 1 samples nothing and is refused, as is a negative
+    A length below 1 reads no factor and is refused, as is a negative
     ``d_max``; so are a periodic fixed point and a non-primitive
     substitution, as in :func:`find_n0`.
     """
@@ -230,7 +229,7 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
         raise ValueError(f"sample length must be >= 1, got {sample_len}")
     require_nonnegative("delay bound", d_max)
     nonperiodic_check(tau)
-    ctx = _InterpretationContext(tau, max(50 * sample_len, 2000), sample_len)
+    ctx = _InterpretationContext(tau)
     lengths = ctx.lengths
     longest = max(lengths)
     required = 0
@@ -252,42 +251,33 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     return required
 
 
-def _own_factors_collide(host: Word, sub: Substitution, length_bound: int) -> bool:
-    """Whether two distinct factors of ``host`` of at most ``length_bound``
-    letters share an image under ``sub``.
+def _own_factors_collide(sub: Substitution, length_bound: int) -> bool:
+    """Whether two distinct factors of the fixed point of ``sub`` of at most
+    ``length_bound`` letters share an image under ``sub``.
 
-    The host is translated once through ``sub``; prefix sums of the image
-    lengths then give each factor's image as a slice at the start the factor
-    table gives for it, with no per-word morphism call.  The factors of each
-    length are distinct, and factors of different lengths differ, so an
-    image met twice is the image of two distinct factors.
+    Each factor of :func:`retword.substitution.language` is translated
+    through the scan texts of ``sub``'s images, with no per-word morphism
+    call.  The factors of each length are distinct, and factors of different
+    lengths differ, so an image met twice is the image of two distinct
+    factors.
     """
-    text = host.scan_text
-    image = sub(host).scan_text
-    image_lengths = [len(w) for w in sub.images]
-    image_at = list(accumulate(map(image_lengths.__getitem__, map(ord, text)), initial=0))
-    windows = factor_windows(text, length_bound)
+    table = sub.morphism._table
     seen: set[str] = set()
     for n in range(1, length_bound + 1):
-        for i in factors_of_length(windows, n).values():
-            key = image[image_at[i] : image_at[i + n]]
+        for factor in language(sub, n):
+            key = factor.translate(table)
             if key in seen:
                 return True
             seen.add(key)
     return False
 
 
-def find_n0(
-    tau: Substitution,
-    length_bound: int = 30,
-    max_prefix: int = 200,
-    derived_sample: int = 1000,
-) -> int | None:
+def find_n0(tau: Substitution, length_bound: int = 30, max_prefix: int = 200) -> int | None:
     """Least prefix length n whose return substitution tau_u, on the prefix u
     of length n, is one-to-one on its own factors: those of at most
-    ``length_bound`` letters of a ``derived_sample`` prefix of its fixed
-    point must have pairwise distinct images, which :func:`_own_factors_collide`
-    checks.  That answers for the decodable factors, the words that occur in
+    ``length_bound`` letters of its fixed point must have pairwise distinct
+    images, which :func:`_own_factors_collide` checks.  That answers for the
+    decodable factors, the words that occur in
     the fixed point and split over the return words on u; they are exactly
     the decodings c(f) of the derived factors f, the factors of tau_u's fixed
     point, c the coding onto the return words (Durand, *Discrete Math.* 179,
@@ -308,10 +298,10 @@ def find_n0(
     walks the factors only when they are not a code.  Images that are
     distinct and form a code make tau_u one-to-one on all words, so no two
     distinct factors share an image and the walk would pass at that n too:
-    the answer is the same.  Every n below the answer was rejected by a
-    collision between two factors of the generated host, which are real
-    factors of tau_u's fixed point; so when the code test answers, tau_u is
-    injective at n0 and at no smaller n, and n0 is decided, not sampled.
+    the answer is the same.  The walk reads tau_u's exact language, so every
+    n below the answer was rejected by a collision between two real factors
+    of tau_u's fixed point, and n0 is decided for the length bound, not
+    sampled.
 
     None when no prefix length up to ``max_prefix`` passes; existence beyond
     the scan is not decided here.  A length bound below 1 checks no factor
@@ -323,9 +313,6 @@ def find_n0(
     nonperiodic_check(tau)
     for n in range(1, max_prefix + 1):
         _, tau_u = return_substitution(tau, fixed_point_prefix(tau, n))
-        if is_code(w.scan_text for w in tau_u.images):
-            return n
-        host = fixed_point_prefix(tau_u, derived_sample)
-        if not _own_factors_collide(host, tau_u, length_bound):
+        if is_code(w.scan_text for w in tau_u.images) or not _own_factors_collide(tau_u, length_bound):
             return n
     return None

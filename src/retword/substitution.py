@@ -311,10 +311,10 @@ def _least_positive_power(matrix: IncidenceMatrix) -> tuple[bool, int | None]:
 class Substitution:
     """A self-morphism with non-empty images and a start letter fixing its first letter.
 
-    It owns five caches, filled on first use and never referring back to it:
+    It owns six caches, filled on first use and never referring back to it:
     its fixed point, the return systems on recent prefixes and the tower
-    levels (both filled by :mod:`retword.returns`), its powers and the image
-    lengths of its powers.
+    levels (both filled by :mod:`retword.returns`), its powers, the image
+    lengths of its powers and its factor languages (:func:`language`).
     """
 
     __slots__ = (
@@ -325,6 +325,7 @@ class Substitution:
         "_tower",
         "_powers",
         "_power_lengths",
+        "_languages",
     )
 
     def __init__(self, morphism: Morphism, start: int):
@@ -345,6 +346,7 @@ class Substitution:
         self._tower: list = []
         self._powers: dict[int, Substitution] = {}
         self._power_lengths: list[tuple[int, ...]] = []
+        self._languages: dict[int, frozenset[str]] = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -530,6 +532,50 @@ def fixed_point_generator(s: Substitution, n: int) -> FixedPointPrefix:
 def fixed_point_prefix(s: Substitution, n: int) -> Word:
     """First n letters of the fixed point of s (cached per substitution)."""
     return fixed_point_generator(s, n).prefix(n)
+
+
+def language(s: Substitution, n: int) -> frozenset[str]:
+    """The scan texts of the factors of ``n`` letters of the fixed point x of
+    s, every one of them, kept on s per length.
+
+    They are the closure of x[:n] under "the windows of ``n`` letters of
+    s(f) that start inside s(f[0])" (Queffélec, *Substitution Dynamical
+    Systems*, LNM 1294):
+
+    - Each such window is a factor: f is one, so s(f) is one, as x = s(x);
+      and it fits in s(f), since s(f[0]) is followed by the images of the
+      n - 1 letters f[1:], each non-empty.
+    - Each factor is reached.  As x = s(x), the window of x at a position p
+      inside s(x[j]) is the window of s(x[j:j+n]) that starts inside
+      s(x[j]), so x[j:j+n] reaches it.  Starting from x[:n], the closure
+      so reaches every position below |s(x[0])|, then every
+      position below |s^2(x[0])| from the factors at those, and by
+      induction every position below |s^k(x[0])| for every k.  That bound
+      grows without limit, since |s(x[0])| >= 2 and s^k(x[0]) is a proper
+      prefix of s^(k+1)(x[0]).
+
+    So the closure is exactly the language L_n, found from n letters of x
+    and |L_n| translations of n letters, with no prefix sampled.  A length
+    below 1 is refused, and so is one for which ``fixed_point_prefix(s, n)``
+    is.
+    """
+    found = s._languages.get(n)
+    if found is None:
+        if n < 1:
+            raise ValueError(f"factor lengths must be >= 1, got {n}")
+        table = s.morphism._table
+        starts = [range(len(t)) for t in table]
+        first = fixed_point_prefix(s, n).scan_text
+        closure, order = {first}, [first]
+        for f in order:  # each factor once, in the order the closure meets it
+            image = f.translate(table)
+            for i in starts[ord(f[0])]:
+                window = image[i : i + n]
+                if window not in closure:
+                    closure.add(window)
+                    order.append(window)
+        found = s._languages[n] = frozenset(closure)
+    return found
 
 
 def require_coding(m: Morphism, s: Substitution) -> None:

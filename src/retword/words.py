@@ -12,9 +12,9 @@ as dict keys, set members and occurrence-scan inputs (``str.find``).
 Letters map to code points with ``chr``/``ord`` here, in
 :mod:`retword.substitution`, in the return closure of :mod:`retword.returns`
 and in the interpretation threads of :mod:`retword.circularity`.  The naive
-window scan stays available in the test suite as the oracle.  The distinct
-factors of a text are cut, one length at a time, from its distinct windows
-of the longest length read (:func:`factor_windows`).  Periodicity is decided
+window scan stays available in the test suite as the oracle.  The factors
+of a fixed point are its exact language,
+:func:`retword.substitution.language`.  Periodicity is decided
 exactly from return words by :func:`retword.returns.nonperiodic_check`.
 Whether a set of scan texts is a code is decided by the Sardinas–Patterson
 test, :func:`is_code`.
@@ -234,21 +234,3 @@ def is_code(texts: Iterable[str]) -> bool:
                 seen.add(rest)
                 pending.append(rest)
     return True
-
-
-def factor_windows(text: str, longest: int) -> dict[str, int]:
-    """The distinct windows ``text[i:i+longest]`` of the scan text ``text``,
-    each with one start i; near the end of the text a window is a shorter
-    tail.  Every factor of n <= ``longest`` letters is the prefix w[:n] of
-    the window w at one of its starts, so these windows are a factor table:
-    :func:`factors_of_length` cuts it to any one length."""
-    return {text[i : i + longest]: i for i in range(len(text))}
-
-
-def factors_of_length(windows: dict[str, int], n: int) -> dict[str, int]:
-    """The distinct factors of ``n`` letters, each with one start, cut from
-    the ``windows`` of :func:`factor_windows` that have at least ``n``
-    letters.  A length below 1 is refused."""
-    if n < 1:
-        raise ValueError(f"factor lengths must be >= 1, got {n}")
-    return {w[:n]: i for w, i in windows.items() if len(w) >= n}

@@ -1,18 +1,21 @@
 """Injectivity and synchronization delay checked one Word at a time, as test oracles.
 
-The library reads every factor's image off one host translated through the
-return substitution; the oracle enumerates the factors by slicing every
-window, applies the morphism to each factor as a Word and keys the images in
-a dict, the per-word route the library's kernel replaced.  The oracle also
-keeps the injectivity certificate over decodable factors, which the library
-does not build: find_n0's lemma says that its own-factor check implies the
-certificate, and the tests check the lemma against it.
+The library reads the factors of a fixed point from its exact language
+(``retword.substitution.language``) and translates each factor's scan text;
+the oracle slices them, window by window, off a generated prefix long
+enough to hold every one of them (``covering_prefix``), applies the morphism
+to each factor as a Word and keys the images in a dict, the per-word route
+the library's kernel replaced.  ``power_language`` gives the same language
+by a second construction, through a power of the substitution.  The
+oracle also keeps the injectivity certificate over decodable factors, which
+the library does not build: find_n0's lemma says that its own-factor check
+implies the certificate, and the tests check the lemma against it.
 
 The library's delay search extends the interpretations of each factor from
 those of its parent, length by length, and takes the forcing cuts of a
 factor as the union of its interpretations' cut sets minus their
 intersection; the oracle finds every factor's interpretations from scratch
-by a worklist walk over a pool of window-sliced factors, and compares the
+by a worklist walk over a pool of factors of that prefix, and compares the
 cut sets of every ordered pair of them.
 """
 
@@ -22,7 +25,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from retword.returns import nonperiodic_check, return_substitution
-from retword.substitution import Substitution, fixed_point_prefix
+from retword.substitution import Substitution, fixed_point_prefix, power, power_lengths
 from retword.words import Word
 
 
@@ -44,10 +47,67 @@ class InjectivityCertificate:
 
 
 def window_factors(host: Word, max_length: int) -> list[Word]:
-    """Every distinct factor of 1..max_length letters, sliced window by window, sorted."""
+    """Every distinct factor of 1..max_length letters of ``host``, sorted.
+
+    Each is a prefix of the window of ``max_length`` letters at one of its
+    starts, or of the shorter tail there near the end of the host, so the
+    distinct windows are cut to every length; a long host has far fewer
+    distinct windows than starts."""
     text = host.scan_text
-    found = {text[i : i + n] for n in range(1, max_length + 1) for i in range(len(text) - n + 1)}
+    windows = {text[i : i + max_length] for i in range(len(text))}
+    found = {w[:n] for w in windows for n in range(1, len(w) + 1)}
     return [Word(host.alphabet, map(ord, t)) for t in sorted(found)]
+
+
+def two_letter_factors(tau: Substitution) -> set[str]:
+    """The scan texts of the factors of two letters of the fixed point x: the
+    closure of x[:2] under every two-letter window of tau(ab).  Each window
+    is a factor, as x = tau(x); and a factor at a position p inside
+    tau(x[j]) is a window of tau(x[j:j+2]), as the image of x[j+1] is not
+    empty, so the closure reaches every position."""
+    table = [w.scan_text for w in tau.images]
+    found = {fixed_point_prefix(tau, 2).scan_text}
+    pending = list(found)
+    while pending:
+        image = pending.pop().translate(table)
+        for window in {image[i : i + 2] for i in range(len(image) - 1)} - found:
+            found.add(window)
+            pending.append(window)
+    return found
+
+
+def power_exponent(tau: Substitution, n: int) -> int:
+    """The least k >= 1 whose power tau^k has images of at least n - 1 letters."""
+    k = 1
+    while min(power_lengths(tau, k)[-1]) < n - 1:
+        k += 1
+    return k
+
+
+def power_language(tau: Substitution, n: int) -> set[str]:
+    """Every factor of ``n`` letters, as the windows of tau^k(ab) over the
+    factors ab of two letters, k = ``power_exponent(tau, n)`` (Queffélec,
+    *Substitution Dynamical Systems*, LNM 1294): as x = tau^k(x), a factor
+    at a position inside tau^k(x[j]) lies in tau^k(x[j:j+2]), since the
+    image of x[j+1] holds the n - 1 letters that may run past that of x[j]."""
+    images = [w.scan_text for w in power(tau, power_exponent(tau, n)).images]
+    texts = [ab.translate(images) for ab in two_letter_factors(tau)]
+    return {t[i : i + n] for t in texts for i in range(len(t) - n + 1)}
+
+
+def covering_prefix(tau: Substitution, n: int) -> Word:
+    """A prefix of the fixed point that holds every factor of at most ``n``
+    letters.  Every two-letter factor ab occurs in x[:P] for some P, and
+    with k = ``power_exponent(tau, n)`` the prefix tau^k(x[:P]) of x then
+    holds every tau^k(ab), so every factor of n letters (see
+    :func:`power_language`), and with them every shorter factor."""
+    two = two_letter_factors(tau)
+    text = fixed_point_prefix(tau, 2).scan_text
+    while not all(ab in text for ab in two):
+        text = fixed_point_prefix(tau, 2 * len(text)).scan_text
+    reach = max(text.find(ab) for ab in two) + 2
+    lengths = power_lengths(tau, power_exponent(tau, n))[-1]
+    return fixed_point_prefix(tau, sum(lengths[ord(c)] for c in text[:reach]))
 
 
 def first_collision(
@@ -66,9 +126,7 @@ def first_collision(
     return checked, None
 
 
-def check_injectivity(
-    tau: Substitution, u: Word, length_bound: int = 30, derived_sample: int = 2000
-) -> InjectivityCertificate:
+def check_injectivity(tau: Substitution, u: Word, length_bound: int = 30) -> InjectivityCertificate:
     """The certificate built word by word over the decoded derived factors."""
     if length_bound < 1:
         raise ValueError(f"injectivity length bound must be >= 1, got {length_bound}")
@@ -77,23 +135,21 @@ def check_injectivity(
     coding = system.coding()
     shortest = min(len(w) for w in system.return_words)
     max_derived = length_bound // max(1, shortest)
-    derived = window_factors(fixed_point_prefix(tau_u, derived_sample), max_derived) if max_derived else []
+    derived = window_factors(covering_prefix(tau_u, max_derived), max_derived) if max_derived else []
     words = (w for w in map(coding, derived) if len(w) <= length_bound)
     checked, collision = first_collision(tau, words)
     return InjectivityCertificate(u, length_bound, checked, collision is None, collision)
 
 
-def find_n0(
-    tau: Substitution, length_bound: int = 30, max_prefix: int = 200, derived_sample: int = 1000
-) -> int | None:
+def find_n0(tau: Substitution, length_bound: int = 30, max_prefix: int = 200) -> int | None:
     """The least passing prefix length, each check made word by word."""
     nonperiodic_check(tau)
     for n in range(1, max_prefix + 1):
         u = fixed_point_prefix(tau, n)
-        if not check_injectivity(tau, u, length_bound, derived_sample).passed:
+        if not check_injectivity(tau, u, length_bound).passed:
             continue
         _, tau_u = return_substitution(tau, u)
-        own = window_factors(fixed_point_prefix(tau_u, derived_sample), length_bound)
+        own = window_factors(covering_prefix(tau_u, length_bound), length_bound)
         if first_collision(tau_u, own)[1] is None:
             return n
     return None
@@ -138,15 +194,12 @@ class WorklistWalk:
         return found
 
 
-def sync_delay_search(
-    tau: Substitution, d_max: int = 64, sample_len: int = 10, prefix_len: int | None = None
-) -> int | None:
+def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) -> int | None:
     """The largest margin a cut of one interpretation missing from another forces,
-    over every ordered pair of interpretations of every sampled factor, each
-    factor's interpretations found by the worklist walk."""
-    if prefix_len is None:
-        prefix_len = max(50 * sample_len, 2000)
-    host = fixed_point_prefix(tau, prefix_len)
+    over every ordered pair of interpretations of every factor of at most
+    ``sample_len`` letters, each factor's interpretations found by the
+    worklist walk."""
+    host = covering_prefix(tau, sample_len)
     walk = WorklistWalk(tau, host, sample_len)
     required = 0
     for x in window_factors(host, sample_len):

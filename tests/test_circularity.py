@@ -26,13 +26,18 @@ from retword.substitution import (
     compose,
     fixed_point_prefix,
     is_primitive,
+    language,
     parse_substitution,
     power,
     substitution_from_strings,
 )
-from retword.words import Word, is_code
+from retword.words import Word, _word, is_code
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+# A substitution whose first 2000 fixed-point letters miss 2 of its 32
+# factors of 4 letters and 12 of its 83 of 10 letters.
+MISSED_BY_PREFIX = {"a": "aaabacba", "b": "c", "c": "baababb"}
 
 
 def test_interpretations_morse_0110(morse):
@@ -62,8 +67,17 @@ def test_interpretations_single_interior_letter(morse):
 
 
 def test_interpretations_requires_observed_factor(fib):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x is not a factor of the fixed point"):
         interpretations(fib, fib.alphabet.word("11"))
+    # a factor of the fixed point past its first 2000 letters is still read
+    tau = substitution_from_strings("a b c", MISSED_BY_PREFIX, "a")
+    sampled = {w.scan_text for w in oracle.window_factors(fixed_point_prefix(tau, 2000), 4)}
+    missed = sorted(language(tau, 4) - sampled)
+    assert missed
+    for text in missed:
+        x = _word(tau.alphabet, text)
+        found = interpretations(tau, x)
+        assert found and all(i.reconstruct(tau) == x for i in found)
 
 
 def test_sync_delay_fibonacci(fib):
@@ -181,15 +195,13 @@ def primitive_substitutions(draw):
 @given(primitive_substitutions(), st.data())
 def test_interpretations_exhaustive_against_bruteforce(tau, data):
     """Oracle: enumerate all (left, core, right) directly from definitions,
-    for a drawn factor of a drawn substitution's fixed point."""
-    prefix = fixed_point_prefix(tau, 400).letters
+    for a drawn factor of a drawn substitution's fixed point, the cores
+    drawn from the factors of a prefix that holds them all."""
     length = data.draw(st.integers(1, 8))
-    start = data.draw(st.integers(0, len(prefix) - length))
-    x = Word(tau.alphabet, prefix[start : start + length])
-    factors = {()}
-    for n in range(1, len(x) + 1):
-        for i in range(len(prefix) - n + 1):
-            factors.add(prefix[i : i + n])
+    host = oracle.covering_prefix(tau, length)
+    start = data.draw(st.integers(0, len(host) - length))
+    x = host[start : start + length]
+    factors = {(), *(w.letters for w in oracle.window_factors(host, length))}
     suffixes = {w.letters[i:] for w in tau.images for i in range(len(w) + 1)}
     prefixes = {w.letters[:i] for w in tau.images for i in range(len(w) + 1)}
     expected = set()
@@ -208,7 +220,7 @@ def test_interpretations_exhaustive_against_bruteforce(tau, data):
             right = rest[len(image) :]
             if right in prefixes:
                 expected.add((left, core, right))
-    found = interpretations(tau, x, search_prefix_len=400)
+    found = interpretations(tau, x)
     triples = [(i.left.letters, i.core.letters, i.right.letters) for i in found]
     assert set(triples) == expected
     assert len(triples) == len(expected)
@@ -233,15 +245,15 @@ def test_sync_delay_matches_pair_oracle(tau, sample_len, d_max):
 
 
 @settings(max_examples=60, deadline=None)
-@given(primitive_substitutions(), st.integers(1, 10), st.integers(1, 600))
-def test_extension_step_matches_worklist_walk(tau, sample_len, prefix_len):
+@given(primitive_substitutions(), st.integers(1, 10))
+def test_extension_step_matches_worklist_walk(tau, sample_len):
     """Length by length, one extension step from the threads of a factor's
     parent gives, each once, the interpretations the worklist walk finds from
-    scratch over the whole sample; the pool grown to a length holds the
-    sampled factors of at most that length; and every thread carries the cut
-    set read off its core text and the image lengths."""
-    ctx = _InterpretationContext(tau, prefix_len, sample_len)
-    host = fixed_point_prefix(tau, prefix_len)
+    scratch over the factors of a prefix that holds them all; the pool grown
+    to a length holds those factors of at most that length; and every thread
+    carries the cut set read off its core text and the image lengths."""
+    ctx = _InterpretationContext(tau)
+    host = oracle.covering_prefix(tau, sample_len)
     walk = oracle.WorklistWalk(tau, host, sample_len)
     factors = {w.scan_text for w in oracle.window_factors(host, sample_len)}
     lengths = [len(w) for w in tau.images]
@@ -261,9 +273,19 @@ def test_extension_step_matches_worklist_walk(tau, sample_len, prefix_len):
 @pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.sub")), ids=lambda p: p.stem)
 def test_sync_delay_of_every_sample_matches_pair_oracle(path, sample_len):
     """Past the length 2(R + 1) + L the search reads no factor, and the
-    delay is still the largest forcing over every sampled factor."""
+    delay is still the largest forcing over every factor read."""
     tau, _ = parse_substitution(path.read_text())
     assert sync_delay_search(tau, 64, sample_len) == oracle.sync_delay_search(tau, 64, sample_len)
+
+
+def test_sync_delay_reads_the_factors_a_prefix_misses():
+    """The delay search reads the 32 factors of 4 letters and the 83 of 10,
+    where the first 2000 letters hold 30 and 71; the delay is 2 on both."""
+    tau = substitution_from_strings("a b c", MISSED_BY_PREFIX, "a")
+    prefix = oracle.window_factors(fixed_point_prefix(tau, 2000), 10)
+    assert [len(language(tau, n)) for n in (4, 10)] == [32, 83]
+    assert [sum(len(w) == n for w in prefix) for n in (4, 10)] == [30, 71]
+    assert sync_delay_search(tau) == 2 == oracle.sync_delay_search(tau)
 
 
 def test_sync_delay_stops_at_the_length_that_decides_it(monkeypatch, fib):
@@ -339,12 +361,12 @@ def test_find_n0_matches_word_oracle(tau, bound):
     assert find_n0(tau, bound, max_prefix=6) == expected
 
 
-def _own_factor_collision(sub, bound, sample=1000):
+def _own_factor_collision(sub, bound):
     """find_n0's own-factor check on a stand-in for the return substitution,
-    next to the word-by-word oracle's collision over the same host."""
-    host = fixed_point_prefix(sub, sample)
-    found = _own_factors_collide(host, sub, bound)
-    return found, oracle.first_collision(sub, oracle.window_factors(host, bound))[1]
+    next to the word-by-word oracle's collision over the factors of a prefix
+    that holds them all."""
+    host = oracle.covering_prefix(sub, bound)
+    return _own_factors_collide(sub, bound), oracle.first_collision(sub, oracle.window_factors(host, bound))[1]
 
 
 @pytest.mark.parametrize("images", COLLIDING, ids=lambda im: ",".join(im.values()))
@@ -359,9 +381,9 @@ def test_own_factor_collisions_match_word_oracle(images):
 
 
 @settings(max_examples=60, deadline=None)
-@given(primitive_substitutions(), st.integers(1, 30), st.integers(1, 400))
-def test_own_factor_check_matches_word_oracle(sub, bound, sample):
-    found, collision = _own_factor_collision(sub, bound, sample)
+@given(primitive_substitutions(), st.integers(1, 30))
+def test_own_factor_check_matches_word_oracle(sub, bound):
+    found, collision = _own_factor_collision(sub, bound)
     assert found == (collision is not None)
 
 
@@ -377,17 +399,16 @@ def _colliding_substitution(images):
 )
 def test_own_factor_check_implies_injectivity_certificate(tau, prefix_len, bound):
     """The lemma find_n0 rests on: when the return substitution is one-to-one on
-    its own factors of at most ``bound`` letters, the certificate on the same
-    derived host passes."""
+    its own factors of at most ``bound`` letters, the certificate over the
+    decodings of its factors passes."""
     try:
         nonperiodic_check(tau)
     except ValueError:
         assume(False)
     u = fixed_point_prefix(tau, prefix_len)
     _, tau_u = return_substitution(tau, u)
-    host = fixed_point_prefix(tau_u, 1000)
-    if not _own_factors_collide(host, tau_u, bound):
-        assert oracle.check_injectivity(tau, u, bound, derived_sample=1000).passed
+    if not _own_factors_collide(tau_u, bound):
+        assert oracle.check_injectivity(tau, u, bound).passed
 
 
 def test_find_n0_builds_no_injectivity_certificate(monkeypatch):
@@ -406,17 +427,16 @@ def test_find_n0_builds_no_injectivity_certificate(monkeypatch):
 @given(primitive_substitutions(), st.integers(1, 6), st.integers(1, 30))
 def test_code_images_leave_the_own_factor_walk_no_collision(tau, prefix_len, bound):
     """find_n0's short-cut: when the images form a code, the walk it skips
-    finds no collision, on tau_u's host and on tau's own fixed point."""
+    finds no collision, on tau_u's factors and on tau's own."""
     if is_code(w.scan_text for w in tau.images):
-        assert not _own_factors_collide(fixed_point_prefix(tau, 1000), tau, bound)
+        assert not _own_factors_collide(tau, bound)
     try:
         nonperiodic_check(tau)
     except ValueError:
         return
     _, tau_u = return_substitution(tau, fixed_point_prefix(tau, prefix_len))
     if is_code(w.scan_text for w in tau_u.images):
-        host = fixed_point_prefix(tau_u, 1000)
-        assert not _own_factors_collide(host, tau_u, bound)
+        assert not _own_factors_collide(tau_u, bound)
 
 
 def test_find_n0_on_samples_is_decided_by_the_code_test(monkeypatch):
@@ -440,6 +460,9 @@ def test_find_n0_on_samples_is_decided_by_the_code_test(monkeypatch):
         ({"a": "aac", "b": "aac", "c": "aabc"}, 1, 1, 1),
         # no code at n = 1 to 4: the walk rejects n = 1 and passes n = 2
         ({"a": "abca", "b": "cab", "c": "cab"}, 1, 2, 2),
+        # the same at the default bound: the walk rejects n = 1 to 4, and the
+        # images are a code at n = 5
+        ({"a": "abca", "b": "cab", "c": "cab"}, 30, 5, 4),
     ],
 )
 def test_find_n0_walks_where_the_images_are_no_code(monkeypatch, images, bound, n0, walks):
@@ -492,11 +515,10 @@ def test_find_n0_maps_no_factor_one_by_one(monkeypatch, make, n0):
     apply = Morphism.__call__
     monkeypatch.setattr(Morphism, "__call__", lambda m, w: calls.append(1) or apply(m, w))
     counts = set()
-    for sample in (500, 2000):
-        for bound in (10, 30):
-            calls.clear()
-            assert find_n0(make(), bound, derived_sample=sample) == n0  # fresh caches
-            counts.add(len(calls))
+    for bound in (10, 30):
+        calls.clear()
+        assert find_n0(make(), bound) == n0  # fresh caches
+        counts.add(len(calls))
     assert len(counts) == 1
 
 

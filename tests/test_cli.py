@@ -526,29 +526,29 @@ def test_circularity_refuses_empty_samples(files, capsys, flag, message):
 
 
 @pytest.mark.parametrize(
-    "text, length",
+    "text",
     [
-        # the code test answers n0 = 1 with no host; the delay search asks first
-        ("alphabet = 0 1\nstart = 0\n0 -> 0 1\n1 -> 0\n", 2000),
-        # tau_u is no code at n = 1, so the walk asks for its derived host
-        ("alphabet = a b c\nstart = a\na -> a b c a\nb -> c a b\nc -> c a b\n", 1000),
+        # the code test answers n0 = 1; the delay search reads 1 to 4 letters
+        "alphabet = 0 1\nstart = 0\n0 -> 0 1\n1 -> 0\n",
+        # tau_u is no code at n = 1 to 4, so the walk reads its language
+        "alphabet = a b c\nstart = a\na -> a b c a\nb -> c a b\nc -> c a b\n",
     ],
-    ids=["fib-delay-prefix", "walk-host"],
+    ids=["fib", "walk"],
 )
-def test_circularity_refuses_the_first_prefix_past_the_cap(tmp_path, monkeypatch, capsys, text, length):
-    """Under a 600-letter cap the first prefix asked for is refused: find_n0's
-    1000-letter derived host when the walk runs, else the delay search's
-    2000-letter prefix."""
-    monkeypatch.setenv("REPO_PREFIX_CAP", "600")
+def test_circularity_answers_under_a_cap_below_the_old_samples(tmp_path, monkeypatch, capsys, text):
+    """Under a 600-letter cap, below the 2000-letter prefix the delay search
+    once sampled and the 1000-letter derived host find_n0's walk once
+    generated, circularity answers as without a cap: each factor length n
+    it reads asks for n letters of a fixed point only."""
     path = tmp_path / "capped.sub"
     path.write_text(text)
-    status, _ = run_command(["circularity", str(path), "--json"])
-    assert status == EXIT_BUDGET
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"budget exhausted: requested prefix length {length} exceeds the buffer cap 600 (REPO_PREFIX_CAP)\n"
-    )
+    monkeypatch.delenv("REPO_PREFIX_CAP", raising=False)
+    status, uncapped = run_command(["circularity", str(path), "--json"])
+    monkeypatch.setenv("REPO_PREFIX_CAP", "600")
+    capped_status, capped = run_command(["circularity", str(path), "--json"])
+    assert status == capped_status == EXIT_OK
+    assert capped.payload["checks"] == uncapped.payload["checks"]
+    assert capsys.readouterr().err == ""
 
 
 LONG_RETURN = "alphabet = a b\nstart = a\na -> a" + " b" * 600 + "\nb -> a\n"

@@ -25,6 +25,7 @@ from retword.substitution import (
     identity_morphism,
     incidence_matrix,
     is_primitive,
+    language,
     morphic_image_prefix,
     parse_substitution,
     power,
@@ -32,6 +33,7 @@ from retword.substitution import (
     power_matrix,
     substitution_from_strings,
 )
+from circularity_oracle import covering_prefix, power_language
 from spectral_oracle import boolean_is_primitive
 
 substitution_module = sys.modules["retword.substitution"]
@@ -517,6 +519,45 @@ def test_fixed_point_prefix_matches_letterwise(sub, cap, data):
     with pytest.raises(ResourceLimitError):
         fp.ensure(cap + 1)
     assert len(fp) <= max(len(sub.image(sub.start)), cap + longest)
+
+
+def prefix_factors(sub, n, length):
+    """Oracle: the distinct windows of ``length`` letters of the first ``n``
+    letters of the fixed point, sliced one by one."""
+    text = fixed_point_prefix(sub, n).scan_text
+    return {text[i : i + length] for i in range(len(text) - length + 1)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 12), st.integers(1, 3000))
+def test_language_holds_every_prefix_factor_and_no_other(sub, n, short):
+    """The factors of any prefix lie in the language, and those of a prefix
+    that holds every factor (at least 20 000 letters) are all of it; each
+    length is computed once and kept."""
+    found = language(sub, n)
+    assert language(sub, n) is found
+    assert prefix_factors(sub, short, n) <= found
+    assert prefix_factors(sub, max(20_000, len(covering_prefix(sub, n))), n) == found
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_substitutions(), st.integers(1, 16))
+def test_language_matches_the_power_construction(sub, n):
+    assert language(sub, n) == power_language(sub, n)
+
+
+def test_language_refuses_what_the_fixed_point_refuses():
+    """The language is read from x[:n], so a start image of one letter and a
+    length past the buffer cap are refused as fixed_point_prefix refuses them."""
+    single = substitution_from_strings("a b", {"a": "a", "b": "ab"}, "a")
+    with pytest.raises(GenerationError):
+        language(single, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPO_PREFIX_CAP", "5")
+        capped = substitution_from_strings("0 1", {"0": "01", "1": "0"}, "0")
+        with pytest.raises(ResourceLimitError):
+            language(capped, 6)
+        assert len(language(capped, 5)) == 6
 
 
 @settings(max_examples=100, deadline=None)
