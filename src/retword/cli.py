@@ -26,6 +26,18 @@ prints is the one the ``retword`` parser would print, under the same
 ``retword <subcommand>`` prog.  Only when arguments are left over, or
 ``argv[0]`` names no subcommand, does the ``retword`` parser read the whole
 of ``argv``, so that it reports the error in its own words.
+
+Commands run in one process share a session of parsed files: a file is
+keyed by its text and the buffer cap (``REPO_PREFIX_CAP``), and a command
+reading a key that the current command or the one before it read gets the
+same substitution, with its fixed point, return systems, tower, powers and
+languages as far as they were filled.  A command that parses a new key
+first drops what the last command read and this one has not, so the session
+holds the files of at most two consecutive commands, and an exception that
+escapes :func:`run_command` empties it.  Reports are the same as with no
+session.  Calls of :func:`run_command` that share a file must not run
+concurrently, since a fixed-point buffer's writes are unsynchronized.  The
+console script runs one command per process and so never reuses a parse.
 """
 
 from __future__ import annotations
@@ -233,9 +245,47 @@ def _render_json(value: Any, newline: str, chunks: list[str]) -> None:
         raise TypeError(f"cannot write a value of type {kind.__name__} as JSON")
 
 
+class _Session:
+    """The parses of the files that the current command and the one before
+    it read, each by its text and the buffer cap (see the module docstring).
+
+    A parse is the substitution with every cache it has filled, so a
+    command on a file the last command read starts where that one stopped.
+    The cap is in the key because a fixed-point buffer reads it when it is
+    made and a power checks it only when it is first composed.
+    """
+
+    def __init__(self) -> None:
+        self.current: dict[tuple[str, int], tuple[Substitution, dict[str, Morphism]]] = {}
+        self.previous: dict[tuple[str, int], tuple[Substitution, dict[str, Morphism]]] = {}
+
+    def next_command(self) -> None:
+        self.previous, self.current = self.current, {}
+
+    def clear(self) -> None:
+        self.current, self.previous = {}, {}
+
+    def load(self, text: str) -> tuple[Substitution, dict[str, Morphism]]:
+        """The parse of ``text`` under the current cap: the one this command
+        or the last read, or, once the last command's other parses are
+        dropped, a new one."""
+        key = (text, prefix_cap())
+        parsed = self.current.get(key)
+        if parsed is None:
+            parsed = self.previous.pop(key, None)
+            if parsed is None:
+                self.previous.clear()
+                parsed = parse_substitution(text)
+            self.current[key] = parsed
+        return parsed
+
+
+_SESSION = _Session()
+
+
 def _load(path: str) -> tuple[Substitution, dict[str, Morphism]]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_substitution(fh.read())
+        return _SESSION.load(fh.read())
 
 
 def _coding_by_name(name: str, sub: Substitution, codings: dict[str, Morphism]) -> Morphism:
@@ -527,6 +577,7 @@ _HANDLERS = {
 
 def run_command(argv: list[str]) -> tuple[int, Report | None]:
     """Run one subcommand; returns (exit status, report)."""
+    _SESSION.next_command()
     try:
         args = _parse(argv)
     except SystemExit as exc:
@@ -557,6 +608,10 @@ def run_command(argv: list[str]) -> tuple[int, Report | None]:
     except Exception as exc:
         print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_INTERNAL, report
+    except BaseException:
+        # an interrupt (a timeout, ^C) may have stopped a cache mid-write
+        _SESSION.clear()
+        raise
     return report.exit_code, report
 
 

@@ -12,7 +12,9 @@ by decomposing the image of each known return word, and every chunk cut
 between successive occurrences of u inside such an image is itself a genuine
 return word, so the closure terminates exactly on the full return alphabet.
 Only the initial search for a second occurrence of u consumes fixed-point
-buffer, under the configured cap; the derivation tower searches x at level 1 only.
+buffer, under the configured cap; the derivation tower searches x at level 1
+only, and reads each later level's first return word off the last level's
+images, with no buffer.
 
 The derivation tower decides exactly whether the fixed point is periodic
 (:func:`nonperiodic_check`).  The caches are the substitution's, none this
@@ -179,29 +181,32 @@ def return_substitution(tau: Substitution, u: Word) -> tuple[ReturnSystem, Subst
         primitive, _ = is_primitive(tau.matrix())
         if not primitive:
             raise ValueError("return substitutions are defined for primitive substitutions")
-        result = _return_closure(tau, u)
+        fp = tau.fixed_point()
+        result = _return_closure(tau, u, _first_return_text(tau, u), fp.cap, fp._longest)
     cache[u.scan_text] = result
     if len(cache) > RETURN_CACHE_SIZE:
         del cache[next(iter(cache))]
     return result
 
 
-def _return_closure(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitution]:
-    """The closure behind :func:`return_substitution`, run on scan texts: the
-    image of each known return word is one translation through tau's table,
-    cut at the occurrences of u, and the chunk dict maps each return word to
-    its return letter's code point, so images are built as scan texts.  The
-    words are made once, at the end.
+def _return_closure(
+    tau: Substitution, u: Word, first: str, cap: int, longest: int
+) -> tuple[ReturnSystem, Substitution]:
+    """The closure behind :func:`return_substitution`, seeded with ``first``,
+    the scan text of the return word at position 0, and run on scan texts:
+    the image of each known return word is one translation through tau's
+    table, cut at the occurrences of u, and the chunk dict maps each return
+    word to its return letter's code point, so images are built as scan
+    texts.  The words are made once, at the end.
 
     Before an image is formed, the letters of the return words held plus
-    those of the image are checked against the fixed point's buffer cap
-    (``prefix_cap()`` when the buffer was made), and a closure that would
-    pass it is refused with ``ResourceLimitError``.  The image of a return
-    word r holds at most |r| times the longest letter image; its letters
-    are counted exactly only when that bound passes the cap."""
-    table, ut, fp = tau.morphism._table, u.scan_text, tau.fixed_point()
-    longest, cap = fp._longest, fp.cap
-    texts = [_first_return_text(tau, u)]
+    those of the image are checked against the buffer cap ``cap``, and a
+    closure that would pass it is refused with ``ResourceLimitError``.  The
+    image of a return word r holds at most |r| times ``longest``, tau's
+    longest letter image; its letters are counted exactly only when that
+    bound passes the cap."""
+    table, ut = tau.morphism._table, u.scan_text
+    texts = [first]
     held = len(texts[0])
     index: dict[str, str] = {texts[0]: chr(0)}
     images: list[str] = []
@@ -361,12 +366,30 @@ class TowerResult:
     repetition: tuple[int, int]
 
 
+def _first_letter_return(sub: Substitution, cap: int) -> str:
+    """The scan text of the return word on letter 0 at position 0 of the
+    fixed point of sub, whose image of letter 0 starts with it, as a return
+    substitution's does: sub(0), sub^2(0), ... are ever longer prefixes of
+    the fixed point, translated until letter 0 recurs after position 0.  As
+    :func:`_first_return_text` would on a buffer of ``cap`` letters, it
+    refuses a return word of ``cap`` letters or more; it keeps no buffer."""
+    table = sub.morphism._table
+    text = table[0]
+    while (second := text.find(chr(0), 1, cap)) == -1:
+        if len(text) >= cap:
+            raise buffer_cap_error("no second occurrence of the prefix within", cap)
+        text = text.translate(table)
+    return text[:second]
+
+
 def _tower_level(tau: Substitution, depth: int) -> TowerLevel:
     """Level ``depth`` of the tower of tau, from the one walk kept on tau and
     grown on demand: level 1 is tau's return substitution on its first letter,
     level k+1 level k's on its letter 0 (see :func:`nonperiodic_check`).  Only
     level 1 decides primitivity: a return substitution of a primitive
-    substitution is primitive (Durand, Discrete Math. 179, 1998)."""
+    substitution is primitive (Durand, Discrete Math. 179, 1998).  Only
+    tau's fixed point has a buffer; every later level is closed under
+    tau's buffer cap."""
     levels = tau._tower
     while len(levels) < depth:
         if levels:
@@ -374,7 +397,10 @@ def _tower_level(tau: Substitution, depth: int) -> TowerLevel:
             n, cap = last.lengths[0] + last.prefix_length, tau.fixed_point().cap
             if cap <= n:
                 raise buffer_cap_error(f"prefix of length {n} cannot recur within", cap)
-            system, sub = _return_closure(last.substitution, _word(last.substitution.alphabet, chr(0)))
+            derived = last.substitution
+            first = _first_letter_return(derived, cap)
+            u = _word(derived.alphabet, chr(0))
+            system, sub = _return_closure(derived, u, first, cap, derived.max_image_length())
             lengths = tuple(sum([last.lengths[ord(c)] for c in w.scan_text]) for w in system.return_words)
         else:
             n = 1

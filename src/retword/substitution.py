@@ -314,7 +314,8 @@ class Substitution:
     It owns six caches, filled on first use and never referring back to it:
     its fixed point, the return systems on recent prefixes and the tower
     levels (both filled by :mod:`retword.returns`), its powers, the image
-    lengths of its powers and its factor languages (:func:`language`).
+    lengths of its powers and its factor languages (:func:`language`).  It
+    can be weakly referenced, so a test can see when it is freed.
     """
 
     __slots__ = (
@@ -326,6 +327,7 @@ class Substitution:
         "_powers",
         "_power_lengths",
         "_languages",
+        "__weakref__",
     )
 
     def __init__(self, morphism: Morphism, start: int):
@@ -495,14 +497,15 @@ class FixedPointPrefix:
     def ensure(self, n: int) -> None:
         self._check_cap(n)
         table, longest = self._table, self._longest
-        text = self._text
+        text, expanded = self._text, self._next
         while len(text) < n:
             # k letters expand to at most k * longest < n - len(text) + longest
             k = -(-(n - len(text)) // longest)
-            block = text[self._next : self._next + k]
+            block = text[expanded : expanded + k]
             text += block.translate(table)
-            self._next += len(block)
-        self._text = text
+            expanded += len(block)
+        # stored together, so an exception inside the loop leaves the buffer whole
+        self._text, self._next = text, expanded
 
     def prefix(self, n: int) -> Word:
         return _word(self.alphabet, self.text(n))

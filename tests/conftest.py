@@ -1,5 +1,6 @@
 import pytest
 
+import retword.cli
 from corpus import (
     constant_length_three,
     dominant_four_pair,
@@ -42,3 +43,10 @@ def corpus(fib, morse, trib, quad_pair):
         "tribonacci": trib,
         "quad": quad_pair[0],
     }
+
+
+@pytest.fixture(autouse=True)
+def cold_session():
+    """Each test starts with no parse in the CLI's session, so a test that
+    counts the work of one command counts that of a cold one."""
+    retword.cli._SESSION.clear()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -23,7 +24,14 @@ from retword.cli import (
     run_command,
 )
 from retword.errors import InternalInconsistencyError
-from retword.substitution import identity_morphism, morphic_image_prefix, parse_substitution
+from retword.returns import derivation_tower
+from retword.substitution import (
+    format_substitution,
+    identity_morphism,
+    morphic_image_prefix,
+    parse_substitution,
+    power,
+)
 
 FIB = """
 alphabet = 0 1
@@ -917,3 +925,147 @@ def test_render_json_keeps_no_escaped_copy_of_a_plain_string():
     rendered = peak(lambda: _rendered(value))
     assert rendered <= escaped_then_joined
     assert rendered < len(text) + 4 * _SLICE
+
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+
+def _captured(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout without its elapsed line, and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status, _ = run_command(argv)
+    return status, _without_elapsed(out.getvalue()), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def session_files(tmp_path_factory):
+    """The samples' paths, the square of fib.sub's substitution, and a path
+    that the session test rewrites."""
+    tmp = tmp_path_factory.mktemp("session")
+    fib, _ = parse_substitution((SAMPLES / "fib.sub").read_text())
+    (tmp / "fib2.sub").write_text(format_substitution(power(fib, 2)))
+    paths = {p.stem: str(p) for p in sorted(SAMPLES.glob("*.sub"))}
+    return paths | {"fib2": str(tmp / "fib2.sub"), "moving": str(tmp / "moving.sub")}
+
+
+# The session test's commands; "F" is a file: a sample, fib2 or the moving file.
+SESSION_COMMANDS = [
+    ["tower", "F", "--json"],
+    ["tower", "F", "--depth", "2"],
+    ["circularity", "F", "--json"],
+    ["spectrum", "F", "--json"],
+    ["fixed-point", "F", "--length", "40", "--json"],
+    ["return-sub", "F", "--prefix", "L", "--json"],
+    ["derived", "F", "--prefix", "L", "--length", "20"],
+    ["relations", "F", "--u", "L", "--v", "LL", "--json"],
+    ["shared", "--left", "F", "--right", "fib2", "--json"],
+    ["cobham", "--left", "F", "--right", "F", "--bound", "3", "--json"],
+]
+SESSION_FILES = ["fib", "morse", "tau4", "const3", "trib", "sigma4", "fib2", "moving"]
+SESSION_CAPS = [None, "12", "40", "600"]
+_session_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("run"), st.sampled_from(range(len(SESSION_COMMANDS))), st.sampled_from(SESSION_FILES)),
+        st.tuples(st.just("cap"), st.sampled_from(SESSION_CAPS)),
+        st.tuples(st.just("rewrite"), st.sampled_from(["fib", "morse", "const3"])),
+    ),
+    max_size=8,
+)
+
+
+def _session_argv(index: int, name: str, paths: dict[str, str]) -> list[str]:
+    """Command ``index`` on file ``name``, its prefixes the file's first letters."""
+    path = paths[name]
+    first, second = parse_substitution(Path(path).read_text())[0].fixed_point().text(2)
+    letters = {"F": path, "fib2": paths["fib2"], "L": first, "LL": first + second}
+    return [letters.get(arg, arg) for arg in SESSION_COMMANDS[index]]
+
+
+def _replay(steps, paths: dict[str, str], cold: bool) -> list[tuple[int, str, str]]:
+    Path(paths["moving"]).write_text((SAMPLES / "fib.sub").read_text())
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("REPO_PREFIX_CAP", raising=False)
+        for step in steps:
+            if step[0] == "cap":
+                if step[1] is None:
+                    mp.delenv("REPO_PREFIX_CAP", raising=False)
+                else:
+                    mp.setenv("REPO_PREFIX_CAP", step[1])
+            elif step[0] == "rewrite":
+                Path(paths["moving"]).write_text((SAMPLES / f"{step[1]}.sub").read_text())
+            else:
+                argv = _session_argv(step[1], step[2], paths)
+                if cold:
+                    retword.cli._SESSION.clear()
+                outcomes.append(_captured(argv))
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_session_steps)
+@example([("cap", "12"), ("run", 0, "morse"), ("run", 0, "morse"), ("cap", None), ("run", 0, "morse")])
+@example([("run", 0, "const3"), ("cap", "40"), ("run", 0, "const3"), ("run", 7, "const3"), ("run", 0, "const3")])
+@example([("run", 0, "moving"), ("rewrite", "morse"), ("run", 0, "moving"), ("run", 2, "moving")])
+@example([("run", 0, "fib"), ("run", 7, "fib"), ("run", 8, "fib"), ("run", 2, "fib")])
+def test_session_prints_what_cold_commands_print(session_files, steps):
+    """Commands run one after another, sharing parses through the session,
+    print what each prints with the session emptied before it: exit codes,
+    stdout and stderr byte for byte, across cap changes, a file rewritten in
+    place and refusals repeated."""
+    assert _replay(steps, session_files, cold=False) == _replay(steps, session_files, cold=True)
+
+
+def test_a_derivation_round_closes_each_tower_level_once(monkeypatch, session_files):
+    """tower, relations and circularity on one file share one parse, so each
+    return system, a tower level's among them, is closed once."""
+    closed = []
+    returns_module = sys.modules["retword.returns"]
+    closure = returns_module._return_closure
+    monkeypatch.setattr(
+        returns_module, "_return_closure", lambda tau, u, *rest: closed.append((tau, u)) or closure(tau, u, *rest)
+    )
+    fib = session_files["fib"]
+    for argv in (["tower", fib], ["relations", fib, "--u", "0", "--v", "010"], ["circularity", fib]):
+        assert _captured(argv + ["--json"])[0] == EXIT_OK
+    tau, _ = retword.cli._load(fib)
+    levels = derivation_tower(tau).levels
+    assert len(closed) == len(set(closed))
+    owners = [tau] + [level.substitution for level in levels[:-1]]
+    for owner, level in zip(owners, levels):
+        assert closed.count((owner, level.system.prefix)) == 1
+
+
+def test_a_command_on_another_file_frees_the_last_parse_first(monkeypatch, session_files):
+    """A command on the file the last one read reuses its parse; a command on
+    another file frees the last one's substitution, with its buffer and
+    tower, before it parses its own."""
+    refs, alive = [], []
+    parse = retword.cli.parse_substitution
+
+    def spied(text):
+        alive.append([ref() is not None for ref in refs])
+        parsed = parse(text)
+        refs.append(weakref.ref(parsed[0]))
+        return parsed
+
+    monkeypatch.setattr(retword.cli, "parse_substitution", spied)
+    for name in ("morse", "morse", "fib"):
+        assert _captured(["tower", session_files[name], "--json"])[0] == EXIT_OK
+    assert alive == [[], [False]]
+    assert [ref() is not None for ref in refs] == [False, True]
+
+
+def test_an_interrupted_command_empties_the_session(monkeypatch, session_files):
+    """An exception escaping a command may have stopped a cache mid-write,
+    so the session keeps no parse past it."""
+    assert _captured(["tower", session_files["fib"], "--json"])[0] == EXIT_OK
+
+    def interrupted(tau):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(retword.cli, "derivation_tower", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_command(["tower", session_files["fib"], "--json"])
+    assert retword.cli._SESSION.current == retword.cli._SESSION.previous == {}

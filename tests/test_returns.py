@@ -13,6 +13,8 @@ from retword.errors import DecompositionError, ResourceLimitError
 import retword.substitution as substitution_module
 from retword.returns import (
     RETURN_CACHE_SIZE,
+    _first_letter_return,
+    _first_return_text,
     _tower_level,
     decompose,
     derivation_tower,
@@ -25,6 +27,7 @@ from retword.returns import (
 )
 from retword.spectrum import char_poly
 from retword.substitution import (
+    FixedPointPrefix,
     Morphism,
     Substitution,
     fixed_point_prefix,
@@ -35,7 +38,7 @@ from retword.substitution import (
     power_lengths,
     substitution_from_strings,
 )
-from retword.words import Alphabet, Word, find_all, spelling
+from retword.words import Alphabet, Word, _word, find_all, spelling
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -502,6 +505,37 @@ def test_a_fresh_tower_decides_primitivity_once(monkeypatch):
     morse = thue_morse()
     assert derivation_tower(morse).repetition == (2, 3)
     assert searched == [morse.matrix()]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "samples").glob("*.sub")), ids=lambda p: p.name)
+def test_a_tower_walk_builds_one_buffer(monkeypatch, path):
+    """Each derived level's first return word is read off the last level's
+    images, so of all the levels walked only tau has a fixed-point buffer."""
+    made = []
+    init = FixedPointPrefix.__init__
+    monkeypatch.setattr(FixedPointPrefix, "__init__", lambda fp, sub: made.append(sub) or init(fp, sub))
+    tau, _ = parse_substitution(path.read_text())
+    assert len(derivation_tower(tau).levels) >= 2
+    assert len(made) == 1 and made[0] is tau
+
+
+@settings(max_examples=80, deadline=None)
+@given(primitive_substitutions_2_to_5(), st.integers(2, 40))
+def test_first_letter_return_is_the_buffer_search(tau, cap):
+    """Read off the images, the first return word on letter 0 is the one the
+    search of a ``cap``-letter buffer finds, or is refused in its words."""
+
+    def outcome(find):
+        try:
+            return find()
+        except ResourceLimitError as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPO_PREFIX_CAP", str(cap))
+        fresh = Substitution(tau.morphism, 0)
+        expected = outcome(lambda: _first_return_text(fresh, _word(fresh.alphabet, chr(0))))
+    assert outcome(lambda: _first_letter_return(tau, cap)) == expected
 
 
 # A primitive substitution on 18 letters, kept out of samples/, which the

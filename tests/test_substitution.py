@@ -277,6 +277,31 @@ def test_fixed_point_cap_enforced(fib, monkeypatch):
     assert fp.prefix(32).text().startswith("01001")
 
 
+def test_an_exception_inside_ensure_leaves_the_buffer_whole(fib):
+    """A generator outlives the command that grew it, so a growth stopped
+    after its first blocks, here by a failing table lookup, keeps the
+    buffer and its count of expanded letters as they were."""
+
+    class FailingTable:
+        lookups = 0
+
+        def __getitem__(self, letter):
+            self.lookups += 1
+            if self.lookups > 4:
+                raise KeyboardInterrupt
+            return fib.morphism._table[letter]
+
+    fp = FixedPointPrefix(fib)
+    fp.ensure(5)
+    before = (fp._text, fp._next)
+    fp._table = FailingTable()
+    with pytest.raises(KeyboardInterrupt):
+        fp.ensure(200)
+    assert (fp._text, fp._next) == before
+    fp._table = fib.morphism._table
+    assert fp.text(200) == FixedPointPrefix(fib).text(200)
+
+
 def test_prefix_extension_idempotent(fib):
     fp = FixedPointPrefix(fib)
     first = fp.prefix(20).letters
