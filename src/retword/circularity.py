@@ -10,11 +10,10 @@ interpretations of every factor synchronizes; here it is searched over every
 factor of at most a given length S, never derived, so a result is the
 largest forcing over those factors and a lower bound on the delay, not a
 proof of it.  Interpretations are kept on scan texts as (cut, end, core
-text, cut set), the cores checked against a pool of factor texts, and those
-of x·a come from those of x by one extension step, which places each new
-image boundary in the cut set it carries.  The factors of each length are
-the fixed point's exact language of that length
-(:func:`retword.substitution.language`), read as a search reaches it.  The
+text, cut set), each core checked against the fixed point's exact language
+of its length (:func:`retword.substitution.language`), kept on the
+substitution, and those of x·a come from those of x by one extension step,
+which places each new image boundary in the cut set it carries.  The
 delay search runs that step over the factors by length, one step per factor
 from its parent, reads the cut sets as the step made them, and stops at the
 length past which no factor can force more;
@@ -74,17 +73,14 @@ _EMPTY_WORD_THREADS: tuple[_Thread, ...] = ((0, 0, "", frozenset()),)
 
 
 class _InterpretationContext:
-    """Shared pools for extending interpretations over one substitution.
-
-    ``pool`` holds the scan texts of the fixed point's factors of the lengths
-    :meth:`grow` has reached, one length at a time from 1; ``suffixes`` and
-    ``prefixes`` hold the margins letter images allow, and ``letters_of``
-    maps each image text to the core texts of the letters with that image.
+    """What extending interpretations over one substitution reads besides
+    its languages: ``suffixes`` and ``prefixes`` hold the margins letter
+    images allow, and ``letters_of`` maps each image text to the core texts
+    of the letters with that image.
     """
 
     def __init__(self, tau: Substitution):
         self.tau = tau
-        self.pool: set[str] = set()
         self.lengths = [len(w) for w in tau.images]
         images = [w.scan_text for w in tau.images]
         self.suffixes = {t[i:] for t in images for i in range(len(t) + 1)}
@@ -93,19 +89,14 @@ class _InterpretationContext:
         for c, t in enumerate(images):
             self.letters_of.setdefault(t, []).append(chr(c))
 
-    def grow(self, n: int) -> frozenset[str]:
-        """The factors of ``n`` letters, added to the pool."""
-        factors = language(self.tau, n)
-        self.pool.update(factors)
-        return factors
-
     def extend(self, threads: Iterable[_Thread], text: str) -> list[_Thread]:
         """The interpretations of the scan text ``text`` = x·a, given
         ``threads``, those of x.  An interpretation (cut, end, core, cuts) of
         a text t says that t[:cut] is a suffix of a letter image, that the
         image of the core text is t[cut:end], and that t[end:] is a prefix of
-        a letter image; the core is empty or in the pool, and ``cuts`` is the
-        set of (cut + |tau(core[:i])|, ord(core[i])) over the core's letters.
+        a letter image; the core is empty or a factor of the fixed point, and
+        ``cuts`` is the set of (cut + |tau(core[:i])|, ord(core[i])) over the
+        core's letters.
 
         Those of x·a are exactly these three kinds:
 
@@ -113,7 +104,7 @@ class _InterpretationContext:
            prefix of a letter image;
         2. (cut, |xa|, core·c, cuts ∪ {(end, ord(c))}) for such a (cut, end,
            core, cuts) whose right part is the image of the letter c, when
-           core·c is in the pool;
+           core·c is a factor, in ``language(tau, |core·c|)``;
         3. (|xa|, |xa|, ε, ∅) when x·a is a suffix of a letter image.
 
         Each is an interpretation of x·a, and each carries its own cut set.
@@ -127,9 +118,9 @@ class _InterpretationContext:
         end lie in x, and x[end:] is a prefix of the right part, so (cut, end,
         core) is one of x: kind 1.  If end = |xa| and core = core'·c, images
         are non-empty, so the image of c starts at e' <= |x|, x[e':] is a
-        proper prefix of that image and core' is empty or a prefix of a pool
-        text, which the pool holds with it: so (cut, e', core') is one of x
-        and the interpretation is of kind 2.  If end = |xa| and the core is
+        proper prefix of that image and core' is empty or a prefix of a
+        factor, so a factor too: so (cut, e', core') is one of x and the
+        interpretation is of kind 2.  If end = |xa| and the core is
         empty, then cut = |xa|: kind 3.  So the step loses none.  The kinds
         are told apart by end and core, the threads of x are distinct, and in
         kind 2 the cut and core·c name the parent thread and the letter, so
@@ -146,7 +137,7 @@ class _InterpretationContext:
                 found.append(thread)
                 for c in self.letters_of.get(rest, ()):
                     longer = core + c
-                    if longer in self.pool:
+                    if longer in language(self.tau, len(longer)):
                         found.append((cut, n, longer, cuts | {(end, ord(c))}))
         if text in self.suffixes:
             found.append((n, n, "", frozenset()))
@@ -165,8 +156,6 @@ def interpretations(tau: Substitution, x: Word) -> list[Interpretation]:
     if text not in language(tau, len(text)):
         raise ValueError("x is not a factor of the fixed point")
     ctx = _InterpretationContext(tau)
-    for n in range(1, len(text) + 1):
-        ctx.grow(n)
     threads = _EMPTY_WORD_THREADS
     for n in range(1, len(text) + 1):
         threads = ctx.extend(threads, text[:n])
@@ -192,10 +181,10 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
 
     The factors are visited by length, each one extension step from its
     parent, its longest proper prefix, whose interpretations the previous
-    length keeps by text.  The pool grows with the length: when the factors
-    of n letters are extended it holds every factor of at most n letters,
-    and images are non-empty, so every core of an interpretation of an
-    n-letter factor is there.  The search stops before length n once
+    length keeps by text.  A core is checked against the language of its
+    own length, and images are non-empty, so a core of an interpretation of
+    an n-letter factor has at most n letters and is checked against the
+    exact language L_m of some m <= n.  The search stops before length n once
     n > 2(R + 1) + L, R the forcing found so far and L the longest image: no
     longer factor forces more.  Suppose a factor x has a forcing cut (p, c) of
     margin m > R: it is in one interpretation of x and missing from another.
@@ -204,12 +193,12 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
     left margin, a core letter's image or its right margin), that piece,
     of at most L letters.  Restrict both interpretations to it: the margins
     stay suffixes and prefixes of letter images, and the restricted cores
-    are factors of pooled cores, so they are pooled too (the pool holds
-    every factor up to the length read).  The restriction is a factor of x
-    of at most 2(R + 1) + L < n letters, so it was read, and the cut is in
-    one restricted cut set but not in the other, with margin at least
-    R + 1 > R, which cannot be.  So R is the largest forcing over every
-    factor of at most ``sample_len`` letters.
+    are factors of factors, so factors too, in the languages of their
+    lengths.  The restriction is a factor of x of at most 2(R + 1) + L < n
+    letters, so it was read, and the cut is in one restricted cut set but
+    not in the other, with margin at least R + 1 > R, which cannot be.  So
+    R is the largest forcing over every factor of at most ``sample_len``
+    letters.
 
     No pair is formed: a cut is in one interpretation's cut set and missing
     from another's exactly when it is in some cut set but not in all of them,
@@ -238,7 +227,7 @@ def sync_delay_search(tau: Substitution, d_max: int = 64, sample_len: int = 10) 
         if n > 2 * (required + 1) + longest:
             break
         threads = {}
-        for x in ctx.grow(n):
+        for x in language(tau, n):
             found = threads[x] = ctx.extend(parents[x[:-1]], x)
             if len(found) < 2:
                 continue

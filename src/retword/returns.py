@@ -11,10 +11,10 @@ The complete construction never guesses: images of return letters are found
 by decomposing the image of each known return word, and every chunk cut
 between successive occurrences of u inside such an image is itself a genuine
 return word, so the closure terminates exactly on the full return alphabet.
-Only the initial search for a second occurrence of u consumes fixed-point
-buffer, under the configured cap; the derivation tower searches x at level 1
-only, and reads each later level's first return word off the last level's
-images, with no buffer.
+No return system reads or grows a fixed-point buffer: the search for a
+second occurrence of u reads the iterates of the start letter's image, under
+the configured cap, for a return substitution and for each level of the
+derivation tower alike.
 
 The derivation tower decides exactly whether the fixed point is periodic
 (:func:`nonperiodic_check`).  The caches are the substitution's, none this
@@ -138,23 +138,27 @@ def return_words_of_prefix(host: Word, u: Word) -> ReturnSystem:
     )
 
 
-def _first_return_text(tau: Substitution, u: Word) -> str:
-    """The scan text of the return word at position 0 of the fixed point,
-    growing the buffer as needed."""
-    fp = tau.fixed_point()
-    if fp.cap <= len(u):
-        raise buffer_cap_error(f"prefix of length {len(u)} cannot recur within", fp.cap)
-    length = min(max(4 * len(u), 16), fp.cap)
-    while True:
-        text = fp.text(length)
-        if not text.startswith(u.scan_text):
-            raise ValueError("u is not a prefix of the fixed point")
-        second = text.find(u.scan_text, 1)
-        if second != -1:
-            return text[:second]
-        if length == fp.cap:
-            raise buffer_cap_error("no second occurrence of the prefix within", fp.cap)
-        length = min(length * 2, fp.cap)
+def _first_return(sub: Substitution, u: Word, cap: int) -> str:
+    """The scan text of the return word on u at position 0 of the fixed
+    point x of sub, read off sub^k(a), a the start letter, with no buffer:
+    sub^(k+1)(a) is sub^k(a) followed by the image of the letters sub^k(a)
+    added to sub^(k-1)(a), so each round translates only those.  u is checked
+    to be a prefix of x once |u| letters are read, and its second occurrence
+    is looked for in x[1:cap].  Refused in this order: u of ``cap`` letters
+    or more, u no prefix of x, and no second occurrence within ``cap``."""
+    table, ut = sub.morphism._table, u.scan_text
+    if cap <= len(ut):
+        raise buffer_cap_error(f"prefix of length {len(ut)} cannot recur within", cap)
+    text, done = table[sub.start], 1  # text is the image of text[:done]
+    while len(text) < len(ut):
+        text, done = text + text[done:].translate(table), len(text)
+    if not text.startswith(ut):
+        raise ValueError("u is not a prefix of the fixed point")
+    while (second := text.find(ut, 1, cap)) == -1:
+        if len(text) >= cap:
+            raise buffer_cap_error("no second occurrence of the prefix within", cap)
+        text, done = text + text[done:].translate(table), len(text)
+    return text[:second]
 
 
 def return_substitution(tau: Substitution, u: Word) -> tuple[ReturnSystem, Substitution]:
@@ -181,32 +185,29 @@ def return_substitution(tau: Substitution, u: Word) -> tuple[ReturnSystem, Subst
         primitive, _ = is_primitive(tau.matrix())
         if not primitive:
             raise ValueError("return substitutions are defined for primitive substitutions")
-        fp = tau.fixed_point()
-        result = _return_closure(tau, u, _first_return_text(tau, u), fp.cap, fp._longest)
+        result = _return_closure(tau, u, tau.fixed_point().cap)
     cache[u.scan_text] = result
     if len(cache) > RETURN_CACHE_SIZE:
         del cache[next(iter(cache))]
     return result
 
 
-def _return_closure(
-    tau: Substitution, u: Word, first: str, cap: int, longest: int
-) -> tuple[ReturnSystem, Substitution]:
-    """The closure behind :func:`return_substitution`, seeded with ``first``,
-    the scan text of the return word at position 0, and run on scan texts:
-    the image of each known return word is one translation through tau's
-    table, cut at the occurrences of u, and the chunk dict maps each return
-    word to its return letter's code point, so images are built as scan
-    texts.  The words are made once, at the end.
+def _return_closure(sub: Substitution, u: Word, cap: int) -> tuple[ReturnSystem, Substitution]:
+    """The closure behind :func:`return_substitution`, seeded with the
+    return word at position 0 (:func:`_first_return`, under ``cap``), and
+    run on scan texts: the image of each known return word is one
+    translation through sub's table, cut at the occurrences of u, and the
+    chunk dict maps each return word to its return letter's code point, so
+    images are built as scan texts.  The words are made once, at the end.
 
     Before an image is formed, the letters of the return words held plus
     those of the image are checked against the buffer cap ``cap``, and a
     closure that would pass it is refused with ``ResourceLimitError``.  The
-    image of a return word r holds at most |r| times ``longest``, tau's
-    longest letter image; its letters are counted exactly only when that
-    bound passes the cap."""
-    table, ut = tau.morphism._table, u.scan_text
-    texts = [first]
+    image of a return word r holds at most |r| times sub's longest letter
+    image; its letters are counted exactly only when that bound passes the
+    cap."""
+    table, ut, longest = sub.morphism._table, u.scan_text, sub.max_image_length()
+    texts = [_first_return(sub, u, cap)]
     held = len(texts[0])
     index: dict[str, str] = {texts[0]: chr(0)}
     images: list[str] = []
@@ -366,45 +367,29 @@ class TowerResult:
     repetition: tuple[int, int]
 
 
-def _first_letter_return(sub: Substitution, cap: int) -> str:
-    """The scan text of the return word on letter 0 at position 0 of the
-    fixed point of sub, whose image of letter 0 starts with it, as a return
-    substitution's does: sub(0), sub^2(0), ... are ever longer prefixes of
-    the fixed point, translated until letter 0 recurs after position 0.  As
-    :func:`_first_return_text` would on a buffer of ``cap`` letters, it
-    refuses a return word of ``cap`` letters or more; it keeps no buffer."""
-    table = sub.morphism._table
-    text = table[0]
-    while (second := text.find(chr(0), 1, cap)) == -1:
-        if len(text) >= cap:
-            raise buffer_cap_error("no second occurrence of the prefix within", cap)
-        text = text.translate(table)
-    return text[:second]
-
-
 def _tower_level(tau: Substitution, depth: int) -> TowerLevel:
     """Level ``depth`` of the tower of tau, from the one walk kept on tau and
     grown on demand: level 1 is tau's return substitution on its first letter,
     level k+1 level k's on its letter 0 (see :func:`nonperiodic_check`).  Only
     level 1 decides primitivity: a return substitution of a primitive
-    substitution is primitive (Durand, Discrete Math. 179, 1998).  Only
-    tau's fixed point has a buffer; every later level is closed under
-    tau's buffer cap."""
-    levels = tau._tower
+    substitution is primitive (Durand, Discrete Math. 179, 1998).  No level
+    reads a fixed-point buffer: each first return word is read off its
+    substitution's images (:func:`_first_return`), and every level is
+    closed under tau's buffer cap, read first, so that a start image that
+    cannot grow is refused before primitivity is asked."""
+    levels, cap = tau._tower, tau.fixed_point().cap
     while len(levels) < depth:
         if levels:
             last = levels[-1]
-            n, cap = last.lengths[0] + last.prefix_length, tau.fixed_point().cap
+            n = last.lengths[0] + last.prefix_length
             if cap <= n:
                 raise buffer_cap_error(f"prefix of length {n} cannot recur within", cap)
             derived = last.substitution
-            first = _first_letter_return(derived, cap)
-            u = _word(derived.alphabet, chr(0))
-            system, sub = _return_closure(derived, u, first, cap, derived.max_image_length())
+            system, sub = _return_closure(derived, _word(derived.alphabet, chr(0)), cap)
             lengths = tuple(sum([last.lengths[ord(c)] for c in w.scan_text]) for w in system.return_words)
         else:
             n = 1
-            system, sub = return_substitution(tau, fixed_point_prefix(tau, 1))
+            system, sub = return_substitution(tau, _word(tau.alphabet, chr(tau.start)))
             lengths = tuple(map(len, system.return_words))
         repeats = next((level.depth for level in levels if level.substitution == sub), None)
         levels.append(TowerLevel(len(levels) + 1, n, lengths, system, sub, repeats))

@@ -13,8 +13,29 @@ from dataclasses import dataclass
 
 from retword.errors import InternalInconsistencyError
 from retword.returns import ReturnSystem, return_substitution
-from retword.substitution import Substitution, fixed_point_prefix
+from retword.substitution import Substitution, buffer_cap_error, fixed_point_prefix
 from retword.words import Word, find_all
+
+
+def first_return_text(tau: Substitution, u: Word, cap: int) -> str:
+    """The scan text of the return word on u at position 0 of the fixed
+    point, searched for in tau's fixed-point buffer, grown by doubling up to
+    ``cap`` letters: the answer or the refusal the start letter's iterates
+    must give."""
+    fp = tau.fixed_point()
+    if cap <= len(u):
+        raise buffer_cap_error(f"prefix of length {len(u)} cannot recur within", cap)
+    length = min(max(4 * len(u), 16), cap)
+    while True:
+        text = fp.text(length)
+        if not text.startswith(u.scan_text):
+            raise ValueError("u is not a prefix of the fixed point")
+        second = text.find(u.scan_text, 1)
+        if second != -1:
+            return text[:second]
+        if length == cap:
+            raise buffer_cap_error("no second occurrence of the prefix within", cap)
+        length = min(length * 2, cap)
 
 
 def derived_prefix_by_scan(tau: Substitution, u: Word, n: int) -> Word:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import circularity_oracle as oracle
+import retword.circularity as circularity_module
 from retword.circularity import (
     Interpretation,
     _InterpretationContext,
@@ -249,9 +250,10 @@ def test_sync_delay_matches_pair_oracle(tau, sample_len, d_max):
 def test_extension_step_matches_worklist_walk(tau, sample_len):
     """Length by length, one extension step from the threads of a factor's
     parent gives, each once, the interpretations the worklist walk finds from
-    scratch over the factors of a prefix that holds them all; the pool grown
-    to a length holds those factors of at most that length; and every thread
-    carries the cut set read off its core text and the image lengths."""
+    scratch over the factors of a prefix that holds them all; the language
+    of each length holds exactly that prefix's factors of the length; and
+    every thread carries the cut set read off its core text and the image
+    lengths."""
     ctx = _InterpretationContext(tau)
     host = oracle.covering_prefix(tau, sample_len)
     walk = oracle.WorklistWalk(tau, host, sample_len)
@@ -259,8 +261,8 @@ def test_extension_step_matches_worklist_walk(tau, sample_len):
     lengths = [len(w) for w in tau.images]
     parents = {"": [(0, 0, "", frozenset())]}
     for n in range(1, sample_len + 1):
-        found = {x: ctx.extend(parents[x[:-1]], x) for x in ctx.grow(n)}
-        assert ctx.pool == {x for x in factors if len(x) <= n}
+        assert language(tau, n) == {x for x in factors if len(x) == n}
+        found = {x: ctx.extend(parents[x[:-1]], x) for x in language(tau, n)}
         for x, threads in found.items():
             assert sorted(thread[:3] for thread in threads) == sorted(walk(x))
             for cut, _, core, cuts in threads:
@@ -305,21 +307,20 @@ def test_sync_delay_stops_at_the_length_that_decides_it(monkeypatch, fib):
 
 def test_sync_delay_slices_only_the_lengths_it_reads(monkeypatch):
     """On const3 (delay 1, images of 3 letters) the search at sample length
-    200 stops past 2(1 + 1) + 3 = 7 letters: the pool holds no longer factor,
-    and the search's allocations peak far below the 33 MiB that slicing every
-    factor of up to 200 letters took."""
+    200 stops past 2(1 + 1) + 3 = 7 letters: it asks for no language of
+    longer factors, and its allocations peak far below the 33 MiB that
+    slicing every factor of up to 200 letters took."""
     tau, _ = parse_substitution((SAMPLES / "const3.sub").read_text())
     nonperiodic_check(tau)
-    grown = []
-    grow = _InterpretationContext.grow
-    monkeypatch.setattr(_InterpretationContext, "grow", lambda ctx, n: grown.append(n) or grow(ctx, n))
+    asked = []
+    monkeypatch.setattr(circularity_module, "language", lambda sub, n: asked.append(n) or language(sub, n))
     tracemalloc.start()
     try:
         assert sync_delay_search(tau, 64, 200) == 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert grown == list(range(1, 8))
+    assert sorted(set(asked)) == list(range(1, 8))
     assert peak < 4 * 2**20
 
 

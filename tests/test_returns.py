@@ -6,15 +6,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from periodic_oracle import looks_periodic, periodic_tail_witness
-from returns_oracle import derived_prefix_by_scan, derived_sequences_agree_by_prefix, tower_by_tau_words
+from returns_oracle import (
+    derived_prefix_by_scan,
+    derived_sequences_agree_by_prefix,
+    first_return_text,
+    tower_by_tau_words,
+)
 from corpus import fibonacci, thue_morse
 from retword.cli import run_command
-from retword.errors import DecompositionError, ResourceLimitError
+from retword.errors import DecompositionError, GenerationError, ResourceLimitError
 import retword.substitution as substitution_module
 from retword.returns import (
     RETURN_CACHE_SIZE,
-    _first_letter_return,
-    _first_return_text,
+    _first_return,
     _tower_level,
     decompose,
     derivation_tower,
@@ -519,23 +523,58 @@ def test_a_tower_walk_builds_one_buffer(monkeypatch, path):
     assert len(made) == 1 and made[0] is tau
 
 
-@settings(max_examples=80, deadline=None)
-@given(primitive_substitutions_2_to_5(), st.integers(2, 40))
-def test_first_letter_return_is_the_buffer_search(tau, cap):
-    """Read off the images, the first return word on letter 0 is the one the
-    search of a ``cap``-letter buffer finds, or is refused in its words."""
+def test_a_tower_refuses_a_start_image_that_cannot_grow_first():
+    """a -> a, b -> ab is not primitive and its start image cannot grow: the
+    tower refuses the start image before it asks primitivity, while a
+    return substitution asks primitivity first."""
+    tau = substitution_from_strings("a b", {"a": "a", "b": "ab"}, "a")
+    with pytest.raises(GenerationError, match="start image"):
+        derivation_tower(tau)
+    with pytest.raises(ValueError, match="primitive substitutions"):
+        return_substitution(tau, tau.alphabet.word("a"))
+
+
+@st.composite
+def first_return_cases(draw):
+    """A primitive substitution, a cap of 2-40 letters and a word u: a
+    prefix of the fixed point of 1-12 letters, or that prefix with its last
+    or its first letter changed, so no prefix."""
+    tau = draw(primitive_substitutions_2_to_5())
+    u = list(fixed_point_prefix(tau, draw(st.integers(1, 12))).scan_text)
+    at = draw(st.sampled_from([None, -1, 0]))
+    if at is not None:
+        size = tau.alphabet.size
+        u[at] = chr((ord(u[at]) + draw(st.integers(1, size - 1))) % size)
+    return tau, _word(tau.alphabet, "".join(u)), draw(st.integers(2, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(first_return_cases())
+def test_first_return_is_the_buffer_search(case):
+    """Read off the start letter's iterates, the first return word on u is
+    the one the search of a ``cap``-letter buffer finds, or is refused as
+    that search refuses it: the same exception with the same text."""
+    tau, u, cap = case
 
     def outcome(find):
         try:
             return find()
-        except ResourceLimitError as exc:
-            return str(exc)
+        except (ValueError, ResourceLimitError) as exc:
+            return type(exc), str(exc)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPO_PREFIX_CAP", str(cap))
-        fresh = Substitution(tau.morphism, 0)
-        expected = outcome(lambda: _first_return_text(fresh, _word(fresh.alphabet, chr(0))))
-    assert outcome(lambda: _first_letter_return(tau, cap)) == expected
+    expected = outcome(lambda: first_return_text(tau, u, cap))
+    assert outcome(lambda: _first_return(tau, u, cap)) == expected
+
+
+def test_a_return_system_grows_no_buffer():
+    """The return word at position 0 is read off the start letter's
+    iterates, so a return system on a 13-letter prefix leaves the fixed
+    point at its start image, where a buffer search would have grown it to
+    52 letters or more."""
+    fib = fibonacci()
+    system, _ = return_substitution(fib, fib.alphabet.word("0100101001001"))
+    assert system.count == 2
+    assert len(fib.fixed_point()) == 2
 
 
 # A primitive substitution on 18 letters, kept out of samples/, which the
